@@ -435,3 +435,60 @@ fn node_stats_reflect_engine_activity() {
     assert!(after.rx_messages > 0);
     assert_eq!(after.rx_buffers_free, c.config().cclo.rx_buf_count);
 }
+
+#[test]
+fn coyote_scratch_and_buffers_are_eagerly_mapped() {
+    use accl_core::buffer::{SCRATCH_BASE, SCRATCH_BYTES};
+    use accl_mem::{bus::ports, MemAddr, MemChunk, MemReadReq, MemoryBus, PAGE_SIZE};
+    use accl_sim::prelude::{Endpoint, Mailbox, SpanId};
+
+    let n = 3;
+    let scratch_pages = (SCRATCH_BYTES / PAGE_SIZE) as usize;
+    assert_eq!(scratch_pages, 262_144);
+    let mut c = AcclCluster::build(ClusterConfig::coyote_rdma(n));
+    let mapped = |c: &AcclCluster, node: usize| {
+        c.sim
+            .component::<MemoryBus>(c.node(node).bus)
+            .tlb_mapped_pages()
+    };
+    for node in 0..n {
+        assert_eq!(mapped(&c, node), Some(scratch_pages), "node {node}");
+    }
+    // A 4-page host buffer (one byte over three pages) and a 1-page
+    // device buffer, each mapped at allocation.
+    c.alloc(1, BufLoc::Host, 3 * PAGE_SIZE + 1);
+    c.alloc(1, BufLoc::Device, 100);
+    assert_eq!(mapped(&c, 0), Some(scratch_pages));
+    assert_eq!(mapped(&c, 1), Some(scratch_pages + 5));
+
+    // Device reads at the window's edges and middle take no page fault.
+    let bus = c.node(2).bus;
+    let sink = c.sim.add("probe", Mailbox::<MemChunk>::new());
+    let now = c.sim.now();
+    for (tag, addr) in [
+        SCRATCH_BASE,
+        SCRATCH_BASE + SCRATCH_BYTES / 2 + 123,
+        SCRATCH_BASE + SCRATCH_BYTES - 8,
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        c.sim.post(
+            Endpoint::new(bus, ports::READ),
+            now,
+            MemReadReq {
+                addr: MemAddr::Virt(addr),
+                len: 8,
+                data_to: Endpoint::of(sink),
+                done_to: None,
+                tag: tag as u64,
+                span: SpanId::NONE,
+            },
+        );
+    }
+    c.sim.run();
+    assert_eq!(c.sim.component::<Mailbox<MemChunk>>(sink).len(), 3);
+    let (_, misses, faults) = c.sim.component::<MemoryBus>(bus).tlb_counters().unwrap();
+    assert_eq!((misses, faults), (3, 0));
+    assert_eq!(mapped(&c, 2), Some(scratch_pages));
+}

@@ -221,6 +221,11 @@ impl MemoryBus {
         self.tlb.as_ref().map(Tlb::counters)
     }
 
+    /// Pages mapped in the TLB, if a TLB is configured.
+    pub fn tlb_mapped_pages(&self) -> Option<usize> {
+        self.tlb.as_ref().map(Tlb::mapped_pages)
+    }
+
     /// Total bytes served to readers.
     pub fn bytes_read(&self) -> u64 {
         self.bytes_read

@@ -5,6 +5,12 @@
 //! CPU and costs a page-fault round trip (§4.2). The ACCL+ CoyoteBuffer
 //! class *eagerly maps* its pages at allocation time precisely to avoid
 //! that penalty — behaviour this model lets us quantify.
+//!
+//! The driver's page map is stored as disjoint extents of virtual pages,
+//! not one entry per page: eagerly mapping a buffer (or the 1 GiB CCLO
+//! scratch window) costs O(log extents), and translating a page is one
+//! ordered-map lookup. Page-fault mappings coalesce with same-target
+//! neighbours, so faults over a contiguous region stay one extent.
 
 use std::collections::BTreeMap;
 
@@ -62,8 +68,10 @@ pub struct Translation {
 /// A software-populated page map plus a set-associative TLB cache.
 pub struct Tlb {
     cfg: TlbConfig,
-    /// Driver-populated translations (the "mapped pages").
-    map: BTreeMap<u64, MemTarget>,
+    /// Driver-populated translations (the "mapped pages") as disjoint,
+    /// non-empty extents: first vpn → (end vpn, exclusive; target).
+    /// Adjacent extents with the same target are always coalesced.
+    map: BTreeMap<u64, (u64, MemTarget)>,
     /// TLB cache: per-set LRU lists of virtual page numbers (front = MRU).
     cache: Vec<Vec<u64>>,
     hits: u64,
@@ -86,18 +94,71 @@ impl Tlb {
     }
 
     /// Maps the pages covering `[addr, addr+len)` to `target`
-    /// (what `CoyoteBuffer` does eagerly at allocation).
+    /// (what `CoyoteBuffer` does eagerly at allocation). Pages already
+    /// mapped are remapped: the last mapping wins.
     pub fn map_range(&mut self, addr: u64, len: u64, target: MemTarget) {
         let first = addr / PAGE_SIZE;
         let last = (addr + len.max(1) - 1) / PAGE_SIZE;
-        for vpn in first..=last {
-            self.map.insert(vpn, target);
-        }
+        self.insert_extent(first, last + 1, target);
     }
 
     /// Number of mapped pages.
     pub fn mapped_pages(&self) -> usize {
+        self.map
+            .iter()
+            .map(|(&start, &(end, _))| (end - start) as usize)
+            .sum()
+    }
+
+    /// Number of extents the page map holds.
+    #[cfg(test)]
+    fn extents(&self) -> usize {
         self.map.len()
+    }
+
+    /// The target of page `vpn`, if mapped.
+    fn lookup(&self, vpn: u64) -> Option<MemTarget> {
+        self.map
+            .range(..=vpn)
+            .next_back()
+            .filter(|(_, &(end, _))| vpn < end)
+            .map(|(_, &(_, target))| target)
+    }
+
+    /// Maps pages `[first, end)` to `target`, trimming or splitting the
+    /// extents it overlaps and coalescing it with same-target neighbours.
+    fn insert_extent(&mut self, mut first: u64, mut end: u64, target: MemTarget) {
+        // An extent starting before `first` keeps its head; if it also
+        // reaches past `end`, its tail survives as a separate extent.
+        if let Some((&start, &(e, t))) = self.map.range(..first).next_back() {
+            if e > first {
+                self.map.insert(start, (first, t));
+                if e > end {
+                    self.map.insert(end, (e, t));
+                }
+            }
+        }
+        // Extents starting inside the new one are replaced; only the last
+        // can reach past `end`, and its tail survives.
+        while let Some((&start, &(e, t))) = self.map.range(first..end).next() {
+            self.map.remove(&start);
+            if e > end {
+                self.map.insert(end, (e, t));
+            }
+        }
+        if let Some((&start, &(e, t))) = self.map.range(..first).next_back() {
+            if e == first && t == target {
+                self.map.remove(&start);
+                first = start;
+            }
+        }
+        if let Some(&(e, t)) = self.map.get(&end) {
+            if t == target {
+                self.map.remove(&end);
+                end = e;
+            }
+        }
+        self.map.insert(first, (end, target));
     }
 
     /// (hits, misses, faults) observed so far.
@@ -117,7 +178,7 @@ impl Tlb {
             let v = self.cache[set].remove(pos);
             self.cache[set].insert(0, v);
             self.hits += 1;
-            let target = self.map[&vpn];
+            let target = self.lookup(vpn).expect("cached page is mapped");
             return Translation {
                 target,
                 penalty: Dur::ZERO,
@@ -125,11 +186,11 @@ impl Tlb {
             };
         }
         // Miss: consult the mapping structures.
-        let (target, penalty, faulted) = match self.map.get(&vpn) {
-            Some(&t) => (t, Dur::from_ns(self.cfg.miss_penalty_ns), false),
+        let (target, penalty, faulted) = match self.lookup(vpn) {
+            Some(t) => (t, Dur::from_ns(self.cfg.miss_penalty_ns), false),
             None => {
                 self.faults += 1;
-                self.map.insert(vpn, MemTarget::Host);
+                self.insert_extent(vpn, vpn + 1, MemTarget::Host);
                 (
                     MemTarget::Host,
                     Dur::from_us(self.cfg.fault_penalty_us),
@@ -220,5 +281,84 @@ mod tests {
         }
         let (hits, misses, _) = tlb.counters();
         assert_eq!((hits, misses), (6, 2));
+    }
+
+    fn target_of(tlb: &mut Tlb, vpn: u64) -> MemTarget {
+        tlb.translate(vpn * PAGE_SIZE).target
+    }
+
+    #[test]
+    fn remap_splits_an_extent_on_both_sides() {
+        let mut tlb = Tlb::new(TlbConfig::default());
+        tlb.map_range(0, 10 * PAGE_SIZE, MemTarget::Device);
+        tlb.map_range(4 * PAGE_SIZE, 2 * PAGE_SIZE, MemTarget::Host);
+        assert_eq!(tlb.extents(), 3);
+        assert_eq!(tlb.mapped_pages(), 10);
+        for (vpn, want) in [
+            (3, MemTarget::Device),
+            (4, MemTarget::Host),
+            (5, MemTarget::Host),
+            (6, MemTarget::Device),
+            (9, MemTarget::Device),
+        ] {
+            assert_eq!(target_of(&mut tlb, vpn), want, "page {vpn}");
+        }
+        assert_eq!(tlb.counters().2, 0);
+        // Remapping the hole back restores one extent.
+        tlb.map_range(4 * PAGE_SIZE, 2 * PAGE_SIZE, MemTarget::Device);
+        assert_eq!(tlb.extents(), 1);
+        assert_eq!(tlb.mapped_pages(), 10);
+    }
+
+    #[test]
+    fn fault_in_gap_between_extents() {
+        let mut tlb = Tlb::new(TlbConfig::default());
+        tlb.map_range(0, 2 * PAGE_SIZE, MemTarget::Device);
+        tlb.map_range(5 * PAGE_SIZE, 2 * PAGE_SIZE, MemTarget::Device);
+        let t = tlb.translate(3 * PAGE_SIZE);
+        assert!(t.faulted);
+        assert_eq!(t.target, MemTarget::Host);
+        // The fault maps exactly its page; its neighbours stay unmapped.
+        assert_eq!(tlb.extents(), 3);
+        assert_eq!(tlb.mapped_pages(), 5);
+        assert!(tlb.translate(2 * PAGE_SIZE).faulted);
+        assert!(tlb.translate(4 * PAGE_SIZE).faulted);
+        // Host pages 2..5 coalesce; the Device extents around them do not.
+        assert_eq!(tlb.extents(), 3);
+        assert_eq!(tlb.mapped_pages(), 7);
+        assert_eq!(target_of(&mut tlb, 1), MemTarget::Device);
+        assert_eq!(target_of(&mut tlb, 5), MemTarget::Device);
+        assert_eq!(tlb.counters().2, 3);
+    }
+
+    #[test]
+    fn consecutive_faults_merge_into_one_extent() {
+        let mut tlb = Tlb::new(TlbConfig::default());
+        for vpn in 100..164 {
+            assert!(tlb.translate(vpn * PAGE_SIZE).faulted);
+        }
+        assert_eq!(tlb.extents(), 1);
+        assert_eq!(tlb.mapped_pages(), 64);
+        // Faults below an existing extent merge with it too.
+        assert!(tlb.translate(99 * PAGE_SIZE).faulted);
+        assert_eq!(tlb.extents(), 1);
+        assert_eq!(tlb.counters().2, 65);
+    }
+
+    #[test]
+    fn zero_length_map_covers_one_page() {
+        let mut tlb = Tlb::new(TlbConfig::default());
+        tlb.map_range(3 * PAGE_SIZE + 17, 0, MemTarget::Device);
+        assert_eq!(tlb.mapped_pages(), 1);
+        assert!(!tlb.translate(3 * PAGE_SIZE).faulted);
+        assert!(tlb.translate(4 * PAGE_SIZE).faulted);
+    }
+
+    #[test]
+    fn gib_mapping_is_one_extent() {
+        let mut tlb = Tlb::new(TlbConfig::default());
+        tlb.map_range(0xc000_0000, 1 << 30, MemTarget::Device);
+        assert_eq!(tlb.extents(), 1);
+        assert_eq!(tlb.mapped_pages(), (1 << 30) / PAGE_SIZE as usize);
     }
 }
