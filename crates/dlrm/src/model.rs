@@ -8,6 +8,8 @@
 //! synthetic anyway); everything that determines performance — vector
 //! dimensions, message sizes, layer shapes — matches Table 2 exactly.
 
+use std::ops::Range;
+
 use accl_linalg::dense::fx::{self, MatFx};
 use accl_linalg::dense::{block_ranges, fx::relu};
 use serde::{Deserialize, Serialize};
@@ -155,25 +157,134 @@ impl DlrmModel {
     /// All intermediate values of one inference, as the distributed
     /// pipeline of Fig. 15 produces them.
     pub fn pipeline_trace(&self, k: u64) -> PipelineTrace {
+        self.batch_traces(std::iter::once(k))
+            .pop()
+            .expect("one trace per inference")
+    }
+
+    /// [`DlrmModel::pipeline_trace`] for inferences `0..n`, in order.
+    ///
+    /// Inferences are computed [`TRACE_BATCH`] at a time, so each FC weight
+    /// row is read once per batch rather than once per inference, and
+    /// contiguous runs of batches are spread over the host's cores. Every
+    /// trace is bit-identical to the one-inference computation.
+    pub fn pipeline_traces(&self, n: usize) -> Vec<PipelineTrace> {
+        let batches: Vec<Range<u64>> = (0..n as u64)
+            .step_by(TRACE_BATCH)
+            .map(|k0| k0..(k0 + TRACE_BATCH as u64).min(n as u64))
+            .collect();
+        let threads = std::thread::available_parallelism()
+            .map_or(1, |p| p.get())
+            .min(batches.len());
+        let run = |bs: &[Range<u64>]| -> Vec<PipelineTrace> {
+            bs.iter()
+                .flat_map(|b| self.batch_traces(b.clone()))
+                .collect()
+        };
+        if threads <= 1 {
+            return run(&batches);
+        }
+        std::thread::scope(|s| {
+            let workers: Vec<_> = block_ranges(batches.len(), threads)
+                .into_iter()
+                .map(|(b0, b1)| {
+                    let bs = &batches[b0..b1];
+                    s.spawn(move || run(bs))
+                })
+                .collect();
+            workers
+                .into_iter()
+                .flat_map(|w| w.join().expect("trace worker panicked"))
+                .collect()
+        })
+    }
+
+    /// The traces of inferences `ks`, with one pass over each FC block's
+    /// weights for the whole batch.
+    fn batch_traces(&self, ks: impl Iterator<Item = u64>) -> Vec<PipelineTrace> {
         let cfg = self.cfg;
-        let x = self.embed(k);
+        let embeds: Vec<Vec<i32>> = ks.map(|k| self.embed(k)).collect();
         let col_ranges = block_ranges(cfg.concat_len(), cfg.fc1_col_groups);
         let row_ranges = block_ranges(cfg.fc_dims[0], cfg.fc1_row_groups);
+        // FC1 partials per (row group, column group), one per inference.
+        let mut blocks: Vec<Vec<_>> = row_ranges
+            .iter()
+            .map(|&(r0, r1)| {
+                col_ranges
+                    .iter()
+                    .map(|&(c0, c1)| {
+                        let slices: Vec<&[i32]> = embeds.iter().map(|x| &x[c0..c1]).collect();
+                        self.fc[0].gemv_block(r0..r1, c0..c1, &slices).into_iter()
+                    })
+                    .collect()
+            })
+            .collect();
+        let mut traces: Vec<PipelineTrace> = embeds
+            .iter()
+            .map(|x| {
+                let fc1_partials = blocks
+                    .iter_mut()
+                    .map(|rg| {
+                        rg.iter_mut()
+                            .map(|p| p.next().expect("one partial per inference"))
+                            .collect()
+                    })
+                    .collect();
+                PipelineTrace::through_fc1(cfg, x, &col_ranges, fc1_partials)
+            })
+            .collect();
+        let [_, fc2, fc3] = &self.fc;
+        let fc1_outs: Vec<&[i32]> = traces.iter().map(|t| t.fc1_out.as_slice()).collect();
+        let mut fc2_outs = fc2.gemv_block(0..fc2.rows, 0..fc2.cols, &fc1_outs);
+        for y in &mut fc2_outs {
+            relu(y);
+        }
+        let fc3_outs = fc3.gemv_block(0..fc3.rows, 0..fc3.cols, &fc2_outs);
+        for ((t, fc2), fc3) in traces.iter_mut().zip(fc2_outs).zip(fc3_outs) {
+            t.fc2_out = fc2;
+            t.fc3_out = fc3;
+        }
+        traces
+    }
+}
+
+/// Inferences per weight pass in [`DlrmModel::pipeline_traces`]. Each FC1
+/// weight row (3.2 KB) is read once per batch while the batch's 16 input
+/// slices (51 KB) stay in cache.
+pub const TRACE_BATCH: usize = 16;
+
+/// Every intermediate of one inference flowing through the Fig. 15 pipeline.
+pub struct PipelineTrace {
+    /// 3.2 KB embedding slices (one per column group).
+    pub embed_slices: Vec<Vec<i32>>,
+    /// FC1 partials `[row_group][col_group]` (4 KB each).
+    pub fc1_partials: Vec<Vec<Vec<i32>>>,
+    /// Full-height per-column partials (8 KB each).
+    pub col_partials: Vec<Vec<i32>>,
+    /// Running chain-reduction values (8 KB each hop).
+    pub chain: Vec<Vec<i32>>,
+    /// FC1 output after ReLU.
+    pub fc1_out: Vec<i32>,
+    /// FC2 output after ReLU.
+    pub fc2_out: Vec<i32>,
+    /// Final FC3 output.
+    pub fc3_out: Vec<i32>,
+}
+
+impl PipelineTrace {
+    /// The trace of inference input `x` up to the FC1 output, from its FC1
+    /// checkerboard partials; `fc2_out` and `fc3_out` are left empty.
+    fn through_fc1(
+        cfg: DlrmConfig,
+        x: &[i32],
+        col_ranges: &[(usize, usize)],
+        fc1_partials: Vec<Vec<Vec<i32>>>,
+    ) -> PipelineTrace {
         // Partial embedding slices (3.2 KB messages, nodes 1-4 → 5-8).
         let embed_slices: Vec<Vec<i32>> = col_ranges
             .iter()
             .map(|&(c0, c1)| x[c0..c1].to_vec())
             .collect();
-        // FC1 partials per (row group, column group).
-        let mut fc1_partials = Vec::new();
-        for &(r0, r1) in &row_ranges {
-            let row_blk = self.fc[0].row_block(r0, r1);
-            let mut per_col = Vec::new();
-            for &(c0, c1) in &col_ranges {
-                per_col.push(row_blk.col_block(c0, c1).gemv(&x[c0..c1]));
-            }
-            fc1_partials.push(per_col);
-        }
         // Per-column full-height partials (8 KB reduction messages):
         // concat of row-group partials for that column.
         let col_partials: Vec<Vec<i32>> = (0..cfg.fc1_col_groups)
@@ -197,37 +308,16 @@ impl DlrmModel {
         }
         let mut fc1_out = acc;
         relu(&mut fc1_out);
-        let mut fc2_out = self.fc[1].gemv(&fc1_out);
-        relu(&mut fc2_out);
-        let fc3_out = self.fc[2].gemv(&fc2_out);
         PipelineTrace {
             embed_slices,
             fc1_partials,
             col_partials,
             chain,
             fc1_out,
-            fc2_out,
-            fc3_out,
+            fc2_out: Vec::new(),
+            fc3_out: Vec::new(),
         }
     }
-}
-
-/// Every intermediate of one inference flowing through the Fig. 15 pipeline.
-pub struct PipelineTrace {
-    /// 3.2 KB embedding slices (one per column group).
-    pub embed_slices: Vec<Vec<i32>>,
-    /// FC1 partials `[row_group][col_group]` (4 KB each).
-    pub fc1_partials: Vec<Vec<Vec<i32>>>,
-    /// Full-height per-column partials (8 KB each).
-    pub col_partials: Vec<Vec<i32>>,
-    /// Running chain-reduction values (8 KB each hop).
-    pub chain: Vec<Vec<i32>>,
-    /// FC1 output after ReLU.
-    pub fc1_out: Vec<i32>,
-    /// FC2 output after ReLU.
-    pub fc2_out: Vec<i32>,
-    /// Final FC3 output.
-    pub fc3_out: Vec<i32>,
 }
 
 #[cfg(test)]

@@ -177,9 +177,7 @@ pub fn run_pipeline_observed(
     let full_elems = cfg.fc_dims[0];
     let fc2_elems = cfg.fc_dims[1];
 
-    let traces: Vec<_> = (0..inferences as u64)
-        .map(|k| model.pipeline_trace(k))
-        .collect();
+    let traces = model.pipeline_traces(inferences);
 
     let mut cluster = AcclCluster::build(ClusterConfig {
         cclo: CcloConfig {
@@ -221,8 +219,7 @@ pub fn run_pipeline_observed(
     let push = |v: &[i32]| KernelOp::Push(Bytes::from(fx::to_bytes(v)));
 
     let mut programs: Vec<Vec<KernelOp>> = vec![Vec::new(); nodes];
-    for (k, tr) in traces.iter().enumerate() {
-        let _ = k;
+    for tr in &traces {
         // Embedding nodes 0..cols.
         for c in 0..cols {
             let p = &mut programs[c];

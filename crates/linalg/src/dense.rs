@@ -118,6 +118,8 @@ pub fn vec_add(acc: &mut [f32], v: &[f32]) {
 
 /// Fixed-point (Q16.16) kernels for the DLRM datapath.
 pub mod fx {
+    use std::ops::Range;
+
     /// A row-major Q16.16 matrix.
     #[derive(Debug, Clone, PartialEq, Eq)]
     pub struct MatFx {
@@ -174,28 +176,47 @@ pub mod fx {
             y
         }
 
-        /// The column block `[c0, c1)`.
-        pub fn col_block(&self, c0: usize, c1: usize) -> MatFx {
-            assert!(c0 < c1 && c1 <= self.cols);
-            let mut data = Vec::with_capacity(self.rows * (c1 - c0));
-            for r in 0..self.rows {
-                data.extend_from_slice(&self.data[r * self.cols + c0..r * self.cols + c1]);
+        /// `ys[b] = A[rows, cols] · xs[b]` for a batch of vectors: the
+        /// block view's GEMV, with each vector `cols.len()` long and each
+        /// output `rows.len()` long. Every weight row of the block is read
+        /// once per batch rather than once per vector, and nothing is
+        /// copied. Per element the arithmetic is [`MatFx::gemv`]'s, so a
+        /// block's result equals `gemv` on a copy of that block, bit for
+        /// bit.
+        ///
+        /// # Panics
+        ///
+        /// Panics if the block exceeds the matrix or a vector's length is
+        /// not `cols.len()`.
+        pub fn gemv_block<X: AsRef<[i32]>>(
+            &self,
+            rows: Range<usize>,
+            cols: Range<usize>,
+            xs: &[X],
+        ) -> Vec<Vec<i32>> {
+            assert!(
+                rows.start <= rows.end && rows.end <= self.rows,
+                "row block out of range"
+            );
+            assert!(
+                cols.start <= cols.end && cols.end <= self.cols,
+                "column block out of range"
+            );
+            for x in xs {
+                assert_eq!(x.as_ref().len(), cols.len(), "gemv dimension mismatch");
             }
-            MatFx {
-                rows: self.rows,
-                cols: c1 - c0,
-                data,
+            let mut ys = vec![Vec::with_capacity(rows.len()); xs.len()];
+            for r in rows {
+                let row = &self.data[r * self.cols + cols.start..r * self.cols + cols.end];
+                for (y, x) in ys.iter_mut().zip(xs) {
+                    let mut acc = 0i64;
+                    for (a, b) in row.iter().zip(x.as_ref()) {
+                        acc += (i64::from(*a) * i64::from(*b)) >> 16;
+                    }
+                    y.push(acc.clamp(i32::MIN as i64, i32::MAX as i64) as i32);
+                }
             }
-        }
-
-        /// The row block `[r0, r1)`.
-        pub fn row_block(&self, r0: usize, r1: usize) -> MatFx {
-            assert!(r0 < r1 && r1 <= self.rows);
-            MatFx {
-                rows: r1 - r0,
-                cols: self.cols,
-                data: self.data[r0 * self.cols..r1 * self.cols].to_vec(),
-            }
+            ys
         }
     }
 
@@ -210,7 +231,11 @@ pub mod fx {
 
     /// Serializes Q16.16 values to little-endian bytes.
     pub fn to_bytes(v: &[i32]) -> Vec<u8> {
-        v.iter().flat_map(|x| x.to_le_bytes()).collect()
+        let mut out = Vec::with_capacity(4 * v.len());
+        for x in v {
+            out.extend_from_slice(&x.to_le_bytes());
+        }
+        out
     }
 
     /// Deserializes little-endian bytes to Q16.16 values.
@@ -295,24 +320,63 @@ mod tests {
     fn fx_checkerboard_decomposition_is_exact() {
         // Checkerboard: row × column blocks; partials concat over rows and
         // sum over columns — the Fig. 14 structure, in fixed point.
+        // Each block is a view of `a`, computed for a batch of two vectors.
         let a = fx::MatFx::from_fn(12, 20, |r, c| ((r * 3 + c) % 7) as f64 * 0.25 - 0.75);
-        let x: Vec<i32> = (0..20).map(|i| fx::q(i as f64 * 0.05)).collect();
-        let full = a.gemv(&x);
-        let mut result = Vec::new();
-        for (r0, r1) in block_ranges(12, 2) {
-            let row_blk = a.row_block(r0, r1);
-            let mut acc = vec![0i32; r1 - r0];
-            for (c0, c1) in block_ranges(20, 4) {
-                let part = row_blk.col_block(c0, c1).gemv(&x[c0..c1]);
-                for (a, b) in acc.iter_mut().zip(&part) {
-                    *a = a.saturating_add(*b);
+        let xs: Vec<Vec<i32>> = (0..2)
+            .map(|b| (0..20).map(|i| fx::q((i + b) as f64 * 0.05)).collect())
+            .collect();
+        for (b, x) in xs.iter().enumerate() {
+            let full = a.gemv(x);
+            let mut result = Vec::new();
+            for (r0, r1) in block_ranges(12, 2) {
+                let mut acc = vec![0i32; r1 - r0];
+                for (c0, c1) in block_ranges(20, 4) {
+                    let slices: Vec<&[i32]> = xs.iter().map(|x| &x[c0..c1]).collect();
+                    let part = &a.gemv_block(r0..r1, c0..c1, &slices)[b];
+                    for (a, b) in acc.iter_mut().zip(part) {
+                        *a = a.saturating_add(*b);
+                    }
                 }
+                result.extend(acc);
             }
-            result.extend(acc);
+            for (f, g) in full.iter().zip(&result) {
+                assert!((fx::fq(*f) - fx::fq(*g)).abs() < 1e-2);
+            }
         }
-        for (f, g) in full.iter().zip(&result) {
-            assert!((fx::fq(*f) - fx::fq(*g)).abs() < 1e-2);
+    }
+
+    #[test]
+    fn fx_block_view_equals_gemv_on_a_copied_block() {
+        let a = fx::MatFx::from_fn(9, 11, |r, c| ((r * 5 + c * 3) % 11) as f64 * 0.5 - 2.5);
+        let xs: Vec<Vec<i32>> = (0..3)
+            .map(|b| {
+                (0..4)
+                    .map(|i| fx::q((i * 7 + b) as f64 * 0.3 - 1.0))
+                    .collect()
+            })
+            .collect();
+        let (rows, cols) = (2..7, 5..9);
+        let copy = fx::MatFx {
+            rows: rows.len(),
+            cols: cols.len(),
+            data: rows
+                .clone()
+                .flat_map(|r| {
+                    a.data[r * 11 + cols.start..r * 11 + cols.end]
+                        .iter()
+                        .copied()
+                })
+                .collect(),
+        };
+        let ys = a.gemv_block(rows, cols, &xs);
+        assert_eq!(ys.len(), 3);
+        for (y, x) in ys.iter().zip(&xs) {
+            assert_eq!(*y, copy.gemv(x));
         }
+        // The whole matrix as one block is plain gemv; an empty batch is empty.
+        let x: Vec<i32> = (0..11).map(|i| fx::q(i as f64 * 0.1)).collect();
+        assert_eq!(a.gemv_block(0..9, 0..11, &[&x[..]]), vec![a.gemv(&x)]);
+        assert!(a.gemv_block::<Vec<i32>>(0..9, 0..11, &[]).is_empty());
     }
 
     #[test]
