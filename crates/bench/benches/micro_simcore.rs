@@ -18,6 +18,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use accl_mem::MemStore;
+use accl_sim::json::quote;
 use accl_sim::prelude::*;
 
 /// Global allocator wrapper counting allocation calls, so the JSON report
@@ -328,10 +329,6 @@ const BASELINE: &[(&str, f64, f64)] = &[
     ("post_then_drain_100k", 5_288_176.0, 1.0),
 ];
 
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
 /// One row of the parallel-scaling table.
 struct ScalingResult {
     workers: usize,
@@ -353,8 +350,8 @@ fn emit_json(results: &[WorkloadResult], scaling: &[ScalingResult], quick: bool)
     out.push_str("  \"baseline\": {\n");
     for (i, (name, eps, ape)) in BASELINE.iter().enumerate() {
         out.push_str(&format!(
-            "    \"{}\": {{\"events_per_sec\": {:.0}, \"allocs_per_event\": {:.3}}}{}\n",
-            json_escape(name),
+            "    {}: {{\"events_per_sec\": {:.0}, \"allocs_per_event\": {:.3}}}{}\n",
+            quote(name),
             eps,
             ape,
             if i + 1 < BASELINE.len() { "," } else { "" }
@@ -368,8 +365,8 @@ fn emit_json(results: &[WorkloadResult], scaling: &[ScalingResult], quick: bool)
             .find(|(n, _, _)| *n == r.name)
             .map(|(_, eps, _)| r.events_per_sec / eps);
         out.push_str(&format!(
-            "    \"{}\": {{\"events\": {}, \"events_per_sec\": {:.0}, \"allocs_per_event\": {:.3}{}}}{}\n",
-            json_escape(r.name),
+            "    {}: {{\"events\": {}, \"events_per_sec\": {:.0}, \"allocs_per_event\": {:.3}{}}}{}\n",
+            quote(r.name),
             r.events,
             r.events_per_sec,
             r.allocs_per_event,

@@ -31,7 +31,6 @@
 
 #![warn(missing_docs)]
 
-pub mod json;
 pub mod repro;
 pub mod shrink;
 pub mod sweep;

@@ -10,20 +10,20 @@
 //! {
 //!   "format": 1,
 //!   "seed": 17,
-//!   "workload": {
-//!     "op": "allreduce", "nodes": 3, "count": 2048,
-//!     "transport": "tcp", "verify_fcs": false
-//!   },
+//!   "workload": {"op": "allreduce", "nodes": 3, "count": 2048, "transport": "tcp", "verify_fcs": false, "overload": false, "workers": 1, "membership": false},
 //!   "events": [
 //!     {"kind": "corrupt", "index": 9}
 //!   ]
 //! }
 //! ```
+//!
+//! The file is written by [`accl_sim::json`], whose layout keeps the
+//! workload and each fault event on one line.
 
-use crate::json::{parse, Json};
 use crate::workload::{self, CollKind, RunReport, WorkloadSpec};
 use accl_core::Transport;
 use accl_net::{Degradation, FaultEvent, FaultPlan, NodeAddr};
+use accl_sim::json::{self, Json};
 use accl_sim::time::{Dur, Time};
 
 /// Repro file format version; bumped on schema changes.
@@ -51,7 +51,7 @@ impl Repro {
         workload::run(&self.spec, self.plan())
     }
 
-    /// Serializes to the pretty JSON repro format.
+    /// Serializes to the JSON repro format.
     pub fn to_json(&self) -> String {
         let spec = Json::Obj(vec![
             (
@@ -64,8 +64,8 @@ impl Repro {
                     .into(),
                 ),
             ),
-            ("nodes".into(), Json::Num(self.spec.nodes as u64)),
-            ("count".into(), Json::Num(self.spec.count)),
+            ("nodes".into(), Json::U64(self.spec.nodes as u64)),
+            ("count".into(), Json::U64(self.spec.count)),
             (
                 "transport".into(),
                 Json::Str(
@@ -79,45 +79,37 @@ impl Repro {
             ),
             ("verify_fcs".into(), Json::Bool(self.spec.verify_fcs)),
             ("overload".into(), Json::Bool(self.spec.overload)),
-            ("workers".into(), Json::Num(self.spec.workers as u64)),
+            ("workers".into(), Json::U64(self.spec.workers as u64)),
             ("membership".into(), Json::Bool(self.spec.membership)),
         ]);
-        Json::Obj(vec![
-            ("format".into(), Json::Num(FORMAT)),
-            ("seed".into(), Json::Num(self.seed)),
+        json::write(&Json::Obj(vec![
+            ("format".into(), Json::U64(FORMAT)),
+            ("seed".into(), Json::U64(self.seed)),
             ("workload".into(), spec),
             (
                 "events".into(),
                 Json::Arr(self.events.iter().map(event_to_json).collect()),
             ),
-        ])
-        .pretty()
+        ]))
     }
 
     /// Parses a repro file.
     pub fn from_json(text: &str) -> Result<Repro, String> {
-        let doc = parse(text)?;
-        let format = doc
-            .field("format")?
-            .as_u64()
-            .ok_or("format: not a number")?;
+        let doc = json::parse(text)?;
+        let format = doc.field_as("format", Json::as_u64)?;
         if format != FORMAT {
             return Err(format!(
                 "unsupported repro format {format} (expected {FORMAT})"
             ));
         }
-        let seed = doc.field("seed")?.as_u64().ok_or("seed: not a number")?;
+        let seed = doc.field_as("seed", Json::as_u64)?;
         let w = doc.field("workload")?;
-        let kind = match w.field("op")?.as_str().ok_or("op: not a string")? {
+        let kind = match w.field_as("op", Json::as_str)? {
             "allreduce" => CollKind::AllReduce,
             "bcast" => CollKind::Bcast,
             other => return Err(format!("unknown op `{other}`")),
         };
-        let transport = match w
-            .field("transport")?
-            .as_str()
-            .ok_or("transport: not a string")?
-        {
+        let transport = match w.field_as("transport", Json::as_str)? {
             "tcp" => Transport::Tcp,
             "udp" => Transport::Udp,
             "rdma" => Transport::Rdma,
@@ -125,41 +117,23 @@ impl Repro {
         };
         let spec = WorkloadSpec {
             kind,
-            nodes: w.field("nodes")?.as_u64().ok_or("nodes: not a number")? as usize,
-            count: w.field("count")?.as_u64().ok_or("count: not a number")?,
+            nodes: w.field_as("nodes", Json::as_u64)? as usize,
+            count: w.field_as("count", Json::as_u64)?,
             transport,
-            verify_fcs: w
-                .field("verify_fcs")?
-                .as_bool()
-                .ok_or("verify_fcs: not a bool")?,
+            verify_fcs: w.field_as("verify_fcs", Json::as_bool)?,
             // Absent in pre-overload repros: default to the unbounded
             // cluster those files were recorded against.
-            overload: w
-                .field("overload")
-                .ok()
-                .and_then(Json::as_bool)
-                .unwrap_or(false),
+            overload: w.get("overload").and_then(Json::as_bool).unwrap_or(false),
             seed,
             // Absent in pre-parallel repros: those ran sequentially. The
             // field is advisory anyway — outcomes are worker-invariant.
-            workers: w
-                .field("workers")
-                .ok()
-                .and_then(Json::as_u64)
-                .unwrap_or(1)
-                .max(1) as usize,
+            workers: w.get("workers").and_then(Json::as_u64).unwrap_or(1).max(1) as usize,
             // Absent in pre-membership repros: those did not run the
             // self-healing recovery loop.
-            membership: w
-                .field("membership")
-                .ok()
-                .and_then(Json::as_bool)
-                .unwrap_or(false),
+            membership: w.get("membership").and_then(Json::as_bool).unwrap_or(false),
         };
         let events = doc
-            .field("events")?
-            .as_arr()
-            .ok_or("events: not an array")?
+            .field_as("events", Json::as_arr)?
             .iter()
             .map(event_from_json)
             .collect::<Result<Vec<_>, _>>()?;
@@ -174,96 +148,92 @@ fn event_to_json(ev: &FaultEvent) -> Json {
         Json::Obj(pairs)
     };
     match *ev {
-        FaultEvent::Drop { index } => obj("drop", vec![("index".into(), Json::Num(index))]),
-        FaultEvent::Corrupt { index } => obj("corrupt", vec![("index".into(), Json::Num(index))]),
+        FaultEvent::Drop { index } => obj("drop", vec![("index".into(), Json::U64(index))]),
+        FaultEvent::Corrupt { index } => obj("corrupt", vec![("index".into(), Json::U64(index))]),
         FaultEvent::Duplicate { index } => {
-            obj("duplicate", vec![("index".into(), Json::Num(index))])
+            obj("duplicate", vec![("index".into(), Json::U64(index))])
         }
         FaultEvent::Delay { index, by } => obj(
             "delay",
             vec![
-                ("index".into(), Json::Num(index)),
-                ("by_ps".into(), Json::Num(by.as_ps())),
+                ("index".into(), Json::U64(index)),
+                ("by_ps".into(), Json::U64(by.as_ps())),
             ],
         ),
         FaultEvent::LinkDown { node, from, until } => obj(
             "link_down",
             vec![
-                ("node".into(), Json::Num(node.0 as u64)),
-                ("from_ps".into(), Json::Num(from.as_ps())),
-                ("until_ps".into(), Json::Num(until.as_ps())),
+                ("node".into(), Json::U64(node.0 as u64)),
+                ("from_ps".into(), Json::U64(from.as_ps())),
+                ("until_ps".into(), Json::U64(until.as_ps())),
             ],
         ),
         FaultEvent::Degrade { node, window } => obj(
             "degrade",
             vec![
-                ("node".into(), Json::Num(node.0 as u64)),
-                ("from_ps".into(), Json::Num(window.from.as_ps())),
-                ("until_ps".into(), Json::Num(window.until.as_ps())),
-                ("loss_ppm".into(), Json::Num(window.loss_ppm as u64)),
+                ("node".into(), Json::U64(node.0 as u64)),
+                ("from_ps".into(), Json::U64(window.from.as_ps())),
+                ("until_ps".into(), Json::U64(window.until.as_ps())),
+                ("loss_ppm".into(), Json::U64(window.loss_ppm as u64)),
                 (
                     "throttle_gbps_x100".into(),
-                    Json::Num(window.throttle_gbps_x100 as u64),
+                    Json::U64(window.throttle_gbps_x100 as u64),
                 ),
             ],
         ),
         FaultEvent::Crash { node, at } => obj(
             "crash",
             vec![
-                ("node".into(), Json::Num(node.0 as u64)),
-                ("at_ps".into(), Json::Num(at.as_ps())),
+                ("node".into(), Json::U64(node.0 as u64)),
+                ("at_ps".into(), Json::U64(at.as_ps())),
             ],
         ),
         FaultEvent::CreditLeak { node, at, credits } => obj(
             "credit_leak",
             vec![
-                ("node".into(), Json::Num(node.0 as u64)),
-                ("at_ps".into(), Json::Num(at.as_ps())),
-                ("credits".into(), Json::Num(credits as u64)),
+                ("node".into(), Json::U64(node.0 as u64)),
+                ("at_ps".into(), Json::U64(at.as_ps())),
+                ("credits".into(), Json::U64(credits as u64)),
             ],
         ),
         FaultEvent::PauseStorm { node, at, hold } => obj(
             "pause_storm",
             vec![
-                ("node".into(), Json::Num(node.0 as u64)),
-                ("at_ps".into(), Json::Num(at.as_ps())),
-                ("hold_ps".into(), Json::Num(hold.as_ps())),
+                ("node".into(), Json::U64(node.0 as u64)),
+                ("at_ps".into(), Json::U64(at.as_ps())),
+                ("hold_ps".into(), Json::U64(hold.as_ps())),
             ],
         ),
         FaultEvent::BufShrink { node, at, bufs } => obj(
             "buf_shrink",
             vec![
-                ("node".into(), Json::Num(node.0 as u64)),
-                ("at_ps".into(), Json::Num(at.as_ps())),
-                ("bufs".into(), Json::Num(bufs as u64)),
+                ("node".into(), Json::U64(node.0 as u64)),
+                ("at_ps".into(), Json::U64(at.as_ps())),
+                ("bufs".into(), Json::U64(bufs as u64)),
             ],
         ),
         FaultEvent::Restart { node, at } => obj(
             "restart",
             vec![
-                ("node".into(), Json::Num(node.0 as u64)),
-                ("at_ps".into(), Json::Num(at.as_ps())),
+                ("node".into(), Json::U64(node.0 as u64)),
+                ("at_ps".into(), Json::U64(at.as_ps())),
             ],
         ),
         FaultEvent::Partition { mask, from, until } => obj(
             "partition",
             vec![
-                ("mask".into(), Json::Num(mask)),
-                ("from_ps".into(), Json::Num(from.as_ps())),
-                ("until_ps".into(), Json::Num(until.as_ps())),
+                ("mask".into(), Json::U64(mask)),
+                ("from_ps".into(), Json::U64(from.as_ps())),
+                ("until_ps".into(), Json::U64(until.as_ps())),
             ],
         ),
     }
 }
 
 fn event_from_json(v: &Json) -> Result<FaultEvent, String> {
-    let num = |key: &str| -> Result<u64, String> {
-        v.field(key)?
-            .as_u64()
-            .ok_or_else(|| format!("{key}: not a number"))
-    };
+    let num = |key: &str| v.field_as(key, Json::as_u64);
     let node = |key: &str| -> Result<NodeAddr, String> { Ok(NodeAddr(num(key)? as u32)) };
-    match v.field("kind")?.as_str().ok_or("kind: not a string")? {
+    match v.field_as("kind", Json::as_str)? {
         "drop" => Ok(FaultEvent::Drop {
             index: num("index")?,
         }),
@@ -419,6 +389,52 @@ mod tests {
         assert!(!repro.spec.overload);
         assert_eq!(repro.spec.workers, 1);
         assert!(!repro.spec.membership);
+    }
+
+    #[test]
+    fn workload_and_each_event_take_one_line() {
+        let repro = Repro {
+            seed: 3,
+            spec: WorkloadSpec {
+                kind: CollKind::AllReduce,
+                nodes: 3,
+                count: 64,
+                transport: Transport::Tcp,
+                verify_fcs: false,
+                overload: false,
+                seed: 3,
+                workers: 1,
+                membership: false,
+            },
+            events: vec![
+                FaultEvent::Corrupt { index: 9 },
+                FaultEvent::Delay {
+                    index: 12,
+                    by: Dur::from_us(3),
+                },
+            ],
+        };
+        let text = repro.to_json();
+        let lines: Vec<&str> = text.lines().map(str::trim).collect();
+        assert_eq!(lines.len(), 9, "{text}");
+        assert!(lines[3].starts_with("\"workload\": {\"op\": \"allreduce\""));
+        assert_eq!(lines[5], "{\"kind\": \"corrupt\", \"index\": 9},");
+        assert_eq!(
+            lines[6],
+            "{\"kind\": \"delay\", \"index\": 12, \"by_ps\": 3000000}"
+        );
+    }
+
+    /// The shared codec reads negative integers; the repro schema has
+    /// none, so the typed layer must refuse them.
+    #[test]
+    fn negative_integers_are_rejected() {
+        let bad = "{\"format\": 1, \"seed\": 0, \"workload\": {\"op\": \"allreduce\", \
+                   \"nodes\": 2, \"count\": 1, \"transport\": \"tcp\", \
+                   \"verify_fcs\": true}, \"events\": [{\"kind\": \"drop\", \"index\": -1}]}";
+        let err = Repro::from_json(bad).unwrap_err();
+        assert!(err.contains("`index`"), "{err}");
+        assert!(Repro::from_json(&bad.replace("\"seed\": 0", "\"seed\": -7")).is_err());
     }
 
     #[test]

@@ -261,8 +261,8 @@ pub fn lint_source_full(file: &str, src: &str) -> (Vec<Finding>, Vec<StaleAllow>
                 rule: "ambient-entropy",
                 severity: Severity::Deny,
                 message: format!(
-                    "`{name}` draws ambient entropy: all randomness must come from the \
-                     seeded simulation RNG (`Ctx::rng`)"
+                    "`{name}` draws ambient entropy: all randomness must come from a \
+                     seeded per-component stream (`Simulator::fork_rng`)"
                 ),
                 allowed: None,
             });

@@ -8,6 +8,7 @@
 
 use std::collections::VecDeque;
 
+use accl_sim::digest::fnv_fold;
 use accl_sim::prelude::*;
 use accl_sim::trace::{Attr, AttrValue};
 use rand::rngs::StdRng;
@@ -85,9 +86,9 @@ pub struct Switch {
     frames_overflow_dropped: u64,
     pauses_sent: u64,
     /// Private entropy stream for the statistical fault policies. Owned by
-    /// the switch (not the deprecated shared `Ctx::rng`) so its draw order
-    /// depends only on the frames this switch sees; builders replace the
-    /// default with `Simulator::fork_rng("net.switch")`.
+    /// the switch so its draw order depends only on the frames this switch
+    /// sees; builders replace the default with
+    /// `Simulator::fork_rng("net.switch")`.
     rng: StdRng,
 }
 
@@ -376,25 +377,14 @@ impl Component for Switch {
             self.frames_overflow_dropped,
             self.pauses_sent,
         ] {
-            digest_u64(&mut h, v);
+            fnv_fold(&mut h, &v.to_le_bytes());
         }
         for p in &self.ports {
-            digest_u64(&mut h, p.frames_out);
-            digest_u64(&mut h, p.bytes_out);
-            digest_u64(&mut h, p.egress.next_free().as_ps());
+            fnv_fold(&mut h, &p.frames_out.to_le_bytes());
+            fnv_fold(&mut h, &p.bytes_out.to_le_bytes());
+            fnv_fold(&mut h, &p.egress.next_free().as_ps().to_le_bytes());
         }
         Some(h)
-    }
-}
-
-/// FNV-1a fold of one `u64` field into a running state digest.
-fn digest_u64(hash: &mut u64, v: u64) {
-    if *hash == 0 {
-        *hash = 0xcbf2_9ce4_8422_2325;
-    }
-    for b in v.to_le_bytes() {
-        *hash ^= u64::from(b);
-        *hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
     }
 }
 
@@ -627,7 +617,7 @@ impl Component for NetPort {
             self.egress.next_free().as_ps(),
             u64::from(self.incarnation),
         ] {
-            digest_u64(&mut h, v);
+            fnv_fold(&mut h, &v.to_le_bytes());
         }
         Some(h)
     }

@@ -84,9 +84,8 @@ impl Network {
             cfg.switch_latency(),
             cfg.propagation(),
         );
-        // Per-component entropy stream (not the shared, deprecated
-        // `Ctx::rng`): the fault policies' draw order depends only on the
-        // traffic this switch sees.
+        // Per-component entropy stream: the fault policies' draw order
+        // depends only on the traffic this switch sees.
         switch.set_rng(sim.fork_rng("net.switch"));
         switch.set_buffer_limit(cfg.switch_buffer_frames, cfg.overload_policy);
         sim.install(switch_id, switch);

@@ -19,6 +19,8 @@
 
 use std::collections::BTreeSet;
 
+use accl_sim::digest::{fnv1a, FNV_OFFSET};
+
 use crate::graph::SpanGraph;
 use crate::model::TraceDoc;
 
@@ -251,16 +253,6 @@ pub fn attribute(doc: &TraceDoc, paths: &[CriticalPath]) -> Attribution {
     Attribution {
         rows,
         total_ps: total,
-    }
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a(hash: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *hash ^= u64::from(b);
-        *hash = hash.wrapping_mul(FNV_PRIME);
     }
 }
 

@@ -1,465 +1,169 @@
-//! The `accl-obs-trace-v1` JSON interchange form: serializer and a
-//! minimal hand-rolled parser (no external JSON dependency).
+//! The `accl-obs-trace-v1` document: the mapping between a
+//! [`TraceDoc`] and its JSON form in the workspace codec
+//! ([`accl_sim::json`]).
 //!
-//! The format is deliberately integer-only — times are picoseconds,
-//! never fractional units — so a document round-trips bit-exactly:
+//! The format is integer-only — times are picoseconds, never fractional
+//! units — so a document round-trips bit-exactly:
 //! `parse(serialize(doc)) == doc` for every capturable trace, which the
-//! round-trip tests pin. The parser accepts exactly the subset the
-//! serializer emits (objects, arrays, strings, integers, and the
-//! literals) plus arbitrary whitespace; floats are rejected rather than
-//! silently rounded.
+//! round-trip tests pin. The codec's layout puts each event, and each
+//! window's counters and gauges, on one line.
 
-use std::collections::BTreeMap;
+use accl_sim::json::{self, Json};
 
 use crate::model::{HistSummary, ObsEvent, ObsKind, TraceDoc, WindowRow, WindowSeries, SCHEMA};
 
-// ---------------------------------------------------------------------
-// Serialization
-// ---------------------------------------------------------------------
+fn obj<'a>(pairs: impl IntoIterator<Item = (&'a str, Json)>) -> Json {
+    Json::Obj(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+}
 
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
+fn string(s: &str) -> Json {
+    Json::Str(s.to_string())
 }
 
 /// Serializes a trace document. Key order is fixed, so equal documents
 /// serialize to equal bytes (artifacts can be compared with `cmp`).
 pub fn serialize(doc: &TraceDoc) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "{{\"schema\": \"{}\", \"workload\": \"{}\", \"seed\": {}, \"workers\": {}, \
-         \"queue\": \"{}\",\n",
-        SCHEMA,
-        escape(&doc.workload),
-        doc.seed,
-        doc.workers,
-        escape(&doc.queue)
-    ));
-    out.push_str("\"components\": [");
-    for (i, c) in doc.components.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        out.push_str(&format!("\"{}\"", escape(c)));
-    }
-    out.push_str("],\n\"events\": [\n");
-    for (i, e) in doc.events.iter().enumerate() {
-        if i > 0 {
-            out.push_str(",\n");
-        }
-        out.push_str(&format!(
-            "{{\"t\": {}, \"k\": \"{}\", \"id\": {}, \"par\": {}, \"c\": {}, \"n\": \"{}\"}}",
-            e.time_ps,
-            e.kind.code(),
-            e.id,
-            e.parent,
-            e.comp,
-            escape(&e.name)
-        ));
-    }
-    out.push_str("\n]");
+    let events = doc.events.iter().map(|e| {
+        obj([
+            ("t", Json::U64(e.time_ps)),
+            ("k", string(e.kind.code())),
+            ("id", Json::U64(e.id)),
+            ("par", Json::U64(e.parent)),
+            ("c", Json::U64(u64::from(e.comp))),
+            ("n", string(&e.name)),
+        ])
+    });
+    let mut root = vec![
+        ("schema", string(SCHEMA)),
+        ("workload", string(&doc.workload)),
+        ("seed", Json::U64(doc.seed)),
+        ("workers", Json::U64(doc.workers)),
+        ("queue", string(&doc.queue)),
+        (
+            "components",
+            Json::Arr(doc.components.iter().map(|c| string(c)).collect()),
+        ),
+        ("events", Json::Arr(events.collect())),
+    ];
     if let Some(w) = &doc.windows {
-        out.push_str(&format!(
-            ",\n\"windows\": {{\"width_ps\": {}, \"rows\": [\n",
-            w.width_ps
+        let rows = w.rows.iter().map(|row| {
+            let counters = row.counters.iter().map(|(k, v)| (k.clone(), Json::U64(*v)));
+            let gauges = row.gauges.iter().map(|(k, v)| (k.clone(), Json::int(*v)));
+            let hists = row.hists.iter().map(|(k, h)| {
+                let summary = obj([
+                    ("count", Json::U64(h.count)),
+                    ("sum", Json::U64(h.sum)),
+                    ("min", Json::U64(h.min)),
+                    ("max", Json::U64(h.max)),
+                    ("p50", Json::U64(h.p50)),
+                    ("p99", Json::U64(h.p99)),
+                    ("p999", Json::U64(h.p999)),
+                ]);
+                (k.clone(), summary)
+            });
+            obj([
+                ("idx", Json::U64(row.idx)),
+                ("counters", Json::Obj(counters.collect())),
+                ("gauges", Json::Obj(gauges.collect())),
+                ("hists", Json::Obj(hists.collect())),
+            ])
+        });
+        root.push((
+            "windows",
+            obj([
+                ("width_ps", Json::U64(w.width_ps)),
+                ("rows", Json::Arr(rows.collect())),
+            ]),
         ));
-        for (i, row) in w.rows.iter().enumerate() {
-            if i > 0 {
-                out.push_str(",\n");
-            }
-            out.push_str(&format!("{{\"idx\": {}", row.idx));
-            out.push_str(", \"counters\": {");
-            for (j, (k, v)) in row.counters.iter().enumerate() {
-                if j > 0 {
-                    out.push_str(", ");
-                }
-                out.push_str(&format!("\"{}\": {}", escape(k), v));
-            }
-            out.push_str("}, \"gauges\": {");
-            for (j, (k, v)) in row.gauges.iter().enumerate() {
-                if j > 0 {
-                    out.push_str(", ");
-                }
-                out.push_str(&format!("\"{}\": {}", escape(k), v));
-            }
-            out.push_str("}, \"hists\": {");
-            for (j, (k, h)) in row.hists.iter().enumerate() {
-                if j > 0 {
-                    out.push_str(", ");
-                }
-                out.push_str(&format!(
-                    "\"{}\": {{\"count\": {}, \"sum\": {}, \"min\": {}, \"max\": {}, \
-                     \"p50\": {}, \"p99\": {}, \"p999\": {}}}",
-                    escape(k),
-                    h.count,
-                    h.sum,
-                    h.min,
-                    h.max,
-                    h.p50,
-                    h.p99,
-                    h.p999
-                ));
-            }
-            out.push_str("}}");
-        }
-        out.push_str("\n]}");
     }
-    out.push_str("}\n");
-    out
+    json::write(&obj(root))
 }
 
-// ---------------------------------------------------------------------
-// Parsing
-// ---------------------------------------------------------------------
-
-/// A parsed JSON value (integer-only numbers).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Value {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// A non-negative integer.
-    U64(u64),
-    /// A negative integer.
-    I64(i64),
-    /// A string.
-    Str(String),
-    /// An array.
-    Arr(Vec<Value>),
-    /// An object (key order is irrelevant to the consumers).
-    Obj(BTreeMap<String, Value>),
-}
-
-impl Value {
-    fn as_u64(&self) -> Result<u64, String> {
-        match self {
-            Value::U64(v) => Ok(*v),
-            other => Err(format!("expected unsigned integer, got {other:?}")),
-        }
-    }
-
-    fn as_i64(&self) -> Result<i64, String> {
-        match self {
-            Value::U64(v) => i64::try_from(*v).map_err(|_| "integer overflow".to_string()),
-            Value::I64(v) => Ok(*v),
-            other => Err(format!("expected integer, got {other:?}")),
-        }
-    }
-
-    fn as_str(&self) -> Result<&str, String> {
-        match self {
-            Value::Str(s) => Ok(s),
-            other => Err(format!("expected string, got {other:?}")),
-        }
-    }
-
-    fn as_arr(&self) -> Result<&[Value], String> {
-        match self {
-            Value::Arr(a) => Ok(a),
-            other => Err(format!("expected array, got {other:?}")),
-        }
-    }
-
-    fn as_obj(&self) -> Result<&BTreeMap<String, Value>, String> {
-        match self {
-            Value::Obj(o) => Ok(o),
-            other => Err(format!("expected object, got {other:?}")),
-        }
-    }
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| matches!(b, b' ' | b'\t' | b'\n' | b'\r'))
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&mut self) -> Result<u8, String> {
-        self.skip_ws();
-        self.bytes
-            .get(self.pos)
-            .copied()
-            .ok_or_else(|| "unexpected end of input".to_string())
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        let got = self.peek()?;
-        if got != b {
-            return Err(format!(
-                "expected '{}' at byte {}, got '{}'",
-                b as char, self.pos, got as char
-            ));
-        }
-        self.pos += 1;
-        Ok(())
-    }
-
-    fn value(&mut self) -> Result<Value, String> {
-        match self.peek()? {
-            b'{' => self.object(),
-            b'[' => self.array(),
-            b'"' => Ok(Value::Str(self.string()?)),
-            b't' => self.literal("true", Value::Bool(true)),
-            b'f' => self.literal("false", Value::Bool(false)),
-            b'n' => self.literal("null", Value::Null),
-            b'-' | b'0'..=b'9' => self.number(),
-            other => Err(format!(
-                "unexpected '{}' at byte {}",
-                other as char, self.pos
-            )),
-        }
-    }
-
-    fn literal(&mut self, word: &str, v: Value) -> Result<Value, String> {
-        self.skip_ws();
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(v)
-        } else {
-            Err(format!("expected '{word}' at byte {}", self.pos))
-        }
-    }
-
-    fn number(&mut self) -> Result<Value, String> {
-        self.skip_ws();
-        let neg = self.bytes.get(self.pos) == Some(&b'-');
-        if neg {
-            self.pos += 1;
-        }
-        let start = self.pos;
-        while self.bytes.get(self.pos).is_some_and(u8::is_ascii_digit) {
-            self.pos += 1;
-        }
-        if self.pos == start {
-            return Err(format!("expected digits at byte {start}"));
-        }
-        if matches!(
-            self.bytes.get(self.pos),
-            Some(b'.') | Some(b'e') | Some(b'E')
-        ) {
-            return Err(format!(
-                "float at byte {start}: the trace format is integer-only"
-            ));
-        }
-        let digits = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-        if neg {
-            let mag: i64 = digits
-                .parse()
-                .map_err(|_| format!("integer overflow at byte {start}"))?;
-            Ok(Value::I64(-mag))
-        } else {
-            let v: u64 = digits
-                .parse()
-                .map_err(|_| format!("integer overflow at byte {start}"))?;
-            Ok(Value::U64(v))
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.bytes.get(self.pos) {
-                None => return Err("unterminated string".to_string()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.bytes.get(self.pos) {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or("truncated \\u escape")?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?,
-                                16,
-                            )
-                            .map_err(|_| "bad \\u escape")?;
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                            self.pos += 4;
-                        }
-                        other => return Err(format!("bad escape {other:?}")),
-                    }
-                    self.pos += 1;
-                }
-                Some(&b) if b < 0x80 => {
-                    out.push(b as char);
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Multi-byte UTF-8: copy the whole sequence.
-                    let s = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid UTF-8")?;
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Value, String> {
-        self.expect(b'[')?;
-        let mut out = Vec::new();
-        if self.peek()? == b']' {
-            self.pos += 1;
-            return Ok(Value::Arr(out));
-        }
-        loop {
-            out.push(self.value()?);
-            match self.peek()? {
-                b',' => self.pos += 1,
-                b']' => {
-                    self.pos += 1;
-                    return Ok(Value::Arr(out));
-                }
-                other => return Err(format!("expected ',' or ']', got '{}'", other as char)),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Value, String> {
-        self.expect(b'{')?;
-        let mut out = BTreeMap::new();
-        if self.peek()? == b'}' {
-            self.pos += 1;
-            return Ok(Value::Obj(out));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.expect(b':')?;
-            out.insert(key, self.value()?);
-            match self.peek()? {
-                b',' => self.pos += 1,
-                b'}' => {
-                    self.pos += 1;
-                    return Ok(Value::Obj(out));
-                }
-                other => return Err(format!("expected ',' or '}}', got '{}'", other as char)),
-            }
-        }
-    }
-}
-
-/// Parses arbitrary (integer-only) JSON text into a [`Value`].
-pub fn parse_value(text: &str) -> Result<Value, String> {
-    let mut p = Parser {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(format!("trailing input at byte {}", p.pos));
-    }
-    Ok(v)
-}
-
-fn get<'v>(obj: &'v BTreeMap<String, Value>, key: &str) -> Result<&'v Value, String> {
-    obj.get(key).ok_or_else(|| format!("missing key \"{key}\""))
+/// The members of an object-valued field, each converted by `as_t`.
+fn members<T>(
+    v: &Json,
+    key: &str,
+    as_t: impl Fn(&Json) -> Option<T>,
+) -> Result<Vec<(String, T)>, String> {
+    v.field_as(key, Json::as_obj)?
+        .iter()
+        .map(|(k, m)| {
+            as_t(m)
+                .map(|t| (k.clone(), t))
+                .ok_or_else(|| format!("`{key}` member `{k}` has the wrong type"))
+        })
+        .collect()
 }
 
 /// Parses an `accl-obs-trace-v1` document.
 pub fn parse(text: &str) -> Result<TraceDoc, String> {
-    let root = parse_value(text)?;
-    let obj = root.as_obj()?;
-    let schema = get(obj, "schema")?.as_str()?;
+    let root = json::parse(text)?;
+    let schema = root.field_as("schema", Json::as_str)?;
     if schema != SCHEMA {
         return Err(format!(
             "unsupported schema \"{schema}\" (want \"{SCHEMA}\")"
         ));
     }
-    let components = get(obj, "components")?
-        .as_arr()?
+    let text_of = |v: &Json, key: &str| v.field_as(key, Json::as_str).map(str::to_string);
+    let components = root
+        .field_as("components", Json::as_arr)?
         .iter()
-        .map(|v| v.as_str().map(str::to_string))
+        .map(|c| {
+            c.as_str()
+                .map(str::to_string)
+                .ok_or("component names must be strings")
+        })
         .collect::<Result<Vec<_>, _>>()?;
     let mut events = Vec::new();
-    for ev in get(obj, "events")?.as_arr()? {
-        let e = ev.as_obj()?;
-        let code = get(e, "k")?.as_str()?;
+    for e in root.field_as("events", Json::as_arr)? {
+        let code = e.field_as("k", Json::as_str)?;
         let kind =
             ObsKind::from_code(code).ok_or_else(|| format!("unknown event kind \"{code}\""))?;
         events.push(ObsEvent {
-            time_ps: get(e, "t")?.as_u64()?,
+            time_ps: e.field_as("t", Json::as_u64)?,
             kind,
-            id: get(e, "id")?.as_u64()?,
-            parent: get(e, "par")?.as_u64()?,
-            comp: u32::try_from(get(e, "c")?.as_u64()?).map_err(|_| "component overflow")?,
-            name: get(e, "n")?.as_str()?.to_string(),
+            id: e.field_as("id", Json::as_u64)?,
+            parent: e.field_as("par", Json::as_u64)?,
+            comp: u32::try_from(e.field_as("c", Json::as_u64)?)
+                .map_err(|_| "component overflow")?,
+            name: text_of(e, "n")?,
         });
     }
-    let windows = match obj.get("windows") {
-        None | Some(Value::Null) => None,
+    let windows = match root.get("windows") {
+        None | Some(Json::Null) => None,
         Some(w) => {
-            let w = w.as_obj()?;
-            let width_ps = get(w, "width_ps")?.as_u64()?;
+            let hist = |h: &Json| {
+                let f = |key| h.get(key).and_then(Json::as_u64);
+                Some(HistSummary {
+                    count: f("count")?,
+                    sum: f("sum")?,
+                    min: f("min")?,
+                    max: f("max")?,
+                    p50: f("p50")?,
+                    p99: f("p99")?,
+                    p999: f("p999")?,
+                })
+            };
             let mut rows = Vec::new();
-            for rv in get(w, "rows")?.as_arr()? {
-                let r = rv.as_obj()?;
-                let mut row = WindowRow {
-                    idx: get(r, "idx")?.as_u64()?,
-                    ..WindowRow::default()
-                };
-                for (k, v) in get(r, "counters")?.as_obj()? {
-                    row.counters.push((k.clone(), v.as_u64()?));
-                }
-                for (k, v) in get(r, "gauges")?.as_obj()? {
-                    row.gauges.push((k.clone(), v.as_i64()?));
-                }
-                for (k, v) in get(r, "hists")?.as_obj()? {
-                    let h = v.as_obj()?;
-                    row.hists.push((
-                        k.clone(),
-                        HistSummary {
-                            count: get(h, "count")?.as_u64()?,
-                            sum: get(h, "sum")?.as_u64()?,
-                            min: get(h, "min")?.as_u64()?,
-                            max: get(h, "max")?.as_u64()?,
-                            p50: get(h, "p50")?.as_u64()?,
-                            p99: get(h, "p99")?.as_u64()?,
-                            p999: get(h, "p999")?.as_u64()?,
-                        },
-                    ));
-                }
-                rows.push(row);
+            for r in w.field_as("rows", Json::as_arr)? {
+                rows.push(WindowRow {
+                    idx: r.field_as("idx", Json::as_u64)?,
+                    counters: members(r, "counters", Json::as_u64)?,
+                    gauges: members(r, "gauges", Json::as_i64)?,
+                    hists: members(r, "hists", hist)?,
+                });
             }
-            Some(WindowSeries { width_ps, rows })
+            Some(WindowSeries {
+                width_ps: w.field_as("width_ps", Json::as_u64)?,
+                rows,
+            })
         }
     };
     Ok(TraceDoc {
-        workload: get(obj, "workload")?.as_str()?.to_string(),
-        seed: get(obj, "seed")?.as_u64()?,
-        workers: get(obj, "workers")?.as_u64()?,
-        queue: get(obj, "queue")?.as_str()?.to_string(),
+        workload: text_of(&root, "workload")?,
+        seed: root.field_as("seed", Json::as_u64)?,
+        workers: root.field_as("workers", Json::as_u64)?,
+        queue: text_of(&root, "queue")?,
         components,
         events,
         windows,
@@ -538,17 +242,26 @@ mod tests {
 
     #[test]
     fn rejects_floats_and_wrong_schema() {
-        assert!(parse_value("1.5").unwrap_err().contains("integer-only"));
+        let text = serialize(&sample_doc()).replace("\"t\": 42", "\"t\": 42.5");
+        assert!(parse(&text).unwrap_err().contains("integer-only"));
         assert!(parse("{\"schema\": \"nope\"}")
             .unwrap_err()
             .contains("unsupported schema"));
     }
 
     #[test]
-    fn parses_negative_numbers_and_escapes() {
-        let v = parse_value("{\"a\": -3, \"b\": \"x\\n\\\"y\\\"\"}").unwrap();
-        let o = v.as_obj().unwrap();
-        assert_eq!(o["a"].as_i64().unwrap(), -3);
-        assert_eq!(o["b"].as_str().unwrap(), "x\n\"y\"");
+    fn each_event_takes_one_line() {
+        let doc = sample_doc();
+        let text = serialize(&doc);
+        let event_lines: Vec<&str> = text
+            .lines()
+            .map(str::trim)
+            .filter(|l| l.starts_with("{\"t\": "))
+            .collect();
+        assert_eq!(event_lines.len(), doc.events.len(), "{text}");
+        assert_eq!(
+            event_lines[1],
+            "{\"t\": 42, \"k\": \"s\", \"id\": 99, \"par\": 11, \"c\": 1, \"n\": \"poe.flow\"},"
+        );
     }
 }

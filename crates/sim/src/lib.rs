@@ -42,6 +42,7 @@ pub mod deadlock;
 pub mod detector;
 pub mod digest;
 pub mod event;
+pub mod json;
 pub mod mailbox;
 pub mod pipe;
 pub mod queue;

@@ -65,17 +65,17 @@
 //! documented window-granularity divergences: `Ctx::stop` takes effect at the
 //! next window edge instead of the next event; the event budget can overshoot
 //! by up to one window; the final time after `Stopped`/`Budget` is the
-//! maximum shard time; queue-depth gauges are sampled per window, not per
-//! event; and the master RNG stream is not advanced by shard events (each
-//! shard draws from its own forked stream).
+//! maximum shard time; and queue-depth gauges are sampled per window, not
+//! per event.
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Barrier, Mutex};
 use std::thread;
 
+use crate::digest::{fnv1a, FNV_OFFSET};
 use crate::event::{ComponentId, Endpoint, Payload};
-use crate::sim::{DepthGauges, RunOutcome, Simulator, FNV_OFFSET};
+use crate::sim::{DepthGauges, RunOutcome, Simulator};
 use crate::time::{Dur, Time};
 
 /// Low bits of a shard event key that carry the source-partition tag; the
@@ -450,7 +450,6 @@ fn scatter(sim: &mut Simulator, nparts: usize) -> Vec<Shard> {
             shard_sim.names = sim.names.clone();
             shard_sim.components = (0..sim.components.len()).map(|_| None).collect();
             shard_sim.partition_of = sim.partition_of.clone();
-            shard_sim.rng = sim.fork_rng(&format!("shard{p}"));
             shard_sim.spans = sim.spans.fork_for_partition(p, &sim.partition_of);
             if let Some(w) = sim.stats.window_width() {
                 shard_sim.stats.enable_windows(w);
@@ -530,7 +529,7 @@ fn gather(sim: &mut Simulator, mut shards: Vec<Shard>, stop: bool) -> Time {
         sim.executed += shard_sim.executed;
         sim.stats.merge(&shard_sim.stats);
         if let (Some(digest), Some(shard_digest)) = (&mut sim.digest, shard_sim.digest) {
-            crate::sim::fnv1a(digest, &shard_digest.to_le_bytes());
+            fnv1a(digest, &shard_digest.to_le_bytes());
         }
         if trace_cap.is_some() {
             trace_records.extend(shard_sim.trace());

@@ -19,6 +19,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::deadlock::{self, DeadlockReport, ResourceState};
+use crate::digest::{fnv1a, FNV_OFFSET};
 use crate::event::{ComponentId, Endpoint, Payload, PortId};
 use crate::queue::{EventQueue, QueueKind};
 use crate::stats::Stats;
@@ -88,7 +89,6 @@ pub struct Ctx<'a> {
     self_id: ComponentId,
     queue: &'a mut EventQueue,
     seq: &'a mut u64,
-    rng: &'a mut StdRng,
     stats: &'a mut Stats,
     stop: &'a mut bool,
     spans: &'a mut SpanRecorder,
@@ -149,25 +149,6 @@ impl Ctx<'_> {
     /// Schedules `payload` back to `port` of the executing component after `delay`.
     pub fn send_self<T: Any + Send>(&mut self, port: PortId, delay: Dur, payload: T) {
         self.send(Endpoint::new(self.self_id, port), delay, payload);
-    }
-
-    /// Deterministic simulation-wide RNG.
-    ///
-    /// Deprecated outside the `race-detect` feature: a single shared stream
-    /// couples every consumer's draw order to the global event schedule, so
-    /// an unrelated refactor can silently reseed a component's behaviour.
-    /// Components that need entropy should own a seeded stream obtained via
-    /// [`Simulator::fork_rng`] at build time instead.
-    #[cfg_attr(
-        not(feature = "race-detect"),
-        deprecated(
-            since = "0.5.0",
-            note = "shared ambient entropy couples components through draw order; \
-                    hold a per-component stream from `Simulator::fork_rng` instead"
-        )
-    )]
-    pub fn rng(&mut self) -> &mut StdRng {
-        self.rng
     }
 
     /// Simulation-wide statistics registry. Stamps the current simulated
@@ -397,17 +378,6 @@ const DEPTH_SAMPLE_STRIDE: u64 = 64;
 /// How many trailing spans a [`StallReport`] carries per stuck component.
 const STALL_SPAN_TAIL: usize = 8;
 
-pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-#[inline]
-pub(crate) fn fnv1a(hash: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *hash ^= u64::from(b);
-        *hash = hash.wrapping_mul(FNV_PRIME);
-    }
-}
-
 /// The discrete-event simulator.
 pub struct Simulator {
     pub(crate) time: Time,
@@ -416,7 +386,6 @@ pub struct Simulator {
     pub(crate) components: Vec<Option<Box<dyn Component>>>,
     pub(crate) names: Vec<String>,
     seed: u64,
-    pub(crate) rng: StdRng,
     pub(crate) stats: Stats,
     pub(crate) spans: SpanRecorder,
     pub(crate) stop: bool,
@@ -459,7 +428,6 @@ impl Simulator {
             components: Vec::new(),
             names: Vec::new(),
             seed,
-            rng: StdRng::seed_from_u64(seed),
             stats: Stats::new(),
             spans: SpanRecorder::default(),
             stop: false,
@@ -611,7 +579,7 @@ impl Simulator {
     /// from the simulator seed and a stable `label` (conventionally the
     /// component's registration name). Streams are decoupled: a component
     /// drawing from its own fork cannot perturb any other component's
-    /// randomness, unlike the shared (now deprecated) [`Ctx::rng`].
+    /// randomness. This is the simulation's only source of entropy.
     pub fn fork_rng(&self, label: &str) -> StdRng {
         let mut h = FNV_OFFSET;
         fnv1a(&mut h, label.as_bytes());
@@ -918,7 +886,6 @@ impl Simulator {
             self_id: dst.comp,
             queue: &mut self.queue,
             seq: &mut self.seq,
-            rng: &mut self.rng,
             stats: &mut self.stats,
             stop: &mut self.stop,
             spans: &mut self.spans,
@@ -1553,7 +1520,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
     fn determinism_same_seed_same_timeline() {
         fn run_once(seed: u64) -> Vec<(u64, u32)> {
             use rand::RngExt;
@@ -1561,6 +1527,7 @@ mod tests {
                 peer: Option<Endpoint>,
                 log: Vec<(u64, u32)>,
                 remaining: u32,
+                rng: StdRng,
             }
             impl Component for Jitterer {
                 fn on_event(&mut self, ctx: &mut Ctx<'_>, _port: PortId, payload: Payload) {
@@ -1568,7 +1535,7 @@ mod tests {
                     self.log.push((ctx.now().as_ps(), v));
                     if self.remaining > 0 {
                         self.remaining -= 1;
-                        let jitter = ctx.rng().random_range(1..1000u64);
+                        let jitter = self.rng.random_range(1..1000u64);
                         let peer = self.peer.unwrap_or(Endpoint::of(ctx.self_id()));
                         ctx.send(peer, Dur::from_ps(jitter), v + 1);
                     }
@@ -1581,6 +1548,7 @@ mod tests {
                     peer: None,
                     log: vec![],
                     remaining: 50,
+                    rng: sim.fork_rng("a"),
                 },
             );
             sim.post(Endpoint::of(a), Time::ZERO, 0u32);
@@ -1595,10 +1563,19 @@ mod tests {
     /// queue-kind equivalence tests.
     struct JitterMix {
         remaining: u32,
+        rng: StdRng,
+    }
+
+    impl JitterMix {
+        fn new(sim: &Simulator, remaining: u32) -> JitterMix {
+            JitterMix {
+                remaining,
+                rng: sim.fork_rng("mix"),
+            }
+        }
     }
 
     impl Component for JitterMix {
-        #[allow(deprecated)]
         fn on_event(&mut self, ctx: &mut Ctx<'_>, port: PortId, payload: Payload) {
             use rand::RngExt;
             let v = payload.downcast::<u32>();
@@ -1607,8 +1584,8 @@ mod tests {
             }
             self.remaining -= 1;
             let delay = match v % 5 {
-                0 => Dur::from_us(ctx.rng().random_range(1..200u64)), // far
-                _ => Dur::from_ps(ctx.rng().random_range(1..5000u64)), // near
+                0 => Dur::from_us(self.rng.random_range(1..200u64)), // far
+                _ => Dur::from_ps(self.rng.random_range(1..5000u64)), // near
             };
             ctx.send_self(port, delay, v + 1);
             if v.is_multiple_of(3) {
@@ -1621,7 +1598,7 @@ mod tests {
     fn digest_with_kind(kind: QueueKind) -> u64 {
         let mut sim = Simulator::new_with_queue(7, kind);
         sim.enable_digest();
-        let a = sim.add("mix", JitterMix { remaining: 500 });
+        let a = sim.add("mix", JitterMix::new(&sim, 500));
         sim.post(Endpoint::of(a), Time::ZERO, 0u32);
         assert_eq!(sim.run(), RunOutcome::Drained);
         sim.timeline_digest().expect("digest enabled")
@@ -1638,14 +1615,14 @@ mod tests {
     fn digest_detects_timeline_differences() {
         let mut sim = Simulator::new(0);
         sim.enable_digest();
-        let a = sim.add("mix", JitterMix { remaining: 10 });
+        let a = sim.add("mix", JitterMix::new(&sim, 10));
         sim.post(Endpoint::of(a), Time::ZERO, 0u32);
         sim.run();
         let d1 = sim.timeline_digest().unwrap();
 
         let mut sim = Simulator::new(0);
         sim.enable_digest();
-        let a = sim.add("mix", JitterMix { remaining: 11 });
+        let a = sim.add("mix", JitterMix::new(&sim, 11));
         sim.post(Endpoint::of(a), Time::ZERO, 0u32);
         sim.run();
         let d2 = sim.timeline_digest().unwrap();
@@ -1657,7 +1634,7 @@ mod tests {
         let run = |swap: bool| -> u64 {
             let mut sim = Simulator::new(3);
             sim.enable_digest();
-            let a = sim.add("mix", JitterMix { remaining: 200 });
+            let a = sim.add("mix", JitterMix::new(&sim, 200));
             for i in 0..10u32 {
                 sim.post(Endpoint::of(a), Time::from_ps(u64::from(i) * 7), i);
             }

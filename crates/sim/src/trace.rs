@@ -36,7 +36,9 @@
 
 use std::collections::BTreeMap;
 
+use crate::digest::{fnv1a, FNV_OFFSET, FNV_PRIME};
 use crate::event::ComponentId;
+use crate::json::quote;
 use crate::time::{Dur, Time};
 
 /// Whether span recording is compiled into this build (the `trace` cargo
@@ -202,16 +204,6 @@ pub struct SpanRecorder {
     recorded: u64,
     /// Per-(component, name, parent) ordinals feeding the id hash.
     ordinals: BTreeMap<(u32, &'static str, SpanId), u64>,
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a(hash: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *hash ^= u64::from(b);
-        *hash = hash.wrapping_mul(FNV_PRIME);
-    }
 }
 
 impl SpanRecorder {
@@ -633,25 +625,11 @@ pub fn max_span_depth(events: &[SpanEvent]) -> usize {
     max
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 fn attr_json(v: &AttrValue) -> String {
     match v {
         AttrValue::U64(n) | AttrValue::Bytes(n) => format!("{n}"),
         AttrValue::I64(n) => format!("{n}"),
-        AttrValue::Str(s) => format!("\"{}\"", json_escape(s)),
+        AttrValue::Str(s) => quote(s),
         AttrValue::Dur(d) => format!("\"{d}\""),
     }
 }
@@ -662,7 +640,7 @@ fn args_json(attrs: &[Attr]) -> String {
     }
     let body: Vec<String> = attrs
         .iter()
-        .map(|a| format!("\"{}\": {}", json_escape(a.key), attr_json(&a.value)))
+        .map(|a| format!("{}: {}", quote(a.key), attr_json(&a.value)))
         .collect();
     format!(", \"args\": {{{}}}", body.join(", "))
 }
@@ -733,8 +711,8 @@ pub fn chrome_trace_json(sim: &crate::sim::Simulator) -> String {
         push(
             format!(
                 "{{\"ph\": \"M\", \"name\": \"thread_name\", \"pid\": {pid}, \"tid\": {tid}, \
-                 \"args\": {{\"name\": \"{}\"}}}}",
-                json_escape(name)
+                 \"args\": {{\"name\": {}}}}}",
+                quote(name)
             ),
             &mut out,
         );
@@ -746,10 +724,10 @@ pub fn chrome_trace_json(sim: &crate::sim::Simulator) -> String {
         match e.kind {
             SpanEventKind::Begin => {
                 let common = format!(
-                    "\"name\": \"{}\", \"cat\": \"{}\", \"pid\": {}, \"tid\": {}, \
+                    "\"name\": {}, \"cat\": {}, \"pid\": {}, \"tid\": {}, \
                      \"ts\": {}{}",
-                    json_escape(e.name),
-                    json_escape(cat),
+                    quote(e.name),
+                    quote(cat),
                     pid,
                     tid,
                     ts(e.time),
@@ -772,10 +750,10 @@ pub fn chrome_trace_json(sim: &crate::sim::Simulator) -> String {
             }
             SpanEventKind::Instant => push(
                 format!(
-                    "{{\"ph\": \"i\", \"s\": \"t\", \"name\": \"{}\", \"cat\": \"{}\", \
+                    "{{\"ph\": \"i\", \"s\": \"t\", \"name\": {}, \"cat\": {}, \
                      \"pid\": {}, \"tid\": {}, \"ts\": {}{}}}",
-                    json_escape(e.name),
-                    json_escape(cat),
+                    quote(e.name),
+                    quote(cat),
                     pid,
                     tid,
                     ts(e.time),
@@ -789,10 +767,10 @@ pub fn chrome_trace_json(sim: &crate::sim::Simulator) -> String {
             // id is the deterministic FlowId rendered in hex.
             SpanEventKind::FlowBegin => push(
                 format!(
-                    "{{\"ph\": \"s\", \"id\": \"{:#x}\", \"name\": \"{}\", \
+                    "{{\"ph\": \"s\", \"id\": \"{:#x}\", \"name\": {}, \
                      \"cat\": \"flow\", \"pid\": {}, \"tid\": {}, \"ts\": {}}}",
                     e.id.0,
-                    json_escape(e.name),
+                    quote(e.name),
                     pid,
                     tid,
                     ts(e.time),
@@ -801,10 +779,10 @@ pub fn chrome_trace_json(sim: &crate::sim::Simulator) -> String {
             ),
             SpanEventKind::FlowEnd => push(
                 format!(
-                    "{{\"ph\": \"f\", \"bp\": \"e\", \"id\": \"{:#x}\", \"name\": \"{}\", \
+                    "{{\"ph\": \"f\", \"bp\": \"e\", \"id\": \"{:#x}\", \"name\": {}, \
                      \"cat\": \"flow\", \"pid\": {}, \"tid\": {}, \"ts\": {}}}",
                     e.id.0,
-                    json_escape(e.name),
+                    quote(e.name),
                     pid,
                     tid,
                     ts(e.time),
