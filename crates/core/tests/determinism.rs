@@ -11,6 +11,8 @@
 use accl_core::driver::CollSpec;
 use accl_core::host::HostOp;
 use accl_core::{AcclCluster, BufLoc, ClusterConfig, CollOp, DType};
+use accl_net::FaultPlan;
+use accl_sim::digest::{fnv1a, FNV_OFFSET};
 use accl_sim::prelude::QueueKind;
 
 fn i32s(vals: &[i32]) -> Vec<u8> {
@@ -37,14 +39,19 @@ fn summed(n: usize, count: u64) -> Vec<u8> {
     )
 }
 
-/// Runs a seeded 4-node RDMA allreduce with timeline digesting enabled on
-/// the given queue kind; returns the digest.
-fn allreduce_digest(kind: QueueKind) -> u64 {
-    let n = 4;
+/// Runs a seeded 4-node, 4096×i32 allreduce on `cfg` with timeline
+/// digesting enabled on the given queue kind (and `plan` installed, if
+/// any), checks the result, and returns the cluster for inspection.
+fn run_allreduce(cfg: ClusterConfig, kind: QueueKind, plan: Option<FaultPlan>) -> AcclCluster {
+    let n = cfg.nodes;
     let count = 4096u64;
-    let mut c = AcclCluster::build(ClusterConfig::coyote_rdma(n));
+    let label = format!("{:?}/{:?}", cfg.platform, cfg.transport);
+    let mut c = AcclCluster::build(cfg);
     c.sim.set_queue_kind(kind);
     c.sim.enable_digest();
+    if let Some(plan) = plan {
+        c.set_fault_plan(plan);
+    }
     let mut specs = Vec::new();
     let mut dsts = Vec::new();
     for node in 0..n {
@@ -63,9 +70,15 @@ fn allreduce_digest(kind: QueueKind) -> u64 {
     // a digest collision over garbage can't pass silently.
     let expect = summed(n, count);
     for (node, dst) in dsts.iter().enumerate() {
-        assert_eq!(c.read(dst), expect, "node {node} ({kind:?})");
+        assert_eq!(c.read(dst), expect, "node {node} ({label}, {kind:?})");
     }
-    c.sim
+    c
+}
+
+/// The timeline digest of the seeded 4-node RDMA allreduce on `kind`.
+fn allreduce_digest(kind: QueueKind) -> u64 {
+    run_allreduce(ClusterConfig::coyote_rdma(4), kind, None)
+        .sim
         .timeline_digest()
         .expect("digest was enabled before the run")
 }
@@ -89,6 +102,95 @@ fn queue_swap_leaves_the_timeline_bit_identical() {
         allreduce_digest(QueueKind::Calendar),
         "calendar scheduler changed the event timeline"
     );
+}
+
+/// FNV-1a over every component's `(id, state_digest)`, in id order.
+fn state_hash(c: &AcclCluster) -> u64 {
+    let mut h = FNV_OFFSET;
+    for (id, d) in c.sim.state_digests() {
+        fnv1a(&mut h, &(id.index() as u64).to_le_bytes());
+        fnv1a(&mut h, &d.to_le_bytes());
+    }
+    h
+}
+
+/// Drops and corrupts a few frames at fixed switch indices, so the run
+/// exercises the Rx FCS drop and the transport's repair path.
+fn lossy_plan() -> FaultPlan {
+    FaultPlan {
+        corrupt_indices: [12, 61].into_iter().collect(),
+        ..FaultPlan::drop_frames([5, 40])
+    }
+}
+
+/// Literal goldens: `(case, timeline digest, state-digest hash)` of the
+/// 4-node, 4096×i32 allreduce on each transport configuration. Every other
+/// digest test compares two runs of the same build; these constants pin
+/// the observable behaviour across commits, so a refactor of the protocol
+/// engines that adds, drops or reorders an event, or moves a counter,
+/// fails here. Never re-capture them to make a change pass.
+const PINNED: &[(&str, u64, u64)] = &[
+    ("coyote_rdma", 0x5180200279ce39d6, 0x4be58da62f3e1e7b),
+    ("xrt_tcp", 0x3542e03d14e75d9b, 0x59263905e7acc299),
+    ("xrt_udp", 0x341c8ba1f435f5fb, 0xf27799872469d0a4),
+    (
+        "coyote_rdma+overload",
+        0x7347129ed80fd203,
+        0x4be58da62f3e1e7b,
+    ),
+    ("xrt_tcp+overload", 0x4145f015fbcd9e9e, 0x59263905e7acc299),
+    ("xrt_udp+overload", 0x1d7fdb4239cce427, 0xf27799872469d0a4),
+    (
+        "coyote_rdma+tcp_fallback",
+        0x517a66e32855e8ee,
+        0x32420e018ee5f947,
+    ),
+    ("xrt_tcp+lossy", 0x75acc7c2e71ff499, 0x42fde7bd8dce958e),
+    ("coyote_rdma+lossy", 0x6fd3e0c12f4ad881, 0xa789991ac2f0bf44),
+];
+
+fn pinned_case(name: &str) -> (ClusterConfig, Option<FaultPlan>) {
+    let (base, variant) = name.split_once('+').unwrap_or((name, ""));
+    let cfg = match base {
+        "coyote_rdma" => ClusterConfig::coyote_rdma(4),
+        "xrt_tcp" => ClusterConfig::xrt_tcp(4),
+        "xrt_udp" => ClusterConfig::xrt_udp(4),
+        other => panic!("unknown base config {other}"),
+    };
+    match variant {
+        "" => (cfg, None),
+        "overload" => (cfg.with_overload_limits(), None),
+        "tcp_fallback" => (
+            ClusterConfig {
+                tcp_fallback: true,
+                ..cfg
+            },
+            None,
+        ),
+        "lossy" => (cfg, Some(lossy_plan())),
+        other => panic!("unknown variant {other}"),
+    }
+}
+
+#[test]
+fn pinned_transport_digests_match_literal_goldens() {
+    let mut got = Vec::new();
+    for &(name, _, _) in PINNED {
+        let (cfg, plan) = pinned_case(name);
+        let lossy = plan.is_some();
+        let c = run_allreduce(cfg, QueueKind::Calendar, plan);
+        if lossy {
+            let drops: u64 = (0..c.len()).map(|i| c.corrupted_drops(i)).sum();
+            assert!(drops > 0, "{name}: the plan must hit the Rx FCS drop");
+        }
+        let timeline = c.sim.timeline_digest().expect("digest enabled");
+        got.push((name, timeline, state_hash(&c)));
+    }
+    let table: String = got
+        .iter()
+        .map(|(n, t, s)| format!("    (\"{n}\", {t:#018x}, {s:#018x}),\n"))
+        .collect();
+    assert_eq!(got, PINNED, "pinned digests moved; observed:\n{table}");
 }
 
 /// A tie-heavy workload: all four ranks kick off the same back-to-back

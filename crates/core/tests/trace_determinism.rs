@@ -12,10 +12,9 @@
 
 use accl_core::driver::CollSpec;
 use accl_core::{AcclCluster, BufLoc, ClusterConfig, CollOp, DType};
+use accl_net::FaultPlan;
 use accl_sim::prelude::QueueKind;
-#[cfg(feature = "race-detect")]
-use accl_sim::trace::span_canon_digest;
-use accl_sim::trace::{max_span_depth, span_digest, SpanEvent};
+use accl_sim::trace::{max_span_depth, span_canon_digest, span_digest, SpanEvent};
 
 fn i32s(vals: &[i32]) -> Vec<u8> {
     vals.iter().flat_map(|v| v.to_le_bytes()).collect()
@@ -33,10 +32,24 @@ fn pattern(node: usize, count: u64) -> Vec<u8> {
 /// recorded span stream. `salt` permutes same-timestamp delivery order
 /// (race-detect builds only).
 fn traced_allreduce(kind: QueueKind, salt: Option<u64>) -> Vec<SpanEvent> {
-    let n = 4;
+    traced_allreduce_on(ClusterConfig::coyote_rdma(4), kind, salt, None)
+}
+
+/// [`traced_allreduce`] on any cluster configuration, with an optional
+/// fault plan installed before the run.
+fn traced_allreduce_on(
+    cfg: ClusterConfig,
+    kind: QueueKind,
+    salt: Option<u64>,
+    plan: Option<FaultPlan>,
+) -> Vec<SpanEvent> {
+    let n = cfg.nodes;
     let count = 4096u64;
-    let mut c = AcclCluster::build(ClusterConfig::coyote_rdma(n));
+    let mut c = AcclCluster::build(cfg);
     c.sim.set_queue_kind(kind);
+    if let Some(plan) = plan {
+        c.set_fault_plan(plan);
+    }
     match salt {
         #[cfg(feature = "race-detect")]
         Some(s) => c.sim.permute_tie_order(s),
@@ -95,6 +108,50 @@ fn span_stream_is_queue_invariant() {
         "queue kinds disagree on the recorded span stream"
     );
     assert_eq!(span_digest(&calendar), span_digest(&heap));
+}
+
+/// Literal goldens: `(case, span_canon_digest, span_digest)` of the traced
+/// allreduce per transport, plus TCP and RDMA under a fixed drop/corrupt
+/// schedule (FCS drops, retransmissions). The other tests here compare two
+/// runs of one build; these constants pin the span stream across commits.
+/// Never re-capture them to make a change pass.
+const PINNED_SPANS: &[(&str, u64, u64)] = &[
+    ("coyote_rdma", 0x3cc1b65f3e6f9ad9, 0x8c349905c1feb566),
+    ("xrt_tcp", 0x33cdc008cdbc4d30, 0x2ad83568a8efc64b),
+    ("xrt_udp", 0x58c403cfe25512b5, 0xf0f339e4bb53a5a9),
+    ("xrt_tcp+lossy", 0x43c8a571b495b9f7, 0xfb8e47c513f270c2),
+    ("coyote_rdma+lossy", 0xbaa9974da522a3e4, 0xc121b2078e8c9c1e),
+];
+
+#[test]
+fn pinned_span_digests_match_literal_goldens() {
+    let mut got = Vec::new();
+    for &(name, _, _) in PINNED_SPANS {
+        let (base, lossy) = match name.split_once('+') {
+            Some((base, "lossy")) => (base, true),
+            _ => (name, false),
+        };
+        let cfg = match base {
+            "coyote_rdma" => ClusterConfig::coyote_rdma(4),
+            "xrt_tcp" => ClusterConfig::xrt_tcp(4),
+            "xrt_udp" => ClusterConfig::xrt_udp(4),
+            other => panic!("unknown case {other}"),
+        };
+        let plan = lossy.then(|| FaultPlan {
+            corrupt_indices: [12, 61].into_iter().collect(),
+            ..FaultPlan::drop_frames([5, 40])
+        });
+        let events = traced_allreduce_on(cfg, QueueKind::Calendar, None, plan);
+        got.push((name, span_canon_digest(&events), span_digest(&events)));
+    }
+    let table: String = got
+        .iter()
+        .map(|(n, c, d)| format!("    (\"{n}\", {c:#018x}, {d:#018x}),\n"))
+        .collect();
+    assert_eq!(
+        got, PINNED_SPANS,
+        "pinned span digests moved; observed:\n{table}"
+    );
 }
 
 #[test]
