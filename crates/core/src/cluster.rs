@@ -185,18 +185,12 @@ impl AcclCluster {
                 }
             }
             if let Some(window) = cfg.tx_credit_window {
-                let label = format!("net.txcredit(n{i})");
-                match cfg.transport {
-                    Transport::Udp => sim
-                        .component_mut::<UdpPoe>(poe)
-                        .set_tx_credit_window(Some(window), label),
-                    Transport::Tcp => sim
-                        .component_mut::<TcpPoe>(poe)
-                        .set_tx_credit_window(Some(window), label),
-                    Transport::Rdma => sim
-                        .component_mut::<RdmaPoe>(poe)
-                        .set_tx_credit_window(Some(window), label),
-                }
+                let io = match cfg.transport {
+                    Transport::Udp => sim.component_mut::<UdpPoe>(poe).io_mut(),
+                    Transport::Tcp => sim.component_mut::<TcpPoe>(poe).io_mut(),
+                    Transport::Rdma => sim.component_mut::<RdmaPoe>(poe).io_mut(),
+                };
+                io.set_tx_credit_window(Some(window), format!("net.txcredit(n{i})"));
             }
             // With a standby TCP POE armed, inbound frames pass a protocol
             // demux in front of the two engines, and the Tx system learns
@@ -205,7 +199,9 @@ impl AcclCluster {
                 let mut standby =
                     TcpPoe::new(cfg.tcp, net.tx(i), cclo.poe_upward(), make_sessions());
                 if let Some(window) = cfg.tx_credit_window {
-                    standby.set_tx_credit_window(Some(window), format!("net.txcredit(n{i}.tcp)"));
+                    standby
+                        .io_mut()
+                        .set_tx_credit_window(Some(window), format!("net.txcredit(n{i}.tcp)"));
                 }
                 let fb = sim.add(format!("n{i}.poe.tcp"), standby);
                 cclo.set_tx_fallback(
@@ -921,22 +917,14 @@ impl AcclCluster {
     pub fn corrupted_drops(&self, i: usize) -> u64 {
         let poe = self.nodes[i].poe;
         let primary = match self.cfg.transport {
-            Transport::Udp => self.sim.component::<UdpPoe>(poe).dgrams_corrupted_dropped(),
-            Transport::Tcp => self
-                .sim
-                .component::<TcpPoe>(poe)
-                .frames_corrupted_discarded(),
-            Transport::Rdma => self
-                .sim
-                .component::<RdmaPoe>(poe)
-                .frames_corrupted_discarded(),
+            Transport::Udp => self.sim.component::<UdpPoe>(poe).io(),
+            Transport::Tcp => self.sim.component::<TcpPoe>(poe).io(),
+            Transport::Rdma => self.sim.component::<RdmaPoe>(poe).io(),
         };
-        let standby = self.nodes[i].fallback_poe.map_or(0, |fb| {
-            self.sim
-                .component::<TcpPoe>(fb)
-                .frames_corrupted_discarded()
-        });
-        primary + standby
+        let standby = self.nodes[i]
+            .fallback_poe
+            .map_or(0, |fb| self.sim.component::<TcpPoe>(fb).io().fcs_dropped());
+        primary.fcs_dropped() + standby
     }
 
     /// Sets every node driver's retry policy for timed-out eager

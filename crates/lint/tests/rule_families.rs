@@ -421,21 +421,21 @@ fn widened_and_divided_picosecond_math_is_clean() {
 
 #[test]
 fn planted_bug_deleted_credit_release_is_caught() {
-    // Take the real UDP engine source, verify it is clean, then plant the
-    // bug the chaos harness hunts at runtime: the CREDIT handler consumes
-    // the CreditReturn without crediting its gate. The analyzer must catch
-    // it statically.
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../poe/src/udp.rs");
-    let src = std::fs::read_to_string(path).expect("read crates/poe/src/udp.rs");
-    let clean = gating("crates/poe/src/udp.rs", &src);
-    assert_eq!(clean, vec![], "shipping UDP engine must lint clean");
+    // Take the real POE I/O edge source (the one CREDIT handler all three
+    // engines share), verify it is clean, then plant the bug the chaos
+    // harness hunts at runtime: the handler consumes the CreditReturn
+    // without crediting its gate. The analyzer must catch it statically.
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../poe/src/iface.rs");
+    let src = std::fs::read_to_string(path).expect("read crates/poe/src/iface.rs");
+    let clean = gating("crates/poe/src/iface.rs", &src);
+    assert_eq!(clean, vec![], "shipping POE I/O edge must lint clean");
 
     let planted = src.replace("self.gate.credit(ret.credits, credit_ep)", "[]");
     assert_ne!(
         planted, src,
         "credit-release site not found — handler moved?"
     );
-    let found = gating("crates/poe/src/udp.rs", &planted);
+    let found = gating("crates/poe/src/iface.rs", &planted);
     assert!(
         found.iter().any(|&(r, _)| r == "resource-pairing"),
         "deleting the gate.credit call must trip resource-pairing: {found:?}"
@@ -541,12 +541,13 @@ fn flow_emit_without_any_join_in_the_corpus_is_flagged() {
 
 #[test]
 fn planted_bug_deleted_flow_join_is_caught_workspace_wide() {
-    // Take the real UDP engine, verify its flow edges pair, then delete
-    // the Rx-side join. The per-file walk cannot see the loss (the handle
+    // Take the real POE I/O edge (which emits and joins every engine's
+    // `poe.flow` edges), verify its flow edges pair, then delete the
+    // Rx-side join. The per-file walk cannot see the loss (the handle
     // rides inside the frame), but the corpus-level name match must.
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../poe/src/udp.rs");
-    let src = std::fs::read_to_string(path).expect("read crates/poe/src/udp.rs");
-    let clean = accl_lint::flow_edge_uses_in("crates/poe/src/udp.rs", &src);
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../poe/src/iface.rs");
+    let src = std::fs::read_to_string(path).expect("read crates/poe/src/iface.rs");
+    let clean = accl_lint::flow_edge_uses_in("crates/poe/src/iface.rs", &src);
     assert!(clean.iter().any(|u| u.emitted) && clean.iter().any(|u| !u.emitted));
     assert!(accl_lint::rules::flow_join_findings(&clean).is_empty());
 
@@ -555,7 +556,7 @@ fn planted_bug_deleted_flow_join_is_caught_workspace_wide() {
         planted, src,
         "flow join site not found — receive path moved?"
     );
-    let uses = accl_lint::flow_edge_uses_in("crates/poe/src/udp.rs", &planted);
+    let uses = accl_lint::flow_edge_uses_in("crates/poe/src/iface.rs", &planted);
     let findings = accl_lint::rules::flow_join_findings(&uses);
     assert!(
         !findings.is_empty(),

@@ -59,13 +59,6 @@ pub struct Frame {
     /// Payload size used for serialization timing (headers are added via
     /// [`WIRE_OVERHEAD_BYTES`]).
     pub payload_bytes: u32,
-    /// How many wire packets this frame stands for (≥ 1).
-    ///
-    /// A coalescing protocol engine may carry several MTU segments in one
-    /// simulation event; each segment still pays its own header on the
-    /// wire, so timing and byte counters stay identical to the
-    /// one-event-per-segment schedule.
-    pub segments: u32,
     /// The typed protocol PDU.
     pub body: Payload,
     /// Frame check sequence, computed once at TX over the frame's stable
@@ -123,9 +116,8 @@ impl Frame {
             src,
             dst,
             payload_bytes,
-            segments: 1,
             body: Payload::cloneable(body),
-            fcs: Frame::compute_fcs(dst, payload_bytes, 1),
+            fcs: Frame::compute_fcs(dst, payload_bytes),
             span: SpanId::NONE,
             flow: FlowId::NONE,
             credit_return: None,
@@ -135,11 +127,11 @@ impl Frame {
 
     /// The FCS a pristine frame with these stable fields carries. `src` is
     /// excluded: the NIC re-stamps it after the POE builds the frame.
-    pub fn compute_fcs(dst: NodeAddr, payload_bytes: u32, segments: u32) -> u32 {
+    pub fn compute_fcs(dst: NodeAddr, payload_bytes: u32) -> u32 {
         // FNV-1a over the stable header fields; any deterministic mix
         // works, the only requirement is that an XORed flip is detected.
         let mut h: u32 = 0x811c_9dc5;
-        for word in [dst.0, payload_bytes, segments] {
+        for word in [dst.0, payload_bytes] {
             for b in word.to_le_bytes() {
                 h ^= b as u32;
                 h = h.wrapping_mul(0x0100_0193);
@@ -151,7 +143,7 @@ impl Frame {
     /// Whether the frame's FCS matches its contents (no in-flight
     /// corruption). POEs check this at RX before touching the PDU.
     pub fn fcs_ok(&self) -> bool {
-        self.fcs == Frame::compute_fcs(self.dst, self.payload_bytes, self.segments)
+        self.fcs == Frame::compute_fcs(self.dst, self.payload_bytes)
     }
 
     /// Models in-flight corruption: XORs `mask` into the FCS so the
@@ -169,7 +161,6 @@ impl Frame {
             src: self.src,
             dst: self.dst,
             payload_bytes: self.payload_bytes,
-            segments: self.segments,
             body: self
                 .body
                 .try_clone()
@@ -180,18 +171,6 @@ impl Frame {
             credit_return: self.credit_return,
             epoch: self.epoch,
         }
-    }
-
-    /// Marks the frame as carrying `segments` wire packets.
-    pub fn with_segments(mut self, segments: u32) -> Self {
-        assert!(segments >= 1, "a frame carries at least one segment");
-        // Recompute rather than patch: the frame may already be corrupted,
-        // in which case the mismatch must survive the segment restamp.
-        let was_ok = self.fcs_ok();
-        self.segments = segments;
-        let fresh = Frame::compute_fcs(self.dst, self.payload_bytes, segments);
-        self.fcs = if was_ok { fresh } else { fresh ^ 1 };
-        self
     }
 
     /// Attaches the sender's causal span, handing causality across the
@@ -215,10 +194,9 @@ impl Frame {
         self
     }
 
-    /// Total bytes this frame occupies on the wire (headers charged per
-    /// segment).
+    /// Total bytes this frame occupies on the wire, headers included.
     pub fn wire_bytes(&self) -> u32 {
-        self.payload_bytes + self.segments * WIRE_OVERHEAD_BYTES
+        self.payload_bytes + WIRE_OVERHEAD_BYTES
     }
 }
 
@@ -246,12 +224,6 @@ mod tests {
     }
 
     #[test]
-    fn coalesced_segments_pay_per_segment_headers() {
-        let f = Frame::new(NodeAddr(0), NodeAddr(1), 4 * 4096, ()).with_segments(4);
-        assert_eq!(f.wire_bytes(), 4 * 4096 + 4 * WIRE_OVERHEAD_BYTES);
-    }
-
-    #[test]
     fn body_is_typed() {
         let f = Frame::new(NodeAddr(0), NodeAddr(1), 4, 7u32);
         assert_eq!(f.body.downcast::<u32>(), 7);
@@ -265,9 +237,6 @@ mod tests {
         f.src = NodeAddr(3);
         f.epoch = 2;
         assert!(f.fcs_ok());
-        let f = f.with_segments(4);
-        assert!(f.fcs_ok());
-        assert_eq!(f.epoch, 2, "epoch survives the segment restamp");
         assert_eq!(f.clone_wire().epoch, 2, "epoch survives duplication");
     }
 
@@ -276,8 +245,10 @@ mod tests {
         let mut f = Frame::new(NodeAddr(0), NodeAddr(1), 64, 7u32);
         f.corrupt(0xdead_beef);
         assert!(!f.fcs_ok());
-        let f = f.with_segments(2);
-        assert!(!f.fcs_ok(), "corruption must survive a segment restamp");
+        // The NIC's src/epoch stamp must not launder the corruption.
+        f.src = NodeAddr(3);
+        f.epoch = 1;
+        assert!(!f.fcs_ok(), "corruption must survive the src/epoch restamp");
     }
 
     #[test]

@@ -236,12 +236,10 @@ impl Switch {
             return;
         }
         let wire = u64::from(frame.wire_bytes());
-        port.frames_out += u64::from(frame.segments);
+        port.frames_out += 1;
         port.bytes_out += wire;
         let ready = ctx.now() + self.forward_latency;
-        let (start, end) = port
-            .egress
-            .reserve_batch(ready, wire, u64::from(frame.segments));
+        let (start, end) = port.egress.reserve(ready, wire);
         port.pending_ends.push_back(end);
         if overflowing {
             // PFC-style lossless backpressure: the frame is accepted (the
@@ -263,8 +261,7 @@ impl Switch {
             }
         }
         let port = &mut self.ports[dst.index()];
-        ctx.stats()
-            .add("net.switch.frames", u64::from(frame.segments));
+        ctx.stats().add("net.switch.frames", 1);
         ctx.stats().add("net.switch.bytes", wire);
         ctx.stats()
             .observe("net.switch.queue_wait_ps", (start - ready).as_ps());
@@ -488,11 +485,9 @@ impl NetPort {
         frame.src = self.addr;
         frame.epoch = self.incarnation;
         let wire = u64::from(frame.wire_bytes());
-        self.frames_in += u64::from(frame.segments);
+        self.frames_in += 1;
         self.bytes_in += wire;
-        let (start, end) = self
-            .egress
-            .reserve_batch(ctx.now(), wire, u64::from(frame.segments));
+        let (start, end) = self.egress.reserve(ctx.now(), wire);
         ctx.stats().add("net.port.bytes", wire);
         if ctx.spans_enabled() {
             if start > ctx.now() {

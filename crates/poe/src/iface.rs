@@ -10,7 +10,7 @@
 use bytes::Bytes;
 
 use accl_sim::prelude::*;
-use accl_sim::trace::SpanId;
+use accl_sim::trace::{Attr, AttrValue, SpanId};
 
 /// Identifies one communication session of a POE.
 ///
@@ -343,11 +343,6 @@ impl TxCreditGate {
         self.in_flight
     }
 
-    /// The configured window, if bounded.
-    pub fn window(&self) -> Option<u32> {
-        self.window
-    }
-
     /// Folds the gate's externally-meaningful state — window accounting
     /// and queue depth — into a running `state_digest`.
     pub fn fold_digest(&self, h: &mut u64) {
@@ -397,6 +392,234 @@ impl TxCreditGate {
                 self.leaked
             ),
         })
+    }
+}
+
+/// The `poe.<engine>.*` stat keys [`PoeIo`] reports under, one table per
+/// engine, so shared plumbing keeps each engine's historical metric names.
+#[derive(Debug)]
+pub struct PoeStatKeys {
+    /// Data frames queued behind a dry tx credit window.
+    pub tx_credit_blocked: &'static str,
+    /// Tx credits consumed by injected leaks.
+    pub credits_leaked: &'static str,
+    /// Frames dropped at Rx for a bad frame check sequence.
+    pub fcs_dropped: &'static str,
+}
+
+/// The I/O edge every POE shares (paper §4.3: the CCLO drives all engines
+/// through one protocol-independent interface, so engines differ only in
+/// their protocol state machines).
+///
+/// Owns the wire endpoint, the upward endpoints, the session table, the tx
+/// credit gate and the per-frame processing latency, and implements
+/// everything the engines used to copy: gated data sends and ungated
+/// control sends, the [`ports::CREDIT`] handler, the Rx FCS check, the Tx
+/// `poe.seg` span with its outgoing `poe.flow` edge, the Rx `poe.rx` span
+/// that joins it, and the completion and delivery emissions. Every send
+/// leaves after the processing latency.
+#[derive(Debug)]
+pub struct PoeIo {
+    net_tx: Endpoint,
+    up: PoeUpward,
+    sessions: SessionTable,
+    gate: TxCreditGate,
+    latency: Dur,
+    keys: &'static PoeStatKeys,
+    fcs_dropped: u64,
+}
+
+impl PoeIo {
+    /// Creates the I/O edge of an engine that sends frames to `net_tx`,
+    /// delivers upward to `up` and spends `processing_ns` on each frame.
+    pub fn new(
+        net_tx: Endpoint,
+        up: PoeUpward,
+        sessions: SessionTable,
+        processing_ns: u64,
+        keys: &'static PoeStatKeys,
+    ) -> Self {
+        PoeIo {
+            net_tx,
+            up,
+            sessions,
+            gate: TxCreditGate::new(),
+            latency: Dur::from_ns(processing_ns),
+            keys,
+            fcs_dropped: 0,
+        }
+    }
+
+    /// The per-frame processing latency.
+    pub fn latency(&self) -> Dur {
+        self.latency
+    }
+
+    /// The peer address and peer-local session of `session`.
+    pub fn peer(&self, session: SessionId) -> (accl_net::NodeAddr, SessionId) {
+        self.sessions.peer(session)
+    }
+
+    /// Bounds the engine to `window` in-flight (unserialized) data frames,
+    /// attributing waits to `resource` (conventionally `net.txcredit(nX)`).
+    /// Control frames bypass the gate (see [`TxCreditGate`]). `None` (the
+    /// default) keeps the historical ungated behavior.
+    pub fn set_tx_credit_window(&mut self, window: Option<u32>, resource: impl Into<String>) {
+        self.gate.set_window(window, resource);
+    }
+
+    /// The tx credit gate (for introspection in tests and diagnostics).
+    pub fn tx_credit_gate(&self) -> &TxCreditGate {
+        &self.gate
+    }
+
+    /// Frames dropped at Rx for a bad frame check sequence.
+    pub fn fcs_dropped(&self) -> u64 {
+        self.fcs_dropped
+    }
+
+    /// Records the Tx `poe.seg` span of a `bytes`-byte segment under
+    /// `parent`, covering the processing latency. [`SpanId::NONE`] when
+    /// spans are off.
+    pub fn seg_span(&self, ctx: &mut Ctx<'_>, parent: SpanId, bytes: u64) -> SpanId {
+        if !ctx.spans_enabled() {
+            return SpanId::NONE;
+        }
+        ctx.span_interval_attrs(
+            "poe.seg",
+            parent,
+            ctx.now(),
+            ctx.now() + self.latency,
+            &[Attr {
+                key: "bytes",
+                value: AttrValue::Bytes(bytes),
+            }],
+        )
+    }
+
+    /// Sends a data frame carrying `body` (`bytes` modelled payload bytes)
+    /// to `peer` through the credit gate, stamped with `span` and a fresh
+    /// `poe.flow` edge emitted from it for the receiver to join.
+    pub fn send_data<T: core::any::Any + Send + Clone>(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        peer: accl_net::NodeAddr,
+        bytes: u32,
+        span: SpanId,
+        body: T,
+    ) {
+        let flow = ctx.flow_begin("poe.flow", span);
+        // `src` is stamped by the NetPort.
+        let frame = accl_net::Frame::new(accl_net::NodeAddr(0), peer, bytes, body)
+            .with_span(span)
+            .with_flow(flow);
+        let credit_ep = Endpoint::new(ctx.self_id(), ports::CREDIT);
+        if let Some(frame) = self.gate.admit(frame, credit_ep) {
+            ctx.send(self.net_tx, self.latency, frame);
+        } else {
+            ctx.stats().add(self.keys.tx_credit_blocked, 1);
+        }
+    }
+
+    /// Sends a zero-payload control frame (ACK, NAK, credit) to `peer`,
+    /// bypassing the credit gate, under causal span `span`.
+    pub fn send_control<T: core::any::Any + Send + Clone>(
+        &self,
+        ctx: &mut Ctx<'_>,
+        peer: accl_net::NodeAddr,
+        span: SpanId,
+        body: T,
+    ) {
+        let frame = accl_net::Frame::new(accl_net::NodeAddr(0), peer, 0, body).with_span(span);
+        ctx.send(self.net_tx, self.latency, frame);
+    }
+
+    /// Handles a [`ports::CREDIT`] event: a NIC credit return releases
+    /// queued frames onto the wire; an injected [`TxCreditLeak`] shrinks
+    /// the window for good.
+    pub fn on_credit(&mut self, ctx: &mut Ctx<'_>, payload: Payload) {
+        let credit_ep = Endpoint::new(ctx.self_id(), ports::CREDIT);
+        match payload.try_downcast::<accl_net::CreditReturn>() {
+            Ok(ret) => {
+                for frame in self.gate.credit(ret.credits, credit_ep) {
+                    ctx.send(self.net_tx, self.latency, frame);
+                }
+            }
+            Err(other) => {
+                let leak = other.downcast::<TxCreditLeak>();
+                self.gate.leak(leak.credits);
+                ctx.stats()
+                    .add(self.keys.credits_leaked, u64::from(leak.credits));
+                accl_sim::trace_instant!(ctx, "poe.credit_leak", SpanId::NONE);
+            }
+        }
+    }
+
+    /// The Rx frame check. A frame whose FCS fails is dropped — counted,
+    /// marked with a `poe.fcs_drop` instant — and `None` returned, unless
+    /// `verify` is off (the chaos harness's self-test), in which case it
+    /// is kept. Otherwise returns `Some(corrupted)`; `corrupted` can only
+    /// be true with `verify` off.
+    pub fn rx_fcs(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        frame: &accl_net::Frame,
+        verify: bool,
+    ) -> Option<bool> {
+        let corrupted = !frame.fcs_ok();
+        if corrupted && verify {
+            self.fcs_dropped += 1;
+            ctx.stats().add(self.keys.fcs_dropped, 1);
+            accl_sim::trace_instant!(ctx, "poe.fcs_drop", frame.span);
+            return None;
+        }
+        Some(corrupted)
+    }
+
+    /// Records the Rx `poe.rx` span of `frame` under the sender's wire
+    /// span, covering the processing latency, and joins the frame's Tx
+    /// flow edge into it. Returns the span ([`SpanId::NONE`] when spans
+    /// are off).
+    pub fn rx_span(&self, ctx: &mut Ctx<'_>, frame: &accl_net::Frame) -> SpanId {
+        let rx_span = if ctx.spans_enabled() {
+            ctx.span_interval("poe.rx", frame.span, ctx.now(), ctx.now() + self.latency)
+        } else {
+            SpanId::NONE
+        };
+        ctx.flow_end("poe.flow", frame.flow, rx_span);
+        rx_span
+    }
+
+    /// Reports local success of `cmd` (all bytes handed to the wire).
+    pub fn tx_done(&self, ctx: &mut Ctx<'_>, cmd: &PoeTxCmd) {
+        let done = PoeTxDone {
+            session: cmd.session,
+            len: cmd.len,
+            tag: cmd.tag,
+        };
+        ctx.send(self.up.tx_done, self.latency, done);
+    }
+
+    /// Reports a session error: completing the command tagged `tag` in
+    /// error, or (`tag: None`) the session-fatal notification itself.
+    pub fn tx_error(
+        &self,
+        ctx: &mut Ctx<'_>,
+        session: SessionId,
+        kind: SessionErrorKind,
+        tag: Option<u64>,
+    ) {
+        let err = PoeSessionError { session, kind, tag };
+        ctx.send(self.up.tx_done, self.latency, err);
+    }
+
+    /// Delivers a received chunk upward, preceded by its message's meta
+    /// when this is the message's first chunk.
+    pub fn deliver(&self, ctx: &mut Ctx<'_>, meta: Option<PoeRxMeta>, chunk: RxChunk) {
+        if let Some(meta) = meta {
+            ctx.send(self.up.rx_meta, self.latency, meta);
+        }
+        ctx.send(self.up.rx_data, self.latency, chunk);
     }
 }
 
@@ -920,5 +1143,71 @@ mod tests {
         assert_eq!(g.leaked(), 2);
         let parked = g.parked_work().expect("blocked gate parks work");
         assert!(parked.op.contains("2 leaked"), "op: {}", parked.op);
+    }
+
+    #[test]
+    fn leaked_credits_wedge_tx_and_deadlock_detector_names_the_orphan() {
+        // A TCP engine on a two-node fabric: the leak is handled by the
+        // shared I/O edge, whatever the protocol.
+        let mut sim = Simulator::new(0);
+        let net = accl_net::Network::build(&mut sim, accl_net::NetConfig::default(), 2);
+        let mut poes = Vec::new();
+        for i in 0..2 {
+            let meta = sim.add(format!("meta{i}"), Mailbox::<PoeRxMeta>::new());
+            let data = sim.add(format!("data{i}"), Mailbox::<RxChunk>::new());
+            let done = sim.add(format!("done{i}"), CompletionLog::new());
+            let mut sessions = SessionTable::new();
+            sessions.connect(
+                SessionId(1 - i as u32),
+                net.addr(1 - i),
+                SessionId(i as u32),
+            );
+            let up = PoeUpward {
+                rx_meta: Endpoint::of(meta),
+                rx_data: Endpoint::of(data),
+                tx_done: Endpoint::of(done),
+            };
+            let tcp = crate::tcp::TcpPoe::new(Default::default(), net.tx(i), up, sessions);
+            let poe = sim.add(format!("tcp{i}"), tcp);
+            net.attach_rx(&mut sim, i, Endpoint::new(poe, ports::NET_RX));
+            poes.push(poe);
+        }
+        sim.component_mut::<crate::tcp::TcpPoe>(poes[0])
+            .io_mut()
+            .set_tx_credit_window(Some(2), "net.txcredit(n0)");
+        // The planted bug: both credits leak before any frame is admitted,
+        // so the gate can never open again.
+        sim.post(
+            Endpoint::new(poes[0], ports::CREDIT),
+            Time::ZERO,
+            TxCreditLeak { credits: 2 },
+        );
+        let cmd = PoeTxCmd {
+            session: SessionId(1),
+            ..cmd(20_000, 9)
+        };
+        sim.post(Endpoint::new(poes[0], ports::TX_CMD), Time::ZERO, cmd);
+        let data = StreamChunk {
+            data: Bytes::from(vec![1u8; 20_000]),
+            last: true,
+        };
+        sim.post(Endpoint::new(poes[0], ports::TX_DATA), Time::ZERO, data);
+        match sim.run() {
+            RunOutcome::Stalled(report) => {
+                assert!(
+                    report.op.contains("awaiting tx credits"),
+                    "op: {}",
+                    report.op
+                );
+                let dl = report.deadlock.as_ref().expect("deadlock analysis");
+                assert_eq!(dl.kind, DeadlockKind::OrphanedWait);
+                assert!(
+                    dl.chain.iter().any(|s| s.contains("net.txcredit(n0)")),
+                    "chain must name the leaked resource: {:?}",
+                    dl.chain
+                );
+            }
+            other => panic!("expected stall, got {other:?}"),
+        }
     }
 }

@@ -28,6 +28,6 @@ pub use iface::{
     TxSegment,
 };
 pub use mux::{EpochFence, RxMux};
-pub use rdma::{RdmaConfig, RdmaPdu, RdmaPoe, WriteDelivery};
+pub use rdma::{RdmaConfig, RdmaPdu, RdmaPoe};
 pub use tcp::{TcpConfig, TcpPoe, TcpSegment};
 pub use udp::{UdpConfig, UdpDgram, UdpPoe};

@@ -14,11 +14,11 @@ use bytes::Bytes;
 use accl_mem::bus::{ports as mem_ports, MemAddr, MemWriteReq};
 use accl_net::Frame;
 use accl_sim::prelude::*;
-use accl_sim::trace::{Attr, AttrValue, SpanId};
+use accl_sim::trace::SpanId;
 
 use crate::iface::{
-    ports, PoeSessionError, PoeTxCmd, PoeTxDone, PoeUpward, RxDemux, SessionErrorKind, SessionId,
-    SessionTable, StreamChunk, TxAssembler, TxCreditGate, TxCreditLeak, TxKind, TxSegment,
+    ports, PoeIo, PoeStatKeys, PoeTxCmd, PoeUpward, RxDemux, SessionErrorKind, SessionId,
+    SessionTable, StreamChunk, TxAssembler, TxKind, TxSegment,
 };
 
 /// Token-starvation watchdog timer (self-addressed).
@@ -42,8 +42,7 @@ pub enum RdmaPdu {
     Send {
         /// Receiver-local queue pair.
         dst_qp: SessionId,
-        /// Packet sequence number of the first MTU fragment in this frame
-        /// (per direction per QP, counted in MTU-fragment units).
+        /// Packet sequence number of this fragment (per direction per QP).
         psn: u64,
         /// Sender-assigned message id.
         msg_id: u64,
@@ -58,9 +57,9 @@ pub enum RdmaPdu {
     Write {
         /// Receiver-local queue pair.
         dst_qp: SessionId,
-        /// Packet sequence number of the first MTU fragment in this frame.
+        /// Packet sequence number of this fragment.
         psn: u64,
-        /// Message id (distinguishes interleaved writes for stream delivery).
+        /// Message id (tags the passive side's memory write).
         msg_id: u64,
         /// Base virtual address of the destination buffer.
         addr: u64,
@@ -89,17 +88,6 @@ pub enum RdmaPdu {
     },
 }
 
-/// Where the passive side puts incoming WRITE payloads.
-#[derive(Debug, Clone, Copy)]
-pub enum WriteDelivery {
-    /// Into the node's virtualized memory through the memory bus (default;
-    /// the Coyote configuration of Fig. 4).
-    Memory,
-    /// Streamed to an application kernel endpoint (the compile-time
-    /// datapath option of §4.3).
-    Stream,
-}
-
 /// Configuration of the RDMA engine.
 #[derive(Debug, Clone, Copy)]
 pub struct RdmaConfig {
@@ -111,20 +99,10 @@ pub struct RdmaConfig {
     pub token_window: u32,
     /// Receiver returns credits in batches of this many fragments.
     pub credit_batch: u32,
-    /// Passive-side WRITE delivery target.
-    pub write_delivery: WriteDelivery,
     /// A queue pair stalled on tokens for this long with no credit arriving
     /// transitions to the error state (fail-stop peer detection). Credit
     /// round trips are a few µs here, so the default is very conservative.
     pub starvation_timeout_us: u64,
-    /// MTU fragments coalesced per simulation event (≥ 1).
-    ///
-    /// With `coalesce = k`, one Tx event carries up to `k` MTU fragments
-    /// in a single [`Frame`]; tokens and credits are accounted **per
-    /// MTU**, so the flow-control window, wire bytes (headers are charged
-    /// per fragment) and timing all match the one-event-per-fragment
-    /// schedule. The default of 1 reproduces the historical behaviour.
-    pub coalesce: u32,
     /// Initial retransmission timeout, µs. Doubles on each consecutive
     /// go-back-N round without ack progress (capped at 64×). Must be well
     /// below `starvation_timeout_us` for transient loss to be repaired
@@ -144,29 +122,21 @@ impl Default for RdmaConfig {
             processing_ns: 60,
             token_window: 64,
             credit_batch: 16,
-            write_delivery: WriteDelivery::Memory,
             starvation_timeout_us: 1_000,
-            coalesce: 1,
             rto_us: 100,
             max_retransmits: 8,
         }
     }
 }
 
-/// MTU-fragment tokens a payload of `len` bytes occupies (free function so
-/// call sites holding field borrows can use it).
-fn frag_tokens(mtu: u32, len: usize) -> u64 {
-    (len as u64).div_ceil(u64::from(mtu)).max(1)
-}
-
 /// Per-queue-pair reliable-delivery sender state (go-back-N).
 #[derive(Debug, Default)]
 struct QpTx {
-    /// PSN of the next fresh fragment, in MTU-fragment units.
+    /// PSN of the next fresh fragment.
     next_psn: u64,
     /// Cumulative PSN acknowledged by the peer (exclusive).
     acked_psn: u64,
-    /// Transmitted, unacknowledged segments with their start PSNs.
+    /// Transmitted, unacknowledged fragments with their PSNs.
     unacked: VecDeque<(u64, TxSegment)>,
     /// Consecutive retransmission rounds without ack progress.
     retries: u32,
@@ -174,19 +144,20 @@ struct QpTx {
     rto_gen: u64,
 }
 
+const STATS: PoeStatKeys = PoeStatKeys {
+    tx_credit_blocked: "poe.rdma.tx_credit_blocked",
+    credits_leaked: "poe.rdma.credits_leaked",
+    fcs_dropped: "poe.rdma.frames_corrupted_discarded",
+};
+
 /// The RDMA protocol offload engine component.
 pub struct RdmaPoe {
     cfg: RdmaConfig,
-    net_tx: Endpoint,
-    up: PoeUpward,
-    sessions: SessionTable,
+    io: PoeIo,
     /// The local memory bus, for passive-side WRITE placement.
     mem_bus: Option<ComponentId>,
-    /// Stream endpoint for [`WriteDelivery::Stream`].
-    write_stream_to: Option<Endpoint>,
     assembler: TxAssembler,
     demux: RxDemux,
-    write_demux: RxDemux,
     /// Per-QP reliable sender state (window accounting + go-back-N).
     tx: BTreeMap<SessionId, QpTx>,
     /// Fragments waiting for tokens, per QP.
@@ -203,11 +174,9 @@ pub struct RdmaPoe {
     starve_gen: BTreeMap<SessionId, u64>,
     /// Queue pairs in the error state.
     qp_error: BTreeMap<SessionId, SessionErrorKind>,
-    gate: TxCreditGate,
     frames_sent: u64,
     frames_received: u64,
     retransmissions: u64,
-    frames_corrupted_discarded: u64,
 }
 
 impl RdmaPoe {
@@ -215,14 +184,10 @@ impl RdmaPoe {
     pub fn new(cfg: RdmaConfig, net_tx: Endpoint, up: PoeUpward, sessions: SessionTable) -> Self {
         RdmaPoe {
             cfg,
-            net_tx,
-            up,
-            sessions,
+            io: PoeIo::new(net_tx, up, sessions, cfg.processing_ns, &STATS),
             mem_bus: None,
-            write_stream_to: None,
             assembler: TxAssembler::new(),
             demux: RxDemux::new(),
-            write_demux: RxDemux::new(),
             tx: BTreeMap::new(),
             stalled: BTreeMap::new(),
             expected_psn: BTreeMap::new(),
@@ -230,11 +195,9 @@ impl RdmaPoe {
             owed_credits: BTreeMap::new(),
             starve_gen: BTreeMap::new(),
             qp_error: BTreeMap::new(),
-            gate: TxCreditGate::new(),
             frames_sent: 0,
             frames_received: 0,
             retransmissions: 0,
-            frames_corrupted_discarded: 0,
         }
     }
 
@@ -244,15 +207,14 @@ impl RdmaPoe {
         self
     }
 
-    /// Routes passive WRITE payloads to an application kernel stream.
-    pub fn with_write_stream(mut self, to: Endpoint) -> Self {
-        self.write_stream_to = Some(to);
-        self
+    /// The engine's I/O edge: credit gate and Rx FCS drop count.
+    pub fn io(&self) -> &PoeIo {
+        &self.io
     }
 
-    /// Fragments transmitted so far.
-    pub fn frames_sent(&self) -> u64 {
-        self.frames_sent
+    /// Mutable access to the engine's I/O edge (to bound its credit window).
+    pub fn io_mut(&mut self) -> &mut PoeIo {
+        &mut self.io
     }
 
     /// Fragments received so far.
@@ -263,11 +225,6 @@ impl RdmaPoe {
     /// Go-back-N segment retransmissions so far.
     pub fn retransmissions(&self) -> u64 {
         self.retransmissions
-    }
-
-    /// Frames dropped at RX for a bad frame check sequence.
-    pub fn frames_corrupted_discarded(&self) -> u64 {
-        self.frames_corrupted_discarded
     }
 
     /// Queue pairs in the error state, in QP order (the map is keyed by
@@ -292,45 +249,11 @@ impl RdmaPoe {
         self.starve_gen.remove(&qp);
     }
 
-    /// Bounds the engine to `window` in-flight (unserialized) data frames,
-    /// attributing waits to `resource` (conventionally `net.txcredit(nX)`).
-    /// Credits and NAKs bypass the gate — gating the messages that release
-    /// the peer's tokens would deadlock the protocol itself. `None` (the
-    /// default) keeps the historical ungated behavior.
-    pub fn set_tx_credit_window(&mut self, window: Option<u32>, resource: impl Into<String>) {
-        self.gate.set_window(window, resource);
-    }
-
-    /// The tx credit gate (for introspection in tests and diagnostics).
-    pub fn tx_credit_gate(&self) -> &TxCreditGate {
-        &self.gate
-    }
-
-    fn send_gated(&mut self, ctx: &mut Ctx<'_>, latency: Dur, frame: Frame) {
-        let credit_ep = Endpoint::new(ctx.self_id(), ports::CREDIT);
-        if let Some(frame) = self.gate.admit(frame, credit_ep) {
-            ctx.send(self.net_tx, latency, frame);
-        } else {
-            ctx.stats().add("poe.rdma.tx_credit_blocked", 1);
-        }
-    }
-
-    fn latency(&self) -> Dur {
-        Dur::from_ns(self.cfg.processing_ns)
-    }
-
-    /// MTU-fragment tokens a segment of `len` payload bytes occupies.
-    fn tokens_for(&self, len: usize) -> u32 {
-        frag_tokens(self.cfg.mtu, len)
-            .try_into()
-            .expect("token count overflow")
-    }
-
-    /// In-flight (unacknowledged) fragment tokens on `qp`.
-    fn inflight_tokens(&self, qp: SessionId) -> u32 {
-        self.tx
-            .get(&qp)
-            .map_or(0, |st| (st.next_psn - st.acked_psn) as u32)
+    /// Whether `qp` may put one more fragment in flight. An idle QP always
+    /// may, so even a zero window cannot deadlock it.
+    fn has_token(&self, qp: SessionId) -> bool {
+        let inflight = self.tx.get(&qp).map_or(0, |st| st.next_psn - st.acked_psn);
+        inflight < u64::from(self.cfg.token_window.max(1))
     }
 
     fn arm_starve_timer(&mut self, ctx: &mut Ctx<'_>, qp: SessionId) {
@@ -362,25 +285,11 @@ impl RdmaPoe {
             // Error-state QP: discard, completing the command in error once
             // its final fragment is consumed.
             if seg.last {
-                ctx.send(
-                    self.up.tx_done,
-                    self.latency(),
-                    PoeSessionError {
-                        session: qp,
-                        kind,
-                        tag: Some(seg.cmd.tag),
-                    },
-                );
+                self.io.tx_error(ctx, qp, kind, Some(seg.cmd.tag));
             }
             return;
         }
-        let tokens = self.tokens_for(seg.data.len());
-        let inflight = self.inflight_tokens(qp);
-        // Tokens are per MTU fragment, so a coalesced segment charges the
-        // same window budget its fragments would. A segment wider than the
-        // whole window still goes out when the QP is idle (no deadlock).
-        let fits = inflight + tokens <= self.cfg.token_window || inflight == 0;
-        if !fits || self.stalled.get(&qp).is_some_and(|q| !q.is_empty()) {
+        if !self.has_token(qp) || self.stalled.get(&qp).is_some_and(|q| !q.is_empty()) {
             let q = self.stalled.entry(qp).or_default();
             let first = q.is_empty();
             q.push_back(seg);
@@ -396,7 +305,6 @@ impl RdmaPoe {
     /// emits the session-fatal error completion plus one error completion
     /// per command whose final fragment was dropped.
     fn fail_qp(&mut self, ctx: &mut Ctx<'_>, qp: SessionId, kind: SessionErrorKind) {
-        let latency = self.latency();
         self.qp_error.insert(qp, kind);
         *self.starve_gen.entry(qp).or_insert(0) += 1;
         if let Some(st) = self.tx.get_mut(&qp) {
@@ -406,26 +314,10 @@ impl RdmaPoe {
             st.rto_gen += 1;
         }
         ctx.stats().add("poe.rdma.qp_errors", 1);
-        ctx.send(
-            self.up.tx_done,
-            latency,
-            PoeSessionError {
-                session: qp,
-                kind,
-                tag: None,
-            },
-        );
+        self.io.tx_error(ctx, qp, kind, None);
         for seg in self.stalled.remove(&qp).unwrap_or_default() {
             if seg.last {
-                ctx.send(
-                    self.up.tx_done,
-                    latency,
-                    PoeSessionError {
-                        session: qp,
-                        kind,
-                        tag: Some(seg.cmd.tag),
-                    },
-                );
+                self.io.tx_error(ctx, qp, kind, Some(seg.cmd.tag));
             }
         }
     }
@@ -435,10 +327,9 @@ impl RdmaPoe {
     /// completion on the final fragment.
     fn transmit(&mut self, ctx: &mut Ctx<'_>, seg: TxSegment) {
         let qp = seg.cmd.session;
-        let fragments = self.tokens_for(seg.data.len());
         let st = self.tx.entry(qp).or_default();
         let psn = st.next_psn;
-        st.next_psn += u64::from(fragments);
+        st.next_psn += 1;
         let was_idle = st.unacked.is_empty();
         st.unacked.push_back((psn, seg.clone()));
         if was_idle {
@@ -447,22 +338,13 @@ impl RdmaPoe {
         }
         self.send_on_wire(ctx, &seg, psn);
         if seg.last {
-            ctx.send(
-                self.up.tx_done,
-                self.latency(),
-                PoeTxDone {
-                    session: qp,
-                    len: seg.cmd.len,
-                    tag: seg.cmd.tag,
-                },
-            );
+            self.io.tx_done(ctx, &seg.cmd);
         }
     }
 
     /// Emits one data frame carrying `seg` at `psn` (fresh or retransmit).
     fn send_on_wire(&mut self, ctx: &mut Ctx<'_>, seg: &TxSegment, psn: u64) {
-        let (peer, peer_qp) = self.sessions.peer(seg.cmd.session);
-        let latency = self.latency();
+        let (peer, peer_qp) = self.io.peer(seg.cmd.session);
         let pdu = match seg.cmd.kind {
             TxKind::Send => RdmaPdu::Send {
                 dst_qp: peer_qp,
@@ -482,27 +364,10 @@ impl RdmaPoe {
                 data: seg.data.clone(),
             },
         };
-        let fragments = self.tokens_for(seg.data.len());
-        self.frames_sent += u64::from(fragments);
-        let mut wire_span = SpanId::NONE;
-        if ctx.spans_enabled() {
-            wire_span = ctx.span_interval_attrs(
-                "poe.seg",
-                seg.cmd.span,
-                ctx.now(),
-                ctx.now() + latency,
-                &[Attr {
-                    key: "bytes",
-                    value: AttrValue::Bytes(seg.data.len() as u64),
-                }],
-            );
-        }
-        let flow = ctx.flow_begin("poe.flow", wire_span);
-        let frame = Frame::new(accl_net::NodeAddr(0), peer, seg.data.len() as u32, pdu)
-            .with_segments(fragments)
-            .with_span(wire_span)
-            .with_flow(flow);
-        self.send_gated(ctx, latency, frame);
+        self.frames_sent += 1;
+        let bytes = seg.data.len();
+        let span = self.io.seg_span(ctx, seg.cmd.span, bytes as u64);
+        self.io.send_data(ctx, peer, bytes as u32, span, pdu);
     }
 
     /// Go-back-N: retransmits every unacknowledged segment in PSN order.
@@ -536,26 +401,20 @@ impl RdmaPoe {
         self.arm_rto(ctx, qp);
     }
 
-    /// Accumulates receiver-side credits (in MTU-fragment units) and
-    /// returns them in batches as cumulative acks.
-    fn credit(&mut self, ctx: &mut Ctx<'_>, src_qp: SessionId, units: u32, flush: bool) {
+    /// Accumulates receiver-side credits (one per fragment) and returns
+    /// them in batches as cumulative acks.
+    fn credit(&mut self, ctx: &mut Ctx<'_>, src_qp: SessionId, flush: bool) {
         let owed = self.owed_credits.entry(src_qp).or_insert(0);
-        *owed += units;
+        *owed += 1;
         if *owed >= self.cfg.credit_batch || flush {
             core::mem::take(owed);
             let ack_psn = self.expected_psn.get(&src_qp).copied().unwrap_or(0);
-            let (peer, peer_qp) = self.sessions.peer(src_qp);
-            let latency = self.latency();
-            let frame = Frame::new(
-                accl_net::NodeAddr(0),
-                peer,
-                0,
-                RdmaPdu::Credit {
-                    dst_qp: peer_qp,
-                    ack_psn,
-                },
-            );
-            ctx.send(self.net_tx, latency, frame);
+            let (peer, peer_qp) = self.io.peer(src_qp);
+            let pdu = RdmaPdu::Credit {
+                dst_qp: peer_qp,
+                ack_psn,
+            };
+            self.io.send_control(ctx, peer, SpanId::NONE, pdu);
         }
     }
 
@@ -563,15 +422,14 @@ impl RdmaPoe {
         if self.qp_error.contains_key(&qp) {
             return;
         }
-        let mtu = self.cfg.mtu;
         let advanced = {
             let st = self.tx.entry(qp).or_default();
             if ack_psn <= st.acked_psn {
                 false // stale duplicate ack
             } else {
                 st.acked_psn = ack_psn;
-                while let Some((start, seg)) = st.unacked.front() {
-                    if start + frag_tokens(mtu, seg.data.len()) <= ack_psn {
+                while let Some(&(psn, _)) = st.unacked.front() {
+                    if psn < ack_psn {
                         st.unacked.pop_front();
                     } else {
                         break;
@@ -592,21 +450,10 @@ impl RdmaPoe {
             self.arm_rto(ctx, qp);
         }
         // Release stalled segments into the freed window.
-        loop {
-            let inflight = self.inflight_tokens(qp);
-            let Some(head_len) = self
-                .stalled
-                .get(&qp)
-                .and_then(|q| q.front())
-                .map(|s| s.data.len())
-            else {
+        while self.has_token(qp) {
+            let Some(seg) = self.stalled.get_mut(&qp).and_then(|q| q.pop_front()) else {
                 break;
             };
-            let tokens = self.tokens_for(head_len);
-            if inflight + tokens > self.cfg.token_window && inflight > 0 {
-                break;
-            }
-            let seg = self.stalled.get_mut(&qp).unwrap().pop_front().unwrap();
             self.transmit(ctx, seg);
         }
         if self.stalled.get(&qp).is_some_and(|q| !q.is_empty()) {
@@ -637,43 +484,31 @@ impl RdmaPoe {
     /// NAK per gap, and a past PSN (go-back-N overshoot or a wire
     /// duplicate) refreshes the peer's cumulative ack so a lost credit
     /// cannot wedge the sender.
-    fn rx_in_order(&mut self, ctx: &mut Ctx<'_>, qp: SessionId, psn: u64, fragments: u32) -> bool {
+    fn rx_in_order(&mut self, ctx: &mut Ctx<'_>, qp: SessionId, psn: u64) -> bool {
         let expected = *self.expected_psn.entry(qp).or_insert(0);
         if psn == expected {
-            self.expected_psn
-                .insert(qp, expected + u64::from(fragments));
+            self.expected_psn.insert(qp, expected + 1);
             self.last_nak.remove(&qp);
             return true;
         }
-        let latency = self.latency();
-        let (peer, peer_qp) = self.sessions.peer(qp);
+        let (peer, peer_qp) = self.io.peer(qp);
         if psn > expected {
             ctx.stats().add("poe.rdma.rx_gap_naks", 1);
             if self.last_nak.get(&qp) != Some(&expected) {
                 self.last_nak.insert(qp, expected);
-                let frame = Frame::new(
-                    accl_net::NodeAddr(0),
-                    peer,
-                    0,
-                    RdmaPdu::Nak {
-                        dst_qp: peer_qp,
-                        expected_psn: expected,
-                    },
-                );
-                ctx.send(self.net_tx, latency, frame);
+                let nak = RdmaPdu::Nak {
+                    dst_qp: peer_qp,
+                    expected_psn: expected,
+                };
+                self.io.send_control(ctx, peer, SpanId::NONE, nak);
             }
         } else {
             ctx.stats().add("poe.rdma.rx_duplicates", 1);
-            let frame = Frame::new(
-                accl_net::NodeAddr(0),
-                peer,
-                0,
-                RdmaPdu::Credit {
-                    dst_qp: peer_qp,
-                    ack_psn: expected,
-                },
-            );
-            ctx.send(self.net_tx, latency, frame);
+            let ack = RdmaPdu::Credit {
+                dst_qp: peer_qp,
+                ack_psn: expected,
+            };
+            self.io.send_control(ctx, peer, SpanId::NONE, ack);
         }
         false
     }
@@ -684,42 +519,33 @@ impl Component for RdmaPoe {
         match port {
             ports::TX_CMD => {
                 let cmd = payload.downcast::<PoeTxCmd>();
-                let unit = self.cfg.mtu.saturating_mul(self.cfg.coalesce.max(1));
-                let segs = self.assembler.push_cmd(cmd, unit);
+                let segs = self.assembler.push_cmd(cmd, self.cfg.mtu);
                 for seg in segs {
                     self.dispatch(ctx, seg);
                 }
             }
             ports::TX_DATA => {
                 let chunk = payload.downcast::<StreamChunk>();
-                // Segment at `coalesce` MTUs per event; tokens, credits and
-                // wire headers stay per-MTU (see `RdmaConfig::coalesce`).
-                let unit = self.cfg.mtu.saturating_mul(self.cfg.coalesce.max(1));
-                let segs = self.assembler.push_data(chunk.data, unit);
+                let segs = self.assembler.push_data(chunk.data, self.cfg.mtu);
                 for seg in segs {
                     self.dispatch(ctx, seg);
                 }
             }
             ports::NET_RX => {
                 let frame = payload.downcast::<Frame>();
-                if !frame.fcs_ok() {
-                    // A failed check taints every header field: drop the
-                    // whole frame and let go-back-N close the PSN gap.
-                    self.frames_corrupted_discarded += 1;
-                    ctx.stats().add("poe.rdma.frames_corrupted_discarded", 1);
-                    accl_sim::trace_instant!(ctx, "poe.fcs_drop", frame.span);
+                // A failed check taints every header field: drop the whole
+                // frame and let go-back-N close the PSN gap.
+                if self.io.rx_fcs(ctx, &frame, true).is_none() {
                     return;
                 }
-                let wire_span = frame.span;
-                let fragments = frame.segments;
-                self.frames_received += u64::from(fragments);
-                let latency = self.latency();
-                let rx_span = if ctx.spans_enabled() && !wire_span.is_none() {
-                    ctx.span_interval("poe.rx", wire_span, ctx.now(), ctx.now() + latency)
-                } else {
+                self.frames_received += 1;
+                // Control PDUs (credits, NAKs) carry no wire span, and
+                // record no `poe.rx` span.
+                let rx_span = if frame.span.is_none() {
                     SpanId::NONE
+                } else {
+                    self.io.rx_span(ctx, &frame)
                 };
-                ctx.flow_end("poe.flow", frame.flow, rx_span);
                 match frame.body.downcast::<RdmaPdu>() {
                     RdmaPdu::Send {
                         dst_qp,
@@ -729,10 +555,9 @@ impl Component for RdmaPoe {
                         total,
                         data,
                     } => {
-                        if !self.rx_in_order(ctx, dst_qp, psn, fragments) {
+                        if !self.rx_in_order(ctx, dst_qp, psn) {
                             return;
                         }
-                        let units = self.tokens_for(data.len());
                         // The PSN gate admits each fragment exactly once, so
                         // the demux cannot see duplicates.
                         let (meta, chunk) = self
@@ -740,11 +565,8 @@ impl Component for RdmaPoe {
                             .accept(dst_qp, msg_id, offset, total, data, rx_span)
                             .expect("in-order PSN admitted a duplicate");
                         let flush = chunk.last;
-                        if let Some(meta) = meta {
-                            ctx.send(self.up.rx_meta, latency, meta);
-                        }
-                        ctx.send(self.up.rx_data, latency, chunk);
-                        self.credit(ctx, dst_qp, units, flush);
+                        self.io.deliver(ctx, meta, chunk);
+                        self.credit(ctx, dst_qp, flush);
                     }
                     RdmaPdu::Write {
                         dst_qp,
@@ -755,47 +577,27 @@ impl Component for RdmaPoe {
                         total,
                         data,
                     } => {
-                        if !self.rx_in_order(ctx, dst_qp, psn, fragments) {
+                        if !self.rx_in_order(ctx, dst_qp, psn) {
                             return;
                         }
-                        let units = self.tokens_for(data.len());
-                        match self.cfg.write_delivery {
-                            WriteDelivery::Memory => {
-                                let bus = self.mem_bus.unwrap_or_else(|| {
-                                    panic!("RDMA WRITE received but no memory bus attached")
-                                });
-                                ctx.send(
-                                    Endpoint::new(bus, mem_ports::WRITE),
-                                    latency,
-                                    MemWriteReq {
-                                        addr: MemAddr::Virt(addr + offset),
-                                        data: data.clone(),
-                                        done_to: None,
-                                        tag: msg_id,
-                                        span: rx_span,
-                                    },
-                                );
-                                // The CCLO is bypassed; only flow control sees
-                                // the fragment.
-                                let last = offset + data.len() as u64 == total;
-                                self.credit(ctx, dst_qp, units, last);
-                            }
-                            WriteDelivery::Stream => {
-                                let to = self.write_stream_to.unwrap_or_else(|| {
-                                    panic!("stream WRITE delivery configured without endpoint")
-                                });
-                                let (meta, chunk) = self
-                                    .write_demux
-                                    .accept(dst_qp, msg_id, offset, total, data, rx_span)
-                                    .expect("in-order PSN admitted a duplicate");
-                                let flush = chunk.last;
-                                if let Some(meta) = meta {
-                                    ctx.send(self.up.rx_meta, latency, meta);
-                                }
-                                ctx.send(to, latency, chunk);
-                                self.credit(ctx, dst_qp, units, flush);
-                            }
-                        }
+                        let bus = self.mem_bus.unwrap_or_else(|| {
+                            panic!("RDMA WRITE received but no memory bus attached")
+                        });
+                        let last = offset + data.len() as u64 == total;
+                        ctx.send(
+                            Endpoint::new(bus, mem_ports::WRITE),
+                            self.io.latency(),
+                            MemWriteReq {
+                                addr: MemAddr::Virt(addr + offset),
+                                data,
+                                done_to: None,
+                                tag: msg_id,
+                                span: rx_span,
+                            },
+                        );
+                        // The CCLO is bypassed; only flow control sees the
+                        // fragment.
+                        self.credit(ctx, dst_qp, last);
                     }
                     RdmaPdu::Credit { dst_qp, ack_psn } => {
                         self.on_credit(ctx, dst_qp, ack_psn);
@@ -830,35 +632,18 @@ impl Component for RdmaPoe {
                     self.retry_round(ctx, timer.qp);
                 }
             },
-            ports::CREDIT => {
-                let latency = self.latency();
-                let credit_ep = Endpoint::new(ctx.self_id(), ports::CREDIT);
-                match payload.try_downcast::<accl_net::CreditReturn>() {
-                    Ok(ret) => {
-                        for frame in self.gate.credit(ret.credits, credit_ep) {
-                            ctx.send(self.net_tx, latency, frame);
-                        }
-                    }
-                    Err(other) => {
-                        let leak = other.downcast::<TxCreditLeak>();
-                        self.gate.leak(leak.credits);
-                        ctx.stats()
-                            .add("poe.rdma.credits_leaked", u64::from(leak.credits));
-                        accl_sim::trace_instant!(ctx, "poe.credit_leak", SpanId::NONE);
-                    }
-                }
-            }
+            ports::CREDIT => self.io.on_credit(ctx, payload),
             other => panic!("RDMA engine has no port {other:?}"),
         }
     }
 
     fn resource_state(&self) -> Option<ResourceState> {
-        self.gate.state()
+        self.io.tx_credit_gate().state()
     }
 
     fn parked_work(&self) -> Option<ParkedWork> {
         // Frames stuck behind a dry tx credit window block everything else.
-        if let Some(parked) = self.gate.parked_work() {
+        if let Some(parked) = self.io.tx_credit_gate().parked_work() {
             return Some(parked);
         }
         // Token-starved queue pairs (lowest QP first, deterministically).
@@ -899,7 +684,7 @@ impl Component for RdmaPoe {
             });
         }
         // Partially received messages that will never complete.
-        let partial = self.demux.inflight() + self.write_demux.inflight();
+        let partial = self.demux.inflight();
         if partial > 0 {
             return Some(ParkedWork {
                 rank: None,
@@ -919,7 +704,7 @@ impl Component for RdmaPoe {
             self.frames_sent,
             self.frames_received,
             self.retransmissions,
-            self.frames_corrupted_discarded,
+            self.io.fcs_dropped(),
         ] {
             fold(v);
         }
@@ -934,7 +719,7 @@ impl Component for RdmaPoe {
             fold(*psn);
         }
         fold(self.qp_error.len() as u64);
-        self.gate.fold_digest(&mut h);
+        self.io.tx_credit_gate().fold_digest(&mut h);
         Some(h)
     }
 }
@@ -956,7 +741,7 @@ mod tests {
         buses: Vec<ComponentId>,
     }
 
-    fn bench_cfg(n: usize, cfg: RdmaConfig, stream_node: Option<usize>) -> Bench {
+    fn bench_cfg(n: usize, cfg: RdmaConfig) -> Bench {
         let mut sim = Simulator::new(0);
         let net = Network::build(&mut sim, NetConfig::default(), n);
         let (mut poes, mut metas, mut datas, mut dones, mut buses) =
@@ -972,7 +757,7 @@ mod tests {
                     sessions.connect(SessionId(j as u32), net.addr(j), SessionId(i as u32));
                 }
             }
-            let mut poe = RdmaPoe::new(
+            let poe = RdmaPoe::new(
                 cfg,
                 net.tx(i),
                 PoeUpward {
@@ -983,9 +768,6 @@ mod tests {
                 sessions,
             )
             .with_mem_bus(bus);
-            if stream_node == Some(i) {
-                poe = poe.with_write_stream(Endpoint::of(data));
-            }
             let poe = sim.add(format!("rdma{i}"), poe);
             net.attach_rx(&mut sim, i, Endpoint::new(poe, ports::NET_RX));
             poes.push(poe);
@@ -1006,7 +788,7 @@ mod tests {
     }
 
     fn bench(n: usize) -> Bench {
-        bench_cfg(n, RdmaConfig::default(), None)
+        bench_cfg(n, RdmaConfig::default())
     }
 
     fn issue(b: &mut Bench, from: usize, to: usize, kind: TxKind, data: Vec<u8>, tag: u64) {
@@ -1093,37 +875,6 @@ mod tests {
     }
 
     #[test]
-    fn write_with_stream_delivery_reaches_kernel() {
-        let mut b = bench_cfg(
-            2,
-            RdmaConfig {
-                write_delivery: WriteDelivery::Stream,
-                ..RdmaConfig::default()
-            },
-            Some(1),
-        );
-        let msg = vec![0x5au8; 9000];
-        issue(
-            &mut b,
-            0,
-            1,
-            TxKind::Write { remote_addr: 0 },
-            msg.clone(),
-            0,
-        );
-        b.sim.run();
-        let chunks = b.sim.component::<Mailbox<RxChunk>>(b.datas[1]);
-        let total: usize = chunks.values().map(|c| c.data.len()).sum();
-        assert_eq!(total, 9000);
-        assert!(chunks.values().any(|c| c.last));
-        // Memory untouched.
-        assert_eq!(
-            b.sim.component::<MemoryBus>(b.buses[1]).device_read(0, 16),
-            vec![0u8; 16]
-        );
-    }
-
-    #[test]
     fn token_window_throttles_then_credits_release() {
         // Window of 4 fragments, credits every 2: a 64 KiB message (16
         // fragments) needs several credit round trips but completes.
@@ -1132,7 +883,7 @@ mod tests {
             credit_batch: 2,
             ..RdmaConfig::default()
         };
-        let mut b = bench_cfg(2, cfg, None);
+        let mut b = bench_cfg(2, cfg);
         let msg = vec![7u8; 64 * 1024];
         issue(&mut b, 0, 1, TxKind::Send, msg.clone(), 0);
         b.sim.run();
@@ -1166,7 +917,7 @@ mod tests {
             credit_batch: 2,
             ..RdmaConfig::default()
         };
-        let mut b = bench_cfg(2, cfg, None);
+        let mut b = bench_cfg(2, cfg);
         b.net.crash_node(&mut b.sim, 1, Time::ZERO);
         issue(&mut b, 0, 1, TxKind::Send, vec![7u8; 64 * 1024], 5);
         let out = b.sim.run();
@@ -1201,7 +952,7 @@ mod tests {
             starvation_timeout_us: 1_000_000,
             ..RdmaConfig::default()
         };
-        let mut b = bench_cfg(2, cfg, None);
+        let mut b = bench_cfg(2, cfg);
         b.net.crash_node(&mut b.sim, 1, Time::ZERO);
         issue(&mut b, 0, 1, TxKind::Send, vec![7u8; 64 * 1024], 5);
         b.sim.set_stall_deadline(Time::from_ms(1));
@@ -1228,7 +979,7 @@ mod tests {
         }
         assert_eq!(got, msg, "delivered bytes must be bit-exact");
         let rx = b.sim.component::<RdmaPoe>(b.poes[1]);
-        assert_eq!(rx.frames_corrupted_discarded(), 1);
+        assert_eq!(rx.io().fcs_dropped(), 1);
         let tx = b.sim.component::<RdmaPoe>(b.poes[0]);
         assert!(tx.retransmissions() >= 1);
         assert!(tx.failed_qps().is_empty());
@@ -1285,7 +1036,7 @@ mod tests {
             max_retransmits: 3,
             ..RdmaConfig::default()
         };
-        let mut b = bench_cfg(2, cfg, None);
+        let mut b = bench_cfg(2, cfg);
         b.net.crash_node(&mut b.sim, 1, Time::ZERO);
         issue(&mut b, 0, 1, TxKind::Send, vec![7u8; 16 * 1024], 4);
         let out = b.sim.run();
@@ -1345,49 +1096,11 @@ mod tests {
     }
 
     #[test]
-    fn coalescing_preserves_flow_control_with_fewer_events() {
-        let len = 2 << 20;
-        let msg: Vec<u8> = (0..len as u32).map(|i| (i % 229) as u8).collect();
-        let run = |coalesce: u32| {
-            let cfg = RdmaConfig {
-                token_window: 16,
-                credit_batch: 4,
-                coalesce,
-                ..RdmaConfig::default()
-            };
-            let mut b = bench_cfg(2, cfg, None);
-            issue(&mut b, 0, 1, TxKind::Send, msg.clone(), 0);
-            b.sim.run();
-            let mut got = vec![0u8; len];
-            for (_, c) in b.sim.component::<Mailbox<RxChunk>>(b.datas[1]).items() {
-                got[c.offset as usize..c.offset as usize + c.data.len()].copy_from_slice(&c.data);
-            }
-            assert_eq!(got, msg, "coalesce={coalesce}");
-            let poe = b.sim.component::<RdmaPoe>(b.poes[0]);
-            assert!(poe.failed_qps().is_empty(), "coalesce={coalesce}");
-            (
-                poe.frames_sent(),
-                b.sim.events_executed(),
-                b.net.port_counters(&b.sim, 1).bytes_out,
-            )
-        };
-        let (frames1, events1, bytes1) = run(1);
-        let (frames4, events4, bytes4) = run(4);
-        // Tokens, credits and headers are per MTU, so the wire story is
-        // identical; only the event count shrinks.
-        assert_eq!(frames1, frames4);
-        assert_eq!(bytes1, bytes4);
-        assert!(
-            events4 * 2 < events1,
-            "coalescing saved too few events: {events4} vs {events1}"
-        );
-    }
-
-    #[test]
     fn tx_credit_window_composes_with_token_flow_control() {
         let mut b = bench(2);
         b.sim
             .component_mut::<RdmaPoe>(b.poes[0])
+            .io_mut()
             .set_tx_credit_window(Some(2), "net.txcredit(n0)");
         let msg: Vec<u8> = (0..60_000u32).map(|i| (i % 239) as u8).collect();
         issue(&mut b, 0, 1, TxKind::Send, msg.clone(), 0);
@@ -1399,8 +1112,12 @@ mod tests {
         assert_eq!(got, msg);
         let poe = b.sim.component::<RdmaPoe>(b.poes[0]);
         assert!(poe.failed_qps().is_empty());
-        assert!(!poe.tx_credit_gate().blocked());
-        assert_eq!(poe.tx_credit_gate().in_flight(), 0, "all credits returned");
+        assert!(!poe.io().tx_credit_gate().blocked());
+        assert_eq!(
+            poe.io().tx_credit_gate().in_flight(),
+            0,
+            "all credits returned"
+        );
     }
 
     #[test]

@@ -15,11 +15,11 @@ use bytes::{Bytes, BytesMut};
 
 use accl_net::Frame;
 use accl_sim::prelude::*;
-use accl_sim::trace::{Attr, AttrValue, FlowId, SpanId};
+use accl_sim::trace::SpanId;
 
 use crate::iface::{
-    ports, PoeRxMeta, PoeSessionError, PoeTxCmd, PoeTxDone, PoeUpward, RxChunk, SessionErrorKind,
-    SessionId, SessionTable, StreamChunk, TxCreditGate, TxCreditLeak, TxKind,
+    ports, PoeIo, PoeRxMeta, PoeStatKeys, PoeTxCmd, PoeUpward, RxChunk, SessionErrorKind,
+    SessionId, SessionTable, StreamChunk, TxKind,
 };
 
 /// In-stream message header: 8-byte little-endian length prefix.
@@ -75,16 +75,6 @@ pub struct TcpConfig {
     /// session is declared dead (fail-stop peer detection). Mirrors Linux
     /// `tcp_retries2`, scaled down to data-center RTOs.
     pub max_retransmits: u32,
-    /// Segments coalesced per simulation event (≥ 1).
-    ///
-    /// With `coalesce = k`, one Tx event carries up to `k` MSS segments in
-    /// a single [`Frame`] whose wire occupancy equals the per-segment
-    /// schedule (headers are charged per segment, see
-    /// [`Frame::with_segments`]). Bytes on the wire, ACK counts and
-    /// timing are unchanged; only simulator event counts shrink. The
-    /// default of 1 reproduces the historical one-event-per-segment
-    /// behaviour.
-    pub coalesce: u32,
     /// Verify the frame check sequence at RX and discard corrupted frames
     /// (the hardware MAC's behaviour, always on in practice).
     ///
@@ -105,7 +95,6 @@ impl Default for TcpConfig {
             min_rto_us: 25,
             max_rto_us: 10_000,
             max_retransmits: 8,
-            coalesce: 1,
             verify_fcs: true,
         }
     }
@@ -138,6 +127,16 @@ struct TxState {
     consec_rto: u32,
     /// Set once the session is declared dead; no further transmission.
     error: Option<SessionErrorKind>,
+}
+
+impl TxState {
+    fn fresh(cfg: &TcpConfig) -> Self {
+        TxState {
+            peer_rwnd: cfg.rwnd_bytes,
+            rto: Dur::from_us(cfg.init_rto_us),
+            ..TxState::default()
+        }
+    }
 }
 
 /// Receiver-side per-session state.
@@ -218,12 +217,16 @@ struct OutMsg {
     header_sent: bool,
 }
 
+const STATS: PoeStatKeys = PoeStatKeys {
+    tx_credit_blocked: "poe.tcp.tx_credit_blocked",
+    credits_leaked: "poe.tcp.credits_leaked",
+    fcs_dropped: "poe.tcp.frames_corrupted_discarded",
+};
+
 /// The TCP protocol offload engine component.
 pub struct TcpPoe {
     cfg: TcpConfig,
-    net_tx: Endpoint,
-    up: PoeUpward,
-    sessions: SessionTable,
+    io: PoeIo,
     tx: BTreeMap<SessionId, TxState>,
     rx: BTreeMap<SessionId, RxState>,
     /// Outbound messages in command order (AXI stream discipline).
@@ -231,10 +234,8 @@ pub struct TcpPoe {
     /// Tx data not yet attributed to a message.
     raw: VecDeque<Bytes>,
     raw_len: u64,
-    gate: TxCreditGate,
     segments_sent: u64,
     acks_sent: u64,
-    frames_corrupted_discarded: u64,
 }
 
 impl TcpPoe {
@@ -242,29 +243,25 @@ impl TcpPoe {
     pub fn new(cfg: TcpConfig, net_tx: Endpoint, up: PoeUpward, sessions: SessionTable) -> Self {
         TcpPoe {
             cfg,
-            net_tx,
-            up,
-            sessions,
+            io: PoeIo::new(net_tx, up, sessions, cfg.processing_ns, &STATS),
             tx: BTreeMap::new(),
             rx: BTreeMap::new(),
             out_q: VecDeque::new(),
             raw: VecDeque::new(),
             raw_len: 0,
-            gate: TxCreditGate::new(),
             segments_sent: 0,
             acks_sent: 0,
-            frames_corrupted_discarded: 0,
         }
     }
 
-    /// Total data segments transmitted (including retransmissions).
-    pub fn segments_sent(&self) -> u64 {
-        self.segments_sent
+    /// The engine's I/O edge: credit gate and Rx FCS drop count.
+    pub fn io(&self) -> &PoeIo {
+        &self.io
     }
 
-    /// Frames discarded at RX because their FCS check failed.
-    pub fn frames_corrupted_discarded(&self) -> u64 {
-        self.frames_corrupted_discarded
+    /// Mutable access to the engine's I/O edge (to bound its credit window).
+    pub fn io_mut(&mut self) -> &mut PoeIo {
+        &mut self.io
     }
 
     /// Total retransmitted segments across all sessions.
@@ -292,46 +289,16 @@ impl TcpPoe {
         self.rx.remove(&session);
     }
 
-    /// Bounds the engine to `window` in-flight (unserialized) data frames,
-    /// attributing waits to `resource` (conventionally `net.txcredit(nX)`).
-    /// ACKs bypass the gate — gating the segments that open the peer's
-    /// window would deadlock the protocol itself. `None` (the default)
-    /// keeps the historical ungated behavior.
-    pub fn set_tx_credit_window(&mut self, window: Option<u32>, resource: impl Into<String>) {
-        self.gate.set_window(window, resource);
-    }
-
-    /// The tx credit gate (for introspection in tests and diagnostics).
-    pub fn tx_credit_gate(&self) -> &TxCreditGate {
-        &self.gate
-    }
-
-    fn send_gated(&mut self, ctx: &mut Ctx<'_>, latency: Dur, frame: Frame) {
-        let credit_ep = Endpoint::new(ctx.self_id(), ports::CREDIT);
-        if let Some(frame) = self.gate.admit(frame, credit_ep) {
-            ctx.send(self.net_tx, latency, frame);
-        } else {
-            ctx.stats().add("poe.tcp.tx_credit_blocked", 1);
-        }
-    }
-
-    fn latency(&self) -> Dur {
-        Dur::from_ns(self.cfg.processing_ns)
-    }
-
     fn tx_state(&mut self, session: SessionId) -> &mut TxState {
-        let cfg = self.cfg;
-        self.tx.entry(session).or_insert_with(|| TxState {
-            peer_rwnd: cfg.rwnd_bytes,
-            rto: Dur::from_us(cfg.init_rto_us),
-            ..TxState::default()
-        })
+        let cfg = &self.cfg;
+        self.tx
+            .entry(session)
+            .or_insert_with(|| TxState::fresh(cfg))
     }
 
     /// Moves attributable raw bytes into per-session streams, emitting
     /// message headers and local completions along the way.
     fn attribute_data(&mut self, ctx: &mut Ctx<'_>) {
-        let latency = self.latency();
         while let Some(head) = self.out_q.front_mut() {
             if !head.header_sent {
                 let header = Bytes::from((head.cmd.len).to_le_bytes().to_vec());
@@ -370,24 +337,10 @@ impl TcpPoe {
                 match self.session_error(msg.cmd.session) {
                     // A command attributed to a dead session completes in
                     // error: its bytes were consumed but never leave.
-                    Some(kind) => ctx.send(
-                        self.up.tx_done,
-                        latency,
-                        PoeSessionError {
-                            session: msg.cmd.session,
-                            kind,
-                            tag: Some(msg.cmd.tag),
-                        },
-                    ),
-                    None => ctx.send(
-                        self.up.tx_done,
-                        latency,
-                        PoeTxDone {
-                            session: msg.cmd.session,
-                            len: msg.cmd.len,
-                            tag: msg.cmd.tag,
-                        },
-                    ),
+                    Some(kind) => self
+                        .io
+                        .tx_error(ctx, msg.cmd.session, kind, Some(msg.cmd.tag)),
+                    None => self.io.tx_done(ctx, &msg.cmd),
                 }
             } else {
                 break;
@@ -405,7 +358,6 @@ impl TcpPoe {
     /// still queued (or issued later) for the session complete in error as
     /// their stream bytes are consumed.
     fn abort_session(&mut self, ctx: &mut Ctx<'_>, session: SessionId, kind: SessionErrorKind) {
-        let latency = self.latency();
         let st = self.tx_state(session);
         st.error = Some(kind);
         st.timer_armed = false;
@@ -415,15 +367,7 @@ impl TcpPoe {
         st.rtt_probe = None;
         st.marks.clear();
         ctx.stats().add("poe.tcp.session_errors", 1);
-        ctx.send(
-            self.up.tx_done,
-            latency,
-            PoeSessionError {
-                session,
-                kind,
-                tag: None,
-            },
-        );
+        self.io.tx_error(ctx, session, kind, None);
     }
 
     fn stream_push(&mut self, ctx: &mut Ctx<'_>, session: SessionId, data: Bytes) {
@@ -454,21 +398,21 @@ impl TcpPoe {
 
     fn try_send(&mut self, ctx: &mut Ctx<'_>, session: SessionId) {
         let mss = u64::from(self.cfg.mss);
-        let unit = mss * u64::from(self.cfg.coalesce.max(1));
-        let latency = self.latency();
-        let (peer, peer_session) = self.sessions.peer(session);
-        let st = self.tx_state(session);
-        let mut sent = 0u64;
-        let mut frames = Vec::new();
+        let (peer, peer_session) = self.io.peer(session);
+        let cfg = &self.cfg;
+        let st = self
+            .tx
+            .entry(session)
+            .or_insert_with(|| TxState::fresh(cfg));
         loop {
             let inflight = st.snd_nxt - st.snd_una;
             if st.pending_len == 0 || inflight >= st.peer_rwnd {
                 break;
             }
-            let n = unit.min(st.pending_len).min(st.peer_rwnd - inflight);
-            // Zero-copy fast path: the head buffer covers the whole send
-            // unit, so slice it instead of copying — the common case when
-            // a DMA read delivered the message as one refcounted chunk.
+            let n = mss.min(st.pending_len).min(st.peer_rwnd - inflight);
+            // Zero-copy fast path: the head buffer covers the whole
+            // segment, so slice it instead of copying — the common case
+            // when a DMA read delivered the message as one refcounted chunk.
             let head = st.pending.front_mut().unwrap();
             let data = if head.len() as u64 >= n {
                 let piece = head.split_to(n as usize);
@@ -496,43 +440,15 @@ impl TcpPoe {
             if st.rtt_probe.is_none() {
                 st.rtt_probe = Some((seq + n, ctx.now()));
             }
-            let segments = n.div_ceil(mss) as u32;
-            sent += u64::from(segments);
-            let mut wire_span = SpanId::NONE;
-            if ctx.spans_enabled() {
-                let parent = Self::mark_span(st, seq);
-                wire_span = ctx.span_interval_attrs(
-                    "poe.seg",
-                    parent,
-                    ctx.now(),
-                    ctx.now() + latency,
-                    &[Attr {
-                        key: "bytes",
-                        value: AttrValue::Bytes(n),
-                    }],
-                );
-            }
-            let flow = ctx.flow_begin("poe.flow", wire_span);
-            let frame = Frame::new(
-                accl_net::NodeAddr(0),
-                peer,
-                data.len() as u32,
-                TcpSegment {
-                    dst_session: peer_session,
-                    seq,
-                    data,
-                },
-            )
-            .with_segments(segments)
-            .with_span(wire_span)
-            .with_flow(flow);
-            frames.push(frame);
+            self.segments_sent += 1;
+            let span = self.io.seg_span(ctx, Self::mark_span(st, seq), n);
+            let seg = TcpSegment {
+                dst_session: peer_session,
+                seq,
+                data,
+            };
+            self.io.send_data(ctx, peer, n as u32, span, seg);
         }
-        self.segments_sent += sent;
-        for frame in frames {
-            self.send_gated(ctx, latency, frame);
-        }
-        let st = self.tx_state(session);
         if !st.unacked.is_empty() && !st.timer_armed {
             Self::arm_timer_inner(ctx, st, session);
         }
@@ -553,8 +469,7 @@ impl TcpPoe {
     }
 
     fn retransmit_head(&mut self, ctx: &mut Ctx<'_>, session: SessionId) {
-        let latency = self.latency();
-        let (peer, peer_session) = self.sessions.peer(session);
+        let (peer, peer_session) = self.io.peer(session);
         let st = self.tx_state(session);
         let Some(&(seq, ref data)) = st.unacked.front() else {
             return;
@@ -566,23 +481,16 @@ impl TcpPoe {
         let parent = Self::mark_span(st, seq);
         ctx.stats().add("poe.tcp.retransmits", 1);
         accl_sim::trace_instant!(ctx, "poe.retransmit", parent);
-        let segments = (data.len() as u64).div_ceil(u64::from(self.cfg.mss)).max(1) as u32;
-        self.segments_sent += u64::from(segments);
-        let flow = ctx.flow_begin("poe.flow", parent);
-        let frame = Frame::new(
-            accl_net::NodeAddr(0),
-            peer,
-            data.len() as u32,
-            TcpSegment {
-                dst_session: peer_session,
-                seq,
-                data,
-            },
-        )
-        .with_segments(segments)
-        .with_span(parent)
-        .with_flow(flow);
-        self.send_gated(ctx, latency, frame);
+        self.segments_sent += 1;
+        // The retransmission rides its message's span directly: no new
+        // `poe.seg` span.
+        let seg = TcpSegment {
+            dst_session: peer_session,
+            seq,
+            data,
+        };
+        self.io
+            .send_data(ctx, peer, seg.data.len() as u32, parent, seg);
     }
 
     fn on_ack(&mut self, ctx: &mut Ctx<'_>, ack: TcpAck) {
@@ -644,16 +552,9 @@ impl TcpPoe {
         }
     }
 
-    fn on_segment(&mut self, ctx: &mut Ctx<'_>, seg: TcpSegment, wire_span: SpanId, flow: FlowId) {
-        let latency = self.latency();
-        let rx_span = if ctx.spans_enabled() {
-            ctx.span_interval("poe.rx", wire_span, ctx.now(), ctx.now() + latency)
-        } else {
-            SpanId::NONE
-        };
-        ctx.flow_end("poe.flow", flow, rx_span);
+    fn on_segment(&mut self, ctx: &mut Ctx<'_>, seg: TcpSegment, rx_span: SpanId) {
         let session = seg.dst_session;
-        let (peer, peer_session) = self.sessions.peer(session);
+        let (peer, peer_session) = self.io.peer(session);
         let rwnd = self.cfg.rwnd_bytes;
         let st = self.rx.entry(session).or_default();
         let mut deliveries = Vec::new();
@@ -673,26 +574,16 @@ impl TcpPoe {
         } else if seg.seq > st.rcv_nxt {
             st.ooo.entry(seg.seq).or_insert(seg.data);
         } // else: duplicate of already-delivered data; drop.
-        let ack_val = st.rcv_nxt;
+        let ack = TcpAck {
+            dst_session: peer_session,
+            ack: st.rcv_nxt,
+            window: rwnd,
+        };
         self.acks_sent += 1;
-        let frame = Frame::new(
-            accl_net::NodeAddr(0),
-            peer,
-            0,
-            TcpAck {
-                dst_session: peer_session,
-                ack: ack_val,
-                window: rwnd,
-            },
-        )
-        .with_span(rx_span);
-        ctx.send(self.net_tx, latency, frame);
+        self.io.send_control(ctx, peer, rx_span, ack);
         for (meta, chunk) in deliveries {
-            if let Some(mut meta) = meta {
-                meta.span = rx_span;
-                ctx.send(self.up.rx_meta, latency, meta);
-            }
-            ctx.send(self.up.rx_data, latency, chunk);
+            let meta = meta.map(|m| PoeRxMeta { span: rx_span, ..m });
+            self.io.deliver(ctx, meta, chunk);
         }
     }
 }
@@ -723,30 +614,24 @@ impl Component for TcpPoe {
             }
             ports::NET_RX => {
                 let frame = payload.downcast::<Frame>();
-                let corrupted = !frame.fcs_ok();
-                if corrupted && self.cfg.verify_fcs {
-                    // Bad CRC: drop at the MAC. The sender's RTO / fast
-                    // retransmit recovers the lost bytes.
-                    self.frames_corrupted_discarded += 1;
-                    ctx.stats().add("poe.tcp.frames_corrupted_discarded", 1);
-                    accl_sim::trace_instant!(ctx, "poe.fcs_drop", frame.span);
+                // Bad CRC: drop at the MAC. The sender's RTO / fast
+                // retransmit recovers the lost bytes.
+                let Some(corrupted) = self.io.rx_fcs(ctx, &frame, self.cfg.verify_fcs) else {
                     return;
+                };
+                if !frame.body.is::<TcpSegment>() {
+                    return self.on_ack(ctx, frame.body.downcast::<TcpAck>());
                 }
-                let wire_span = frame.span;
-                let flow = frame.flow;
-                match frame.body.try_downcast::<TcpSegment>() {
-                    Ok(mut seg) => {
-                        if corrupted && !seg.data.is_empty() {
-                            // FCS check deliberately disabled (chaos-harness
-                            // self-test): the corruption reaches the stream.
-                            let mut bytes = seg.data.to_vec();
-                            bytes[0] ^= 0xff;
-                            seg.data = Bytes::from(bytes);
-                        }
-                        self.on_segment(ctx, seg, wire_span, flow)
-                    }
-                    Err(body) => self.on_ack(ctx, body.downcast::<TcpAck>()),
+                let rx_span = self.io.rx_span(ctx, &frame);
+                let mut seg = frame.body.downcast::<TcpSegment>();
+                if corrupted && !seg.data.is_empty() {
+                    // FCS check deliberately disabled (chaos-harness
+                    // self-test): the corruption reaches the stream.
+                    let mut bytes = seg.data.to_vec();
+                    bytes[0] ^= 0xff;
+                    seg.data = Bytes::from(bytes);
                 }
+                self.on_segment(ctx, seg, rx_span)
             }
             ports::TIMER => {
                 let timer = payload.downcast::<RtoTimer>();
@@ -769,35 +654,18 @@ impl Component for TcpPoe {
                 let st = self.tx_state(session);
                 Self::arm_timer_inner(ctx, st, session);
             }
-            ports::CREDIT => {
-                let latency = self.latency();
-                let credit_ep = Endpoint::new(ctx.self_id(), ports::CREDIT);
-                match payload.try_downcast::<accl_net::CreditReturn>() {
-                    Ok(ret) => {
-                        for frame in self.gate.credit(ret.credits, credit_ep) {
-                            ctx.send(self.net_tx, latency, frame);
-                        }
-                    }
-                    Err(other) => {
-                        let leak = other.downcast::<TxCreditLeak>();
-                        self.gate.leak(leak.credits);
-                        ctx.stats()
-                            .add("poe.tcp.credits_leaked", u64::from(leak.credits));
-                        accl_sim::trace_instant!(ctx, "poe.credit_leak", SpanId::NONE);
-                    }
-                }
-            }
+            ports::CREDIT => self.io.on_credit(ctx, payload),
             other => panic!("TCP engine has no port {other:?}"),
         }
     }
 
     fn resource_state(&self) -> Option<ResourceState> {
-        self.gate.state()
+        self.io.tx_credit_gate().state()
     }
 
     fn parked_work(&self) -> Option<ParkedWork> {
         // Frames stuck behind a dry tx credit window block everything else.
-        if let Some(parked) = self.gate.parked_work() {
+        if let Some(parked) = self.io.tx_credit_gate().parked_work() {
             return Some(parked);
         }
         // Oldest command still waiting for its stream bytes: attribution is
@@ -856,7 +724,7 @@ impl Component for TcpPoe {
         for v in [
             self.segments_sent,
             self.acks_sent,
-            self.frames_corrupted_discarded,
+            self.io.fcs_dropped(),
             self.raw_len,
             self.out_q.len() as u64,
         ] {
@@ -873,7 +741,7 @@ impl Component for TcpPoe {
             fold(st.rcv_nxt);
             fold(st.ooo.len() as u64);
         }
-        self.gate.fold_digest(&mut h);
+        self.io.tx_credit_gate().fold_digest(&mut h);
         Some(h)
     }
 }
@@ -1046,7 +914,7 @@ mod tests {
         // restores the exact bytes.
         assert_eq!(received(&b, 1, msg.len()), msg);
         let rx_poe = b.sim.component::<TcpPoe>(b.poes[1]);
-        assert_eq!(rx_poe.frames_corrupted_discarded(), 1);
+        assert_eq!(rx_poe.io().fcs_dropped(), 1);
         assert!(b.sim.component::<TcpPoe>(b.poes[0]).retransmissions() >= 1);
     }
 
@@ -1068,12 +936,7 @@ mod tests {
         b.sim.run();
         let got = received(&b, 1, msg.len());
         assert_ne!(got, msg, "corruption should be visible with FCS off");
-        assert_eq!(
-            b.sim
-                .component::<TcpPoe>(b.poes[1])
-                .frames_corrupted_discarded(),
-            0
-        );
+        assert_eq!(b.sim.component::<TcpPoe>(b.poes[1]).io().fcs_dropped(), 0);
     }
 
     #[test]
@@ -1165,48 +1028,6 @@ mod tests {
             .unwrap();
         let gbps = (len as f64) * 8.0 / t.as_ns_f64();
         assert!(gbps > 90.0, "goodput={gbps:.1} Gb/s");
-    }
-
-    #[test]
-    fn coalescing_preserves_bytes_and_throughput_with_fewer_events() {
-        let len = 4 << 20;
-        let msg: Vec<u8> = (0..len as u32).map(|i| (i % 239) as u8).collect();
-        let run = |coalesce: u32| {
-            let cfg = TcpConfig {
-                coalesce,
-                ..TcpConfig::default()
-            };
-            let mut b = bench_cfg(2, cfg);
-            send(&mut b, 0, 1, msg.clone(), 0);
-            b.sim.run();
-            assert_eq!(received(&b, 1, len), msg, "coalesce={coalesce}");
-            let poe = b.sim.component::<TcpPoe>(b.poes[0]);
-            let t = b
-                .sim
-                .component::<Mailbox<RxChunk>>(b.datas[1])
-                .last_arrival()
-                .unwrap();
-            (
-                poe.segments_sent(),
-                b.sim.events_executed(),
-                b.net.port_counters(&b.sim, 1).bytes_out,
-                (len as f64) * 8.0 / t.as_ns_f64(),
-            )
-        };
-        let (segs1, events1, bytes1, gbps1) = run(1);
-        let (segs8, events8, bytes8, gbps8) = run(8);
-        // Same wire segments and bytes — headers are charged per segment —
-        // but far fewer simulator events.
-        assert_eq!(segs1, segs8);
-        assert_eq!(bytes1, bytes8);
-        assert!(
-            events8 * 2 < events1,
-            "coalescing saved too few events: {events8} vs {events1}"
-        );
-        // Throughput stays at line rate; only the store-and-forward
-        // pipelining granularity coarsens (bounded, small at this size).
-        assert!(gbps1 > 90.0, "goodput={gbps1:.1}");
-        assert!(gbps8 > 90.0, "goodput={gbps8:.1}");
     }
 
     #[test]
@@ -1315,47 +1136,15 @@ mod tests {
         let mut b = bench(2);
         b.sim
             .component_mut::<TcpPoe>(b.poes[0])
+            .io_mut()
             .set_tx_credit_window(Some(2), "net.txcredit(n0)");
         let msg: Vec<u8> = (0..60_000u32).map(|i| (i % 251) as u8).collect();
         send(&mut b, 0, 1, msg.clone(), 1);
         b.sim.run();
         assert_eq!(received(&b, 1, msg.len()), msg);
-        let gate = b.sim.component::<TcpPoe>(b.poes[0]).tx_credit_gate();
+        let gate = b.sim.component::<TcpPoe>(b.poes[0]).io().tx_credit_gate();
         assert!(!gate.blocked(), "gate must drain once the wire frees up");
         assert_eq!(gate.in_flight(), 0, "all credits returned");
-    }
-
-    #[test]
-    fn leaked_credits_wedge_tx_and_deadlock_detector_names_the_orphan() {
-        let mut b = bench(2);
-        b.sim
-            .component_mut::<TcpPoe>(b.poes[0])
-            .set_tx_credit_window(Some(2), "net.txcredit(n0)");
-        // The planted bug: both credits leak before any frame is admitted,
-        // so the gate can never open again.
-        b.sim.post(
-            Endpoint::new(b.poes[0], ports::CREDIT),
-            Time::ZERO,
-            TxCreditLeak { credits: 2 },
-        );
-        send(&mut b, 0, 1, vec![1u8; 20_000], 9);
-        match b.sim.run() {
-            RunOutcome::Stalled(report) => {
-                assert!(
-                    report.op.contains("awaiting tx credits"),
-                    "op: {}",
-                    report.op
-                );
-                let dl = report.deadlock.as_ref().expect("deadlock analysis");
-                assert_eq!(dl.kind, DeadlockKind::OrphanedWait);
-                assert!(
-                    dl.chain.iter().any(|s| s.contains("net.txcredit(n0)")),
-                    "chain must name the leaked resource: {:?}",
-                    dl.chain
-                );
-            }
-            other => panic!("expected stall, got {other:?}"),
-        }
     }
 
     #[test]

@@ -10,11 +10,10 @@ use bytes::Bytes;
 
 use accl_net::Frame;
 use accl_sim::prelude::*;
-use accl_sim::trace::{Attr, AttrValue, SpanId};
 
 use crate::iface::{
-    ports, PoeTxCmd, PoeTxDone, PoeUpward, RxDemux, SessionTable, StreamChunk, TxAssembler,
-    TxCreditGate, TxCreditLeak, TxKind, TxSegment,
+    ports, PoeIo, PoeStatKeys, PoeTxCmd, PoeUpward, RxDemux, SessionTable, StreamChunk,
+    TxAssembler, TxKind, TxSegment,
 };
 
 /// Per-datagram header modelled on the wire (message id, offset, total).
@@ -53,18 +52,20 @@ impl Default for UdpConfig {
     }
 }
 
+const STATS: PoeStatKeys = PoeStatKeys {
+    tx_credit_blocked: "poe.udp.tx_credit_blocked",
+    credits_leaked: "poe.udp.credits_leaked",
+    fcs_dropped: "poe.udp.dgrams_corrupted_dropped",
+};
+
 /// The UDP protocol offload engine component.
 pub struct UdpPoe {
     cfg: UdpConfig,
-    net_tx: Endpoint,
-    up: PoeUpward,
-    sessions: SessionTable,
+    io: PoeIo,
     assembler: TxAssembler,
     demux: RxDemux,
-    gate: TxCreditGate,
     dgrams_sent: u64,
     dgrams_received: u64,
-    dgrams_corrupted_dropped: u64,
 }
 
 impl UdpPoe {
@@ -73,16 +74,22 @@ impl UdpPoe {
     pub fn new(cfg: UdpConfig, net_tx: Endpoint, up: PoeUpward, sessions: SessionTable) -> Self {
         UdpPoe {
             cfg,
-            net_tx,
-            up,
-            sessions,
+            io: PoeIo::new(net_tx, up, sessions, cfg.processing_ns, &STATS),
             assembler: TxAssembler::new(),
             demux: RxDemux::new(),
-            gate: TxCreditGate::new(),
             dgrams_sent: 0,
             dgrams_received: 0,
-            dgrams_corrupted_dropped: 0,
         }
+    }
+
+    /// The engine's I/O edge: credit gate and Rx FCS drop count.
+    pub fn io(&self) -> &PoeIo {
+        &self.io
+    }
+
+    /// Mutable access to the engine's I/O edge (to bound its credit window).
+    pub fn io_mut(&mut self) -> &mut PoeIo {
+        &mut self.io
     }
 
     /// Datagrams sent so far.
@@ -95,86 +102,29 @@ impl UdpPoe {
         self.dgrams_received
     }
 
-    /// Datagrams dropped at RX for a bad frame check sequence. UDP has no
-    /// recovery: these bytes are simply gone, like wire loss.
-    pub fn dgrams_corrupted_dropped(&self) -> u64 {
-        self.dgrams_corrupted_dropped
-    }
-
     /// Datagrams discarded as duplicates of already-received segments.
     pub fn dgrams_duplicates_dropped(&self) -> u64 {
         self.demux.duplicates_discarded()
     }
 
-    /// Bounds the engine to `window` in-flight (unserialized) datagrams,
-    /// attributing waits to `resource` (conventionally `net.txcredit(nX)`).
-    /// `None` (the default) keeps the historical ungated behavior.
-    pub fn set_tx_credit_window(&mut self, window: Option<u32>, resource: impl Into<String>) {
-        self.gate.set_window(window, resource);
-    }
-
-    /// The tx credit gate (for introspection in tests and diagnostics).
-    pub fn tx_credit_gate(&self) -> &TxCreditGate {
-        &self.gate
-    }
-
-    fn send_gated(&mut self, ctx: &mut Ctx<'_>, latency: Dur, frame: Frame) {
-        let credit_ep = Endpoint::new(ctx.self_id(), ports::CREDIT);
-        if let Some(frame) = self.gate.admit(frame, credit_ep) {
-            ctx.send(self.net_tx, latency, frame);
-        } else {
-            ctx.stats().add("poe.udp.tx_credit_blocked", 1);
-        }
-    }
-
-    fn latency(&self) -> Dur {
-        Dur::from_ns(self.cfg.processing_ns)
-    }
-
     /// Sends assembled segments to the wire (and completion notices for
     /// message-final segments).
     fn emit_segments(&mut self, ctx: &mut Ctx<'_>, segs: Vec<TxSegment>) {
-        let latency = self.latency();
         for seg in segs {
-            let (peer, peer_session) = self.sessions.peer(seg.cmd.session);
+            let (peer, peer_session) = self.io.peer(seg.cmd.session);
             self.dgrams_sent += 1;
+            let bytes = seg.data.len() as u32 + UDP_SEG_HEADER_BYTES;
+            let span = self.io.seg_span(ctx, seg.cmd.span, seg.data.len() as u64);
             let dgram = UdpDgram {
                 dst_session: peer_session,
                 msg_id: seg.msg_id,
                 offset: seg.offset,
                 total: seg.cmd.len,
-                data: seg.data.clone(),
+                data: seg.data,
             };
-            let payload_bytes = seg.data.len() as u32 + UDP_SEG_HEADER_BYTES;
-            let mut wire_span = SpanId::NONE;
-            if ctx.spans_enabled() {
-                wire_span = ctx.span_interval_attrs(
-                    "poe.seg",
-                    seg.cmd.span,
-                    ctx.now(),
-                    ctx.now() + latency,
-                    &[Attr {
-                        key: "bytes",
-                        value: AttrValue::Bytes(seg.data.len() as u64),
-                    }],
-                );
-            }
-            let flow = ctx.flow_begin("poe.flow", wire_span);
-            // `src` is stamped by the NetPort.
-            let frame = Frame::new(accl_net::NodeAddr(0), peer, payload_bytes, dgram)
-                .with_span(wire_span)
-                .with_flow(flow);
-            self.send_gated(ctx, latency, frame);
+            self.io.send_data(ctx, peer, bytes, span, dgram);
             if seg.last {
-                ctx.send(
-                    self.up.tx_done,
-                    latency,
-                    PoeTxDone {
-                        session: seg.cmd.session,
-                        len: seg.cmd.len,
-                        tag: seg.cmd.tag,
-                    },
-                );
+                self.io.tx_done(ctx, &seg.cmd);
             }
         }
     }
@@ -200,24 +150,15 @@ impl Component for UdpPoe {
             }
             ports::NET_RX => {
                 let frame = payload.downcast::<Frame>();
-                if !frame.fcs_ok() {
-                    // Connectionless engine: a mangled datagram is
-                    // indistinguishable from loss once dropped.
-                    self.dgrams_corrupted_dropped += 1;
-                    ctx.stats().add("poe.udp.dgrams_corrupted_dropped", 1);
-                    accl_sim::trace_instant!(ctx, "poe.fcs_drop", frame.span);
+                // Connectionless engine: a mangled datagram is
+                // indistinguishable from loss once dropped — UDP has no
+                // recovery, the bytes are simply gone.
+                if self.io.rx_fcs(ctx, &frame, true).is_none() {
                     return;
                 }
-                let wire_span = frame.span;
-                let dgram = frame.body.downcast::<UdpDgram>();
                 self.dgrams_received += 1;
-                let latency = self.latency();
-                let rx_span = if ctx.spans_enabled() {
-                    ctx.span_interval("poe.rx", wire_span, ctx.now(), ctx.now() + latency)
-                } else {
-                    SpanId::NONE
-                };
-                ctx.flow_end("poe.flow", frame.flow, rx_span);
+                let rx_span = self.io.rx_span(ctx, &frame);
+                let dgram = frame.body.downcast::<UdpDgram>();
                 let accepted = self.demux.accept(
                     dgram.dst_session,
                     dgram.msg_id,
@@ -230,39 +171,19 @@ impl Component for UdpPoe {
                     ctx.stats().add("poe.udp.dgrams_duplicates_dropped", 1);
                     return;
                 };
-                if let Some(meta) = meta {
-                    ctx.send(self.up.rx_meta, latency, meta);
-                }
-                ctx.send(self.up.rx_data, latency, chunk);
+                self.io.deliver(ctx, meta, chunk);
             }
-            ports::CREDIT => {
-                let latency = self.latency();
-                let credit_ep = Endpoint::new(ctx.self_id(), ports::CREDIT);
-                match payload.try_downcast::<accl_net::CreditReturn>() {
-                    Ok(ret) => {
-                        for frame in self.gate.credit(ret.credits, credit_ep) {
-                            ctx.send(self.net_tx, latency, frame);
-                        }
-                    }
-                    Err(other) => {
-                        let leak = other.downcast::<TxCreditLeak>();
-                        self.gate.leak(leak.credits);
-                        ctx.stats()
-                            .add("poe.udp.credits_leaked", u64::from(leak.credits));
-                        accl_sim::trace_instant!(ctx, "poe.credit_leak", SpanId::NONE);
-                    }
-                }
-            }
+            ports::CREDIT => self.io.on_credit(ctx, payload),
             other => panic!("UDP engine has no port {other:?}"),
         }
     }
 
     fn parked_work(&self) -> Option<ParkedWork> {
-        self.gate.parked_work()
+        self.io.tx_credit_gate().parked_work()
     }
 
     fn resource_state(&self) -> Option<ResourceState> {
-        self.gate.state()
+        self.io.tx_credit_gate().state()
     }
 
     fn state_digest(&self) -> Option<u64> {
@@ -273,23 +194,21 @@ impl Component for UdpPoe {
         for v in [
             self.dgrams_sent,
             self.dgrams_received,
-            self.dgrams_corrupted_dropped,
+            self.io.fcs_dropped(),
         ] {
             accl_sim::digest::fnv_fold(&mut h, &v.to_le_bytes());
         }
-        self.gate.fold_digest(&mut h);
+        self.io.tx_credit_gate().fold_digest(&mut h);
         Some(h)
     }
 }
 
-// Re-exported for doc-links.
-pub use crate::iface::RxChunk;
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::iface::{PoeRxMeta, SessionId};
+    use crate::iface::{PoeRxMeta, PoeTxDone, RxChunk, SessionId};
     use accl_net::{FaultPlan, NetConfig, Network};
+    use accl_sim::trace::SpanId;
 
     struct Bench {
         sim: Simulator,
@@ -437,7 +356,7 @@ mod tests {
         assert_eq!(chunks.len(), 2);
         assert!(chunks.values().all(|c| !c.last));
         let poe = b.sim.component::<UdpPoe>(b.poes[1]);
-        assert_eq!(poe.dgrams_corrupted_dropped(), 1);
+        assert_eq!(poe.io().fcs_dropped(), 1);
         assert_eq!(poe.dgrams_received(), 2);
     }
 
@@ -478,6 +397,7 @@ mod tests {
         let mut b = bench(2);
         b.sim
             .component_mut::<UdpPoe>(b.poes[0])
+            .io_mut()
             .set_tx_credit_window(Some(1), "net.txcredit(n0)");
         let msg: Vec<u8> = (0..10_000u32).map(|i| (i * 7 % 256) as u8).collect();
         send(&mut b, 0, 1, msg.clone(), 5);
@@ -489,7 +409,7 @@ mod tests {
             got[c.offset as usize..c.offset as usize + c.data.len()].copy_from_slice(&c.data);
         }
         assert_eq!(got, msg);
-        let gate = b.sim.component::<UdpPoe>(b.poes[0]).tx_credit_gate();
+        let gate = b.sim.component::<UdpPoe>(b.poes[0]).io().tx_credit_gate();
         assert!(!gate.blocked());
         assert_eq!(gate.in_flight(), 0, "all credits returned");
     }

@@ -131,9 +131,7 @@ impl Pipe {
     /// Equivalent in occupancy to `items` consecutive `reserve` calls over
     /// the same bytes — the per-item overhead is charged `items` times —
     /// but returns a single `(start, end)` interval and counts as one
-    /// scheduling decision. This is what segment coalescing in the POEs
-    /// uses: one event reserves `k` MTU segments and the wire occupancy is
-    /// identical to the per-segment schedule.
+    /// scheduling decision.
     pub fn reserve_batch(&mut self, now: Time, bytes: u64, items: u64) -> (Time, Time) {
         let start_fp = self.next_free_fp.max((now.as_ps() as u128) << FP_BITS);
         let cost = self.cost_fp(bytes, items);
