@@ -395,16 +395,17 @@ impl TxCreditGate {
     }
 }
 
-/// The `poe.<engine>.*` stat keys [`PoeIo`] reports under, one table per
-/// engine, so shared plumbing keeps each engine's historical metric names.
+/// The `poe.<engine>.*` stat keys [`PoeIo`] reports under: one table per
+/// engine, so each engine keeps its own counter names (perfbench sums
+/// them by name).
 #[derive(Debug)]
-pub struct PoeStatKeys {
+pub(crate) struct PoeStatKeys {
     /// Data frames queued behind a dry tx credit window.
-    pub tx_credit_blocked: &'static str,
+    pub(crate) tx_credit_blocked: &'static str,
     /// Tx credits consumed by injected leaks.
-    pub credits_leaked: &'static str,
+    pub(crate) credits_leaked: &'static str,
     /// Frames dropped at Rx for a bad frame check sequence.
-    pub fcs_dropped: &'static str,
+    pub(crate) fcs_dropped: &'static str,
 }
 
 /// The I/O edge every POE shares (paper §4.3: the CCLO drives all engines
@@ -412,12 +413,12 @@ pub struct PoeStatKeys {
 /// their protocol state machines).
 ///
 /// Owns the wire endpoint, the upward endpoints, the session table, the tx
-/// credit gate and the per-frame processing latency, and implements
-/// everything the engines used to copy: gated data sends and ungated
-/// control sends, the [`ports::CREDIT`] handler, the Rx FCS check, the Tx
-/// `poe.seg` span with its outgoing `poe.flow` edge, the Rx `poe.rx` span
-/// that joins it, and the completion and delivery emissions. Every send
-/// leaves after the processing latency.
+/// credit gate and the per-frame processing latency, and implements what
+/// every engine needs of them: gated data sends and ungated control sends,
+/// the [`ports::CREDIT`] handler, the Rx FCS check, the Tx `poe.seg` span
+/// with its outgoing `poe.flow` edge, the Rx `poe.rx` span that joins it,
+/// and the completion and delivery emissions. Every send leaves after the
+/// processing latency.
 #[derive(Debug)]
 pub struct PoeIo {
     net_tx: Endpoint,
@@ -432,7 +433,7 @@ pub struct PoeIo {
 impl PoeIo {
     /// Creates the I/O edge of an engine that sends frames to `net_tx`,
     /// delivers upward to `up` and spends `processing_ns` on each frame.
-    pub fn new(
+    pub(crate) fn new(
         net_tx: Endpoint,
         up: PoeUpward,
         sessions: SessionTable,
@@ -451,12 +452,12 @@ impl PoeIo {
     }
 
     /// The per-frame processing latency.
-    pub fn latency(&self) -> Dur {
+    pub(crate) fn latency(&self) -> Dur {
         self.latency
     }
 
     /// The peer address and peer-local session of `session`.
-    pub fn peer(&self, session: SessionId) -> (accl_net::NodeAddr, SessionId) {
+    pub(crate) fn peer(&self, session: SessionId) -> (accl_net::NodeAddr, SessionId) {
         self.sessions.peer(session)
     }
 
@@ -481,7 +482,7 @@ impl PoeIo {
     /// Records the Tx `poe.seg` span of a `bytes`-byte segment under
     /// `parent`, covering the processing latency. [`SpanId::NONE`] when
     /// spans are off.
-    pub fn seg_span(&self, ctx: &mut Ctx<'_>, parent: SpanId, bytes: u64) -> SpanId {
+    pub(crate) fn seg_span(&self, ctx: &mut Ctx<'_>, parent: SpanId, bytes: u64) -> SpanId {
         if !ctx.spans_enabled() {
             return SpanId::NONE;
         }
@@ -500,7 +501,7 @@ impl PoeIo {
     /// Sends a data frame carrying `body` (`bytes` modelled payload bytes)
     /// to `peer` through the credit gate, stamped with `span` and a fresh
     /// `poe.flow` edge emitted from it for the receiver to join.
-    pub fn send_data<T: core::any::Any + Send + Clone>(
+    pub(crate) fn send_data<T: core::any::Any + Send + Clone>(
         &mut self,
         ctx: &mut Ctx<'_>,
         peer: accl_net::NodeAddr,
@@ -523,7 +524,7 @@ impl PoeIo {
 
     /// Sends a zero-payload control frame (ACK, NAK, credit) to `peer`,
     /// bypassing the credit gate, under causal span `span`.
-    pub fn send_control<T: core::any::Any + Send + Clone>(
+    pub(crate) fn send_control<T: core::any::Any + Send + Clone>(
         &self,
         ctx: &mut Ctx<'_>,
         peer: accl_net::NodeAddr,
@@ -537,7 +538,7 @@ impl PoeIo {
     /// Handles a [`ports::CREDIT`] event: a NIC credit return releases
     /// queued frames onto the wire; an injected [`TxCreditLeak`] shrinks
     /// the window for good.
-    pub fn on_credit(&mut self, ctx: &mut Ctx<'_>, payload: Payload) {
+    pub(crate) fn on_credit(&mut self, ctx: &mut Ctx<'_>, payload: Payload) {
         let credit_ep = Endpoint::new(ctx.self_id(), ports::CREDIT);
         match payload.try_downcast::<accl_net::CreditReturn>() {
             Ok(ret) => {
@@ -555,12 +556,12 @@ impl PoeIo {
         }
     }
 
-    /// The Rx frame check. A frame whose FCS fails is dropped — counted,
-    /// marked with a `poe.fcs_drop` instant — and `None` returned, unless
-    /// `verify` is off (the chaos harness's self-test), in which case it
-    /// is kept. Otherwise returns `Some(corrupted)`; `corrupted` can only
-    /// be true with `verify` off.
-    pub fn rx_fcs(
+    /// The Rx frame check. Returns `None` when `frame` failed its FCS and
+    /// was dropped (counted, and marked with a `poe.fcs_drop` instant).
+    /// With `verify` off (the chaos harness's self-test) nothing is
+    /// dropped and the result is `Some(corrupted)`; with it on, a kept
+    /// frame is always `Some(false)`.
+    pub(crate) fn rx_fcs(
         &mut self,
         ctx: &mut Ctx<'_>,
         frame: &accl_net::Frame,
@@ -580,7 +581,7 @@ impl PoeIo {
     /// span, covering the processing latency, and joins the frame's Tx
     /// flow edge into it. Returns the span ([`SpanId::NONE`] when spans
     /// are off).
-    pub fn rx_span(&self, ctx: &mut Ctx<'_>, frame: &accl_net::Frame) -> SpanId {
+    pub(crate) fn rx_span(&self, ctx: &mut Ctx<'_>, frame: &accl_net::Frame) -> SpanId {
         let rx_span = if ctx.spans_enabled() {
             ctx.span_interval("poe.rx", frame.span, ctx.now(), ctx.now() + self.latency)
         } else {
@@ -591,7 +592,7 @@ impl PoeIo {
     }
 
     /// Reports local success of `cmd` (all bytes handed to the wire).
-    pub fn tx_done(&self, ctx: &mut Ctx<'_>, cmd: &PoeTxCmd) {
+    pub(crate) fn tx_done(&self, ctx: &mut Ctx<'_>, cmd: &PoeTxCmd) {
         let done = PoeTxDone {
             session: cmd.session,
             len: cmd.len,
@@ -602,7 +603,7 @@ impl PoeIo {
 
     /// Reports a session error: completing the command tagged `tag` in
     /// error, or (`tag: None`) the session-fatal notification itself.
-    pub fn tx_error(
+    pub(crate) fn tx_error(
         &self,
         ctx: &mut Ctx<'_>,
         session: SessionId,
@@ -615,7 +616,7 @@ impl PoeIo {
 
     /// Delivers a received chunk upward, preceded by its message's meta
     /// when this is the message's first chunk.
-    pub fn deliver(&self, ctx: &mut Ctx<'_>, meta: Option<PoeRxMeta>, chunk: RxChunk) {
+    pub(crate) fn deliver(&self, ctx: &mut Ctx<'_>, meta: Option<PoeRxMeta>, chunk: RxChunk) {
         if let Some(meta) = meta {
             ctx.send(self.up.rx_meta, self.latency, meta);
         }

@@ -11,8 +11,10 @@
 //!   into virtualized memory (bypassing the CCLO on the passive side) and
 //!   token-based flow control.
 //!
-//! The shared interface lives in [`iface`]; the CCLO engine (`accl-cclo`)
-//! drives any engine through it without protocol-specific logic.
+//! The shared interface lives in [`iface`], with [`iface::PoeIo`], the one
+//! I/O edge (credit gate, FCS check, span/flow stamping, completions) each
+//! engine owns, so engines hold only protocol state. The CCLO engine
+//! (`accl-cclo`) drives any engine through it without protocol logic.
 
 #![warn(missing_docs)]
 
