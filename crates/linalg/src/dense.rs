@@ -180,9 +180,16 @@ pub mod fx {
         /// block view's GEMV, with each vector `cols.len()` long and each
         /// output `rows.len()` long. Every weight row of the block is read
         /// once per batch rather than once per vector, and nothing is
-        /// copied. Per element the arithmetic is [`MatFx::gemv`]'s, so a
-        /// block's result equals `gemv` on a copy of that block, bit for
-        /// bit.
+        /// copied. A block's result equals [`MatFx::gemv`] on a copy of
+        /// that block, bit for bit.
+        ///
+        /// On x86_64 the per-element arithmetic is not `gemv`'s: each input
+        /// is split into 16-bit halves and the products are summed in i32
+        /// SSE2 lanes. The split makes every truncated product exact, and a
+        /// per-(row, vector) guard on the weight and input magnitudes
+        /// proves that no lane can wrap, so the sum is the same integer
+        /// `gemv` computes in i64 (see `split16.rs`). Pairs outside the
+        /// guard, and other targets, run `gemv`'s scalar loop.
         ///
         /// # Panics
         ///
@@ -206,18 +213,31 @@ pub mod fx {
                 assert_eq!(x.as_ref().len(), cols.len(), "gemv dimension mismatch");
             }
             let mut ys = vec![Vec::with_capacity(rows.len()); xs.len()];
-            for r in rows {
-                let row = &self.data[r * self.cols + cols.start..r * self.cols + cols.end];
+            let block =
+                rows.map(|r| &self.data[r * self.cols + cols.start..r * self.cols + cols.end]);
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: SSE2 is part of the x86_64 baseline, so every x86_64
+            // CPU has the target feature the kernel is compiled for.
+            unsafe {
+                crate::split16::gemv_rows(block, cols.len(), xs, &mut ys);
+            }
+            #[cfg(not(target_arch = "x86_64"))]
+            for row in block {
                 for (y, x) in ys.iter_mut().zip(xs) {
-                    let mut acc = 0i64;
-                    for (a, b) in row.iter().zip(x.as_ref()) {
-                        acc += (i64::from(*a) * i64::from(*b)) >> 16;
-                    }
-                    y.push(acc.clamp(i32::MIN as i64, i32::MAX as i64) as i32);
+                    y.push(dot(row, x.as_ref()));
                 }
             }
             ys
         }
+    }
+
+    /// `row · x` in Q16.16, exactly as [`MatFx::gemv`] computes one output.
+    pub(crate) fn dot(row: &[i32], x: &[i32]) -> i32 {
+        let mut acc = 0i64;
+        for (a, b) in row.iter().zip(x) {
+            acc += (i64::from(*a) * i64::from(*b)) >> 16;
+        }
+        acc.clamp(i32::MIN as i64, i32::MAX as i64) as i32
     }
 
     /// ReLU in Q16.16.
@@ -339,9 +359,9 @@ mod tests {
                 }
                 result.extend(acc);
             }
-            for (f, g) in full.iter().zip(&result) {
-                assert!((fx::fq(*f) - fx::fq(*g)).abs() < 1e-2);
-            }
+            // Each partial is a sum of the same per-element terms `gemv`
+            // adds, far from saturation, so the blocks recombine exactly.
+            assert_eq!(full, result);
         }
     }
 

@@ -9,6 +9,8 @@
 
 pub mod cost;
 pub mod dense;
+#[cfg(target_arch = "x86_64")]
+mod split16;
 
 pub use cost::CpuModel;
 pub use dense::{block_ranges, fx, vec_add, MatF32};

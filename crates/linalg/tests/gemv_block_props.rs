@@ -1,0 +1,180 @@
+//! `MatFx::gemv_block` against `MatFx::gemv` on a copied block, bit for bit.
+//!
+//! On x86_64 `gemv_block` sums 16-bit split products in i32 SIMD lanes
+//! whenever a guard on the weight and input magnitudes proves the lanes
+//! cannot wrap, and falls back to `gemv`'s scalar loop otherwise. These
+//! properties draw blocks and batches on both sides of that guard: DLRM-sized
+//! magnitudes (fast path), weights at `|a| = 2^15 - 1` (fast) and `2^15`
+//! (fallback), inputs at `i32::MIN` and `i32::MAX`, low halves with the sign
+//! bit set, widths with every `n % 8`, empty ranges, batch sizes 0, 1, 16 and
+//! 17, and widths on either side of the guard's overflow edge.
+
+use accl_linalg::fx::MatFx;
+use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{RngExt, SeedableRng};
+
+/// The block `[rows, cols]` of `a` as a matrix of its own.
+fn copy_block(a: &MatFx, rows: std::ops::Range<usize>, cols: std::ops::Range<usize>) -> MatFx {
+    MatFx {
+        rows: rows.len(),
+        cols: cols.len(),
+        data: rows
+            .flat_map(|r| a.data[r * a.cols + cols.start..r * a.cols + cols.end].to_vec())
+            .collect(),
+    }
+}
+
+/// Asserts `gemv_block` equals `gemv` on the copied block for every vector.
+fn check(a: &MatFx, rows: std::ops::Range<usize>, cols: std::ops::Range<usize>, xs: &[Vec<i32>]) {
+    let copy = copy_block(a, rows.clone(), cols.clone());
+    let ys = a.gemv_block(rows.clone(), cols.clone(), xs);
+    assert_eq!(ys.len(), xs.len());
+    for (b, (y, x)) in ys.iter().zip(xs).enumerate() {
+        assert_eq!(
+            *y,
+            copy.gemv(x),
+            "vector {b} of {}, rows {rows:?}, cols {cols:?}",
+            xs.len()
+        );
+    }
+}
+
+/// Weight magnitudes, from DLRM-sized to past the i16 range.
+fn weight(rng: &mut StdRng, regime: usize) -> i32 {
+    match regime {
+        // `DlrmModel`'s weights: ±0.05 in Q16.16.
+        0 => rng.random_range(-3_277..3_278),
+        // The largest i16 magnitude, which the kernel takes.
+        1 => [32_767, -32_767, 0, 1][rng.random_range(0..4)],
+        // `|a| = 2^15` falls back for the whole row.
+        2 => [32_768, -32_768, 32_767, -32_767][rng.random_range(0..4)],
+        _ => rng.random_range(i32::MIN..i32::MAX),
+    }
+}
+
+/// Input values, from DLRM-sized to the i32 extremes.
+fn input(rng: &mut StdRng, regime: usize) -> i32 {
+    match regime {
+        // Embeddings and activations: a few units in Q16.16.
+        0 => rng.random_range(-(4 << 16)..(4 << 16)),
+        // Low half with its sign bit set (`ls < 0`) under a small high half.
+        1 => (rng.random_range(-8..8) << 16) | rng.random_range(0x8000..0x1_0000),
+        // The i32 extremes and their neighbours.
+        2 => [
+            i32::MIN,
+            i32::MAX,
+            i32::MIN + 1,
+            i32::MAX - 1,
+            0x7fff_8000,
+            -1,
+        ][rng.random_range(0..6)],
+        _ => rng.random_range(i32::MIN..i32::MAX),
+    }
+}
+
+proptest! {
+    // Miri interprets every SIMD lane; a few cases cover its UB check.
+    #![proptest_config(ProptestConfig::with_cases(if cfg!(miri) { 8 } else { 192 }))]
+
+    /// Random blocks of random matrices, batches of 0, 1, 16 or 17 vectors.
+    #[test]
+    fn block_equals_gemv_on_a_copied_block(
+        seed in any::<u64>(),
+        regimes in (0usize..4, 0usize..4),
+        shape in (1usize..12, 0usize..41),
+        batch in 0usize..4,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (rows, cols) = shape;
+        let a = MatFx {
+            rows,
+            cols,
+            data: (0..rows * cols).map(|_| weight(&mut rng, regimes.0)).collect(),
+        };
+        let r0 = rng.random_range(0..rows + 1);
+        let r1 = rng.random_range(r0..rows + 1);
+        let c0 = rng.random_range(0..cols + 1);
+        let c1 = rng.random_range(c0..cols + 1);
+        let xs: Vec<Vec<i32>> = (0..[0, 1, 16, 17][batch])
+            .map(|_| (c0..c1).map(|_| input(&mut rng, regimes.1)).collect())
+            .collect();
+        check(&a, r0..r1, c0..c1, &xs);
+    }
+}
+
+#[test]
+fn every_width_mod_8_on_dlrm_magnitudes() {
+    let mut rng = StdRng::seed_from_u64(8);
+    for n in 0..=33 {
+        let a = MatFx {
+            rows: 5,
+            cols: n + 3,
+            data: (0..5 * (n + 3)).map(|_| weight(&mut rng, 0)).collect(),
+        };
+        for batch in [0, 1, 16, 17] {
+            let xs: Vec<Vec<i32>> = (0..batch)
+                .map(|_| (0..n).map(|_| input(&mut rng, 1)).collect())
+                .collect();
+            check(&a, 1..5, 2..2 + n, &xs);
+        }
+    }
+}
+
+#[test]
+fn empty_ranges_and_batches() {
+    let a = MatFx {
+        rows: 4,
+        cols: 9,
+        data: (0..36).collect(),
+    };
+    let xs = vec![vec![1 << 16; 9]; 3];
+    check(&a, 2..2, 0..9, &xs);
+    check(&a, 0..4, 0..9, &[]);
+    let empty: Vec<Vec<i32>> = vec![Vec::new(); 17];
+    check(&a, 0..4, 5..5, &empty);
+    assert_eq!(a.gemv_block(0..4, 5..5, &empty), vec![vec![0; 4]; 17]);
+}
+
+/// Every product at the guard's worst case: `|a| = 2^15 - 1`, high half `h`,
+/// and `|(a·ls) >> 16| = 2^14`, all of one sign. The guard admits `n` up
+/// to `(2^31 - 1) / (32767·h + 2^14)`, where the exact sum still fits an
+/// i32 and the lanes must not wrap; one column more falls back, and there
+/// the scalar sum saturates. (Under Miri only the narrow edges run.)
+#[test]
+fn widths_at_the_guard_edge() {
+    let hs: &[i64] = if cfg!(miri) {
+        &[64, 32_767]
+    } else {
+        &[0, 1, 3, 64, 32_767]
+    };
+    for &h in hs {
+        let per = 32_767 * h + (1 << 14);
+        let edge = ((1i64 << 31) - 1) / per;
+        for n in [edge - 1, edge, edge + 1, edge + 8] {
+            let n = n as usize;
+            let a = MatFx {
+                rows: 2,
+                cols: n,
+                data: [vec![-32_767; n], vec![32_767; n]].concat(),
+            };
+            // x = h·2^16 + 0x7fff: (a·x) >> 16 = a·h + floor(a·0x7fff / 2^16).
+            let x = ((h as i32) << 16) | 0x7fff;
+            let xs = [vec![x; n], vec![-x; n]];
+            check(&a, 0..2, 0..n, &xs);
+        }
+    }
+}
+
+#[test]
+fn i32_extremes_in_every_lane() {
+    let a = MatFx {
+        rows: 3,
+        cols: 16,
+        data: [vec![32_767; 16], vec![-32_767; 16], vec![1; 16]].concat(),
+    };
+    for x in [i32::MIN, i32::MAX, i32::MIN + 0x8000, 0x7fff_7fff, -0x8000] {
+        let xs: Vec<Vec<i32>> = (0..5).map(|b| vec![x.wrapping_add(b); 16]).collect();
+        check(&a, 0..3, 0..16, &xs);
+    }
+}

@@ -201,6 +201,15 @@ impl WindowSnapshot {
     }
 }
 
+/// Applies `f` to the entry under `key`, created at its default if absent.
+/// The key is copied into an owned `String` only on that first write.
+fn update<V: Default>(map: &mut BTreeMap<String, V>, key: &str, f: impl FnOnce(&mut V)) {
+    match map.get_mut(key) {
+        Some(v) => f(v),
+        None => f(map.entry(key.to_owned()).or_default()),
+    }
+}
+
 /// A set of named counters, gauges, histograms and sample series.
 #[derive(Default, Debug, Clone)]
 pub struct Stats {
@@ -278,9 +287,9 @@ impl Stats {
 
     /// Adds `delta` to counter `key`, creating it at zero if absent.
     pub fn add(&mut self, key: &str, delta: u64) {
-        *self.counters.entry(key.to_string()).or_insert(0) += delta;
+        update(&mut self.counters, key, |c| *c += delta);
         if let Some(w) = self.live_window() {
-            *w.counters.entry(key.to_string()).or_insert(0) += delta;
+            update(&mut w.counters, key, |c| *c += delta);
         }
     }
 
@@ -291,9 +300,9 @@ impl Stats {
 
     /// Sets gauge `key` to `value` (last write wins).
     pub fn set_gauge(&mut self, key: &str, value: i64) {
-        self.gauges.insert(key.to_string(), value);
+        update(&mut self.gauges, key, |g| *g = value);
         if let Some(w) = self.live_window() {
-            w.gauges.insert(key.to_string(), value);
+            update(&mut w.gauges, key, |g| *g = value);
         }
     }
 
@@ -304,15 +313,9 @@ impl Stats {
 
     /// Records `value` into the log2-bucketed histogram `key`.
     pub fn observe(&mut self, key: &str, value: u64) {
-        self.histograms
-            .entry(key.to_string())
-            .or_default()
-            .observe(value);
+        update(&mut self.histograms, key, |h| h.observe(value));
         if let Some(w) = self.live_window() {
-            w.histograms
-                .entry(key.to_string())
-                .or_default()
-                .observe(value);
+            update(&mut w.histograms, key, |h| h.observe(value));
         }
     }
 
@@ -323,7 +326,7 @@ impl Stats {
 
     /// Appends a sample to series `key`.
     pub fn record(&mut self, key: &str, value: f64) {
-        self.series.entry(key.to_string()).or_default().push(value);
+        update(&mut self.series, key, |s| s.push(value));
     }
 
     /// All samples recorded under `key`.
