@@ -13,20 +13,14 @@ contract is written against. The other workloads are reported for
 context — short runs swing tens of percent with CPU frequency state, so
 gating on them would be flaky, not strict.
 
-Two refinements over raw wall-clock comparison:
-
- - `parallel_scaling` rows are reported only when the run's recorded
-   `host_cpus` exceeds 1 on both sides. On a single-core host the >1
-   worker rows measure engine overhead, not scaling, and comparing them
-   is noise dressed up as signal.
- - When both sides carry a `critical_path` section (sim-time
-   critical-path digests per workload, produced by `accl-obs`), the
-   gated workload is compared by digest equality instead of wall-clock
-   ratio: equal digests mean the simulated timeline is bit-identical, so
-   the run cannot have regressed in sim time no matter what the host
-   clock says; unequal digests fail loudly because the timeline itself
-   changed. Wall-clock gating remains the fallback when digests are
-   absent.
+One refinement over raw wall-clock comparison: when both sides carry a
+`critical_path` section (sim-time critical-path digests per workload,
+produced by `accl-obs`), the gated workload is compared by digest
+equality instead of wall-clock ratio: equal digests mean the simulated
+timeline is bit-identical, so the run cannot have regressed in sim time
+no matter what the host clock says; unequal digests fail loudly because
+the timeline itself changed. Wall-clock gating remains the fallback when
+digests are absent.
 
 Usage:
   check_simcore_regression.py --ref ref1.json [ref2.json ...] \
@@ -40,8 +34,8 @@ GATED = "chain_1m_events"
 
 
 def collect(files):
-    """Best events/sec per workload, parallel rows, and digests."""
-    rates, parallel, digests = {}, {}, {}
+    """Best events/sec per workload, and digests."""
+    rates, digests = {}, {}
     for path in files:
         with open(path) as f:
             doc = json.load(f)
@@ -49,15 +43,6 @@ def collect(files):
             rate = float(row["events_per_sec"])
             if rate > rates.get(name, 0.0):
                 rates[name] = rate
-        scaling = doc.get("parallel_scaling", {})
-        host_cpus = int(scaling.get("host_cpus", 0) or 0)
-        if host_cpus > 1:
-            for key, row in scaling.items():
-                if not key.startswith("workers_"):
-                    continue
-                rate = float(row["events_per_sec"])
-                if rate > parallel.get(key, 0.0):
-                    parallel[key] = rate
         for name, digest in doc.get("critical_path", {}).items():
             prior = digests.setdefault(name, digest)
             if prior != digest:
@@ -66,7 +51,7 @@ def collect(files):
                     f"across same-side runs ({prior} vs {digest}) — the "
                     f"workload is nondeterministic, fix that first"
                 )
-    return rates, parallel, digests
+    return rates, digests
 
 
 def main():
@@ -91,8 +76,8 @@ def main():
     if not refs or not curs:
         sys.exit("need at least one --ref file and one --cur file")
 
-    (ref, ref_par, ref_dig) = collect(refs)
-    (cur, cur_par, cur_dig) = collect(curs)
+    (ref, ref_dig) = collect(refs)
+    (cur, cur_dig) = collect(curs)
     failed = False
     digest_gated = GATED in ref_dig and GATED in cur_dig
     for name in sorted(ref):
@@ -128,20 +113,6 @@ def main():
         same = ref_dig[name] == cur_dig[name]
         state = "identical" if same else f"CHANGED {ref_dig[name]} -> {cur_dig[name]}"
         print(f"{name:26s} critical-path digest: {state}")
-    if ref_par and cur_par:
-        for key in sorted(ref_par):
-            if key not in cur_par:
-                continue
-            ratio = cur_par[key] / ref_par[key]
-            print(
-                f"parallel {key:17s} ref {ref_par[key]:>12,.0f}  "
-                f"cur {cur_par[key]:>12,.0f}  ratio {ratio:5.3f}"
-            )
-    else:
-        print(
-            "parallel_scaling: skipped (host_cpus <= 1 on at least one side; "
-            "multi-worker rows measure overhead, not scaling, on one core)"
-        )
     if failed:
         sys.exit(1)
     how = "digest-identical" if digest_gated else f"within {tol:.0%} of reference"

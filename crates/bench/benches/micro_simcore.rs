@@ -261,62 +261,6 @@ fn post_then_drain(n: u64) -> u64 {
     sim.events_executed()
 }
 
-/// One rank of the multi-shard scaling workload: a mix of tight local
-/// self-events (private to the rank's partition) and periodic ring
-/// messages to the next rank, sent at the link propagation delay — the
-/// near/cross-shard ratio a real cluster run exhibits.
-struct ShardedRank {
-    remaining: u64,
-    peer: Endpoint,
-}
-impl Component for ShardedRank {
-    fn on_event(&mut self, ctx: &mut Ctx<'_>, port: PortId, payload: Payload) {
-        let v = payload.downcast::<u64>();
-        if self.remaining > 0 {
-            self.remaining -= 1;
-            if self.remaining.is_multiple_of(8) {
-                // Cross-partition hop, >= the configured lookahead.
-                ctx.send(self.peer, Dur::from_ns(200), v + 1);
-            } else {
-                ctx.send_self(port, Dur::from_ns(1), v + 1);
-            }
-        }
-    }
-}
-
-/// The parallel-scaling workload: `nranks` ranks in `nranks` partitions
-/// (ring-connected, one component each) on `workers` simulator threads.
-/// Every worker count executes the identical event population — the
-/// conservative engine's determinism contract — so throughput numbers are
-/// directly comparable.
-fn sharded_ranks(nranks: usize, per_rank: u64, workers: usize) -> u64 {
-    let mut sim = Simulator::new(0);
-    sim.set_workers(workers);
-    sim.set_lookahead(Dur::from_ns(150));
-    let ids: Vec<_> = (0..nranks)
-        .map(|r| sim.reserve(format!("n{r}.rank")))
-        .collect();
-    for (r, &id) in ids.iter().enumerate() {
-        let peer = ids[(r + 1) % nranks];
-        sim.install(
-            id,
-            ShardedRank {
-                remaining: per_rank,
-                peer: Endpoint::of(peer),
-            },
-        );
-        sim.post(Endpoint::of(id), Time::ZERO, 0u64);
-    }
-    sim.assign_partitions(|name| {
-        name.strip_prefix('n')
-            .and_then(|rest| rest.split('.').next())
-            .and_then(|d| d.parse::<u32>().ok())
-            .map_or(0, |r| r + 1)
-    });
-    sim.run();
-    sim.events_executed()
-}
-
 /// Pre-PR2 kernel baseline (global `BinaryHeap<Scheduled>`, one `Box` per
 /// payload, `Vec<u8>` chunk copies), measured on the CI container before
 /// the tiered-queue/inline-payload overhaul. Frozen so every future run
@@ -329,14 +273,7 @@ const BASELINE: &[(&str, f64, f64)] = &[
     ("post_then_drain_100k", 5_288_176.0, 1.0),
 ];
 
-/// One row of the parallel-scaling table.
-struct ScalingResult {
-    workers: usize,
-    events: u64,
-    events_per_sec: f64,
-}
-
-fn emit_json(results: &[WorkloadResult], scaling: &[ScalingResult], quick: bool) {
+fn emit_json(results: &[WorkloadResult], quick: bool) {
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str("  \"bench\": \"micro_simcore\",\n");
@@ -374,37 +311,6 @@ fn emit_json(results: &[WorkloadResult], scaling: &[ScalingResult], quick: bool)
                 .map(|s| format!(", \"speedup_vs_baseline\": {s:.2}"))
                 .unwrap_or_default(),
             if i + 1 < results.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  },\n");
-    // Conservative-parallel scaling on the 64-rank mixed ring workload.
-    // Speedups are relative to the 1-worker (sequential-engine) row of the
-    // same run; every row executes the identical event population.
-    let host_cpus = std::thread::available_parallelism().map_or(0, |n| n.get());
-    out.push_str("  \"parallel_scaling\": {\n");
-    out.push_str(
-        "    \"workload\": \"sharded_ranks: 64 ranks in 64 partitions, ring traffic, \
-         7:1 local:cross-shard event mix, 150 ns lookahead\",\n",
-    );
-    out.push_str(&format!("    \"host_cpus\": {host_cpus},\n"));
-    out.push_str(&format!(
-        "    \"host_note\": \"measured on a {host_cpus}-core container; parallel speedup \
-         requires >1 physical core — rows above 1 worker show engine overhead, not \
-         scaling, when host_cpus is 1\",\n"
-    ));
-    let base_eps = scaling
-        .iter()
-        .find(|s| s.workers == 1)
-        .map_or(1.0, |s| s.events_per_sec);
-    for (i, s) in scaling.iter().enumerate() {
-        out.push_str(&format!(
-            "    \"workers_{}\": {{\"events\": {}, \"events_per_sec\": {:.0}, \
-             \"speedup_vs_sequential\": {:.2}}}{}\n",
-            s.workers,
-            s.events,
-            s.events_per_sec,
-            s.events_per_sec / base_eps,
-            if i + 1 < scaling.len() { "," } else { "" }
         ));
     }
     out.push_str("  }\n");
@@ -460,34 +366,5 @@ fn main() {
         );
     }
 
-    // Parallel scaling: the same 64-rank mixed workload at 1/2/4/8
-    // workers. The event population is identical at every worker count
-    // (asserted) — only wall-clock may move.
-    let per_rank = if quick { 4_096u64 } else { 16_384 };
-    let mut scaling = Vec::new();
-    let mut golden_events = None;
-    for workers in [1usize, 2, 4, 8] {
-        let r = measure("sharded_ranks", reps, move || {
-            sharded_ranks(64, per_rank, workers)
-        });
-        match golden_events {
-            None => golden_events = Some(r.events),
-            Some(g) => assert_eq!(
-                r.events, g,
-                "{workers}-worker run executed a different event population"
-            ),
-        }
-        println!(
-            "scaling  {:<24} {:>12.0} events/s  ({} events)",
-            format!("sharded_ranks x{workers}"),
-            r.events_per_sec,
-            r.events
-        );
-        scaling.push(ScalingResult {
-            workers,
-            events: r.events,
-            events_per_sec: r.events_per_sec,
-        });
-    }
-    emit_json(&results, &scaling, quick);
+    emit_json(&results, quick);
 }

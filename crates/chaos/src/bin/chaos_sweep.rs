@@ -16,7 +16,7 @@ use accl_core::Transport;
 const USAGE: &str = "\
 usage: chaos_sweep [--seeds N] [--start-seed S] [--nodes N] [--count ELEMS]
                    [--transport tcp|udp|rdma] [--overload] [--membership]
-                   [--break-fcs] [--threads N] [--out FILE] [-q]
+                   [--break-fcs] [--out FILE] [-q]
        chaos_sweep --replay FILE
 
   --seeds N        seeds to run (default 8)
@@ -36,9 +36,6 @@ usage: chaos_sweep [--seeds N] [--start-seed S] [--nodes N] [--count ELEMS]
                    collective must complete with golden data
   --break-fcs      disable TCP FCS verification (harness self-test: the
                    sweep must catch the resulting silent corruption)
-  --threads N      simulator worker threads per experiment (default 1 =
-                   sequential); outcomes and repros are identical at any
-                   thread count
   --out FILE       where to write the shrunk repro on failure
                    (default chaos-repro.json)
   -q               only print the verdict and failures
@@ -102,12 +99,6 @@ fn parse_args() -> Result<Args, String> {
             }
             "--overload" => args.cfg.overload = true,
             "--membership" => args.cfg.membership = true,
-            "--threads" => {
-                args.cfg.workers = value(&mut i)?
-                    .parse::<usize>()
-                    .map_err(|e| format!("--threads: {e}"))?
-                    .max(1)
-            }
             "--break-fcs" => args.cfg.verify_fcs = false,
             "--out" => args.out = value(&mut i)?,
             "--replay" => args.replay = Some(value(&mut i)?),

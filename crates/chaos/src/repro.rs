@@ -10,7 +10,7 @@
 //! {
 //!   "format": 1,
 //!   "seed": 17,
-//!   "workload": {"op": "allreduce", "nodes": 3, "count": 2048, "transport": "tcp", "verify_fcs": false, "overload": false, "workers": 1, "membership": false},
+//!   "workload": {"op": "allreduce", "nodes": 3, "count": 2048, "transport": "tcp", "verify_fcs": false, "overload": false, "membership": false},
 //!   "events": [
 //!     {"kind": "corrupt", "index": 9}
 //!   ]
@@ -79,7 +79,6 @@ impl Repro {
             ),
             ("verify_fcs".into(), Json::Bool(self.spec.verify_fcs)),
             ("overload".into(), Json::Bool(self.spec.overload)),
-            ("workers".into(), Json::U64(self.spec.workers as u64)),
             ("membership".into(), Json::Bool(self.spec.membership)),
         ]);
         json::write(&Json::Obj(vec![
@@ -125,9 +124,6 @@ impl Repro {
             // cluster those files were recorded against.
             overload: w.get("overload").and_then(Json::as_bool).unwrap_or(false),
             seed,
-            // Absent in pre-parallel repros: those ran sequentially. The
-            // field is advisory anyway — outcomes are worker-invariant.
-            workers: w.get("workers").and_then(Json::as_u64).unwrap_or(1).max(1) as usize,
             // Absent in pre-membership repros: those did not run the
             // self-healing recovery loop.
             membership: w.get("membership").and_then(Json::as_bool).unwrap_or(false),
@@ -309,7 +305,6 @@ mod tests {
                 verify_fcs: true,
                 overload: true,
                 seed: 99,
-                workers: 2,
                 membership: true,
             },
             events: vec![
@@ -387,7 +382,6 @@ mod tests {
                    \"verify_fcs\": true}, \"events\": []}";
         let repro = Repro::from_json(old).unwrap();
         assert!(!repro.spec.overload);
-        assert_eq!(repro.spec.workers, 1);
         assert!(!repro.spec.membership);
     }
 
@@ -403,7 +397,6 @@ mod tests {
                 verify_fcs: false,
                 overload: false,
                 seed: 3,
-                workers: 1,
                 membership: false,
             },
             events: vec![

@@ -40,9 +40,6 @@ pub struct SweepConfig {
     pub overload: bool,
     /// Fault intensity.
     pub profile: ChaosProfile,
-    /// Simulator worker threads per experiment (`1` = sequential). Chaos
-    /// outcomes and digests are invariant under this knob.
-    pub workers: usize,
     /// Membership mode: every experiment runs the self-healing recovery
     /// loop after its faults play out (see `WorkloadSpec::membership`).
     /// Pair with [`ChaosProfile::membership_profile`] so schedules carry
@@ -64,7 +61,6 @@ impl SweepConfig {
             verify_fcs: true,
             overload: false,
             profile: ChaosProfile::default_profile(nodes as u32),
-            workers: 1,
             membership: false,
         }
     }
@@ -102,7 +98,6 @@ impl SweepConfig {
         let mut spec = WorkloadSpec::for_seed(seed, self.nodes, self.count, self.transport);
         spec.verify_fcs = self.verify_fcs;
         spec.overload = self.overload;
-        spec.workers = self.workers;
         spec.membership = self.membership;
         spec
     }

@@ -71,10 +71,6 @@ pub struct WorkloadSpec {
     pub overload: bool,
     /// Simulation seed (also the chaos seed that named this run).
     pub seed: u64,
-    /// Simulator worker threads (`1` = sequential). Chaos outcomes are
-    /// invariant under this knob — parallel runs produce identical
-    /// results and digests — so sweeps can use it purely for throughput.
-    pub workers: usize,
     /// Membership mode: after the scheduled faults play out, the harness
     /// runs the self-healing recovery loop — reinstate every restarted
     /// node and partition-minority member, readmit them via
@@ -102,7 +98,6 @@ impl WorkloadSpec {
             verify_fcs: true,
             overload: false,
             seed,
-            workers: 1,
             membership: false,
         }
     }
@@ -159,7 +154,7 @@ impl std::fmt::Display for Violation {
 }
 
 /// The outcome of one chaos run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RunReport {
     /// The first invariant violation found, if any.
     pub violation: Option<Violation>,
@@ -212,7 +207,6 @@ pub fn run(spec: &WorkloadSpec, plan: FaultPlan) -> RunReport {
     cfg.seed = spec.seed;
     cfg.cclo.collective_timeout_us = Some(WATCHDOG_US);
     cfg.tcp.verify_fcs = spec.verify_fcs;
-    cfg.workers = spec.workers.max(1);
     if spec.overload {
         cfg = cfg.with_overload_limits();
     }
@@ -476,7 +470,6 @@ mod tests {
                     verify_fcs: true,
                     overload: false,
                     seed: 1,
-                    workers: 1,
                     membership: false,
                 };
                 let report = run(&spec, FaultPlan::none());

@@ -81,25 +81,6 @@ pub struct NodeStats {
     pub rx_buffers_shrunk: u32,
 }
 
-/// Partition id for a registered component name, for the conservative
-/// parallel simulator: node-local components (`n{i}.*`) and node `i`'s NIC
-/// port (`net.port{i}`) share partition `i + 1` (they exchange sub-lookahead
-/// events: MMIO, DMA, NIC serialization); the switch fabric and anything
-/// else shared sit in partition 0. Every cross-partition edge is a link
-/// crossing and carries at least one propagation delay.
-fn partition_for(name: &str) -> u32 {
-    let digits = if let Some(rest) = name.strip_prefix("net.port") {
-        Some(rest)
-    } else if let Some(rest) = name.strip_prefix('n') {
-        rest.split('.').next()
-    } else {
-        None
-    };
-    digits
-        .and_then(|d| d.parse::<u32>().ok())
-        .map_or(0, |node| node + 1)
-}
-
 /// A fully wired simulated cluster.
 pub struct AcclCluster {
     /// The simulator; exposed for advanced orchestration.
@@ -274,13 +255,6 @@ impl AcclCluster {
         }
         let mut comms = std::collections::BTreeMap::new();
         comms.insert(0, Communicator::world(cfg.nodes));
-        // Parallel-simulation wiring (inert at the default `workers: 1`):
-        // each node and its NIC port form one partition, the switch fabric
-        // another, and every event between partitions crosses a link — so
-        // the fabric's propagation delay is a sound lookahead.
-        sim.set_workers(cfg.workers);
-        sim.set_lookahead(net.lookahead());
-        sim.assign_partitions(partition_for);
         AcclCluster {
             sim,
             cfg,
@@ -615,9 +589,6 @@ impl AcclCluster {
                 id
             })
             .collect();
-        // The host procs registered above default to partition 0; put them
-        // with their node before running partitioned.
-        self.sim.assign_partitions(partition_for);
         match self.sim.run() {
             RunOutcome::Drained => {}
             RunOutcome::Stalled(report) => return Err(format!("simulation stalled: {report}")),
@@ -767,9 +738,6 @@ impl AcclCluster {
                 id
             })
             .collect();
-        // Newly registered kernels default to partition 0; re-partition so
-        // each runs alongside the CCLO it streams to.
-        self.sim.assign_partitions(partition_for);
         match self.sim.run() {
             RunOutcome::Drained => {}
             RunOutcome::Stalled(report) => panic!("simulation stalled: {report}"),

@@ -79,12 +79,9 @@ pub struct ClusterConfig {
     pub busy_retry: Option<RetryPolicy>,
     /// Simulation seed.
     pub seed: u64,
-    /// Simulator worker threads. `1` (the default) runs the sequential
-    /// event loop; `n > 1` partitions the cluster by node (plus the switch
-    /// fabric in its own partition) and advances the partitions
-    /// concurrently in conservative safe windows bounded by the link
-    /// propagation delay. Results, digests and traces are identical at any
-    /// worker count.
+    /// Ignored: the simulator runs one sequential event loop. Kept only so
+    /// the `perfbench` benchmark, which still passes a worker count,
+    /// compiles; it never reaches the simulator.
     pub workers: usize,
 }
 
@@ -108,8 +105,8 @@ impl ClusterConfig {
         }
     }
 
-    /// Sets the simulator worker-thread count (see
-    /// [`ClusterConfig::workers`]).
+    /// Sets [`ClusterConfig::workers`], which is ignored: the simulator is
+    /// sequential. Kept only for the `perfbench` benchmark.
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = workers.max(1);
         self

@@ -2,8 +2,7 @@
 //! restarting, and rejoining via [`Communicator::expand`]; degraded links
 //! staying *suspected* (never falsely killed) under the adaptive failure
 //! detector; fabric partitions resolving split-brain-safely and
-//! re-merging after the heal — all bit-replay-stable across queue kinds
-//! and worker counts.
+//! re-merging after the heal — all bit-replay-stable across queue kinds.
 
 #![allow(clippy::needless_range_loop)] // rank loops index parallel spec/buffer arrays
 
@@ -172,10 +171,9 @@ fn crash_restart_rejoin_completes_on_rdma() {
 /// Shared shape of the degraded-link-only scenario: a throttle-only
 /// degradation window (no loss, no crash) stretching one node's frame
 /// cadence far past the fixed watchdog's patience.
-fn degraded_cluster(nodes: usize, adaptive: bool, workers: usize) -> AcclCluster {
+fn degraded_cluster(nodes: usize, adaptive: bool) -> AcclCluster {
     let mut cfg = ClusterConfig::coyote_rdma(nodes);
     cfg.transport = Transport::Tcp;
-    cfg.workers = workers;
     if adaptive {
         // No fixed timeout: unlearned streams fall back to the detector's
         // cap, learned streams get mean + phi·(MAD + jitter floor).
@@ -213,7 +211,7 @@ fn degraded_link_survives_adaptive_detector_where_fixed_watchdog_aborts() {
     let count = 512u64;
 
     // Fixed watchdog: the stretched cadence looks like death.
-    let mut fixed = degraded_cluster(2, false, 1);
+    let mut fixed = degraded_cluster(2, false);
     let (specs, _) = allreduce_setup(&mut fixed, &[0, 1], count, 0);
     let records = fixed.host_collective(specs);
     assert!(
@@ -222,7 +220,7 @@ fn degraded_link_survives_adaptive_detector_where_fixed_watchdog_aborts() {
     );
 
     // Adaptive detector: same fabric, zero false verdicts.
-    let mut adaptive = degraded_cluster(2, true, 1);
+    let mut adaptive = degraded_cluster(2, true);
     let (specs, dsts) = allreduce_setup(&mut adaptive, &[0, 1], count, 0);
     let records = adaptive.host_collective(specs);
     for rank in 0..2 {
@@ -314,7 +312,7 @@ fn partition_minority_fails_fast_and_remerges_after_heal() {
 }
 
 /// Everything the recovery timeline exposes that must be bit-identical
-/// run-to-run, across queue kinds and worker counts.
+/// run-to-run and across queue kinds.
 #[derive(Debug, PartialEq)]
 struct Observables {
     events_executed: u64,
@@ -346,11 +344,10 @@ impl Observables {
 /// The crash → restart → rejoin lifecycle under the adaptive detector,
 /// parameterized by engine configuration. Suspect/confirm decisions are
 /// part of every uC's state digest, so digest equality pins them.
-fn rejoin_observables(kind: QueueKind, workers: usize, tie_salt: Option<u64>) -> Observables {
+fn rejoin_observables(kind: QueueKind, tie_salt: Option<u64>) -> Observables {
     let dead = 2usize;
     let count = 512u64;
     let mut cfg = cfg_for(Transport::Tcp, 3, 30_000);
-    cfg.workers = workers;
     cfg.cclo.adaptive_watchdog = Some(AdaptiveWatchdogCfg::default());
     let mut c = AcclCluster::build(cfg);
     c.sim.set_queue_kind(kind);
@@ -381,9 +378,9 @@ fn rejoin_observables(kind: QueueKind, workers: usize, tie_salt: Option<u64>) ->
 
 /// The degraded-link-only scenario under the adaptive detector,
 /// parameterized the same way.
-fn degraded_observables(kind: QueueKind, workers: usize, tie_salt: Option<u64>) -> Observables {
+fn degraded_observables(kind: QueueKind, tie_salt: Option<u64>) -> Observables {
     let count = 512u64;
-    let mut c = degraded_cluster(2, true, workers);
+    let mut c = degraded_cluster(2, true);
     c.sim.set_queue_kind(kind);
     if let Some(salt) = tie_salt {
         permute_ties(&mut c, salt);
@@ -409,49 +406,35 @@ fn permute_ties(_c: &mut AcclCluster, _salt: u64) {
 
 /// Satellite determinism gate: the full recovery timeline — including
 /// every suspect/confirm decision folded into the uC digests — is
-/// bit-identical across queue kinds and 1/2/4/8 workers.
+/// bit-identical across queue kinds.
 #[test]
-fn rejoin_timeline_digest_stable_across_queues_and_workers() {
-    let golden = rejoin_observables(QueueKind::Heap, 1, None);
+fn rejoin_timeline_digest_stable_across_queues() {
+    let golden = rejoin_observables(QueueKind::Heap, None);
     assert!(!golden.state_digests.is_empty());
     assert!(
         golden.suspicions.iter().any(|&s| s > 0),
         "the crash must register suspect-level firings first, got {:?}",
         golden.suspicions
     );
-    for kind in [QueueKind::Heap, QueueKind::Calendar] {
-        for workers in [1usize, 2, 4, 8] {
-            if (kind, workers) == (QueueKind::Heap, 1) {
-                continue;
-            }
-            assert_eq!(
-                rejoin_observables(kind, workers, None),
-                golden,
-                "rejoin timeline diverged ({kind:?}, {workers} workers)"
-            );
-        }
-    }
+    assert_eq!(
+        rejoin_observables(QueueKind::Calendar, None),
+        golden,
+        "rejoin timeline diverged between the heap and calendar queues"
+    );
 }
 
 /// Same gate for the degraded-only scenario: adaptive deadlines are
 /// integer arithmetic on observed gaps, so the no-false-positive outcome
 /// is equally replayable.
 #[test]
-fn degraded_timeline_digest_stable_across_queues_and_workers() {
-    let golden = degraded_observables(QueueKind::Heap, 1, None);
+fn degraded_timeline_digest_stable_across_queues() {
+    let golden = degraded_observables(QueueKind::Heap, None);
     assert!(!golden.state_digests.is_empty());
-    for kind in [QueueKind::Heap, QueueKind::Calendar] {
-        for workers in [1usize, 2, 4, 8] {
-            if (kind, workers) == (QueueKind::Heap, 1) {
-                continue;
-            }
-            assert_eq!(
-                degraded_observables(kind, workers, None),
-                golden,
-                "degraded timeline diverged ({kind:?}, {workers} workers)"
-            );
-        }
-    }
+    assert_eq!(
+        degraded_observables(QueueKind::Calendar, None),
+        golden,
+        "degraded timeline diverged between the heap and calendar queues"
+    );
 }
 
 /// With the race detector, a deliberately permuted same-timestamp
@@ -460,18 +443,18 @@ fn degraded_timeline_digest_stable_across_queues_and_workers() {
 #[cfg(feature = "race-detect")]
 #[test]
 fn detector_decisions_survive_permuted_tie_order() {
-    let golden = rejoin_observables(QueueKind::Heap, 1, None);
+    let golden = rejoin_observables(QueueKind::Heap, None);
     for salt in [1u64, 0x5eed, 0xdead_beef] {
         assert_eq!(
-            rejoin_observables(QueueKind::Heap, 1, Some(salt)),
+            rejoin_observables(QueueKind::Heap, Some(salt)),
             golden,
             "suspect/confirm decisions moved under tie salt {salt:#x}"
         );
     }
-    let degraded_golden = degraded_observables(QueueKind::Heap, 1, None);
+    let degraded_golden = degraded_observables(QueueKind::Heap, None);
     for salt in [1u64, 0x5eed] {
         assert_eq!(
-            degraded_observables(QueueKind::Heap, 1, Some(salt)),
+            degraded_observables(QueueKind::Heap, Some(salt)),
             degraded_golden,
             "degraded-run decisions moved under tie salt {salt:#x}"
         );

@@ -721,8 +721,8 @@ fn counter_custody(file: &str, parsed: &ParsedFile, findings: &mut Vec<Finding>)
 // ---------------------------------------------------------------------------
 
 /// Every `impl Component` must carry a non-default `state_digest`: the
-/// race detector's shadow runs and the parallel engine's cross-mode gates
-/// compare digests — a defaulted (`None`) digest makes those comparisons
+/// race detector's shadow runs and the queue-kind replay gates compare
+/// digests — a defaulted (`None`) digest makes those comparisons
 /// vacuously pass for the component, which is exactly how coverage rots.
 fn digest_coverage(file: &str, parsed: &ParsedFile, findings: &mut Vec<Finding>) {
     for im in &parsed.impls {

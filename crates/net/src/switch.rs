@@ -254,9 +254,7 @@ impl Switch {
             accl_sim::trace_instant!(ctx, "net.pause", frame.span);
             if let Some(pause) = self.pause_tx[frame.src.index()] {
                 // Pause frames travel the wire like any other control
-                // traffic: one propagation delay back to the NIC. This also
-                // keeps every switch->port edge at or above the link
-                // lookahead, which the parallel simulator relies on.
+                // traffic: one propagation delay back to the NIC.
                 ctx.send(pause, self.propagation, PauseFrame { until: resume_at });
             }
         }
@@ -363,8 +361,8 @@ impl Component for Switch {
         // Everything externally meaningful about the fabric: forward and
         // fault counters, per-port traffic, and the exact egress
         // reservation times. Two runs that forwarded the same frames must
-        // agree bit for bit — the race detector and the parallel-engine
-        // determinism gate both compare this.
+        // agree bit for bit — the race detector and the queue-kind
+        // replay gates both compare this.
         let mut h = 0u64;
         for v in [
             self.frame_index,

@@ -57,14 +57,6 @@ impl NetConfig {
     pub fn propagation(&self) -> Dur {
         Dur::from_ns(self.propagation_ns)
     }
-
-    /// The conservative parallel-simulation lookahead this fabric supports:
-    /// every event crossing a node boundary (port -> switch, switch -> port,
-    /// including PFC pause frames) travels at least one link propagation
-    /// delay, so the safe-window width is exactly that.
-    pub fn lookahead(&self) -> Dur {
-        self.propagation()
-    }
 }
 
 /// A built fabric: one switch plus one [`NetPort`] per device.
@@ -114,12 +106,6 @@ impl Network {
             ports,
             cfg,
         }
-    }
-
-    /// The minimum cross-node event delay of the built fabric — feed this
-    /// to [`Simulator::set_lookahead`] when running partitioned.
-    pub fn lookahead(&self) -> Dur {
-        self.cfg.lookahead()
     }
 
     /// Number of ports on the fabric.

@@ -66,8 +66,6 @@ pub struct CaptureConfig {
     pub workload: Workload,
     /// Simulation seed.
     pub seed: u64,
-    /// Simulator worker threads.
-    pub workers: usize,
     /// Event-queue kind.
     pub queue: QueueKind,
     /// Metric window width; `None` disables windowed metrics.
@@ -85,7 +83,6 @@ impl Default for CaptureConfig {
         CaptureConfig {
             workload: Workload::Allreduce8,
             seed: 1,
-            workers: 1,
             queue: QueueKind::default(),
             window: Some(Dur::from_us(1)),
             span_capacity: 1 << 20,
@@ -131,7 +128,7 @@ fn capture_allreduce8(cfg: &CaptureConfig) -> TraceDoc {
     let count = 4096u64;
     let mut cluster = AcclCluster::build(ClusterConfig {
         seed: cfg.seed,
-        ..ClusterConfig::coyote_rdma(n).with_workers(cfg.workers)
+        ..ClusterConfig::coyote_rdma(n)
     });
     cluster.sim.set_queue_kind(cfg.queue);
     cluster.enable_tracing(cfg.span_capacity);
@@ -169,12 +166,7 @@ fn capture_allreduce8(cfg: &CaptureConfig) -> TraceDoc {
             "rank {rank} result wrong; refusing to snapshot a bad run"
         );
     }
-    TraceDoc::from_cluster(
-        &cluster,
-        Workload::Allreduce8.label(),
-        cfg.seed,
-        cfg.workers,
-    )
+    TraceDoc::from_cluster(&cluster, Workload::Allreduce8.label(), cfg.seed, 1)
 }
 
 /// Runs the self-healing lifecycle with tracing on: crash node 2 at 1 µs
@@ -190,7 +182,7 @@ fn capture_rejoin(cfg: &CaptureConfig) -> TraceDoc {
     let n = 3usize;
     let dead = 2usize;
     let count = 1024u64;
-    let mut base = ClusterConfig::coyote_rdma(n).with_workers(cfg.workers);
+    let mut base = ClusterConfig::coyote_rdma(n);
     base.seed = cfg.seed;
     base.transport = Transport::Tcp;
     base.cclo.collective_timeout_us = Some(30_000);
@@ -230,7 +222,7 @@ fn capture_rejoin(cfg: &CaptureConfig) -> TraceDoc {
     cluster.install_communicator(&rejoined);
     rejoin_verified_allreduce(&mut cluster, &[0, 1, 2], count, 2);
 
-    TraceDoc::from_cluster(&cluster, Workload::Rejoin.label(), cfg.seed, cfg.workers)
+    TraceDoc::from_cluster(&cluster, Workload::Rejoin.label(), cfg.seed, 1)
 }
 
 fn rejoin_pattern(rank: usize, count: u64) -> Vec<u8> {
@@ -314,13 +306,8 @@ fn capture_dlrm(cfg: &CaptureConfig) -> TraceDoc {
         metric_window: cfg.window,
         queue: Some(cfg.queue),
     };
-    let (result, cluster) = run_pipeline_observed(
-        &model,
-        DlrmTiming::default(),
-        inferences,
-        cfg.workers,
-        &observe,
-    );
+    let (result, cluster) =
+        run_pipeline_observed(&model, DlrmTiming::default(), inferences, 1, &observe);
     assert_eq!(result.done_at.len(), inferences, "pipeline did not finish");
-    TraceDoc::from_cluster(&cluster, Workload::Dlrm.label(), cfg.seed, cfg.workers)
+    TraceDoc::from_cluster(&cluster, Workload::Dlrm.label(), cfg.seed, 1)
 }

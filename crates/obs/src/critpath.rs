@@ -14,7 +14,7 @@
 //!
 //! Determinism: candidate choice is a pure max over `(end, begin, id)`
 //! of content-derived span ids, so bit-identical traces (the replay
-//! contract across worker counts and queue kinds) yield bit-identical
+//! contract across queue kinds) yield bit-identical
 //! paths and digests.
 
 use std::collections::BTreeSet;

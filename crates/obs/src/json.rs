@@ -37,7 +37,6 @@ pub fn serialize(doc: &TraceDoc) -> String {
         ("schema", string(SCHEMA)),
         ("workload", string(&doc.workload)),
         ("seed", Json::U64(doc.seed)),
-        ("workers", Json::U64(doc.workers)),
         ("queue", string(&doc.queue)),
         (
             "components",
@@ -162,7 +161,6 @@ pub fn parse(text: &str) -> Result<TraceDoc, String> {
     Ok(TraceDoc {
         workload: text_of(&root, "workload")?,
         seed: root.field_as("seed", Json::as_u64)?,
-        workers: root.field_as("workers", Json::as_u64)?,
         queue: text_of(&root, "queue")?,
         components,
         events,
@@ -178,7 +176,6 @@ mod tests {
         TraceDoc {
             workload: "allreduce8".to_string(),
             seed: 7,
-            workers: 4,
             queue: "calendar".to_string(),
             components: vec!["n0.driver".to_string(), "switch \"x\"".to_string()],
             events: vec![

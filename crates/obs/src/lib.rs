@@ -16,7 +16,7 @@
 //!    "RBM meta wait on rank 3 grew 41 µs" rather than "the run got
 //!    slower". CI gates on the diff of critical-path attributions.
 //!  - **Windowed SLO series** ([`slo`]): the simulator's fixed-width
-//!    metric windows (integer-only, deterministic, merged across shards)
+//!    metric windows (integer-only, deterministic)
 //!    rendered as p50/p99/p999-over-sim-time, with a derived per-window
 //!    availability column (`availability_milli`).
 //!  - **MTTR / recovery attribution** ([`mttr`]): for self-healing runs
@@ -27,8 +27,8 @@
 //!
 //! Everything is integer picoseconds end to end: parsing, analysis and
 //! serialization never touch floats, so every artifact — including the
-//! critical-path digest CI pins — is bit-identical across hosts, worker
-//! counts and event-queue kinds.
+//! critical-path digest CI pins — is bit-identical across hosts and
+//! event-queue kinds.
 //!
 //! The [`capture`] module runs the reference workloads (8-rank allreduce,
 //! the DLRM inference pipeline) with tracing on and snapshots them into

@@ -1,7 +1,7 @@
 //! `accl-obs` — trace analytics CLI for the ACCL+ simulator.
 //!
 //! ```text
-//! accl-obs dump --workload allreduce8|dlrm [--seed N] [--workers N]
+//! accl-obs dump --workload allreduce8|dlrm [--seed N]
 //!               [--queue calendar|heap] [--window-us N] [--no-window]
 //!               [--degrade-rank R] -o trace.json
 //!     Run a reference workload with tracing on and write the
@@ -86,7 +86,6 @@ fn positional(args: &[String]) -> Vec<&String> {
                 flag,
                 "workload"
                     | "seed"
-                    | "workers"
                     | "queue"
                     | "window-us"
                     | "degrade-rank"
@@ -173,7 +172,6 @@ fn cmd_dump(args: &[String]) -> ExitCode {
         let cfg = CaptureConfig {
             workload,
             seed: parse_u64(args, "--seed", 1)?,
-            workers: parse_u64(args, "--workers", 1)? as usize,
             queue,
             window,
             span_capacity: 1 << 20,
@@ -219,11 +217,10 @@ fn cmd_critical_path(args: &[String]) -> ExitCode {
         print!(
             "{}",
             attr.table(&format!(
-                "critical-path attribution: {} ({} roots, seed {}, {} workers, {} queue)",
+                "critical-path attribution: {} ({} roots, seed {}, {} queue)",
                 doc.workload,
                 paths.len(),
                 doc.seed,
-                doc.workers,
                 doc.queue
             ))
         );
@@ -278,8 +275,8 @@ fn cmd_mttr(args: &[String]) -> ExitCode {
         print!(
             "{}",
             timeline.table(&format!(
-                "recovery timeline: {} (seed {}, {} workers, {} queue)",
-                doc.workload, doc.seed, doc.workers, doc.queue
+                "recovery timeline: {} (seed {}, {} queue)",
+                doc.workload, doc.seed, doc.queue
             ))
         );
         if let Some(w) = &doc.windows {

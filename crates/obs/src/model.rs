@@ -162,8 +162,6 @@ pub struct TraceDoc {
     pub workload: String,
     /// Simulation seed the run used.
     pub seed: u64,
-    /// Simulator worker threads the run used.
-    pub workers: u64,
     /// Event-queue kind label (`calendar` / `heap`).
     pub queue: String,
     /// Component names, indexed by [`ObsEvent::comp`].
@@ -179,11 +177,15 @@ impl TraceDoc {
     /// metric windows. Panics if span events were dropped by the ring
     /// bound — an analysis over a truncated causal graph would silently
     /// misattribute, so captures must size the ring for the workload.
+    ///
+    /// `_workers` is ignored: the simulator runs one sequential event
+    /// loop. The parameter is kept only for the `perfbench` benchmark,
+    /// which still passes a worker count.
     pub fn from_cluster(
         cluster: &AcclCluster,
         workload: &str,
         seed: u64,
-        workers: usize,
+        _workers: usize,
     ) -> TraceDoc {
         assert_eq!(
             cluster.sim.spans_dropped(),
@@ -218,7 +220,6 @@ impl TraceDoc {
         TraceDoc {
             workload: workload.to_string(),
             seed,
-            workers: workers as u64,
             queue: queue.to_string(),
             components,
             events,

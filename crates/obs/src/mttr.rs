@@ -22,8 +22,8 @@
 //!    world (the rejoined node included) finishing a collective.
 //!
 //! All arithmetic is integer picoseconds on span timestamps, so the table
-//! is bit-identical across hosts, worker counts and queue kinds — CI can
-//! diff it like any other artifact. Availability is summarized from the
+//! is bit-identical across hosts and queue kinds — CI can diff it like
+//! any other artifact. Availability is summarized from the
 //! same windowed counters the SLO series renders: a window is *degraded*
 //! when `driver.calls_failed` ticked inside it.
 

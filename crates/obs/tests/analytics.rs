@@ -3,13 +3,12 @@
 //!
 //!  - the critical path of the 8-rank allreduce is an exact integer
 //!    partition of each call's end-to-end latency, and its digest is
-//!    bit-identical run-to-run, across event-queue kinds, and across
-//!    1/2/4/8 simulator workers;
+//!    bit-identical run-to-run and across event-queue kinds;
 //!  - `diff` between two seeds of the same workload reports zero
 //!    regressions;
 //!  - `diff` against a deliberately degraded link names the affected
 //!    component, span type and rank;
-//!  - windowed metrics merge deterministically across shards;
+//!  - windowed metrics are identical across event-queue kinds;
 //!  - a captured document round-trips bit-exactly through the JSON
 //!    interchange form.
 
@@ -59,7 +58,7 @@ fn allreduce_critical_path_is_an_exact_integer_partition() {
 }
 
 #[test]
-fn critical_path_digest_is_replay_queue_and_worker_invariant() {
+fn critical_path_digest_is_replay_and_queue_invariant() {
     let digest_of = |cfg: &CaptureConfig| {
         let doc = capture(cfg);
         let (paths, _) = analyze(&doc);
@@ -81,17 +80,6 @@ fn critical_path_digest_is_replay_queue_and_worker_invariant() {
         golden,
         "heap queue diverged"
     );
-    // Worker counts.
-    for workers in [2usize, 4, 8] {
-        assert_eq!(
-            digest_of(&CaptureConfig {
-                workers,
-                ..CaptureConfig::default()
-            }),
-            golden,
-            "{workers}-worker run diverged"
-        );
-    }
 }
 
 #[test]
@@ -146,26 +134,23 @@ fn degraded_link_diff_names_component_span_and_rank() {
 }
 
 #[test]
-fn windowed_metrics_are_worker_invariant() {
-    let strip_workers = |mut d: TraceDoc| {
-        d.workers = 0;
-        d
-    };
-    let seq = strip_workers(capture(&CaptureConfig::default()));
+fn windowed_metrics_are_queue_invariant() {
+    let calendar = capture(&CaptureConfig::default());
     assert!(
-        seq.windows.as_ref().is_some_and(|w| !w.rows.is_empty()),
+        calendar
+            .windows
+            .as_ref()
+            .is_some_and(|w| !w.rows.is_empty()),
         "default capture must produce populated windows"
     );
-    for workers in [2usize, 4] {
-        let par = strip_workers(capture(&CaptureConfig {
-            workers,
-            ..CaptureConfig::default()
-        }));
-        assert_eq!(
-            par.windows, seq.windows,
-            "{workers}-worker windowed metrics diverged from sequential"
-        );
-    }
+    let heap = capture(&CaptureConfig {
+        queue: QueueKind::Heap,
+        ..CaptureConfig::default()
+    });
+    assert_eq!(
+        heap.windows, calendar.windows,
+        "heap-queue windowed metrics diverged from the calendar queue"
+    );
 }
 
 #[test]
@@ -211,7 +196,7 @@ fn dlrm_pipeline_traces_and_attributes() {
 /// The self-healing reference workload traces end to end: the MTTR
 /// analysis pins an ordered recovery timeline to the span stream, the
 /// windowed availability dips during the outage and returns, and the
-/// whole timeline is bit-identical across worker counts.
+/// whole timeline is bit-identical across event-queue kinds.
 #[test]
 fn rejoin_trace_yields_a_recovery_timeline() {
     let doc = capture(&CaptureConfig {
@@ -237,11 +222,11 @@ fn rejoin_trace_yields_a_recovery_timeline() {
     assert!(a.availability_milli() < 1000);
 
     // Milestones are derived from integer span timestamps only, so the
-    // parallel engine reproduces them exactly.
-    let par = capture(&CaptureConfig {
+    // heap queue reproduces them exactly.
+    let heap = capture(&CaptureConfig {
         workload: Workload::Rejoin,
-        workers: 2,
+        queue: QueueKind::Heap,
         ..CaptureConfig::default()
     });
-    assert_eq!(accl_obs::recovery_timeline(&par), Some(t));
+    assert_eq!(accl_obs::recovery_timeline(&heap), Some(t));
 }

@@ -48,7 +48,6 @@ pub mod pipe;
 pub mod queue;
 #[cfg(feature = "race-detect")]
 pub mod race;
-pub mod shard;
 pub mod sim;
 pub mod stats;
 pub mod time;

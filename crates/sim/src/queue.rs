@@ -207,13 +207,6 @@ impl EventQueue {
         self.cur_src = src;
     }
 
-    /// The active tie-order permutation seed, if any — so parallel shards
-    /// can inherit the master queue's permutation.
-    #[cfg(feature = "race-detect")]
-    pub(crate) fn tie_salt(&self) -> Option<u64> {
-        self.tie_salt
-    }
-
     pub(crate) fn kind(&self) -> QueueKind {
         self.kind
     }

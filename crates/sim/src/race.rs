@@ -82,32 +82,15 @@ impl TieRecorder {
         TieRecorder::default()
     }
 
+    /// Records one delivery. Deliveries must arrive in non-decreasing time
+    /// order (the kernel's execution order).
     pub(crate) fn record(&mut self, time: Time, dst: Endpoint, type_name: &'static str) {
-        self.record_raw(time, (dst.comp.index() as u32, dst.port.0, type_name));
-    }
-
-    /// Records an already-canonicalized delivery. Deliveries must arrive
-    /// in non-decreasing time order (the kernel's execution order); used
-    /// both by the hot path and by the parallel gather, which replays the
-    /// time-merged per-shard records through the master recorder.
-    pub(crate) fn record_raw(&mut self, time: Time, rec: CanonRec) {
         if self.cur_time != Some(time) {
             self.flush();
             self.cur_time = Some(time);
         }
-        self.cur.push(rec);
-    }
-
-    /// Consumes the recorder, returning its raw `(time, deliveries)` sets
-    /// in time order (deliveries within a set unsorted — sets are
-    /// canonicalized by the consumer). Used to merge per-shard recorders
-    /// back into the master after a parallel run.
-    pub(crate) fn take_records(mut self) -> Vec<(Time, Vec<CanonRec>)> {
-        if let Some(t) = self.cur_time.take() {
-            let set = core::mem::take(&mut self.cur);
-            self.done.push((t, set));
-        }
-        core::mem::take(&mut self.done)
+        self.cur
+            .push((dst.comp.index() as u32, dst.port.0, type_name));
     }
 
     fn flush(&mut self) {

@@ -92,10 +92,6 @@ pub struct Ctx<'a> {
     stats: &'a mut Stats,
     stop: &'a mut bool,
     spans: &'a mut SpanRecorder,
-    /// Cross-partition router when this event executes inside a parallel
-    /// shard (`None` in the sequential loop — the default, byte-identical
-    /// path). See [`crate::shard`].
-    shard: Option<&'a mut crate::shard::ShardRouter>,
 }
 
 impl Ctx<'_> {
@@ -128,22 +124,7 @@ impl Ctx<'_> {
         );
         let seq = *self.seq;
         *self.seq += 1;
-        match &mut self.shard {
-            // Sequential loop: plain `(time, seq)` scheduling, unchanged.
-            None => self.queue.push(at, seq, dst, Payload::new(payload)),
-            Some(router) => {
-                // Parallel shard: the merge key encodes the source
-                // partition alongside the shard-local seq, so the global
-                // event order is `(time, seq, source-partition)` — a pure
-                // function of the simulation, never of thread scheduling.
-                let key = (seq << crate::shard::SHARD_BITS) | router.partition_tag();
-                if router.is_local(dst) {
-                    self.queue.push(at, key, dst, Payload::new(payload));
-                } else {
-                    router.send_remote(at, key, self.self_id, dst, Payload::new(payload));
-                }
-            }
-        }
+        self.queue.push(at, seq, dst, Payload::new(payload));
     }
 
     /// Schedules `payload` back to `port` of the executing component after `delay`.
@@ -247,10 +228,10 @@ impl Ctx<'_> {
             .instant(self.now, self.self_id, name, parent, attrs);
     }
 
-    /// Emits the departure side of a cross-rank/cross-shard flow edge at
-    /// the current time, anchored to the producing span `from`; returns
-    /// the deterministic [`FlowId`] to carry in the payload
-    /// ([`FlowId::NONE`] when recording is off). Every emitted edge must
+    /// Emits the departure side of a cross-rank flow edge at the current
+    /// time, anchored to the producing span `from`; returns the
+    /// deterministic [`FlowId`] to carry in the payload ([`FlowId::NONE`]
+    /// when recording is off). Every emitted edge must
     /// be joined by a matching [`Ctx::flow_end`] on the receive side —
     /// `accl-lint`'s flow-pairing rule checks this statically.
     pub fn flow_begin(&mut self, name: &'static str, from: SpanId) -> FlowId {
@@ -380,36 +361,28 @@ const STALL_SPAN_TAIL: usize = 8;
 
 /// The discrete-event simulator.
 pub struct Simulator {
-    pub(crate) time: Time,
-    pub(crate) queue: EventQueue,
-    pub(crate) seq: u64,
-    pub(crate) components: Vec<Option<Box<dyn Component>>>,
-    pub(crate) names: Vec<String>,
+    time: Time,
+    queue: EventQueue,
+    seq: u64,
+    components: Vec<Option<Box<dyn Component>>>,
+    names: Vec<String>,
     seed: u64,
-    pub(crate) stats: Stats,
-    pub(crate) spans: SpanRecorder,
-    pub(crate) stop: bool,
-    pub(crate) executed: u64,
+    stats: Stats,
+    spans: SpanRecorder,
+    stop: bool,
+    executed: u64,
     /// Event trace ring buffer (None = tracing off).
-    pub(crate) trace: Option<(Vec<TraceRecord>, usize)>,
+    trace: Option<(Vec<TraceRecord>, usize)>,
     /// Running timeline digest (None = digesting off).
-    pub(crate) digest: Option<u64>,
+    digest: Option<u64>,
     /// Simulated-time deadline for the stall watchdog (None = only check
     /// at queue drain).
-    pub(crate) stall_deadline: Option<Time>,
+    stall_deadline: Option<Time>,
     /// Scheduler gauges for the most recent `run*` call.
     last_run_summary: Option<RunSummary>,
-    /// Worker-thread count for `run*` calls (1 = sequential loop).
-    workers: usize,
-    /// Minimum cross-partition link delay, bounding the conservative
-    /// safe-window width in parallel mode.
-    lookahead: Dur,
-    /// Partition id of every component (parallel to `components`); all
-    /// zeros until [`Simulator::assign_partitions`] is called.
-    pub(crate) partition_of: Vec<u32>,
     /// Tie-set recorder for the race detector (None = off).
     #[cfg(feature = "race-detect")]
-    pub(crate) tie_rec: Option<crate::race::TieRecorder>,
+    tie_rec: Option<crate::race::TieRecorder>,
 }
 
 impl Simulator {
@@ -436,62 +409,9 @@ impl Simulator {
             digest: None,
             stall_deadline: None,
             last_run_summary: None,
-            workers: 1,
-            lookahead: Dur::ZERO,
-            partition_of: Vec::new(),
             #[cfg(feature = "race-detect")]
             tie_rec: None,
         }
-    }
-
-    /// Sets the worker-thread count for subsequent `run*` calls. `1` (the
-    /// default) is the sequential loop; `n > 1` shards the simulation by
-    /// partition (see [`Simulator::assign_partitions`]) and advances the
-    /// shards concurrently in conservative safe windows bounded by the
-    /// configured [`Simulator::set_lookahead`]. Golden digests and state
-    /// digests are independent of the worker count — see [`crate::shard`].
-    pub fn set_workers(&mut self, workers: usize) {
-        self.workers = workers.max(1);
-    }
-
-    /// The configured worker-thread count.
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// Declares the minimum delay every cross-partition event carries —
-    /// typically the network's link-propagation delay. Parallel safe
-    /// windows are `[gmin, gmin + max(lookahead, 1 ps))`; a larger (but
-    /// still sound) lookahead means fewer barriers per simulated second.
-    /// A cross-partition event scheduled to arrive *inside* the open
-    /// window panics, naming the offending edge.
-    pub fn set_lookahead(&mut self, lookahead: Dur) {
-        self.lookahead = lookahead;
-    }
-
-    /// The configured cross-partition lookahead.
-    pub fn lookahead(&self) -> Dur {
-        self.lookahead
-    }
-
-    /// Assigns every registered component to a partition by mapping its
-    /// registration name through `f`. Partition ids must be dense-ish
-    /// (the shard count is `max + 1`); components that exchange events
-    /// with sub-lookahead delays must share a partition. Re-run after
-    /// registering more components — new registrations default to
-    /// partition 0.
-    pub fn assign_partitions(&mut self, f: impl Fn(&str) -> u32) {
-        self.partition_of = self.names.iter().map(|n| f(n)).collect();
-    }
-
-    /// Number of partitions implied by the current assignment (`1` when
-    /// unassigned — everything in partition 0).
-    pub fn partition_count(&self) -> usize {
-        self.partition_of
-            .iter()
-            .copied()
-            .max()
-            .map_or(1, |m| m as usize + 1)
     }
 
     /// Replaces the FIFO tie-breaking rule for same-timestamp events with
@@ -601,9 +521,8 @@ impl Simulator {
     /// Enables fixed-width sim-time metric windows: every counter add,
     /// gauge write, and histogram observation made through [`Ctx::stats`]
     /// is additionally routed into the window containing the simulated
-    /// time of the write. Integer-only and deterministic; windows merge
-    /// across parallel shards by `(window index, partition order)`. Call
-    /// before the run starts. See [`crate::stats::Stats::enable_windows`].
+    /// time of the write. Integer-only and deterministic. Call before the
+    /// run starts. See [`crate::stats::Stats::enable_windows`].
     pub fn enable_metric_windows(&mut self, width: Dur) {
         self.stats.enable_windows(width);
     }
@@ -748,7 +667,6 @@ impl Simulator {
         let id = ComponentId(u32::try_from(self.components.len()).expect("too many components"));
         self.components.push(None);
         self.names.push(name.into());
-        self.partition_of.push(0);
         id
     }
 
@@ -842,17 +760,6 @@ impl Simulator {
     ///
     /// Panics if an event addresses a reserved-but-uninstalled component.
     pub fn step(&mut self) -> bool {
-        self.step_routed(None)
-    }
-
-    /// Executes a single event inside a parallel shard, routing any
-    /// cross-partition sends through `router`. Same contract as
-    /// [`Simulator::step`] otherwise.
-    pub(crate) fn step_with_router(&mut self, router: &mut crate::shard::ShardRouter) -> bool {
-        self.step_routed(Some(router))
-    }
-
-    fn step_routed(&mut self, shard: Option<&mut crate::shard::ShardRouter>) -> bool {
         let Some((time, seq, idx)) = self.queue.pop_key() else {
             return false;
         };
@@ -889,7 +796,6 @@ impl Simulator {
             stats: &mut self.stats,
             stop: &mut self.stop,
             spans: &mut self.spans,
-            shard,
         };
         comp.on_event(&mut ctx, dst.port, payload);
         #[cfg(feature = "race-detect")]
@@ -954,15 +860,6 @@ impl Simulator {
     }
 
     fn run_loop(&mut self, horizon: Time, max_events: u64, gauges: &mut DepthGauges) -> RunOutcome {
-        // Parallel dispatch: with more than one worker configured and more
-        // than one partition assigned, hand the run to the conservative
-        // parallel engine. It declines (returns `None`) when the partition
-        // assignment leaves nothing to parallelize.
-        if self.workers > 1 {
-            if let Some(outcome) = crate::shard::run_parallel(self, horizon, max_events, gauges) {
-                return outcome;
-            }
-        }
         self.stop = false;
         let mut budget = max_events;
         let mut deadline_pending = self.stall_deadline;
@@ -1027,7 +924,7 @@ impl Simulator {
     }
 
     /// The stall report of the lowest-id stuck component, if any.
-    pub(crate) fn first_stall_report(&self) -> Option<StallReport> {
+    fn first_stall_report(&self) -> Option<StallReport> {
         self.stall_reports().into_iter().next()
     }
 
@@ -1089,7 +986,7 @@ impl Simulator {
 
 /// Queue-depth tracking for one `run*` call: exact maximum, subsampled
 /// series for percentiles.
-pub(crate) struct DepthGauges {
+struct DepthGauges {
     max: usize,
     samples: Vec<usize>,
 }
@@ -1103,7 +1000,7 @@ impl DepthGauges {
     }
 
     #[inline]
-    pub(crate) fn observe(&mut self, executed: u64, depth: usize) {
+    fn observe(&mut self, executed: u64, depth: usize) {
         if depth > self.max {
             self.max = depth;
         }

@@ -119,8 +119,7 @@ impl Histogram {
     }
 
     /// Folds `other`'s observations into this histogram, as if every one
-    /// of them had been observed here. Used to aggregate per-shard
-    /// statistics after a parallel run.
+    /// of them had been observed here.
     pub fn merge(&mut self, other: &Histogram) {
         for (b, n) in self.buckets.iter_mut().zip(&other.buckets) {
             *b += n;
@@ -182,22 +181,6 @@ impl WindowSnapshot {
     /// Iterates over this window's histograms in key order.
     pub fn histograms(&self) -> impl Iterator<Item = (&str, &Histogram)> {
         self.histograms.iter().map(|(k, v)| (k.as_str(), v))
-    }
-
-    /// Folds another snapshot of the *same* window (from another shard)
-    /// into this one: counters add, gauges take `other`'s value (callers
-    /// merge shards in partition order, a pure function of the
-    /// simulation), histograms merge observation-wise.
-    fn merge(&mut self, other: &WindowSnapshot) {
-        for (k, v) in &other.counters {
-            *self.counters.entry(k.clone()).or_insert(0) += v;
-        }
-        for (k, v) in &other.gauges {
-            self.gauges.insert(k.clone(), *v);
-        }
-        for (k, h) in &other.histograms {
-            self.histograms.entry(k.clone()).or_default().merge(h);
-        }
     }
 }
 
@@ -386,37 +369,6 @@ impl Stats {
         self.series.keys().map(String::as_str)
     }
 
-    /// Folds another registry into this one: counters add, gauges take
-    /// `other`'s value (last write wins, as if `other`'s writes happened
-    /// after ours), histograms merge observation-wise, series append.
-    /// Used to aggregate per-shard registries after a parallel run;
-    /// callers merge shards in partition order so the result is
-    /// deterministic and independent of the worker count.
-    pub fn merge(&mut self, other: &Stats) {
-        for (k, v) in &other.counters {
-            *self.counters.entry(k.clone()).or_insert(0) += v;
-        }
-        for (k, v) in &other.gauges {
-            self.gauges.insert(k.clone(), *v);
-        }
-        for (k, h) in &other.histograms {
-            self.histograms.entry(k.clone()).or_default().merge(h);
-        }
-        for (k, s) in &other.series {
-            self.series.entry(k.clone()).or_default().extend(s);
-        }
-        // Windows merge by (window index, partition order): same-index
-        // snapshots from different shards fold together exactly like the
-        // cumulative instruments above.
-        for (idx, w) in &other.windows {
-            self.windows.entry(*idx).or_default().merge(w);
-        }
-        if self.window_width_ps == 0 {
-            self.window_width_ps = other.window_width_ps;
-        }
-        self.now_ps = self.now_ps.max(other.now_ps);
-    }
-
     /// Clears all counters, gauges, histograms and series (e.g. between
     /// sweep points).
     pub fn reset(&mut self) {
@@ -545,38 +497,6 @@ mod tests {
         assert_eq!(s.windows().count(), 2);
         assert_eq!(s.window_start(2), Time::from_ps(200));
         assert_eq!(s.current_window(), Some(2));
-    }
-
-    #[test]
-    fn window_merge_matches_sequential_observation() {
-        // Two "shards" observing the same window indices must merge to
-        // exactly what one sequential registry would have recorded.
-        let mut seq = Stats::new();
-        seq.enable_windows(Dur::from_ps(10));
-        let mut a = Stats::new();
-        a.enable_windows(Dur::from_ps(10));
-        let mut b = Stats::new();
-        b.enable_windows(Dur::from_ps(10));
-        for (t, v) in [(1u64, 3u64), (5, 9), (15, 2)] {
-            seq.stamp_now(Time::from_ps(t));
-            seq.add("n", v);
-            seq.observe("h", v);
-        }
-        for (t, v) in [(1u64, 3u64), (15, 2)] {
-            a.stamp_now(Time::from_ps(t));
-            a.add("n", v);
-            a.observe("h", v);
-        }
-        b.stamp_now(Time::from_ps(5));
-        b.add("n", 9);
-        b.observe("h", 9);
-        let mut merged = Stats::new();
-        merged.enable_windows(Dur::from_ps(10));
-        merged.merge(&a);
-        merged.merge(&b);
-        assert_eq!(merged.window(0), seq.window(0));
-        assert_eq!(merged.window(1), seq.window(1));
-        assert_eq!(merged.counter("n"), seq.counter("n"));
     }
 
     #[test]

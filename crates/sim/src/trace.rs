@@ -75,8 +75,8 @@ impl SpanId {
 ///
 /// Flows exist because parent links alone cannot express a *join*: the
 /// receive-side span of a Tx→Rx handoff has the wire span as its parent,
-/// but when the handoff crosses ranks (or shards of a parallel run) the
-/// consumer may also causally depend on state owned by another chain.
+/// but when the handoff crosses ranks the consumer may also causally
+/// depend on state owned by another chain.
 /// Emit with [`crate::sim::Ctx::flow_begin`], join with
 /// [`crate::sim::Ctx::flow_end`]; exporters render them as Chrome `s`/`f`
 /// flow arrows and `accl-obs` treats them as extra DAG edges.
@@ -411,74 +411,6 @@ impl SpanRecorder {
             let mut out = self.ring[split..].to_vec();
             out.extend_from_slice(&self.ring[..split]);
             out
-        }
-    }
-
-    /// Splits off a recorder for partition `p` of a parallel run: same
-    /// enablement and capacity, an empty ring, and ownership of the
-    /// ordinal streams of every component assigned to `p` (moved, not
-    /// copied, so a span's deterministic id does not depend on whether it
-    /// was recorded sequentially or inside a shard). The shard recorders
-    /// are merged back with [`SpanRecorder::absorb_shards`].
-    pub(crate) fn fork_for_partition(&mut self, p: u32, partition_of: &[u32]) -> SpanRecorder {
-        let mut ordinals = BTreeMap::new();
-        if self.enabled {
-            let keys: Vec<(u32, &'static str, SpanId)> = self
-                .ordinals
-                .keys()
-                .filter(|(comp, _, _)| partition_of.get(*comp as usize) == Some(&p))
-                .copied()
-                .collect();
-            for k in keys {
-                if let Some(v) = self.ordinals.remove(&k) {
-                    ordinals.insert(k, v);
-                }
-            }
-        }
-        SpanRecorder {
-            enabled: self.enabled,
-            cap: self.cap,
-            ring: Vec::new(),
-            recorded: 0,
-            ordinals,
-        }
-    }
-
-    /// Merges shard recorders (in partition order) back into the master
-    /// after a parallel run: ordinal streams return home, and the ring is
-    /// rebuilt as the globally newest `cap` events of the time-merged
-    /// union — the same events a generously sized sequential ring would
-    /// retain. The merge reads only partition order and simulated time,
-    /// never thread scheduling, so the result is deterministic and
-    /// independent of the worker count.
-    pub(crate) fn absorb_shards(&mut self, shards: Vec<SpanRecorder>) {
-        if !self.enabled {
-            return;
-        }
-        let mut events = self.events();
-        for shard in shards {
-            events.extend(shard.events());
-            self.recorded += shard.recorded;
-            for (k, v) in shard.ordinals {
-                let slot = self.ordinals.entry(k).or_insert(0);
-                *slot = (*slot).max(v);
-            }
-        }
-        // Stable by time: ties keep (master, partition-order) insertion
-        // order, a pure function of the simulation.
-        events.sort_by_key(|e| e.time);
-        if events.len() > self.cap {
-            events.drain(..events.len() - self.cap);
-        }
-        if events.len() < self.cap {
-            self.ring = events;
-        } else {
-            // `events()` unwraps the ring at `recorded % cap`; store the
-            // chronological tail rotated so that unwrap reproduces it.
-            let split = (self.recorded as usize) % self.cap;
-            let mut ring = events.split_off(events.len() - split);
-            ring.append(&mut events);
-            self.ring = ring;
         }
     }
 }

@@ -1,13 +1,10 @@
 //! Property tests for the integer [`Histogram`] behind the windowed SLO
 //! time-series.
 //!
-//! The load-bearing property is *merge associativity/commutativity*: the
-//! parallel engine shards a run, each shard observes into its own
-//! histogram, and the gather merges them back in partition order. Any
+//! The load-bearing property is *merge associativity/commutativity*: any
 //! grouping of the same observations must produce the identical
-//! histogram — otherwise the windowed p99s `accl-obs` exports would
-//! depend on the worker count, breaking the bit-replay contract. The
-//! percentile edge cases (empty, single bucket, p0/p1000) are pinned
+//! histogram, so folding histograms together never depends on the fold
+//! order. The percentile edge cases (empty, single bucket, p0/p1000) are pinned
 //! alongside because the window exporter calls them on sparse windows
 //! where single-observation histograms are the common case.
 
@@ -26,7 +23,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// merge(merge(a, b), c) == merge(a, merge(b, c)) == observing the
-    /// concatenation directly — any shard grouping is equivalent.
+    /// concatenation directly — any grouping is equivalent.
     #[test]
     fn merge_is_associative_and_matches_sequential(
         a in proptest::collection::vec(any::<u64>(), 0..64),
@@ -51,7 +48,7 @@ proptest! {
         prop_assert_eq!(&left, &sequential);
     }
 
-    /// Merging is commutative: shard order cannot matter.
+    /// Merging is commutative: fold order cannot matter.
     #[test]
     fn merge_is_commutative(
         a in proptest::collection::vec(any::<u64>(), 0..64),

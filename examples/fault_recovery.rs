@@ -3,11 +3,7 @@
 //! communicator past the dead node (ULFM-style) and re-run the collective
 //! on the survivor group.
 //!
-//! Run with: `cargo run --example fault_recovery [--threads N]`
-//!
-//! `--threads N` runs the simulator on N worker threads; the failure
-//! diagnosis, the shrink and the recovered results are identical at any
-//! thread count.
+//! Run with: `cargo run --example fault_recovery`
 
 use acclplus::sim::prelude::Time;
 use acclplus::{
@@ -16,19 +12,6 @@ use acclplus::{
 };
 
 fn main() {
-    let mut threads = 1usize;
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < argv.len() {
-        if argv[i] == "--threads" {
-            i += 1;
-            threads = argv
-                .get(i)
-                .and_then(|v| v.parse().ok())
-                .expect("--threads needs a number");
-        }
-        i += 1;
-    }
     let nodes = 3;
     let count = 2048u64;
 
@@ -36,7 +19,7 @@ fn main() {
     // failure detector — a session whose retransmission ladder runs dry
     // marks its peer dead. Arm the engine watchdog so a stalled collective
     // aborts instead of hanging.
-    let mut cfg = ClusterConfig::coyote_rdma(nodes).with_workers(threads);
+    let mut cfg = ClusterConfig::coyote_rdma(nodes);
     cfg.transport = Transport::Tcp;
     cfg.cclo.collective_timeout_us = Some(30_000);
     let mut cluster = AcclCluster::build(cfg);

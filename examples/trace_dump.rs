@@ -12,11 +12,7 @@
 //!    partition each call's end-to-end time exactly.
 //!
 //! Run with: `cargo run --release --features trace --example trace_dump
-//! [outdir] [--threads N]`
-//!
-//! `--threads N` runs the simulator on N worker threads; the trace, the
-//! breakdown tables and every assertion below are identical at any
-//! thread count.
+//! [outdir]`
 
 use acclplus::sim::trace::max_span_depth;
 use acclplus::{AcclCluster, BufLoc, ClusterConfig, CollOp, CollSpec, DType, ReduceFn};
@@ -32,25 +28,12 @@ fn from_i32s(b: &[u8]) -> Vec<i32> {
 }
 
 fn main() {
-    let mut outdir = "trace_dump_out".to_string();
-    let mut threads = 1usize;
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < argv.len() {
-        if argv[i] == "--threads" {
-            i += 1;
-            threads = argv
-                .get(i)
-                .and_then(|v| v.parse().ok())
-                .expect("--threads needs a number");
-        } else {
-            outdir = argv[i].clone();
-        }
-        i += 1;
-    }
+    let outdir = std::env::args()
+        .nth(1)
+        .unwrap_or_else(|| "trace_dump_out".to_string());
     let n = 8;
     let count = 4096u64;
-    let mut cluster = AcclCluster::build(ClusterConfig::coyote_rdma(n).with_workers(threads));
+    let mut cluster = AcclCluster::build(ClusterConfig::coyote_rdma(n));
     cluster.enable_tracing(1 << 20);
 
     // Device-resident buffers: the FPGA-native data path (no staging).
