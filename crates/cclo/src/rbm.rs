@@ -134,6 +134,9 @@ struct MsgState {
     /// in legacy mode, uC per-packet work).
     ready_at: Time,
     matched: bool,
+    /// Receive span of the piece that completed the message — the arrival
+    /// a waiting match was blocked on ([`SpanId::NONE`] until then).
+    span: SpanId,
 }
 
 /// The RxBuf manager component.
@@ -342,6 +345,7 @@ impl Rbm {
         msg.pieces.push((data.offset, data.data));
         msg.ready_at = msg.ready_at.max(ready);
         if msg.received == msg.sig.payload_len {
+            msg.span = data.span;
             let key = MatchKey::of(&msg.sig);
             self.try_match(ctx, key);
         }
@@ -446,7 +450,7 @@ impl Rbm {
             off += n;
         }
         if ctx.spans_enabled() {
-            ctx.span_interval_attrs(
+            let span = ctx.span_interval_attrs(
                 "rbm.msg",
                 q.span,
                 start,
@@ -456,6 +460,12 @@ impl Rbm {
                     value: AttrValue::Bytes(total),
                 }],
             );
+            // Link the wait to the arrival that ended it, so the critical
+            // path can follow it back through the POE onto the wire.
+            if !msg.span.is_none() {
+                let flow = ctx.flow_begin("rbm.flow", msg.span);
+                ctx.flow_end("rbm.flow", flow, span);
+            }
         }
     }
 }
@@ -493,6 +503,7 @@ impl Component for Rbm {
                         admitted,
                         ready_at: ctx.now(),
                         matched: false,
+                        span: SpanId::NONE,
                     },
                 );
                 self.by_match.entry(key).or_default().push_back(meta.key);
@@ -642,6 +653,7 @@ mod tests {
                 },
                 offset,
                 data: Bytes::from(bytes),
+                span: SpanId::NONE,
             },
         );
         h.sim.run();

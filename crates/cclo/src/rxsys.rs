@@ -57,6 +57,9 @@ pub struct RbmData {
     pub offset: u64,
     /// The bytes.
     pub data: Bytes,
+    /// The POE's `poe.rx` span of the frame whose arrival released these
+    /// bytes ([`SpanId::NONE`] when spans are off).
+    pub span: SpanId,
 }
 
 /// Ports of the [`RxSys`] component.
@@ -134,8 +137,9 @@ impl RxSys {
         None
     }
 
-    /// Emits the payload portion of a raw message chunk.
-    fn emit_payload(&self, ctx: &mut Ctx<'_>, key: RxMsgKey, off: u64, data: &Bytes) {
+    /// Emits the payload portion of a raw message chunk, released by the
+    /// arrival whose receive span is `span`.
+    fn emit_payload(&self, ctx: &mut Ctx<'_>, key: RxMsgKey, off: u64, data: &Bytes, span: SpanId) {
         let hdr = SIGNATURE_BYTES as u64;
         let end = off + data.len() as u64;
         if end <= hdr {
@@ -149,6 +153,7 @@ impl RxSys {
                 key,
                 offset: off + skip - hdr,
                 data: data.slice(skip as usize..),
+                span,
             },
         );
     }
@@ -172,7 +177,7 @@ impl Component for RxSys {
                     // Signature known: stream payload through.
                     debug_assert!(matches!(sig.mtype, MsgType::Eager));
                     let last = chunk.last;
-                    self.emit_payload(ctx, key, chunk.offset, &chunk.data);
+                    self.emit_payload(ctx, key, chunk.offset, &chunk.data, chunk.span);
                     if last {
                         self.inflight.remove(&key);
                     }
@@ -195,8 +200,10 @@ impl Component for RxSys {
                 match sig.mtype {
                     MsgType::Eager => {
                         ctx.send(self.rbm_meta, self.parse_latency, RbmMeta { key, sig });
+                        // This chunk completed the signature, so its
+                        // arrival releases the stashed payload too.
                         for (off, data) in &stash {
-                            self.emit_payload(ctx, key, *off, data);
+                            self.emit_payload(ctx, key, *off, data, chunk.span);
                         }
                         if complete {
                             self.inflight.remove(&key);
@@ -285,6 +292,7 @@ mod tests {
                 offset,
                 data: Bytes::from(data),
                 last,
+                span: SpanId::NONE,
             },
         );
         h.sim.run();

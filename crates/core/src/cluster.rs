@@ -790,22 +790,6 @@ impl AcclCluster {
         accl_sim::trace::chrome_trace_json(&self.sim)
     }
 
-    /// Latency breakdowns of every completed `driver.coll` root span, in
-    /// record order, attributed with the default ACCL rules
-    /// ([`accl_sim::trace::ACCL_BREAKDOWN`]): wire / switch-queue / pcie
-    /// / uc / datapath / other.
-    pub fn latency_breakdowns(&self) -> Vec<accl_sim::trace::Breakdown> {
-        use accl_sim::trace::{span_breakdown, SpanEventKind, ACCL_BREAKDOWN};
-        let events = self.sim.span_events();
-        events
-            .iter()
-            .filter(|e| {
-                e.kind == SpanEventKind::Begin && e.name == "driver.coll" && e.parent.is_none()
-            })
-            .filter_map(|e| span_breakdown(&events, e.id, ACCL_BREAKDOWN))
-            .collect()
-    }
-
     /// A snapshot of one node's engine counters (observability: the
     /// hardware exposes these via the configuration memory over MMIO).
     pub fn node_stats(&self, i: usize) -> NodeStats {

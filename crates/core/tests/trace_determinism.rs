@@ -110,11 +110,17 @@ fn span_stream_is_queue_invariant() {
     assert_eq!(span_digest(&calendar), span_digest(&heap));
 }
 
+/// The flow edge the RBM draws from the arrival that completed a message
+/// to the `rbm.msg` span that streamed it out.
+const RBM_FLOW: &str = "rbm.flow";
+
 /// Literal goldens: `(case, span_canon_digest, span_digest)` of the traced
 /// allreduce per transport, plus TCP and RDMA under a fixed drop/corrupt
-/// schedule (FCS drops, retransmissions). The other tests here compare two
-/// runs of one build; these constants pin the span stream across commits.
-/// Never re-capture them to make a change pass.
+/// schedule (FCS drops, retransmissions), over every span event except the
+/// [`RBM_FLOW`] edges (pinned separately in [`PINNED_RBM_FLOWS`], so these
+/// predate them unchanged). The other tests here compare two runs of one
+/// build; these constants pin the span stream across commits. Never
+/// re-capture them to make a change pass.
 const PINNED_SPANS: &[(&str, u64, u64)] = &[
     ("coyote_rdma", 0x3cc1b65f3e6f9ad9, 0x8c349905c1feb566),
     ("xrt_tcp", 0x33cdc008cdbc4d30, 0x2ad83568a8efc64b),
@@ -123,9 +129,21 @@ const PINNED_SPANS: &[(&str, u64, u64)] = &[
     ("coyote_rdma+lossy", 0xbaa9974da522a3e4, 0xc121b2078e8c9c1e),
 ];
 
+/// Literal goldens: `(case, span_digest)` of only the [`RBM_FLOW`] events
+/// of each [`PINNED_SPANS`] case, pinning the RBM's wait-to-arrival edges
+/// across commits. Never re-capture them to make a change pass.
+const PINNED_RBM_FLOWS: &[(&str, u64)] = &[
+    ("coyote_rdma", 0x6f6073c24d5ff3a7),
+    ("xrt_tcp", 0xec81ac537cf545d4),
+    ("xrt_udp", 0x6fabe4fdf4145d65),
+    ("xrt_tcp+lossy", 0x67c51830089cb91c),
+    ("coyote_rdma+lossy", 0x5b7d3562eb105e7b),
+];
+
 #[test]
 fn pinned_span_digests_match_literal_goldens() {
     let mut got = Vec::new();
+    let mut got_flows = Vec::new();
     for &(name, _, _) in PINNED_SPANS {
         let (base, lossy) = match name.split_once('+') {
             Some((base, "lossy")) => (base, true),
@@ -141,8 +159,12 @@ fn pinned_span_digests_match_literal_goldens() {
             corrupt_indices: [12, 61].into_iter().collect(),
             ..FaultPlan::drop_frames([5, 40])
         });
-        let events = traced_allreduce_on(cfg, QueueKind::Calendar, None, plan);
-        got.push((name, span_canon_digest(&events), span_digest(&events)));
+        let (flows, rest): (Vec<SpanEvent>, Vec<SpanEvent>) =
+            traced_allreduce_on(cfg, QueueKind::Calendar, None, plan)
+                .into_iter()
+                .partition(|e| e.name == RBM_FLOW);
+        got.push((name, span_canon_digest(&rest), span_digest(&rest)));
+        got_flows.push((name, span_digest(&flows)));
     }
     let table: String = got
         .iter()
@@ -151,6 +173,14 @@ fn pinned_span_digests_match_literal_goldens() {
     assert_eq!(
         got, PINNED_SPANS,
         "pinned span digests moved; observed:\n{table}"
+    );
+    let table: String = got_flows
+        .iter()
+        .map(|(n, d)| format!("    (\"{n}\", {d:#018x}),\n"))
+        .collect();
+    assert_eq!(
+        got_flows, PINNED_RBM_FLOWS,
+        "pinned {RBM_FLOW} digests moved; observed:\n{table}"
     );
 }
 
@@ -167,6 +197,7 @@ fn trace_covers_every_layer_of_the_stack() {
         "tx.job",
         "poe.seg",
         "poe.rx",
+        RBM_FLOW,
         "net.wire",
         "mem.hbm.read",
     ] {

@@ -84,7 +84,7 @@ impl Network {
         let ports: Vec<ComponentId> = (0..n_nodes)
             .map(|i| {
                 sim.add(
-                    format!("net.port{i}"),
+                    format!("n{i}.net.port"),
                     NetPort::new(
                         NodeAddr(i as u32),
                         Endpoint::of(switch_id),

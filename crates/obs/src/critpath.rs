@@ -3,16 +3,25 @@
 //! The walk answers "what chain of work determined this collective's
 //! end-to-end time?" by moving a time cursor backward from the root
 //! span's end. At every step the span currently holding the cursor is
-//! charged for the interval back to its latest-finishing unvisited
-//! dependency (tree child or flow anchor), and the walk descends into
-//! that dependency; when none remains, the span is charged back to its
-//! own begin and the walk pops to its predecessor on the descent stack.
+//! charged for the interval back to the *reach* of its latest-reaching
+//! unvisited dependency (tree child or flow anchor), and the walk
+//! descends into that dependency; when none remains, the span is charged
+//! back to its own begin and the walk pops to its predecessor on the
+//! descent stack. Two rules define a dependency's reach:
+//!
+//! - a dependency that began before the cursor and is still running at
+//!   it reaches the cursor (it is clipped there, not skipped), so a wait
+//!   overlapped by its sibling's work stays on the path;
+//! - a dependency reaches as far as the latest clipped end in its
+//!   unvisited subtree, so a short POE segment whose queue and wire
+//!   children run for microseconds hands that time to them.
+//!
 //! The emitted segments are contiguous and tile `[begin(root),
 //! end(root)]` exactly, so the per-`(component, span type)` attribution
 //! table sums to the end-to-end latency to the picosecond — asserted,
 //! not rounded.
 //!
-//! Determinism: candidate choice is a pure max over `(end, begin, id)`
+//! Determinism: candidate choice is a pure max over `(reach, begin, id)`
 //! of content-derived span ids, so bit-identical traces (the replay
 //! contract across queue kinds) yield bit-identical
 //! paths and digests.
@@ -84,9 +93,9 @@ pub fn critical_path(g: &SpanGraph, root: u64) -> Option<CriticalPath> {
     while let Some(&cur) = stack.last() {
         fuel = fuel.checked_sub(1).expect("critical-path walk diverged");
         let info = &g.spans[&cur];
-        // Latest-finishing unvisited dependency that completes at or
-        // before the cursor and overlaps the root window.
-        let mut best: Option<(u64, u64, u64)> = None; // (end, begin, id)
+        // Latest-reaching unvisited dependency that overlaps the root
+        // window before the cursor.
+        let mut best: Option<(u64, u64, u64)> = None; // (reach, begin, id)
         let deps = g
             .children
             .get(&cur)
@@ -97,25 +106,22 @@ pub fn critical_path(g: &SpanGraph, root: u64) -> Option<CriticalPath> {
             if visited.contains(&dep) {
                 continue;
             }
-            let Some(d) = g.spans.get(&dep) else {
+            let Some(dep_reach) = reach(g, &visited, dep, cursor) else {
                 continue;
             };
-            let Some(end) = d.end_ps else {
-                continue;
-            };
-            if end > cursor || end <= t0 {
+            if dep_reach <= t0 {
                 continue;
             }
-            let key = (end, d.begin_ps, dep);
+            let key = (dep_reach, g.spans[&dep].begin_ps, dep);
             if best.is_none_or(|b| key > b) {
                 best = Some(key);
             }
         }
         match best {
-            Some((dep_end, _, dep)) => {
-                // `cur` is on the path from the dependency's completion
-                // up to the cursor; then the dependency takes over.
-                let lo = dep_end.max(t0);
+            Some((dep_reach, _, dep)) => {
+                // `cur` is on the path from the dependency's reach up to
+                // the cursor; then the dependency takes over.
+                let lo = dep_reach.max(t0);
                 if cursor > lo {
                     segments.push(Segment {
                         span: cur,
@@ -161,6 +167,32 @@ pub fn critical_path(g: &SpanGraph, root: u64) -> Option<CriticalPath> {
         end_ps: t1,
         segments,
     })
+}
+
+/// Where `id` stops explaining time before `cursor`: the latest end,
+/// clipped at the cursor, over `id` and its unvisited descendants. A span
+/// still running at the cursor counts up to the cursor, and a short span
+/// whose children outlast it (a POE segment and its wire time) reaches as
+/// far as they do. `None` when `id` is unclosed or starts after the
+/// cursor.
+fn reach(g: &SpanGraph, visited: &BTreeSet<u64>, id: u64, cursor: u64) -> Option<u64> {
+    let d = g.spans.get(&id)?;
+    let end = d.end_ps?;
+    if d.begin_ps >= cursor && end > cursor {
+        return None;
+    }
+    let mut reach_ps = end.min(cursor);
+    for &kid in g.children.get(&id).into_iter().flatten() {
+        if reach_ps == cursor {
+            break;
+        }
+        if !visited.contains(&kid) {
+            if let Some(r) = reach(g, visited, kid, cursor) {
+                reach_ps = reach_ps.max(r);
+            }
+        }
+    }
+    Some(reach_ps)
 }
 
 /// One row of the attribution table.
@@ -307,9 +339,9 @@ mod tests {
     fn path_tiles_root_window_exactly() {
         use ObsKind::{Begin, End};
         // root [0,100]; child a [10,40]; child b [30,70]. b finishes
-        // last so it owns [30,70]; a ends *after* b began, so it was
-        // concurrent, not blocking — the head [0,30] stays with the
-        // root.
+        // last so it owns [30,70]. a is still running when the cursor
+        // reaches b's begin, so it is clipped there and owns [10,30]:
+        // only the head [0,10] stays with the root.
         let d = doc(vec![
             ev(0, Begin, 1, 0, "driver.coll"),
             ev(10, Begin, 2, 1, "uc.decode"),
@@ -338,8 +370,52 @@ mod tests {
         assert_eq!(
             names,
             vec![
-                ("driver.coll", 0, 30),
+                ("driver.coll", 0, 10),
+                ("uc.decode", 10, 30),
                 ("net.wire", 30, 70),
+                ("driver.coll", 70, 100),
+            ]
+        );
+    }
+
+    #[test]
+    fn anchor_reaches_as_far_as_its_children() {
+        use ObsKind::{Begin, End, FlowBegin, FlowEnd};
+        // A segment [5,10] hands its frame to a queue [10,30] and the wire
+        // [30,60]; the receive span [60,70] joins the segment's flow edge.
+        // The segment ends long before the receive begins, but its
+        // subtree reaches 60, so the queue and the wire own that time
+        // instead of the receive span.
+        let d = doc(vec![
+            ev(0, Begin, 1, 0, "driver.coll"),
+            ev(5, Begin, 2, 0, "poe.seg"),
+            ev(5, FlowBegin, 100, 2, "poe.flow"),
+            ev(10, End, 2, 0, ""),
+            ev(10, Begin, 3, 2, "net.queue"),
+            ev(30, End, 3, 0, ""),
+            ev(30, Begin, 4, 2, "net.wire"),
+            ev(60, End, 4, 0, ""),
+            ev(60, Begin, 5, 1, "poe.rx"),
+            ev(60, FlowEnd, 100, 5, "poe.flow"),
+            ev(70, End, 5, 0, ""),
+            ev(100, End, 1, 0, ""),
+        ]);
+        let g = SpanGraph::build(&d);
+        let p = critical_path(&g, 1).unwrap();
+        assert_eq!(p.attributed_ps(), p.total_ps());
+        let names: Vec<(&str, u64, u64)> = p
+            .segments
+            .iter()
+            .map(|s| (s.name.as_str(), s.from_ps, s.to_ps))
+            .collect();
+        assert_eq!(
+            names,
+            vec![
+                ("driver.coll", 0, 5),
+                ("poe.seg", 5, 10),
+                ("net.queue", 10, 30),
+                ("net.wire", 30, 60),
+                ("poe.rx", 60, 70),
                 ("driver.coll", 70, 100),
             ]
         );

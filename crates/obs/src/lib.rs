@@ -6,10 +6,12 @@
 //!
 //!  - **Causal critical path** ([`critpath`]): the span DAG — parent
 //!    links plus the explicit Tx→Rx flow edges POEs emit at every wire
-//!    handoff — is walked backward from a collective's end to produce the
-//!    exact chain of spans that determined its latency, and an
-//!    integer-exact attribution table whose rows sum to the end-to-end
-//!    time (the critical-path analogue of Fig. 9's breakdown).
+//!    handoff and the RBM's edges from each matched message to the
+//!    arrival that completed it — is walked backward from a collective's
+//!    end to produce the exact chain of spans that determined its
+//!    latency, and an integer-exact attribution table whose rows sum to
+//!    the end-to-end time (the critical-path analogue of Fig. 9's
+//!    breakdown).
 //!  - **Run-to-run diff** ([`diff`]): two runs are aligned by the
 //!    deterministic content-derived span ids and compared per
 //!    `(component kind, span type, rank)`, so a regression report reads

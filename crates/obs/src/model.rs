@@ -280,6 +280,7 @@ mod tests {
     fn rank_parsing_follows_component_naming() {
         assert_eq!(rank_of_name("n3.poe.tx"), Some(3));
         assert_eq!(rank_of_name("n12.driver"), Some(12));
+        assert_eq!(rank_of_name("n3.net.port"), Some(3));
         assert_eq!(rank_of_name("switch"), None);
         assert_eq!(rank_of_name("net.harness"), None);
         assert_eq!(rank_of_name("n"), None);

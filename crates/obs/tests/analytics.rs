@@ -4,6 +4,9 @@
 //!  - the critical path of the 8-rank allreduce is an exact integer
 //!    partition of each call's end-to-end latency, and its digest is
 //!    bit-identical run-to-run and across event-queue kinds;
+//!  - the critical path follows Rx waits onto the wire: the net layer's
+//!    share of an allreduce rises with message size, eager and
+//!    rendezvous alike;
 //!  - `diff` between two seeds of the same workload reports zero
 //!    regressions;
 //!  - `diff` against a deliberately degraded link names the affected
@@ -12,6 +15,7 @@
 //!  - a captured document round-trips bit-exactly through the JSON
 //!    interchange form.
 
+use accl_core::{AcclCluster, BufLoc, ClusterConfig, CollOp, CollSpec, DType, SyncProto};
 use accl_obs::{
     attribute, capture, critical_path, critical_path_digest, diff_attributions, json, Attribution,
     CaptureConfig, CriticalPath, SpanGraph, TraceDoc, Workload,
@@ -55,6 +59,79 @@ fn allreduce_critical_path_is_an_exact_integer_partition() {
     // And in aggregate across the table.
     assert_eq!(attr.attributed_ps(), attr.total_ps);
     assert!(attr.total_ps > 0);
+    // NIC queue and wire time is charged to the node that owns the link.
+    let nic_rows: Vec<_> = attr
+        .rows
+        .iter()
+        .filter(|r| r.comp_kind == "net.port")
+        .collect();
+    assert!(!nic_rows.is_empty(), "no NIC time on the critical path");
+    for r in nic_rows {
+        assert!(r.rank.is_some(), "NIC row without a rank: {r:?}");
+    }
+}
+
+/// Share of the critical path charged to the fabric (`net.*`
+/// components) in a traced 8-rank Coyote+RDMA allreduce of `bytes` per
+/// rank under protocol `sync`.
+fn net_share_permille(bytes: u64, sync: SyncProto) -> u64 {
+    let n = 8;
+    let count = bytes / 4;
+    let mut cluster = AcclCluster::build(ClusterConfig::coyote_rdma(n));
+    cluster.enable_tracing(1 << 20);
+    let mut specs = Vec::new();
+    let mut dsts = Vec::new();
+    for rank in 0..n {
+        let src = cluster.alloc(rank, BufLoc::Device, bytes);
+        let dst = cluster.alloc(rank, BufLoc::Device, bytes);
+        let data: Vec<u8> = (0..count as i32)
+            .flat_map(|i| (i + rank as i32).to_le_bytes())
+            .collect();
+        cluster.write(&src, &data);
+        specs.push(
+            CollSpec::new(CollOp::AllReduce, count, DType::I32)
+                .src(src)
+                .dst(dst)
+                .sync(sync),
+        );
+        dsts.push(dst);
+    }
+    cluster.host_collective(specs);
+    let expect: Vec<u8> = (0..count as i32)
+        .flat_map(|i| (0..n as i32).map(|r| i + r).sum::<i32>().to_le_bytes())
+        .collect();
+    for (rank, dst) in dsts.iter().enumerate() {
+        assert_eq!(
+            cluster.read(dst),
+            expect,
+            "rank {rank}, {bytes} B, {sync:?}"
+        );
+    }
+    let doc = TraceDoc::from_cluster(&cluster, "allreduce8", 1, 1);
+    let (_, attr) = analyze(&doc);
+    assert_eq!(attr.attributed_ps(), attr.total_ps);
+    let net: u64 = attr
+        .rows
+        .iter()
+        .filter(|r| r.comp_kind.starts_with("net."))
+        .map(|r| r.ps)
+        .sum();
+    net * 1000 / attr.total_ps
+}
+
+#[test]
+fn net_share_rises_with_message_size() {
+    for sync in [SyncProto::Eager, SyncProto::Rendezvous] {
+        let shares: Vec<u64> = [1 << 10, 8 << 10, 64 << 10]
+            .into_iter()
+            .map(|bytes| net_share_permille(bytes, sync))
+            .collect();
+        assert!(shares[0] > 0, "{sync:?}: no fabric time at 1 KiB");
+        assert!(
+            shares[0] < shares[1] && shares[1] < shares[2],
+            "{sync:?}: net share (permille) must rise over 1/8/64 KiB, got {shares:?}"
+        );
+    }
 }
 
 #[test]

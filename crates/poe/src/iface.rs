@@ -116,9 +116,6 @@ pub struct PoeRxMeta {
     pub msg_id: u64,
     /// Total message length in bytes.
     pub len: u64,
-    /// Causal span carried across the wire from the sender (the engine's
-    /// receive-side span when tracing; [`SpanId::NONE`] otherwise).
-    pub span: SpanId,
 }
 
 /// Rx data: a chunk of the message identified by `(session, msg_id)`.
@@ -134,6 +131,9 @@ pub struct RxChunk {
     pub data: Bytes,
     /// Whether the message is complete after this chunk.
     pub last: bool,
+    /// The engine's receive-side span of the frame that delivered this
+    /// chunk ([`SpanId::NONE`] when spans are off).
+    pub span: SpanId,
 }
 
 /// Where a POE delivers its upward-facing events.
@@ -829,8 +829,8 @@ impl RxDemux {
     ///
     /// Returns `Some((meta, chunk))` for a segment carrying new bytes,
     /// where `meta` is `Some` for the first segment of a message; `span`
-    /// is attached to that meta so receive-side consumers can parent their
-    /// spans under the sender's causality. Returns `None` for a duplicate
+    /// is attached to the chunk so receive-side consumers can link their
+    /// spans to the frame's causality. Returns `None` for a duplicate
     /// (bytes already received), which callers must discard.
     pub fn accept(
         &mut self,
@@ -869,7 +869,6 @@ impl RxDemux {
             session,
             msg_id,
             len: total,
-            span,
         });
         Some((
             meta,
@@ -879,6 +878,7 @@ impl RxDemux {
                 offset,
                 data,
                 last,
+                span,
             },
         ))
     }

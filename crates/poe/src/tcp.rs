@@ -178,13 +178,10 @@ impl Deframer {
             }
             let take = ((self.msg_len - self.msg_off) as usize).min(data.len());
             let chunk = data.split_to(take);
-            // Span is stamped by the caller, which knows the arriving
-            // frame's causality; the deframer only sees the byte stream.
             let meta = (self.msg_off == 0).then_some(PoeRxMeta {
                 session,
                 msg_id: self.next_msg_id,
                 len: self.msg_len,
-                span: SpanId::NONE,
             });
             let offset = self.msg_off;
             self.msg_off += take as u64;
@@ -197,6 +194,9 @@ impl Deframer {
                     offset,
                     data: chunk,
                     last,
+                    // Stamped by the caller, which knows the arriving
+                    // frame's causality; the deframer only sees bytes.
+                    span: SpanId::NONE,
                 },
             ));
             if last {
@@ -582,7 +582,10 @@ impl TcpPoe {
         self.acks_sent += 1;
         self.io.send_control(ctx, peer, rx_span, ack);
         for (meta, chunk) in deliveries {
-            let meta = meta.map(|m| PoeRxMeta { span: rx_span, ..m });
+            let chunk = RxChunk {
+                span: rx_span,
+                ..chunk
+            };
             self.io.deliver(ctx, meta, chunk);
         }
     }

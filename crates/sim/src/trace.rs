@@ -8,8 +8,9 @@
 //! them causally by carrying a [`SpanId`] in payloads, and attach typed
 //! [`AttrValue`] attributes. A single collective then yields a complete
 //! multi-rank timeline exportable as Chrome/Perfetto `trace_event` JSON
-//! ([`chrome_trace_json`]) or summarized into a latency-breakdown table
-//! ([`span_breakdown`]).
+//! ([`chrome_trace_json`]). Latency attribution over that timeline is the
+//! `accl-obs` critical-path walk, which charges each interval of a
+//! collective to the span (and so the component) that set it.
 //!
 //! # Determinism contract
 //!
@@ -728,210 +729,6 @@ pub fn chrome_trace_json(sim: &crate::sim::Simulator) -> String {
     out
 }
 
-/// One category of the latency breakdown: spans whose names start with any
-/// of `prefixes` are attributed to `category`. Earlier rules win when
-/// categories overlap in time (priority order).
-#[derive(Debug, Clone, Copy)]
-pub struct BreakdownRule {
-    /// Category label in the output table.
-    pub category: &'static str,
-    /// Span-name prefixes mapped to this category.
-    pub prefixes: &'static [&'static str],
-}
-
-/// The default attribution rules for an ACCL+ collective: time on the
-/// wire, time queued at switch egress, time on PCIe, uC control time, and
-/// datapath (DMP/RBM/Tx/Rx/HBM) time, in that priority order.
-pub const ACCL_BREAKDOWN: &[BreakdownRule] = &[
-    BreakdownRule {
-        category: "wire",
-        prefixes: &["net.wire", "net.hop"],
-    },
-    BreakdownRule {
-        category: "switch-queue",
-        prefixes: &["net.queue"],
-    },
-    BreakdownRule {
-        category: "pcie",
-        prefixes: &["mem.pcie", "mem.xdma", "driver.stage"],
-    },
-    // `uc.call` is deliberately absent: it brackets the whole collective
-    // (control *state*, not control *work*) and would otherwise absorb
-    // every instant the higher-priority rules leave free. Only the uC's
-    // actual busy intervals count as control time.
-    BreakdownRule {
-        category: "uc",
-        prefixes: &["uc.decode", "uc.issue", "driver.invoke"],
-    },
-    BreakdownRule {
-        category: "datapath",
-        prefixes: &["dmp.", "rbm.", "tx.", "rx.", "mem.hbm", "poe."],
-    },
-];
-
-/// Per-category attribution of one root span's wall time.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Breakdown {
-    /// Root span begin time.
-    pub start: Time,
-    /// Root span end time.
-    pub end: Time,
-    /// `(category, attributed time)` per rule, in rule order, followed by
-    /// `("other", residue)` — the partition is exact: the durations sum to
-    /// `end - start`.
-    pub shares: Vec<(&'static str, Dur)>,
-}
-
-impl Breakdown {
-    /// End-to-end duration of the root span.
-    pub fn total(&self) -> Dur {
-        self.end - self.start
-    }
-
-    /// Sum of all attributed shares (equals [`Breakdown::total`] by
-    /// construction; exposed so tests can assert the partition is exact).
-    pub fn attributed(&self) -> Dur {
-        let ps: u64 = self.shares.iter().map(|(_, d)| d.as_ps()).sum();
-        Dur::from_ps(ps)
-    }
-
-    /// Renders the breakdown as an aligned human-readable table.
-    pub fn table(&self, title: &str) -> String {
-        let total = self.total().as_ps().max(1);
-        let mut out = format!("{title}\n");
-        out.push_str(&format!(
-            "  {:<14} {:>12} {:>7}\n",
-            "category", "time", "share"
-        ));
-        for (cat, d) in &self.shares {
-            out.push_str(&format!(
-                "  {:<14} {:>12} {:>6}%\n",
-                cat,
-                format!("{d}"),
-                u128::from(d.as_ps()) * 100 / u128::from(total)
-            ));
-        }
-        out.push_str(&format!(
-            "  {:<14} {:>12} {:>6}%\n",
-            "total",
-            format!("{}", self.total()),
-            100
-        ));
-        out
-    }
-}
-
-/// Attributes the wall time of the span `root` across `rules` categories.
-///
-/// Every instant of `[begin(root), end(root)]` is assigned to exactly one
-/// category: the first rule (priority order) with at least one active
-/// descendant span of `root` at that instant, or `"other"` when none is
-/// active (untraced gaps). Descendants are found by walking recorded
-/// parent links, so causality carried across components (and across the
-/// wire via payload span ids) is followed. Returns `None` when `root` has
-/// no begin/end pair in `events`.
-pub fn span_breakdown(
-    events: &[SpanEvent],
-    root: SpanId,
-    rules: &[BreakdownRule],
-) -> Option<Breakdown> {
-    let mut begin: Option<Time> = None;
-    let mut end: Option<Time> = None;
-    // Map ids to (parent, name) for descendant discovery.
-    let mut info: BTreeMap<SpanId, (SpanId, &'static str)> = BTreeMap::new();
-    let mut ends: BTreeMap<SpanId, Time> = BTreeMap::new();
-    let mut begins: BTreeMap<SpanId, Time> = BTreeMap::new();
-    for e in events {
-        match e.kind {
-            SpanEventKind::Begin => {
-                info.insert(e.id, (e.parent, e.name));
-                begins.insert(e.id, e.time);
-                if e.id == root {
-                    begin = Some(e.time);
-                }
-            }
-            SpanEventKind::End => {
-                ends.insert(e.id, e.time);
-                if e.id == root {
-                    end = Some(e.time);
-                }
-            }
-            SpanEventKind::Instant | SpanEventKind::FlowBegin | SpanEventKind::FlowEnd => {}
-        }
-    }
-    let (t0, t1) = (begin?, end?);
-    // Category of each span that descends from `root`.
-    let category_of = |name: &str| -> Option<usize> {
-        rules
-            .iter()
-            .position(|r| r.prefixes.iter().any(|p| name.starts_with(p)))
-    };
-    let descends = |mut id: SpanId| -> bool {
-        let mut hops = 0usize;
-        while !id.is_none() && hops <= info.len() {
-            if id == root {
-                return true;
-            }
-            id = info.get(&id).map(|&(p, _)| p).unwrap_or(SpanId::NONE);
-            hops += 1;
-        }
-        false
-    };
-    // Sweep: +1/-1 edges per (time, category).
-    let mut edges: Vec<(Time, i32, usize)> = Vec::new();
-    for (&id, &(_, name)) in &info {
-        if id == root || !descends(id) {
-            continue;
-        }
-        let Some(cat) = category_of(name) else {
-            continue;
-        };
-        let (Some(&b), Some(&e)) = (begins.get(&id), ends.get(&id)) else {
-            continue;
-        };
-        let (b, e) = (b.max(t0), e.min(t1));
-        if b >= e {
-            continue;
-        }
-        edges.push((b, 1, cat));
-        edges.push((e, -1, cat));
-    }
-    edges.sort_by_key(|&(t, delta, cat)| (t, delta, cat));
-    let mut active = vec![0i64; rules.len()];
-    let mut shares_ps = vec![0u64; rules.len() + 1]; // + "other"
-    let mut cursor = t0;
-    let mut i = 0usize;
-    while i <= edges.len() {
-        let next = edges.get(i).map(|&(t, _, _)| t).unwrap_or(t1);
-        let upto = next.min(t1).max(cursor);
-        if upto > cursor {
-            let cat = active.iter().position(|&n| n > 0).unwrap_or(rules.len());
-            shares_ps[cat] += (upto - cursor).as_ps();
-            cursor = upto;
-        }
-        let Some(&(_, delta, cat)) = edges.get(i) else {
-            break;
-        };
-        active[cat] += i64::from(delta);
-        i += 1;
-    }
-    if cursor < t1 {
-        let cat = active.iter().position(|&n| n > 0).unwrap_or(rules.len());
-        shares_ps[cat] += (t1 - cursor).as_ps();
-    }
-    let mut shares: Vec<(&'static str, Dur)> = rules
-        .iter()
-        .zip(&shares_ps)
-        .map(|(r, &ps)| (r.category, Dur::from_ps(ps)))
-        .collect();
-    shares.push(("other", Dur::from_ps(shares_ps[rules.len()])));
-    Some(Breakdown {
-        start: t0,
-        end: t1,
-        shares,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -952,35 +749,6 @@ mod tests {
             name,
             attrs: vec![],
         }
-    }
-
-    #[test]
-    fn breakdown_partitions_exactly() {
-        use SpanEventKind::{Begin, End};
-        // root [0, 100]; uc [0, 30]; wire [20, 60] (wire wins the overlap);
-        // gap [60, 100] is "other".
-        let events = vec![
-            ev(0, Begin, 1, 0, "driver.coll"),
-            ev(0, Begin, 2, 1, "uc.decode"),
-            ev(20, Begin, 3, 2, "net.wire"),
-            ev(30, End, 2, 0, ""),
-            ev(60, End, 3, 0, ""),
-            ev(100, End, 1, 0, ""),
-        ];
-        let b = span_breakdown(&events, SpanId(1), ACCL_BREAKDOWN).unwrap();
-        assert_eq!(b.total(), Dur::from_ps(100));
-        assert_eq!(b.attributed(), b.total());
-        let get = |cat: &str| {
-            b.shares
-                .iter()
-                .find(|(c, _)| *c == cat)
-                .map(|(_, d)| d.as_ps())
-                .unwrap()
-        };
-        assert_eq!(get("wire"), 40);
-        assert_eq!(get("uc"), 20);
-        assert_eq!(get("other"), 40);
-        assert_eq!(get("pcie"), 0);
     }
 
     #[test]

@@ -1,15 +1,15 @@
 //! Dump a Perfetto-loadable causal trace of an 8-rank allreduce.
 //!
 //! Builds the Coyote+RDMA cluster with span tracing enabled, runs one
-//! device-data allreduce through the host drivers, and writes:
+//! device-data allreduce through the host drivers, and writes
+//! `<outdir>/allreduce.trace.json` — Chrome/Perfetto `trace_event` JSON;
+//! load it at `ui.perfetto.dev` (or `chrome://tracing`) to see every
+//! rank's driver, uC, datapath, POE and fabric activity on one causally
+//! linked timeline.
 //!
-//!  - `<outdir>/allreduce.trace.json` — Chrome/Perfetto `trace_event`
-//!    JSON; load it at `ui.perfetto.dev` (or `chrome://tracing`) to see
-//!    every rank's driver, uC, datapath, POE and fabric activity on one
-//!    causally linked timeline, and
-//!  - `<outdir>/allreduce.breakdown.txt` — per-rank latency attribution
-//!    (wire / switch-queue / pcie / uc / datapath / other) whose shares
-//!    partition each call's end-to-end time exactly.
+//! This is the workload of `accl-obs dump --workload allreduce8`; for its
+//! per-rank, per-component latency attribution run
+//! `accl-obs critical-path` on that dump.
 //!
 //! Run with: `cargo run --release --features trace --example trace_dump
 //! [outdir]`
@@ -74,21 +74,6 @@ fn main() {
     let json_path = format!("{outdir}/allreduce.trace.json");
     std::fs::write(&json_path, cluster.chrome_trace()).expect("write trace JSON");
 
-    let breakdowns = cluster.latency_breakdowns();
-    assert_eq!(breakdowns.len(), n, "one breakdown per rank");
-    let mut table = String::new();
-    for (rank, b) in breakdowns.iter().enumerate() {
-        // The attribution is an exact partition of the call's wall time.
-        assert_eq!(b.attributed(), b.total(), "rank {rank} shares must sum");
-        table.push_str(&b.table(&format!(
-            "rank {rank}: allreduce {count} x i32, total {}",
-            b.total()
-        )));
-        table.push('\n');
-    }
-    let table_path = format!("{outdir}/allreduce.breakdown.txt");
-    std::fs::write(&table_path, &table).expect("write breakdown table");
-
     println!(
         "traced {} span events across {n} ranks (max depth {depth})",
         events.len()
@@ -102,6 +87,5 @@ fn main() {
             b.total.as_us_f64()
         );
     }
-    print!("{table}");
-    println!("wrote {json_path} and {table_path}");
+    println!("wrote {json_path}");
 }
