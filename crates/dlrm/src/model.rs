@@ -8,8 +8,6 @@
 //! synthetic anyway); everything that determines performance — vector
 //! dimensions, message sizes, layer shapes — matches Table 2 exactly.
 
-use std::ops::Range;
-
 use accl_linalg::dense::fx::{self, MatFx};
 use accl_linalg::dense::{block_ranges, fx::relu};
 use serde::{Deserialize, Serialize};
@@ -164,64 +162,69 @@ impl DlrmModel {
 
     /// [`DlrmModel::pipeline_trace`] for inferences `0..n`, in order.
     ///
-    /// Inferences are computed [`TRACE_BATCH`] at a time, so each FC weight
-    /// row is read once per batch rather than once per inference, and
-    /// contiguous runs of batches are spread over the host's cores. Every
-    /// trace is bit-identical to the one-inference computation.
+    /// Inferences `0..n` are split into one contiguous run per available
+    /// core, and each run is computed by a single `batch_traces` call on its
+    /// own scoped thread, so each worker streams every FC weight row once
+    /// per call, not once per inference. Runs are joined in inference
+    /// order. Every trace is bit-identical to the one-inference computation.
     pub fn pipeline_traces(&self, n: usize) -> Vec<PipelineTrace> {
-        let batches: Vec<Range<u64>> = (0..n as u64)
-            .step_by(TRACE_BATCH)
-            .map(|k0| k0..(k0 + TRACE_BATCH as u64).min(n as u64))
-            .collect();
-        let threads = std::thread::available_parallelism()
-            .map_or(1, |p| p.get())
-            .min(batches.len());
-        let run = |bs: &[Range<u64>]| -> Vec<PipelineTrace> {
-            bs.iter()
-                .flat_map(|b| self.batch_traces(b.clone()))
-                .collect()
-        };
-        if threads <= 1 {
-            return run(&batches);
+        let workers = std::thread::available_parallelism().map_or(1, |p| p.get());
+        self.traces_on(n, workers)
+    }
+
+    /// [`DlrmModel::pipeline_traces`] on at most `workers` threads.
+    fn traces_on(&self, n: usize, workers: usize) -> Vec<PipelineTrace> {
+        let workers = workers.min(n);
+        if workers <= 1 {
+            return self.batch_traces(0..n as u64);
         }
         std::thread::scope(|s| {
-            let workers: Vec<_> = block_ranges(batches.len(), threads)
+            let runs: Vec<_> = block_ranges(n, workers)
                 .into_iter()
-                .map(|(b0, b1)| {
-                    let bs = &batches[b0..b1];
-                    s.spawn(move || run(bs))
-                })
+                .map(|(k0, k1)| s.spawn(move || self.batch_traces(k0 as u64..k1 as u64)))
                 .collect();
-            workers
-                .into_iter()
+            runs.into_iter()
                 .flat_map(|w| w.join().expect("trace worker panicked"))
                 .collect()
         })
     }
 
     /// The traces of inferences `ks`, with one pass over each FC block's
-    /// weights for the whole batch.
+    /// weights for the whole batch. Each inference's embedding is held only
+    /// as its per-column-group slices, which feed FC1 and then move into
+    /// its trace.
     fn batch_traces(&self, ks: impl Iterator<Item = u64>) -> Vec<PipelineTrace> {
         let cfg = self.cfg;
-        let embeds: Vec<Vec<i32>> = ks.map(|k| self.embed(k)).collect();
         let col_ranges = block_ranges(cfg.concat_len(), cfg.fc1_col_groups);
         let row_ranges = block_ranges(cfg.fc_dims[0], cfg.fc1_row_groups);
+        // Partial embedding slices (3.2 KB messages, nodes 1-4 → 5-8).
+        let embed_slices: Vec<Vec<Vec<i32>>> = ks
+            .map(|k| {
+                let x = self.embed(k);
+                col_ranges
+                    .iter()
+                    .map(|&(c0, c1)| x[c0..c1].to_vec())
+                    .collect()
+            })
+            .collect();
         // FC1 partials per (row group, column group), one per inference.
         let mut blocks: Vec<Vec<_>> = row_ranges
             .iter()
             .map(|&(r0, r1)| {
                 col_ranges
                     .iter()
-                    .map(|&(c0, c1)| {
-                        let slices: Vec<&[i32]> = embeds.iter().map(|x| &x[c0..c1]).collect();
-                        self.fc[0].gemv_block(r0..r1, c0..c1, &slices).into_iter()
+                    .enumerate()
+                    .map(|(c, &(c0, c1))| {
+                        let xs: Vec<&[i32]> =
+                            embed_slices.iter().map(|e| e[c].as_slice()).collect();
+                        self.fc[0].gemv_block(r0..r1, c0..c1, &xs).into_iter()
                     })
                     .collect()
             })
             .collect();
-        let mut traces: Vec<PipelineTrace> = embeds
-            .iter()
-            .map(|x| {
+        let mut traces: Vec<PipelineTrace> = embed_slices
+            .into_iter()
+            .map(|slices| {
                 let fc1_partials = blocks
                     .iter_mut()
                     .map(|rg| {
@@ -230,7 +233,7 @@ impl DlrmModel {
                             .collect()
                     })
                     .collect();
-                PipelineTrace::through_fc1(cfg, x, &col_ranges, fc1_partials)
+                PipelineTrace::through_fc1(cfg, slices, fc1_partials)
             })
             .collect();
         let [_, fc2, fc3] = &self.fc;
@@ -247,11 +250,6 @@ impl DlrmModel {
         traces
     }
 }
-
-/// Inferences per weight pass in [`DlrmModel::pipeline_traces`]. Each FC1
-/// weight row (3.2 KB) is read once per batch while the batch's 16 input
-/// slices (51 KB) stay in cache.
-pub const TRACE_BATCH: usize = 16;
 
 /// Every intermediate of one inference flowing through the Fig. 15 pipeline.
 pub struct PipelineTrace {
@@ -272,19 +270,14 @@ pub struct PipelineTrace {
 }
 
 impl PipelineTrace {
-    /// The trace of inference input `x` up to the FC1 output, from its FC1
-    /// checkerboard partials; `fc2_out` and `fc3_out` are left empty.
+    /// The trace of one inference up to the FC1 output, from its embedding
+    /// slices and FC1 checkerboard partials; `fc2_out` and `fc3_out` are
+    /// left empty.
     fn through_fc1(
         cfg: DlrmConfig,
-        x: &[i32],
-        col_ranges: &[(usize, usize)],
+        embed_slices: Vec<Vec<i32>>,
         fc1_partials: Vec<Vec<Vec<i32>>>,
     ) -> PipelineTrace {
-        // Partial embedding slices (3.2 KB messages, nodes 1-4 → 5-8).
-        let embed_slices: Vec<Vec<i32>> = col_ranges
-            .iter()
-            .map(|&(c0, c1)| x[c0..c1].to_vec())
-            .collect();
         // Per-column full-height partials (8 KB reduction messages):
         // concat of row-group partials for that column.
         let col_partials: Vec<Vec<i32>> = (0..cfg.fc1_col_groups)
@@ -382,6 +375,31 @@ mod tests {
             assert_eq!(t.fc1_partials.len(), 2);
             assert_eq!(t.fc1_partials[0][0].len(), m.cfg.fc_dims[0] / 2);
             assert_eq!(t.col_partials[0].len(), m.cfg.fc_dims[0]);
+        }
+    }
+
+    #[test]
+    fn worker_splits_match_per_inference_traces() {
+        // Every split of `0..n` into contiguous worker runs must give, in
+        // order, the traces of the one-inference computation.
+        let m = small();
+        let want: Vec<PipelineTrace> = (0..17).map(|k| m.pipeline_trace(k)).collect();
+        for workers in [1, 2, 3, 8] {
+            for n in [0, 1, 2, 3, 7, 17] {
+                let got = m.traces_on(n, workers);
+                assert_eq!(got.len(), n, "{workers} workers, n = {n}");
+                for (k, (g, w)) in (0u64..).zip(got.iter().zip(&want)) {
+                    let at = format!("inference {k} of {n} on {workers} workers");
+                    assert_eq!(g.embed_slices, w.embed_slices, "{at}");
+                    assert_eq!(g.fc1_partials, w.fc1_partials, "{at}");
+                    assert_eq!(g.col_partials, w.col_partials, "{at}");
+                    assert_eq!(g.chain, w.chain, "{at}");
+                    assert_eq!(g.fc1_out, w.fc1_out, "{at}");
+                    assert_eq!(g.fc2_out, w.fc2_out, "{at}");
+                    assert_eq!(g.fc3_out, w.fc3_out, "{at}");
+                    assert_eq!(g.fc3_out, m.infer(k), "{at}");
+                }
+            }
         }
     }
 

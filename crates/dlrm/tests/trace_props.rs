@@ -12,9 +12,10 @@ use accl_linalg::dense::fx::{relu, MatFx};
 use proptest::prelude::*;
 use proptest::test_runner::TestRunner;
 
-/// Inference counts always worth covering: none, one, and either side of
-/// a 16-inference batch boundary.
-const EDGE_COUNTS: [usize; 5] = [0, 1, 15, 16, 17];
+/// Inference counts always worth covering at the worker split: none, one
+/// (a single run even on many cores), two and three (one-inference runs,
+/// and an uneven split on two cores), and 17 (runs of unequal length).
+const EDGE_COUNTS: [usize; 5] = [0, 1, 2, 3, 17];
 
 /// A copy of block `[r0, r1) × [c0, c1)` of `m`.
 fn copy_block(m: &MatFx, (r0, r1): (usize, usize), (c0, c1): (usize, usize)) -> MatFx {

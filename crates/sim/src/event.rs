@@ -8,11 +8,13 @@
 //!
 //! Payloads use a small-value optimization: values of at most
 //! [`INLINE_PAYLOAD_WORDS`] machine words (and word alignment) are stored
-//! inline in the `Payload` itself, so the dominant event types — timer
-//! ticks, acknowledgements, completion records, chunk descriptors holding a
-//! refcounted `Bytes` — never touch the allocator on the hot path. Larger
-//! or over-aligned values fall back to boxing. The typed-downcast API is
-//! identical for both representations.
+//! inline in the `Payload` itself, so small events such as timer ticks and
+//! credits never touch the allocator. Larger or over-aligned values fall
+//! back to boxing. At three words (24 bytes on 64-bit targets), every
+//! event carrying a refcounted `Bytes` window is boxed: memory chunks
+//! (48 bytes), read and write requests (64 and 72 bytes) and network
+//! frames (88 bytes). The typed-downcast API is identical for both
+//! representations.
 
 use core::any::{Any, TypeId};
 use core::fmt;
