@@ -22,9 +22,18 @@ no matter what the host clock says; unequal digests fail loudly because
 the timeline itself changed. Wall-clock gating remains the fallback when
 digests are absent.
 
+Same-build mode (`--same-run ROW`) gates one workload against
+`chain_1m_events` from the *same* runs instead of against a reference
+build: best-of-N of ROW must stay within the tolerance of best-of-N of
+`chain_1m_events`. CI uses it for `chain_1m_spans_off`, the chain with a
+span opened and closed on every event while recording is off, so the idle
+cost of the instrumentation is measured inside one build.
+
 Usage:
   check_simcore_regression.py --ref ref1.json [ref2.json ...] \
       --cur cur1.json [cur2.json ...] [--tolerance 0.02]
+  check_simcore_regression.py --same-run ROW run1.json [run2.json ...] \
+      [--tolerance 0.02]
 """
 
 import json
@@ -54,16 +63,38 @@ def collect(files):
     return rates, digests
 
 
+def same_run(row, files, tol):
+    """Gates best-of-N `row` against best-of-N GATED from the same runs."""
+    rates, _ = collect(files)
+    for name in (row, GATED):
+        if name not in rates:
+            sys.exit(f"runs are missing workload {name!r}")
+    ratio = rates[row] / rates[GATED]
+    ok = ratio >= 1.0 - tol
+    verdict = "OK" if ok else f"FAIL (allowed cost {tol:.0%})"
+    print(
+        f"{row} {rates[row]:,.0f} vs {GATED} {rates[GATED]:,.0f} events/s "
+        f"(best of {len(files)}): ratio {ratio:5.3f}  {verdict}"
+    )
+    if not ok:
+        sys.exit(1)
+
+
 def main():
     argv = sys.argv[1:]
     tol = 0.02
     refs, curs, bucket = [], [], None
+    row = None
     i = 0
     while i < len(argv):
         a = argv[i]
         if a == "--ref":
             bucket = refs
         elif a == "--cur":
+            bucket = curs
+        elif a == "--same-run":
+            i += 1
+            row = argv[i]
             bucket = curs
         elif a == "--tolerance":
             i += 1
@@ -73,6 +104,11 @@ def main():
         else:
             sys.exit(f"unexpected argument {a!r} (see --help in the docstring)")
         i += 1
+    if row is not None:
+        if refs or not curs:
+            sys.exit("--same-run takes run files only, no --ref")
+        same_run(row, curs, tol)
+        return
     if not refs or not curs:
         sys.exit("need at least one --ref file and one --cur file")
 

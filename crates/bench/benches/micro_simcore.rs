@@ -20,6 +20,7 @@ use std::time::{Duration, Instant};
 use accl_mem::MemStore;
 use accl_sim::json::quote;
 use accl_sim::prelude::*;
+use accl_sim::{trace_end, trace_span};
 
 /// Global allocator wrapper counting allocation calls, so the JSON report
 /// can track allocs/event — the metric the inline-payload and slab work
@@ -69,6 +70,30 @@ impl Component for SelfChain {
             self.remaining -= 1;
             ctx.send_self(port, Dur::from_ns(1), v + 1);
         }
+    }
+}
+
+/// [`SelfChain`] instrumented like an engine hot path: every event opens
+/// and closes a span with two attributes. Run with span recording off, its
+/// rate against `chain_1m_events` is the idle cost of the instrumentation.
+struct SpannedChain {
+    remaining: u64,
+}
+impl Component for SpannedChain {
+    fn on_event(&mut self, ctx: &mut Ctx<'_>, port: PortId, payload: Payload) {
+        let v = payload.downcast::<u64>();
+        let span = trace_span!(
+            ctx,
+            "bench.chain",
+            SpanId::NONE,
+            "v" = v,
+            "left" = self.remaining
+        );
+        if self.remaining > 0 {
+            self.remaining -= 1;
+            ctx.send_self(port, Dur::from_ns(1), v + 1);
+        }
+        trace_end!(ctx, span);
     }
 }
 
@@ -194,9 +219,10 @@ fn measure(name: &'static str, reps: u32, mut work: impl FnMut() -> u64) -> Work
     }
 }
 
-fn chain_events(n: u64) -> u64 {
+/// Runs a self-chain from one seed event; returns the events executed.
+fn run_chain(chain: impl Component) -> u64 {
     let mut sim = Simulator::new(0);
-    let id = sim.add("chain", SelfChain { remaining: n });
+    let id = sim.add("chain", chain);
     sim.post(Endpoint::of(id), Time::ZERO, 0u64);
     sim.run();
     sim.events_executed()
@@ -344,8 +370,16 @@ fn main() {
         (1_000_000, 262_144, 100_000, 5)
     };
     let results = vec![
-        measure("chain_10k_events", reps, || chain_events(10_000)),
-        measure("chain_1m_events", reps, move || chain_events(chain_n)),
+        measure("chain_10k_events", reps, || {
+            run_chain(SelfChain { remaining: 10_000 })
+        }),
+        measure("chain_1m_events", reps, move || {
+            run_chain(SelfChain { remaining: chain_n })
+        }),
+        // CI gates this row within 2% of `chain_1m_events` of the same run.
+        measure("chain_1m_spans_off", reps, move || {
+            run_chain(SpannedChain { remaining: chain_n })
+        }),
         measure("mixed_near_far_256k", reps, move || mixed_near_far(mix_n)),
         measure("post_then_drain_100k", reps, move || {
             post_then_drain(drain_n)

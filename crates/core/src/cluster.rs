@@ -759,11 +759,6 @@ impl AcclCluster {
 
     /// Enables causal span recording across the whole cluster, keeping
     /// the most recent `capacity` span events in a ring.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless accl-sim was built with its `trace` feature (span
-    /// recording compiles away entirely otherwise).
     pub fn enable_tracing(&mut self, capacity: usize) {
         self.sim.enable_spans(capacity);
     }

@@ -262,7 +262,6 @@ fn tie_heavy_timeline_is_queue_invariant() {
 
 /// FNV-1a over all ranks' result buffers: the *data* digest, as opposed to
 /// the event-timeline digest above.
-#[cfg(feature = "race-detect")]
 fn fnv(buffers: &[Vec<u8>]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for buf in buffers {
@@ -276,7 +275,6 @@ fn fnv(buffers: &[Vec<u8>]) -> u64 {
 
 /// Runs the seeded 4-node allreduce with an optional permuted tie-order
 /// rule and returns the digest of the read-back results.
-#[cfg(feature = "race-detect")]
 fn allreduce_result_digest(kind: QueueKind, salt: Option<u64>) -> u64 {
     let n = 4;
     let count = 4096u64;
@@ -315,7 +313,6 @@ fn allreduce_result_digest(kind: QueueKind, salt: Option<u64>) -> u64 {
 /// order, on both queue kinds. (The event-*timeline* digest legitimately
 /// differs under a different tie-break rule; what must not move is the
 /// data.)
-#[cfg(feature = "race-detect")]
 #[test]
 fn allreduce_result_survives_permuted_tie_order() {
     for kind in [QueueKind::Calendar, QueueKind::Heap] {

@@ -352,7 +352,7 @@ fn rejoin_observables(kind: QueueKind, tie_salt: Option<u64>) -> Observables {
     let mut c = AcclCluster::build(cfg);
     c.sim.set_queue_kind(kind);
     if let Some(salt) = tie_salt {
-        permute_ties(&mut c, salt);
+        c.sim.permute_tie_order(salt);
     }
     c.set_algo_config(AlgoConfig {
         allreduce_ring_min_bytes: 1,
@@ -383,7 +383,7 @@ fn degraded_observables(kind: QueueKind, tie_salt: Option<u64>) -> Observables {
     let mut c = degraded_cluster(2, true);
     c.sim.set_queue_kind(kind);
     if let Some(salt) = tie_salt {
-        permute_ties(&mut c, salt);
+        c.sim.permute_tie_order(salt);
     }
     let (specs, dsts) = allreduce_setup(&mut c, &[0, 1], count, 0);
     let records = c.host_collective(specs);
@@ -392,16 +392,6 @@ fn degraded_observables(kind: QueueKind, tie_salt: Option<u64>) -> Observables {
         assert_eq!(c.read(&dsts[rank]), summed(2, count), "rank {rank} data");
     }
     Observables::collect(&mut c)
-}
-
-#[cfg(feature = "race-detect")]
-fn permute_ties(c: &mut AcclCluster, salt: u64) {
-    c.sim.permute_tie_order(salt);
-}
-
-#[cfg(not(feature = "race-detect"))]
-fn permute_ties(_c: &mut AcclCluster, _salt: u64) {
-    unreachable!("tie permutation requires the race-detect feature")
 }
 
 /// Satellite determinism gate: the full recovery timeline — including
@@ -437,10 +427,9 @@ fn degraded_timeline_digest_stable_across_queues() {
     );
 }
 
-/// With the race detector, a deliberately permuted same-timestamp
-/// delivery order must not move a single suspect/confirm decision: the
-/// detector reads sim time and per-stream history, never queue order.
-#[cfg(feature = "race-detect")]
+/// A deliberately permuted same-timestamp delivery order must not move a
+/// single suspect/confirm decision: the detector reads sim time and
+/// per-stream history, never queue order.
 #[test]
 fn detector_decisions_survive_permuted_tie_order() {
     let golden = rejoin_observables(QueueKind::Heap, None);

@@ -4,11 +4,8 @@
 //! Span ids are content-derived (component, name, ordinal — never queue
 //! internals or allocation order), so the identical timeline promise
 //! extends to the trace: the same seeded workload must yield the same
-//! span events on both event-queue implementations, run to run, and (with
-//! the race detector) under deliberately permuted same-timestamp
-//! delivery order.
-
-#![cfg(feature = "trace")]
+//! span events on both event-queue implementations, run to run, and
+//! under deliberately permuted same-timestamp delivery order.
 
 use accl_core::driver::CollSpec;
 use accl_core::{AcclCluster, BufLoc, ClusterConfig, CollOp, DType};
@@ -29,8 +26,7 @@ fn pattern(node: usize, count: u64) -> Vec<u8> {
 }
 
 /// Runs a seeded 4-node RDMA allreduce with tracing on and returns the
-/// recorded span stream. `salt` permutes same-timestamp delivery order
-/// (race-detect builds only).
+/// recorded span stream. `salt` permutes same-timestamp delivery order.
 fn traced_allreduce(kind: QueueKind, salt: Option<u64>) -> Vec<SpanEvent> {
     traced_allreduce_on(ClusterConfig::coyote_rdma(4), kind, salt, None)
 }
@@ -50,12 +46,8 @@ fn traced_allreduce_on(
     if let Some(plan) = plan {
         c.set_fault_plan(plan);
     }
-    match salt {
-        #[cfg(feature = "race-detect")]
-        Some(s) => c.sim.permute_tie_order(s),
-        #[cfg(not(feature = "race-detect"))]
-        Some(_) => unreachable!("tie-order salts need the race-detect feature"),
-        None => {}
+    if let Some(s) = salt {
+        c.sim.permute_tie_order(s);
     }
     c.enable_tracing(1 << 20);
     let mut specs = Vec::new();
@@ -217,7 +209,6 @@ fn trace_covers_every_layer_of_the_stack() {
 /// nanoseconds — exactly the "event-timeline digest legitimately
 /// differs" caveat `determinism.rs` documents. What must never move is
 /// the data, which `traced_allreduce` asserts on every run.
-#[cfg(feature = "race-detect")]
 #[test]
 fn span_population_survives_permuted_tie_order() {
     for kind in [QueueKind::Calendar, QueueKind::Heap] {

@@ -125,8 +125,7 @@ pub fn run_pipeline(model: &DlrmModel, timing: DlrmTiming, inferences: usize) ->
 /// run unobserved and unchanged).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PipelineObserve {
-    /// Span-ring capacity; zero leaves tracing off. Requires the `trace`
-    /// cargo feature when nonzero.
+    /// Span-ring capacity; zero leaves tracing off.
     pub span_capacity: usize,
     /// Fixed sim-time metric window width; `None` leaves windowing off.
     pub metric_window: Option<Dur>,

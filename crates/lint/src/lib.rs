@@ -7,9 +7,9 @@
 //! clock read, one float accumulating into a timestamp — and nothing about
 //! `cargo test` catches the breakage until a golden digest diverges weeks
 //! later. This crate is the static half of the enforcement (the dynamic
-//! half is `accl-sim`'s `race-detect` feature): a lexer-based pass over the
-//! sim-visible crates that reports determinism hazards with `file:line`
-//! diagnostics and fails CI on any unannotated finding.
+//! half is `accl-sim`'s race detector, `accl_sim::race`): a lexer-based
+//! pass over the sim-visible crates that reports determinism hazards with
+//! `file:line` diagnostics and fails CI on any unannotated finding.
 //!
 //! The pass is token-based, not AST-based (the build environment is
 //! offline, so `syn` is unavailable); precision comes from small amounts of

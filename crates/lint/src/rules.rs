@@ -10,7 +10,7 @@
 //! | `resource-pairing` | acquire sites (trace spans, tx-credit gates, RBM buffers) release on every exit path |
 //! | `digest-coverage` | every `impl Component` provides a non-default `state_digest` |
 //! | `exhaustive-handling` | no `_` wildcard over sim-visible protocol enums |
-//! | `layering` | crates respect the mlwip module seams (net ⊄ poe, cclo ⊄ net internals) |
+//! | `layering` | crates respect the mlwip module seams (net ⊄ poe, cclo ⊄ net internals); POE engines leave the I/O plumbing to `iface::PoeIo` |
 //! | `time-safety` | no unchecked `+`/`-`/`*` on raw picosecond values outside the checked ctors |
 
 use crate::cfg::{self, Event};
@@ -49,7 +49,7 @@ pub fn run(file: &str, krate: Option<&str>, toks: &[Token], parsed: &ParsedFile)
 /// Methods that begin a trace span and return its handle.
 const SPAN_ACQUIRE: &[&str] = &["span_begin", "span_begin_attrs"];
 /// Methods that end a span (first argument is the handle).
-const SPAN_RELEASE: &[&str] = &["span_end", "span_end_at", "span_end_attrs"];
+const SPAN_RELEASE: &[&str] = &["span_end", "span_end_at"];
 /// Methods that emit a causal flow edge and return its handle.
 const FLOW_ACQUIRE: &[&str] = &["flow_begin"];
 /// Methods that join a flow edge (the *second* argument is the handle —
@@ -738,10 +738,10 @@ fn digest_coverage(file: &str, parsed: &ParsedFile, findings: &mut Vec<Finding>)
             rule: "digest-coverage",
             severity: Severity::Deny,
             message: format!(
-                "`impl Component for {}` does not implement `state_digest`: race-detect \
-                 shadow runs and parallel A/B gates silently compare nothing for this \
-                 component — digest its externally-meaningful state (counters, totals, \
-                 data checksums) with `accl_sim::digest::fnv_fold`",
+                "`impl Component for {}` does not implement `state_digest`: the race \
+                 detector's shadow runs and queue-kind A/B gates silently compare \
+                 nothing for this component — digest its externally-meaningful state \
+                 (counters, totals, data checksums) with `accl_sim::digest::fnv_fold`",
                 im.type_name
             ),
             allowed: None,
@@ -981,7 +981,38 @@ const LAYERS: &[Layer] = &[
     },
 ];
 
+/// POE engine files, and the I/O plumbing they must leave to
+/// `iface::PoeIo` (credit handling, the Rx FCS check, flow edges, gated
+/// sends): an engine that names it again is growing its own copy back.
+const POE_ENGINES: &[&str] = &["poe/src/tcp.rs", "poe/src/rdma.rs", "poe/src/udp.rs"];
+const POE_IO_PLUMBING: &[&str] = &[
+    "CreditReturn",
+    "TxCreditLeak",
+    "fcs_ok",
+    "flow_begin",
+    "flow_end",
+    "send_gated",
+];
+
 fn layering(file: &str, krate: &str, toks: &[Token], findings: &mut Vec<Finding>) {
+    if POE_ENGINES.iter().any(|f| file.ends_with(f)) {
+        let plumbing = toks
+            .iter()
+            .filter(|t| t.kind == TokKind::Ident && POE_IO_PLUMBING.contains(&t.text.as_str()));
+        for t in plumbing {
+            findings.push(Finding {
+                file: file.into(),
+                line: t.line,
+                rule: "layering",
+                severity: Severity::Deny,
+                message: format!(
+                    "POE engine names `{}`: route it through `iface::PoeIo`",
+                    t.text
+                ),
+                allowed: None,
+            });
+        }
+    }
     let Some(layer) = LAYERS.iter().find(|l| l.krate == krate) else {
         return; // core (and unlisted crates) may see everything below
     };

@@ -242,3 +242,43 @@ impl Kernel {
         && f.severity == Severity::Deny
         && f.allowed.is_none()));
 }
+
+#[test]
+fn poe_engines_may_not_name_the_shared_io_plumbing() {
+    // The POE seam: credit handling, the Rx FCS check, flow edges and
+    // gated sends belong to `iface::PoeIo`. Each name is a layering finding
+    // in every engine file, and stays legal in the module that owns it.
+    let names = [
+        "CreditReturn",
+        "TxCreditLeak",
+        "fcs_ok",
+        "flow_begin",
+        "flow_end",
+        "send_gated",
+    ];
+    for engine in ["tcp", "rdma", "udp"] {
+        let file = format!("crates/poe/src/{engine}.rs");
+        for name in names {
+            let src = format!("fn f(io: &mut Io) {{\n    io.{name}();\n}}\n");
+            let found = lint_source(&file, &src);
+            assert!(
+                found.iter().any(|f| f.rule == "layering"
+                    && f.line == 2
+                    && f.severity == Severity::Deny
+                    && f.allowed.is_none()),
+                "`{name}` in {file} was not flagged: {found:?}"
+            );
+            assert!(
+                lint_source("crates/poe/src/iface.rs", &src)
+                    .iter()
+                    .all(|f| f.rule != "layering"),
+                "`{name}` must stay legal in iface.rs"
+            );
+        }
+    }
+    // Comments and strings do not count, matching the token-based rules.
+    let src = "// flow_begin lives in iface\nfn f() -> &'static str { \"send_gated\" }\n";
+    assert!(lint_source("crates/poe/src/tcp.rs", src)
+        .iter()
+        .all(|f| f.rule != "layering"));
+}

@@ -70,7 +70,7 @@ pub struct Frame {
     pub fcs: u32,
     /// Causal parent span: the sender's segment/transfer span, under which
     /// the network records its serialization, queueing and hop spans.
-    /// [`SpanId::NONE`] when tracing is off (always when compiled out).
+    /// [`SpanId::NONE`] when tracing is off.
     pub span: SpanId,
     /// Explicit cross-rank causal flow edge: the Tx POE emits a flow at
     /// segment creation ([`accl_sim::trace::FlowId`] via `Ctx::flow_begin`)

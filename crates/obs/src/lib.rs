@@ -1,7 +1,7 @@
 //! Trace analytics for the ACCL+ simulator (`accl-obs`).
 //!
-//! Consumes the causal span stream recorded by `accl-sim`'s `trace`
-//! feature and turns it into three analyses the paper's evaluation leans
+//! Consumes the causal span stream recorded by `accl_sim::trace` and
+//! turns it into three analyses the paper's evaluation leans
 //! on but raw timelines do not give directly:
 //!
 //!  - **Causal critical path** ([`critpath`]): the span DAG — parent

@@ -6,9 +6,6 @@
 //! cover exactly the state that two equivalent runs are required to agree
 //! on — final logical totals and canonically-ordered (`BTreeMap`)
 //! populations, never tie-order-dependent history.
-//!
-//! Always compiled (unlike the `race-detect`-gated [`crate::race`] module):
-//! digests also feed the default-build replay gates.
 
 /// The FNV-1a 64-bit offset basis: the initial state of [`fnv1a`].
 pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;

@@ -46,7 +46,6 @@ pub mod json;
 pub mod mailbox;
 pub mod pipe;
 pub mod queue;
-#[cfg(feature = "race-detect")]
 pub mod race;
 pub mod sim;
 pub mod stats;

@@ -17,7 +17,7 @@
 //! same API so tests can A/B the two and assert identical timelines.
 //!
 //! Event bodies (`Endpoint` + [`Payload`]) live in a slab indexed by `u32`;
-//! the ordering structures move only 20-byte keys, and slots are recycled
+//! the ordering structures move only 24-byte keys, and slots are recycled
 //! through a free list so steady-state scheduling never allocates.
 
 use std::cmp::Ordering;
@@ -50,32 +50,31 @@ pub enum QueueKind {
     Calendar,
 }
 
+/// Bits of [`EvKey::seq`] that hold the scheduling sequence number; the
+/// bits above carry the channel rank of a tie-order permutation.
+const SEQ_BITS: u32 = 40;
+/// Mask selecting the sequence number from an order word.
+const SEQ_MASK: u64 = (1 << SEQ_BITS) - 1;
+
 /// Ordering key for one scheduled event; the body lives in the slab.
 #[derive(Clone, Copy, Debug)]
 struct EvKey {
     time: u64,
+    /// Order word among same-`time` events. Without a tie-order
+    /// permutation it is exactly the scheduling `seq` (FIFO). Under one
+    /// ([`EventQueue::set_tie_salt`]) its bits above [`SEQ_BITS`] hold a
+    /// seeded rank of the event's *channel* — `(source component,
+    /// destination endpoint)` — so same-timestamp events from different
+    /// channels interleave in a permuted (but still deterministic and
+    /// total) order, while each channel's own FIFO order and all
+    /// cross-timestamp order are untouched. Same-channel order is program
+    /// order, never a race; cross-channel tie order is exactly what racy
+    /// handlers depend on.
     seq: u64,
-    /// Channel tie-break rank. Zero normally (FIFO by `seq`); under a
-    /// `race-detect` tie-order permutation it is a seeded hash of the
-    /// event's *channel* — `(source component, destination endpoint)` —
-    /// so same-timestamp events from different channels interleave in a
-    /// permuted (but still deterministic and total) order, while each
-    /// channel's own FIFO order and all cross-timestamp order are
-    /// untouched. Same-channel order is program order, never a race;
-    /// cross-channel tie order is exactly what racy handlers depend on.
-    #[cfg(feature = "race-detect")]
-    tie: u64,
     idx: u32,
 }
 
 impl EvKey {
-    #[cfg(feature = "race-detect")]
-    #[inline]
-    fn key(&self) -> (u64, u64, u64) {
-        (self.time, self.tie, self.seq)
-    }
-
-    #[cfg(not(feature = "race-detect"))]
     #[inline]
     fn key(&self) -> (u64, u64) {
         (self.time, self.seq)
@@ -84,13 +83,11 @@ impl EvKey {
 
 /// Channel-source marker for events posted from outside any component
 /// (`Simulator::post` from a test or benchmark harness).
-#[cfg(feature = "race-detect")]
 pub(crate) const SRC_EXTERNAL: u32 = u32::MAX;
 
 /// SplitMix64 finalizer, used to rank channels deterministically under a
 /// tie-order permutation. (Totality of the event order does not depend on
 /// this hash: colliding channel ranks fall back to `seq` order.)
-#[cfg(feature = "race-detect")]
 #[inline]
 fn splitmix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
@@ -150,13 +147,7 @@ pub(crate) struct EventQueue {
     heap: BinaryHeap<EvKey>,
     len: usize,
     /// Seed of the tie-order permutation, when one is active.
-    #[cfg(feature = "race-detect")]
     tie_salt: Option<u64>,
-    /// Source component of events being pushed right now: the handler the
-    /// simulator is currently executing, or [`SRC_EXTERNAL`] for events
-    /// posted from outside any component.
-    #[cfg(feature = "race-detect")]
-    cur_src: u32,
 }
 
 impl Drop for EventQueue {
@@ -180,10 +171,7 @@ impl EventQueue {
             far: BinaryHeap::new(),
             heap: BinaryHeap::new(),
             len: 0,
-            #[cfg(feature = "race-detect")]
             tie_salt: None,
-            #[cfg(feature = "race-detect")]
-            cur_src: SRC_EXTERNAL,
         }
     }
 
@@ -195,16 +183,8 @@ impl EventQueue {
     /// stays total and fully deterministic for a given salt; only the
     /// *tie-breaking rule* changes. Used by the race detector's shadow
     /// runs to probe whether same-timestamp handlers commute.
-    #[cfg(feature = "race-detect")]
     pub(crate) fn set_tie_salt(&mut self, salt: Option<u64>) {
         self.tie_salt = salt;
-    }
-
-    /// Declares the source component of subsequently pushed events (the
-    /// handler about to execute), or [`SRC_EXTERNAL`] between handlers.
-    #[cfg(feature = "race-detect")]
-    pub(crate) fn set_tie_src(&mut self, src: u32) {
-        self.cur_src = src;
     }
 
     pub(crate) fn kind(&self) -> QueueKind {
@@ -220,9 +200,15 @@ impl EventQueue {
         self.len == 0
     }
 
-    /// Schedules `payload` for `dst` at `(time, seq)`.
+    /// Schedules `payload` for `dst` at `(time, seq)`, sent by component
+    /// `src` ([`SRC_EXTERNAL`] from outside any component).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `seq` does not fit in [`SEQ_BITS`] bits.
     #[inline]
-    pub(crate) fn push(&mut self, time: Time, seq: u64, dst: Endpoint, payload: Payload) {
+    pub(crate) fn push(&mut self, time: Time, seq: u64, src: u32, dst: Endpoint, payload: Payload) {
+        assert!(seq <= SEQ_MASK, "event sequence number overflow");
         let payload = core::mem::ManuallyDrop::new(payload);
         let idx = match self.free.pop() {
             Some(i) => {
@@ -237,24 +223,23 @@ impl EventQueue {
                 i
             }
         };
+        let seq = match self.tie_salt {
+            None => seq,
+            Some(salt) => {
+                // Rank the event's channel, not the event: a seeded hash
+                // of (source, destination) keeps same-channel events
+                // adjacent (their order falls back to `seq` = program
+                // order) while shuffling how distinct channels interleave
+                // within a timestamp.
+                let chan = (u64::from(src) << 48)
+                    ^ ((dst.comp.index() as u64) << 16)
+                    ^ u64::from(dst.port.0);
+                (splitmix64(chan ^ salt) & !SEQ_MASK) | seq
+            }
+        };
         let key = EvKey {
             time: time.as_ps(),
             seq,
-            #[cfg(feature = "race-detect")]
-            tie: match self.tie_salt {
-                Some(salt) => {
-                    // Rank the event's channel, not the event: a seeded
-                    // hash of (source, destination) keeps same-channel
-                    // events adjacent (their order falls back to `seq` =
-                    // program order) while shuffling how distinct channels
-                    // interleave within a timestamp.
-                    let chan = (u64::from(self.cur_src) << 48)
-                        ^ ((dst.comp.index() as u64) << 16)
-                        ^ u64::from(dst.port.0);
-                    splitmix64(chan ^ salt)
-                }
-                None => 0,
-            },
             idx,
         };
         self.len += 1;
@@ -282,7 +267,7 @@ impl EventQueue {
             }
         };
         self.len -= 1;
-        Some((Time::from_ps(key.time), key.seq, key.idx))
+        Some((Time::from_ps(key.time), key.seq & SEQ_MASK, key.idx))
     }
 
     /// Claims the body of an event whose key was returned by
@@ -336,7 +321,7 @@ impl EventQueue {
         }
         self.kind = kind;
         for (time, seq, dst, payload) in pending {
-            self.push(time, seq, dst, payload);
+            self.push(time, seq, SRC_EXTERNAL, dst, payload);
         }
     }
 
@@ -461,7 +446,7 @@ mod tests {
         for kind in [QueueKind::Heap, QueueKind::Calendar] {
             let mut q = EventQueue::new(kind);
             for (t, s) in [(10, 2u64), (5, 3), (10, 1), (5, 0)] {
-                q.push(Time::from_ps(t), s, ep(0), Payload::new(()));
+                q.push(Time::from_ps(t), s, SRC_EXTERNAL, ep(0), Payload::new(()));
             }
             assert_eq!(drain(&mut q), vec![(5, 0), (5, 3), (10, 1), (10, 2)]);
         }
@@ -485,7 +470,7 @@ mod tests {
         ];
         for (seq, &t) in times.iter().enumerate() {
             let seq = seq as u64;
-            q.push(Time::from_ps(t), seq, ep(0), Payload::new(()));
+            q.push(Time::from_ps(t), seq, SRC_EXTERNAL, ep(0), Payload::new(()));
             expect.push((t, seq));
         }
         expect.sort_unstable();
@@ -533,7 +518,9 @@ mod tests {
             let mut out = Vec::new();
             for op in &ops {
                 match op {
-                    Some((t, s)) => q.push(Time::from_ps(*t), *s, ep(0), Payload::new(*s)),
+                    Some((t, s)) => {
+                        q.push(Time::from_ps(*t), *s, SRC_EXTERNAL, ep(0), Payload::new(*s))
+                    }
                     None => {
                         let (t, s, _, p) = q.pop().expect("pop on non-empty");
                         assert_eq!(p.downcast::<u64>(), s);
@@ -550,10 +537,11 @@ mod tests {
     #[test]
     fn peek_matches_pop() {
         let mut q = EventQueue::new(QueueKind::Calendar);
-        q.push(Time::from_ps(500), 0, ep(0), Payload::new(()));
+        q.push(Time::from_ps(500), 0, SRC_EXTERNAL, ep(0), Payload::new(()));
         q.push(
             Time::from_ps(100 * CALENDAR_SPAN_PS),
             1,
+            SRC_EXTERNAL,
             ep(0),
             Payload::new(()),
         );
@@ -572,12 +560,19 @@ mod tests {
         q.push(
             Time::from_ps(50 * CALENDAR_SPAN_PS),
             0,
+            SRC_EXTERNAL,
             ep(0),
             Payload::new(()),
         );
         assert_eq!(q.peek_time(), Some(Time::from_ps(50 * CALENDAR_SPAN_PS)));
         // ...then an earlier event arrives (allowed: still >= sim time).
-        q.push(Time::from_ps(1000), 1, ep(0), Payload::new(()));
+        q.push(
+            Time::from_ps(1000),
+            1,
+            SRC_EXTERNAL,
+            ep(0),
+            Payload::new(()),
+        );
         assert_eq!(q.peek_time(), Some(Time::from_ps(1000)));
         assert_eq!(drain(&mut q), vec![(1000, 1), (50 * CALENDAR_SPAN_PS, 0)]);
     }
@@ -590,6 +585,7 @@ mod tests {
                 q.push(
                     Time::from_ps(round * 1000 + i),
                     round * 100 + i,
+                    SRC_EXTERNAL,
                     ep(0),
                     Payload::new(i),
                 );
@@ -603,10 +599,68 @@ mod tests {
     }
 
     #[test]
+    fn event_key_stays_three_words() {
+        assert_eq!(core::mem::size_of::<EvKey>(), 24);
+    }
+
+    #[test]
+    fn salted_channel_pops_in_seq_order_near_the_seq_limit() {
+        // Two channels (sources 1 and 2 into one endpoint) tie at one
+        // timestamp with sequence numbers just below 2^40: the rank bits
+        // must neither disturb a channel's FIFO order nor leak into the
+        // returned `seq`.
+        let base = SEQ_MASK - 7;
+        for kind in [QueueKind::Heap, QueueKind::Calendar] {
+            let mut q = EventQueue::new(kind);
+            q.set_tie_salt(Some(0x5eed));
+            for seq in base..=SEQ_MASK {
+                let src = 1 + (seq % 2) as u32;
+                q.push(Time::from_ps(64), seq, src, ep(0), Payload::new(src));
+            }
+            let mut popped = Vec::new();
+            while let Some((t, seq, _, p)) = q.pop() {
+                assert_eq!(t, Time::from_ps(64));
+                popped.push((p.downcast::<u32>(), seq));
+            }
+            let mut all: Vec<u64> = popped.iter().map(|&(_, s)| s).collect();
+            all.sort_unstable();
+            assert_eq!(all, (base..=SEQ_MASK).collect::<Vec<_>>());
+            for src in [1, 2] {
+                let chan: Vec<u64> = popped
+                    .iter()
+                    .filter(|&&(s, _)| s == src)
+                    .map(|&(_, seq)| seq)
+                    .collect();
+                assert_eq!(chan.len(), 4);
+                assert!(chan.windows(2).all(|w| w[0] < w[1]), "{kind:?}: {chan:?}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "sequence number overflow")]
+    fn seq_beyond_the_order_word_is_rejected() {
+        let mut q = EventQueue::new(QueueKind::Calendar);
+        q.push(
+            Time::ZERO,
+            SEQ_MASK + 1,
+            SRC_EXTERNAL,
+            ep(0),
+            Payload::new(()),
+        );
+    }
+
+    #[test]
     fn set_kind_preserves_pending_events() {
         let mut q = EventQueue::new(QueueKind::Calendar);
         for (i, &t) in [700u64, 20, 20, 5 * CALENDAR_SPAN_PS, 3].iter().enumerate() {
-            q.push(Time::from_ps(t), i as u64, ep(0), Payload::new(i));
+            q.push(
+                Time::from_ps(t),
+                i as u64,
+                SRC_EXTERNAL,
+                ep(0),
+                Payload::new(i),
+            );
         }
         q.set_kind(QueueKind::Heap);
         assert_eq!(q.kind(), QueueKind::Heap);

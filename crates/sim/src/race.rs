@@ -1,4 +1,4 @@
-//! The sim-time race detector (`race-detect` feature).
+//! The sim-time race detector.
 //!
 //! The simulator's bit-replay contract defines the order of same-timestamp
 //! events as scheduling (`seq`) order. That rule makes every run
@@ -26,10 +26,13 @@
 //!    must come out identical; the first divergence names the exact
 //!    `(time, component, event type)` whose handlers raced.
 //!
-//! The feature is off by default and adds zero cost to the kernel hot path
-//! when disabled (the tie-rank field and the recording branch are compiled
-//! out).
+//! Both halves are runtime switches on an ordinary build. Off, they cost
+//! the kernel no key space and no per-event work: the channel rank rides in
+//! the high bits of the event key's existing order word only while a salt
+//! is set, and tie recording shares the out-of-line delivery-observer
+//! branch with the timeline digest.
 
+use crate::digest::{fnv1a, FNV_OFFSET};
 use crate::event::{ComponentId, Endpoint};
 use crate::sim::{RunOutcome, Simulator};
 use crate::time::Time;
@@ -49,19 +52,13 @@ impl CanonTrace {
     /// Order-sensitive digest across tie-sets (order-insensitive within
     /// each): the "golden digest" two shadow runs must reproduce.
     pub fn digest(&self) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        let mut fold = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        };
+        let mut h = FNV_OFFSET;
         for (t, recs) in &self.sets {
-            fold(&t.as_ps().to_le_bytes());
+            fnv1a(&mut h, &t.as_ps().to_le_bytes());
             for (comp, port, ty) in recs {
-                fold(&comp.to_le_bytes());
-                fold(&port.to_le_bytes());
-                fold(ty.as_bytes());
+                fnv1a(&mut h, &comp.to_le_bytes());
+                fnv1a(&mut h, &port.to_le_bytes());
+                fnv1a(&mut h, ty.as_bytes());
             }
         }
         h
@@ -78,10 +75,6 @@ pub struct TieRecorder {
 }
 
 impl TieRecorder {
-    pub(crate) fn new() -> Self {
-        TieRecorder::default()
-    }
-
     /// Records one delivery. Deliveries must arrive in non-decreasing time
     /// order (the kernel's execution order).
     pub(crate) fn record(&mut self, time: Time, dst: Endpoint, type_name: &'static str) {
@@ -132,8 +125,8 @@ pub struct RaceReport {
     /// What diverged: the canonical trace or a final state digest.
     pub detail: String,
     /// The last few spans recorded by the implicated component in the
-    /// baseline run (empty unless span recording was enabled) — the causal
-    /// history leading into the racing tie-set, not just delivery lines.
+    /// baseline run (empty if it recorded none) — the causal history
+    /// leading into the racing tie-set, not just delivery lines.
     pub recent_spans: Vec<String>,
 }
 
@@ -182,12 +175,10 @@ where
     let run = |salt: Option<u64>| -> (Simulator, CanonTrace, RunOutcome) {
         let mut sim = Simulator::new(seed);
         sim.enable_tie_recording();
-        // When span tracing is compiled in, record it too so a diverging
-        // run's RaceReport can show the causal history of the racing
-        // component, not just its delivery lines.
-        if crate::trace::COMPILED {
-            sim.enable_spans(1 << 16);
-        }
+        // Record spans too, so a diverging run's RaceReport can show the
+        // causal history of the racing component, not just its delivery
+        // lines.
+        sim.enable_spans(1 << 16);
         if let Some(s) = salt {
             sim.permute_tie_order(s);
         }
@@ -344,8 +335,3 @@ fn report_at(
         recent_spans: sim.span_tail(comp, 8),
     }
 }
-
-// Re-exported for fixture components in tests and downstream crates that
-// implement `state_digest` by hashing a few fields. The definition lives
-// in the always-compiled [`crate::digest`] module.
-pub use crate::digest::fnv_fold;

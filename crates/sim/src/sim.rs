@@ -21,7 +21,7 @@ use rand::SeedableRng;
 use crate::deadlock::{self, DeadlockReport, ResourceState};
 use crate::digest::{fnv1a, FNV_OFFSET};
 use crate::event::{ComponentId, Endpoint, Payload, PortId};
-use crate::queue::{EventQueue, QueueKind};
+use crate::queue::{EventQueue, QueueKind, SRC_EXTERNAL};
 use crate::stats::Stats;
 use crate::time::{Dur, Time};
 use crate::trace::{Attr, FlowId, SpanEvent, SpanId, SpanRecorder};
@@ -51,8 +51,8 @@ pub trait Component: Any + Send {
     }
 
     /// A digest of this component's externally-meaningful state, for
-    /// end-of-run comparison between a baseline and a shadow run (see the
-    /// `race-detect` feature). Two runs that executed the same logical
+    /// end-of-run comparison between a baseline and a shadow run (see
+    /// [`crate::race`]). Two runs that executed the same logical
     /// work must produce the same digest even if same-timestamp events
     /// were handled in a different order; a divergence means the handlers
     /// do not commute. Components return `None` (the default) to opt out.
@@ -92,6 +92,9 @@ pub struct Ctx<'a> {
     stats: &'a mut Stats,
     stop: &'a mut bool,
     spans: &'a mut SpanRecorder,
+    /// `spans.is_enabled()`, copied once per event so the instrumentation
+    /// macros' idle branch reads the context, not the recorder.
+    spans_on: bool,
 }
 
 impl Ctx<'_> {
@@ -124,7 +127,8 @@ impl Ctx<'_> {
         );
         let seq = *self.seq;
         *self.seq += 1;
-        self.queue.push(at, seq, dst, Payload::new(payload));
+        self.queue
+            .push(at, seq, self.self_id.0, dst, Payload::new(payload));
     }
 
     /// Schedules `payload` back to `port` of the executing component after `delay`.
@@ -147,12 +151,13 @@ impl Ctx<'_> {
         *self.stop = true;
     }
 
-    /// Whether span recording is live (compiled in via the `trace` feature
-    /// *and* enabled on this simulator). Instrumentation that must compute
-    /// attribute values eagerly can branch on this; plain `span_*` calls
-    /// are already free when recording is off.
+    /// Whether span recording is enabled on this simulator.
+    /// Instrumentation that must compute attribute values eagerly can
+    /// branch on this; plain `span_*` calls are already free when
+    /// recording is off.
+    #[inline]
     pub fn spans_enabled(&self) -> bool {
-        self.spans.is_enabled()
+        self.spans_on
     }
 
     /// Opens a span named `name` under `parent` at the current time;
@@ -183,11 +188,6 @@ impl Ctx<'_> {
     /// reservation's end).
     pub fn span_end_at(&mut self, id: SpanId, at: Time) {
         self.spans.end(at, self.self_id, id, &[]);
-    }
-
-    /// Closes span `id` at the current time with attributes attached.
-    pub fn span_end_attrs(&mut self, id: SpanId, attrs: &[Attr]) {
-        self.spans.end(self.now, self.self_id, id, attrs);
     }
 
     /// Records a complete `[start, end]` span in one call (both times may
@@ -381,7 +381,6 @@ pub struct Simulator {
     /// Scheduler gauges for the most recent `run*` call.
     last_run_summary: Option<RunSummary>,
     /// Tie-set recorder for the race detector (None = off).
-    #[cfg(feature = "race-detect")]
     tie_rec: Option<crate::race::TieRecorder>,
 }
 
@@ -409,7 +408,6 @@ impl Simulator {
             digest: None,
             stall_deadline: None,
             last_run_summary: None,
-            #[cfg(feature = "race-detect")]
             tie_rec: None,
         }
     }
@@ -423,7 +421,6 @@ impl Simulator {
     /// cross-channel tie order changes — which is precisely the order no
     /// handler may depend on. Shadow runs use this to probe whether
     /// same-timestamp handlers commute — see [`crate::race::shadow_check`].
-    #[cfg(feature = "race-detect")]
     pub fn permute_tie_order(&mut self, salt: u64) {
         self.queue.set_tie_salt(Some(salt));
     }
@@ -432,16 +429,12 @@ impl Simulator {
     /// tie-normalized trace where same-timestamp deliveries are compared
     /// as an (order-insensitive) set. Must be enabled before the first
     /// event executes to cover the whole timeline.
-    #[cfg(feature = "race-detect")]
     pub fn enable_tie_recording(&mut self) {
-        if self.tie_rec.is_none() {
-            self.tie_rec = Some(crate::race::TieRecorder::new());
-        }
+        self.tie_rec.get_or_insert_with(Default::default);
     }
 
     /// The tie-normalized canonical trace recorded so far (sorted within
     /// each tie-set), and its digest. See [`crate::race`].
-    #[cfg(feature = "race-detect")]
     pub fn tie_trace(&self) -> Option<crate::race::CanonTrace> {
         self.tie_rec.as_ref().map(|r| r.canonical())
     }
@@ -507,13 +500,12 @@ impl Simulator {
     }
 
     /// Enables causal span recording into a bounded ring of `capacity`
-    /// events. Requires the `trace` cargo feature (panics without it —
-    /// recording would silently observe nothing). See [`crate::trace`].
+    /// events. See [`crate::trace`].
     pub fn enable_spans(&mut self, capacity: usize) {
         self.spans.enable(capacity);
     }
 
-    /// Whether span recording is live (compiled in and enabled).
+    /// Whether span recording is enabled.
     pub fn spans_enabled(&self) -> bool {
         self.spans.is_enabled()
     }
@@ -736,7 +728,8 @@ impl Simulator {
         assert!(at >= self.time, "cannot schedule into the past");
         let seq = self.seq;
         self.seq += 1;
-        self.queue.push(at, seq, dst, Payload::new(payload));
+        self.queue
+            .push(at, seq, SRC_EXTERNAL, dst, Payload::new(payload));
     }
 
     /// Schedules `payload` for delivery to `dst` after `delay` from now.
@@ -766,12 +759,8 @@ impl Simulator {
         debug_assert!(time >= self.time, "event queue went backwards");
         self.time = time;
         let (dst, payload) = self.queue.take(idx);
-        if self.trace.is_some() || self.digest.is_some() {
+        if self.trace.is_some() || self.digest.is_some() || self.tie_rec.is_some() {
             self.note_delivery(time, seq, dst, payload.type_name());
-        }
-        #[cfg(feature = "race-detect")]
-        if let Some(rec) = &mut self.tie_rec {
-            rec.record(time, dst, payload.type_name());
         }
         self.executed += 1;
         // Take the component out of its slot so the handler can borrow the
@@ -783,11 +772,6 @@ impl Simulator {
                 self.names[dst.comp.index()]
             )
         });
-        // Tag events sent by this handler with their source, so a shadow
-        // run's tie permutation can rank per-channel (FIFO within a
-        // channel, shuffled across channels).
-        #[cfg(feature = "race-detect")]
-        self.queue.set_tie_src(dst.comp.index() as u32);
         let mut ctx = Ctx {
             now: self.time,
             self_id: dst.comp,
@@ -795,17 +779,17 @@ impl Simulator {
             seq: &mut self.seq,
             stats: &mut self.stats,
             stop: &mut self.stop,
+            spans_on: self.spans.is_enabled(),
             spans: &mut self.spans,
         };
         comp.on_event(&mut ctx, dst.port, payload);
-        #[cfg(feature = "race-detect")]
-        self.queue.set_tie_src(crate::queue::SRC_EXTERNAL);
         self.components[dst.comp.index()] = Some(comp);
         true
     }
 
-    /// Records a delivery into the trace ring and/or timeline digest.
-    /// Out of line so the common no-observer `step` stays lean.
+    /// Records a delivery into the trace ring, the timeline digest and/or
+    /// the race detector's tie-sets. Out of line so the common no-observer
+    /// `step` stays lean.
     #[inline(never)]
     fn note_delivery(&mut self, time: Time, seq: u64, dst: Endpoint, type_name: &'static str) {
         if let Some((ring, cap)) = &mut self.trace {
@@ -828,6 +812,9 @@ impl Simulator {
             fnv1a(digest, &dst.comp.0.to_le_bytes());
             fnv1a(digest, &dst.port.0.to_le_bytes());
             fnv1a(digest, type_name.as_bytes());
+        }
+        if let Some(rec) = &mut self.tie_rec {
+            rec.record(time, dst, type_name);
         }
     }
 

@@ -26,14 +26,14 @@
 //!
 //! # Overhead contract
 //!
-//! The `trace` cargo feature gates all recording. [`COMPILED`] is `false`
-//! without the feature, every recording entry point starts with a
-//! `const`-foldable `if !COMPILED { return }`, and the [`trace_span!`] /
-//! [`trace_instant!`] macros do not even evaluate their attribute
-//! arguments — the instrumented hot paths compile to exactly the
-//! uninstrumented code (guarded by the `micro_simcore` bench). With the
-//! feature on but recording not enabled ([`crate::sim::Simulator::enable_spans`]
-//! not called), the cost is one branch per call site.
+//! Recording is a runtime switch ([`crate::sim::Simulator::enable_spans`]);
+//! there is one build. While it is off, every recording entry point returns
+//! after one predictable branch, and the [`trace_span!`] /
+//! [`trace_instant!`] macros branch on [`crate::sim::Ctx::spans_enabled`]
+//! before evaluating their attribute arguments. The `micro_simcore` bench
+//! gates the idle cost: its `chain_1m_spans_off` row opens and closes an
+//! attributed span on every event with recording off and must stay within
+//! 2% of the uninstrumented `chain_1m_events` row of the same build.
 
 use std::collections::BTreeMap;
 
@@ -41,11 +41,6 @@ use crate::digest::{fnv1a, FNV_OFFSET, FNV_PRIME};
 use crate::event::ComponentId;
 use crate::json::quote;
 use crate::time::{Dur, Time};
-
-/// Whether span recording is compiled into this build (the `trace` cargo
-/// feature). When `false`, every recording entry point is a no-op the
-/// optimizer removes entirely.
-pub const COMPILED: bool = cfg!(feature = "trace");
 
 /// Identity of one span. `SpanId::NONE` (zero) means "no span" — the
 /// parent of a root span, or any id produced while tracing is disabled.
@@ -211,9 +206,6 @@ impl SpanRecorder {
     /// Enables recording into a ring of `capacity` events.
     pub(crate) fn enable(&mut self, capacity: usize) {
         assert!(capacity > 0, "zero-capacity span ring");
-        if !COMPILED {
-            panic!("span recording requested but accl-sim was built without the `trace` feature");
-        }
         if !self.enabled {
             self.enabled = true;
             self.cap = capacity;
@@ -223,7 +215,7 @@ impl SpanRecorder {
 
     /// Whether recording is active.
     pub fn is_enabled(&self) -> bool {
-        COMPILED && self.enabled
+        self.enabled
     }
 
     /// Events recorded but evicted by the ring bound.
@@ -255,7 +247,33 @@ impl SpanRecorder {
         SpanId(if h == 0 { FNV_PRIME } else { h })
     }
 
-    fn push(&mut self, ev: SpanEvent) {
+    /// Appends one event to the ring; returns its id. `id` is given for
+    /// the closing side of a span or flow and derived otherwise. Out of
+    /// line and cold: the entry points below check `enabled` inline, so an
+    /// idle call site carries one branch and no recording code.
+    #[cold]
+    #[inline(never)]
+    #[allow(clippy::too_many_arguments)]
+    fn record(
+        &mut self,
+        time: Time,
+        kind: SpanEventKind,
+        comp: ComponentId,
+        name: &'static str,
+        id: Option<SpanId>,
+        parent: SpanId,
+        attrs: &[Attr],
+    ) -> SpanId {
+        let id = id.unwrap_or_else(|| self.next_id(comp, name, parent));
+        let ev = SpanEvent {
+            time,
+            kind,
+            id,
+            parent,
+            comp,
+            name,
+            attrs: attrs.to_vec(),
+        };
         if self.ring.len() < self.cap {
             self.ring.push(ev);
         } else {
@@ -263,9 +281,11 @@ impl SpanRecorder {
             self.ring[idx] = ev;
         }
         self.recorded += 1;
+        id
     }
 
     /// Records a span opening at `time`; returns its id.
+    #[inline]
     pub(crate) fn begin(
         &mut self,
         time: Time,
@@ -274,39 +294,24 @@ impl SpanRecorder {
         parent: SpanId,
         attrs: &[Attr],
     ) -> SpanId {
-        if !COMPILED || !self.enabled {
+        if !self.enabled {
             return SpanId::NONE;
         }
-        let id = self.next_id(comp, name, parent);
-        self.push(SpanEvent {
-            time,
-            kind: SpanEventKind::Begin,
-            id,
-            parent,
-            comp,
-            name,
-            attrs: attrs.to_vec(),
-        });
-        id
+        self.record(time, SpanEventKind::Begin, comp, name, None, parent, attrs)
     }
 
     /// Records a span closing at `time`. No-op for [`SpanId::NONE`].
+    #[inline]
     pub(crate) fn end(&mut self, time: Time, comp: ComponentId, id: SpanId, attrs: &[Attr]) {
-        if !COMPILED || !self.enabled || id.is_none() {
+        if !self.enabled || id.is_none() {
             return;
         }
-        self.push(SpanEvent {
-            time,
-            kind: SpanEventKind::End,
-            id,
-            parent: SpanId::NONE,
-            comp,
-            name: "",
-            attrs: attrs.to_vec(),
-        });
+        let none = SpanId::NONE;
+        self.record(time, SpanEventKind::End, comp, "", Some(id), none, attrs);
     }
 
     /// Records a point event at `time`.
+    #[inline]
     pub(crate) fn instant(
         &mut self,
         time: Time,
@@ -315,19 +320,11 @@ impl SpanRecorder {
         parent: SpanId,
         attrs: &[Attr],
     ) {
-        if !COMPILED || !self.enabled {
+        if !self.enabled {
             return;
         }
-        let id = self.next_id(comp, name, parent);
-        self.push(SpanEvent {
-            time,
-            kind: SpanEventKind::Instant,
-            id,
-            parent,
-            comp,
-            name,
-            attrs: attrs.to_vec(),
-        });
+        let kind = SpanEventKind::Instant;
+        self.record(time, kind, comp, name, None, parent, attrs);
     }
 
     /// Records the departure side of a cross-component flow edge at
@@ -335,6 +332,7 @@ impl SpanRecorder {
     /// deterministic [`FlowId`] to carry in the payload. The id is derived
     /// by the same `(component, name, anchor)` ordinal hash as span ids,
     /// so it replays bit-identically and never collides with `NONE`.
+    #[inline]
     pub(crate) fn flow_begin(
         &mut self,
         time: Time,
@@ -342,25 +340,17 @@ impl SpanRecorder {
         name: &'static str,
         from: SpanId,
     ) -> FlowId {
-        if !COMPILED || !self.enabled {
+        if !self.enabled {
             return FlowId::NONE;
         }
-        let id = self.next_id(comp, name, from);
-        self.push(SpanEvent {
-            time,
-            kind: SpanEventKind::FlowBegin,
-            id,
-            parent: from,
-            comp,
-            name,
-            attrs: Vec::new(),
-        });
+        let id = self.record(time, SpanEventKind::FlowBegin, comp, name, None, from, &[]);
         FlowId(id.0)
     }
 
     /// Records the arrival side of a flow edge at `time`, joining it into
     /// the consuming span `to`. No-op for [`FlowId::NONE`] (the edge was
     /// emitted while tracing was off, or never emitted).
+    #[inline]
     pub(crate) fn flow_end(
         &mut self,
         time: Time,
@@ -369,18 +359,11 @@ impl SpanRecorder {
         flow: FlowId,
         to: SpanId,
     ) {
-        if !COMPILED || !self.enabled || flow.is_none() {
+        if !self.enabled || flow.is_none() {
             return;
         }
-        self.push(SpanEvent {
-            time,
-            kind: SpanEventKind::FlowEnd,
-            id: SpanId(flow.0),
-            parent: to,
-            comp,
-            name,
-            attrs: Vec::new(),
-        });
+        let id = Some(SpanId(flow.0));
+        self.record(time, SpanEventKind::FlowEnd, comp, name, id, to, &[]);
     }
 
     /// Records a complete `[start, end]` span in one call (e.g. a pipe
@@ -394,9 +377,6 @@ impl SpanRecorder {
         end: Time,
         attrs: &[Attr],
     ) -> SpanId {
-        if !COMPILED || !self.enabled {
-            return SpanId::NONE;
-        }
         debug_assert!(end >= start, "inverted span interval");
         let id = self.begin(start, comp, name, parent, attrs);
         self.end(end, comp, id, &[]);
@@ -417,7 +397,7 @@ impl SpanRecorder {
 }
 
 /// Opens a span (with optional `key = value` attributes) through a
-/// [`crate::sim::Ctx`], evaluating nothing when tracing is compiled out.
+/// [`crate::sim::Ctx`], evaluating nothing while recording is off.
 ///
 /// ```ignore
 /// let sp = trace_span!(ctx, "uc.call", parent_id, "op" = "allreduce", "len" = len);
@@ -425,14 +405,14 @@ impl SpanRecorder {
 #[macro_export]
 macro_rules! trace_span {
     ($ctx:expr, $name:expr, $parent:expr) => {
-        if $crate::trace::COMPILED {
+        if $ctx.spans_enabled() {
             $ctx.span_begin($name, $parent)
         } else {
             $crate::trace::SpanId::NONE
         }
     };
     ($ctx:expr, $name:expr, $parent:expr, $($key:literal = $val:expr),+ $(,)?) => {
-        if $crate::trace::COMPILED {
+        if $ctx.spans_enabled() {
             $ctx.span_begin_attrs(
                 $name,
                 $parent,
@@ -447,32 +427,27 @@ macro_rules! trace_span {
     };
 }
 
-/// Closes a span opened by [`trace_span!`]. Compiles away with the ring.
+/// Closes a span opened by [`trace_span!`]; nothing while recording is off.
 #[macro_export]
 macro_rules! trace_end {
     ($ctx:expr, $id:expr) => {
-        if $crate::trace::COMPILED {
+        if $ctx.spans_enabled() {
             $ctx.span_end($id);
-        }
-    };
-    ($ctx:expr, $id:expr, at: $time:expr) => {
-        if $crate::trace::COMPILED {
-            $ctx.span_end_at($id, $time);
         }
     };
 }
 
-/// Records an instant (point) event, evaluating nothing when tracing is
-/// compiled out.
+/// Records an instant (point) event, evaluating nothing while recording is
+/// off.
 #[macro_export]
 macro_rules! trace_instant {
     ($ctx:expr, $name:expr, $parent:expr) => {
-        if $crate::trace::COMPILED {
+        if $ctx.spans_enabled() {
             $ctx.span_instant($name, $parent);
         }
     };
     ($ctx:expr, $name:expr, $parent:expr, $($key:literal = $val:expr),+ $(,)?) => {
-        if $crate::trace::COMPILED {
+        if $ctx.spans_enabled() {
             $ctx.span_instant_attrs(
                 $name,
                 $parent,

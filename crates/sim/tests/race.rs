@@ -1,8 +1,4 @@
-//! Integration tests for the sim-time race detector (`race-detect`).
-//!
-//! Compile-gated so the default `cargo test` matrix still exercises the
-//! production (FIFO tie-break) kernel; run with
-//! `cargo test -p accl-sim --features race-detect`.
+//! Integration tests for the sim-time race detector.
 //!
 //! The permutation is *channel-preserving*: same-timestamp events keep
 //! their program order within one (source component → destination
@@ -10,10 +6,10 @@
 //! therefore fan events through distinct relay components, which is also
 //! the honest model of a race: independent senders arriving at the same
 //! simulated instant.
-#![cfg(feature = "race-detect")]
 
+use accl_sim::digest::fnv_fold;
 use accl_sim::prelude::*;
-use accl_sim::race::{fnv_fold, shadow_check};
+use accl_sim::race::shadow_check;
 
 /// Forwards every received value to `to` after a fixed delay. One relay
 /// per sender gives each value its own delivery channel into the sink.
@@ -50,15 +46,18 @@ impl Component for Summer {
 
 /// A non-commuting sink: folds values with an order-*sensitive* polynomial
 /// hash, so two same-timestamp deliveries that swap places change the final
-/// state. This is the deliberate "racy handler" fixture.
+/// state. This is the deliberate "racy handler" fixture. Each delivery is
+/// wrapped in a span, which a race report carries as causal history.
 struct OrderHasher {
     h: u64,
 }
 
 impl Component for OrderHasher {
-    fn on_event(&mut self, _ctx: &mut Ctx<'_>, _port: PortId, payload: Payload) {
+    fn on_event(&mut self, ctx: &mut Ctx<'_>, _port: PortId, payload: Payload) {
         let v = u64::from(payload.downcast::<u32>());
+        let span = ctx.span_begin("hasher.fold", SpanId::NONE);
         self.h = self.h.wrapping_mul(31).wrapping_add(v);
+        ctx.span_end(span);
     }
 
     fn state_digest(&self) -> Option<u64> {
@@ -133,6 +132,13 @@ fn non_commuting_handler_is_detected_and_named() {
     let msg = report.to_string();
     assert!(msg.contains("order-hasher"), "bad report: {msg}");
     assert!(msg.contains("u32"), "bad report: {msg}");
+    // shadow_check records spans in every build, so the report shows what
+    // the racing component was doing, not just its delivery lines.
+    assert!(
+        !report.recent_spans.is_empty(),
+        "race report carries no span history: {report}"
+    );
+    assert!(msg.contains("hasher.fold"), "bad report: {msg}");
 }
 
 #[test]

@@ -11,8 +11,7 @@
 //! per-rank, per-component latency attribution run
 //! `accl-obs critical-path` on that dump.
 //!
-//! Run with: `cargo run --release --features trace --example trace_dump
-//! [outdir]`
+//! Run with: `cargo run --release --example trace_dump [outdir]`
 
 use acclplus::sim::trace::max_span_depth;
 use acclplus::{AcclCluster, BufLoc, ClusterConfig, CollOp, CollSpec, DType, ReduceFn};
