@@ -12,8 +12,7 @@ use accl_cclo::uc::TransportFailover;
 use accl_mem::{MemAddr, MemBusConfig, MemoryBus, XdmaEngine};
 use accl_net::Network;
 use accl_poe::iface::{ports as poe_ports, SessionId, SessionTable};
-use accl_poe::mux::RxMux;
-use accl_poe::rdma::RdmaPoe;
+use accl_poe::rdma::{RdmaPdu, RdmaPoe};
 use accl_poe::tcp::TcpPoe;
 use accl_poe::udp::{UdpConfig, UdpPoe};
 use accl_sim::prelude::*;
@@ -39,8 +38,6 @@ pub struct NodeHandles {
     pub poe: ComponentId,
     /// The standby TCP POE (RDMA clusters built with `tcp_fallback`).
     pub fallback_poe: Option<ComponentId>,
-    /// The node's inbound demux / epoch fence in front of its POE(s).
-    pub rxmux: ComponentId,
     /// The CCLO engine blocks.
     pub cclo: CcloEngine,
     /// The XDMA staging engine (partitioned platforms only).
@@ -173,9 +170,9 @@ impl AcclCluster {
                 };
                 io.set_tx_credit_window(Some(window), format!("net.txcredit(n{i})"));
             }
-            // With a standby TCP POE armed, inbound frames pass a protocol
-            // demux in front of the two engines, and the Tx system learns
-            // where to retarget after repeated QP errors.
+            // With a standby TCP POE armed, the switch splits the node's
+            // inbound frames between the two engines by PDU type, and the
+            // Tx system learns where to retarget after repeated QP errors.
             let fallback_poe = (cfg.transport == Transport::Rdma && cfg.tcp_fallback).then(|| {
                 let mut standby =
                     TcpPoe::new(cfg.tcp, net.tx(i), cclo.poe_upward(), make_sessions());
@@ -197,22 +194,14 @@ impl AcclCluster {
                 );
                 fb
             });
-            // Every node fronts its engine(s) with an RxMux: dual-stack
-            // nodes use it as the protocol demux, and ALL nodes use it as
-            // the per-source epoch fence that discards frames from a
-            // restarted peer's previous incarnation. Forwarding is
-            // zero-latency, so single-POE timing is unchanged.
-            let rxmux = sim.add(
-                format!("n{i}.rxmux"),
-                match fallback_poe {
-                    Some(fb) => RxMux::new(
-                        Endpoint::new(poe, poe_ports::NET_RX),
-                        Endpoint::new(fb, poe_ports::NET_RX),
-                    ),
-                    None => RxMux::single(Endpoint::new(poe, poe_ports::NET_RX)),
-                },
-            );
-            net.attach_rx(&mut sim, i, Endpoint::new(rxmux, poe_ports::NET_RX));
+            // The switch delivers straight to the engine, each of which
+            // fences frames from a restarted peer's previous incarnation.
+            net.attach_rx(&mut sim, i, Endpoint::new(poe, poe_ports::NET_RX));
+            if let Some(fb) = fallback_poe {
+                net.attach_rx_alt(&mut sim, i, Endpoint::new(fb, poe_ports::NET_RX), |b| {
+                    !b.is::<RdmaPdu>()
+                });
+            }
             cclo.set_communicator(
                 &mut sim,
                 0,
@@ -246,7 +235,6 @@ impl AcclCluster {
                 bus,
                 poe,
                 fallback_poe,
-                rxmux,
                 cclo,
                 xdma,
                 driver,
@@ -307,7 +295,7 @@ impl AcclCluster {
 
     /// Schedules a *restart* of previously crashed node `i` at `at`: the
     /// fabric closes its crash window, the NIC comes back with a bumped
-    /// incarnation epoch, every survivor's Rx mux fences the old
+    /// incarnation epoch, every survivor's POE fences the old
     /// incarnation's in-flight frames, and the node's Rx buffer manager
     /// wipes its pre-crash state. The node is back on the network but NOT
     /// yet a communicator member — readmit it between runs with
@@ -335,14 +323,16 @@ impl AcclCluster {
         }
         self.sim
             .post(Endpoint::of(self.net.port_id(i)), at, accl_net::Reincarnate);
-        let src = self.net.addr(i);
-        for j in 0..self.nodes.len() {
+        let fence = accl_poe::EpochFence {
+            src: self.net.addr(i),
+            min_epoch: 1,
+        };
+        for (j, node) in self.nodes.iter().enumerate() {
             if j != i {
-                self.sim.post(
-                    Endpoint::new(self.nodes[j].rxmux, poe_ports::NET_RX),
-                    at,
-                    accl_poe::EpochFence { src, min_epoch: 1 },
-                );
+                for poe in std::iter::once(node.poe).chain(node.fallback_poe) {
+                    let rx = Endpoint::new(poe, poe_ports::NET_RX);
+                    self.sim.post(rx, at, fence);
+                }
             }
         }
         self.sim.post(

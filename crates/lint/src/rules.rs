@@ -982,12 +982,14 @@ const LAYERS: &[Layer] = &[
 ];
 
 /// POE engine files, and the I/O plumbing they must leave to
-/// `iface::PoeIo` (credit handling, the Rx FCS check, flow edges, gated
-/// sends): an engine that names it again is growing its own copy back.
+/// `iface::PoeIo` (credit handling, the Rx FCS check and epoch fence, flow
+/// edges, gated sends): an engine that names it again is growing its own
+/// copy back.
 const POE_ENGINES: &[&str] = &["poe/src/tcp.rs", "poe/src/rdma.rs", "poe/src/udp.rs"];
 const POE_IO_PLUMBING: &[&str] = &[
     "CreditReturn",
     "TxCreditLeak",
+    "EpochFence",
     "fcs_ok",
     "flow_begin",
     "flow_end",

@@ -245,12 +245,14 @@ impl Kernel {
 
 #[test]
 fn poe_engines_may_not_name_the_shared_io_plumbing() {
-    // The POE seam: credit handling, the Rx FCS check, flow edges and
-    // gated sends belong to `iface::PoeIo`. Each name is a layering finding
-    // in every engine file, and stays legal in the module that owns it.
+    // The POE seam: credit handling, the Rx FCS check and epoch fence, flow
+    // edges and gated sends belong to `iface::PoeIo`. Each name is a
+    // layering finding in every engine file, and stays legal in the module
+    // that owns it.
     let names = [
         "CreditReturn",
         "TxCreditLeak",
+        "EpochFence",
         "fcs_ok",
         "flow_begin",
         "flow_end",

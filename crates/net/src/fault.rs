@@ -723,7 +723,8 @@ pub enum FaultEvent {
         bufs: u32,
     },
     /// Restart `node` at `at`: its crash window closes and a fresh
-    /// incarnation comes up (old-epoch frames are fenced at the RxMux).
+    /// incarnation comes up (old-epoch frames are fenced at the peers'
+    /// POEs).
     Restart {
         /// Restarted node.
         node: NodeAddr,

@@ -87,7 +87,7 @@ pub struct Frame {
     pub credit_return: Option<Endpoint>,
     /// Sender incarnation number, stamped by the NIC alongside `src`: 0
     /// for a node's first life, bumped each time the node restarts. The
-    /// receiving RxMux fences frames whose epoch predates the sender's
+    /// receiving POE fences frames whose epoch predates the sender's
     /// announced incarnation, so stale pre-crash traffic from an old
     /// incarnation can never leak into a rejoined session. Excluded from
     /// the FCS, like `src` (the NIC stamps it after the POE computes FCS).

@@ -23,6 +23,8 @@ pub use fault::{
     Partition,
 };
 pub use frame::{CreditReturn, Frame, NodeAddr, DEFAULT_MTU, WIRE_OVERHEAD_BYTES};
-pub use switch::{NetPort, OverloadPolicy, PauseFrame, PortCounters, Reincarnate, Switch};
+pub use switch::{
+    NetPort, OverloadPolicy, PauseFrame, PortCounters, Reincarnate, RxSelector, Switch,
+};
 pub use topology::{NetConfig, Network};
 pub use twotier::TwoTierNetwork;

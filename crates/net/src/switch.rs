@@ -40,10 +40,17 @@ pub struct PauseFrame {
     pub until: Time,
 }
 
+/// Picks, by frame body, the frames a split port hands to its second
+/// receiver (see [`Switch::attach_rx_alt`]).
+pub type RxSelector = fn(&Payload) -> bool;
+
 /// Per-output-port bookkeeping inside the switch.
 struct SwitchPort {
     egress: Pipe,
     rx_handler: Option<Endpoint>,
+    /// A second receiver on the same port, and the selector of the frame
+    /// bodies it takes (see [`Switch::attach_rx_alt`]).
+    rx_alt: Option<(RxSelector, Endpoint)>,
     frames_out: u64,
     bytes_out: u64,
     /// End times of in-flight egress reservations (monotonic, FIFO pipe);
@@ -102,6 +109,7 @@ impl Switch {
                 .map(|_| SwitchPort {
                     egress: Pipe::gbps(link_gbps),
                     rx_handler: None,
+                    rx_alt: None,
                     frames_out: 0,
                     bytes_out: 0,
                     pending_ends: VecDeque::new(),
@@ -147,6 +155,14 @@ impl Switch {
     /// Attaches the receive side of port `addr` to `rx`.
     pub fn attach_rx(&mut self, addr: NodeAddr, rx: Endpoint) {
         self.ports[addr.index()].rx_handler = Some(rx);
+    }
+
+    /// Splits the receive side of port `addr`: frames whose body `to_alt`
+    /// accepts go to `alt`, the rest to the [`Switch::attach_rx`]
+    /// receiver. The choice is made when the delivery is scheduled, so a
+    /// split port costs no extra event.
+    pub fn attach_rx_alt(&mut self, addr: NodeAddr, alt: Endpoint, to_alt: RxSelector) {
+        self.ports[addr.index()].rx_alt = Some((to_alt, alt));
     }
 
     /// Installs a fault-injection policy.
@@ -218,9 +234,12 @@ impl Switch {
         let now = ctx.now();
         let dst = frame.dst;
         let port = &mut self.ports[dst.index()];
-        let rx = port.rx_handler.unwrap_or_else(|| {
-            panic!("switch port {dst} has no receiver attached (frame {frame:?})")
-        });
+        let rx = match port.rx_alt {
+            Some((to_alt, alt)) if to_alt(&frame.body) => alt,
+            _ => port.rx_handler.unwrap_or_else(|| {
+                panic!("switch port {dst} has no receiver attached (frame {frame:?})")
+            }),
+        };
         // Prune drained reservations first: the remainder is the
         // instantaneous egress queue depth the buffer limit applies to.
         while port.pending_ends.front().is_some_and(|&t| t <= now) {
@@ -932,5 +951,50 @@ mod tests {
         // Frame 1 overtakes frame 0.
         assert_eq!(mb.items()[0].1.body.peek::<u64>(), Some(&1));
         assert_eq!(mb.items()[1].1.body.peek::<u64>(), Some(&0));
+    }
+
+    #[test]
+    fn split_rx_routes_by_body_type() {
+        // A dual-stack node: u32 bodies to the second receiver, the rest
+        // to the first, with no hop between the switch and either.
+        let mut w = world(2);
+        let alt = w.sim.add("alt1", Mailbox::<Frame>::new());
+        w.sim.component_mut::<Switch>(w.switch).attach_rx_alt(
+            NodeAddr(1),
+            Endpoint::of(alt),
+            |b| b.is::<u32>(),
+        );
+        let at = Endpoint::of(w.ports[0]);
+        w.sim.post(
+            at,
+            Time::ZERO,
+            Frame::new(NodeAddr(0), NodeAddr(1), 64, 7u32),
+        );
+        w.sim.post(
+            at,
+            Time::ZERO,
+            Frame::new(NodeAddr(0), NodeAddr(1), 64, 8u8),
+        );
+        w.sim.post(
+            at,
+            Time::ZERO,
+            Frame::new(NodeAddr(0), NodeAddr(1), 64, 9u32),
+        );
+        // The split applies to its own port only.
+        w.sim.post(
+            Endpoint::of(w.ports[1]),
+            Time::ZERO,
+            Frame::new(NodeAddr(1), NodeAddr(0), 64, 10u32),
+        );
+        w.sim.run();
+        let alt_mb = w.sim.component::<Mailbox<Frame>>(alt);
+        assert_eq!(alt_mb.len(), 2);
+        assert_eq!(alt_mb.items()[1].1.body.peek::<u32>(), Some(&9));
+        let main = w.sim.component::<Mailbox<Frame>>(w.sinks[1]);
+        assert_eq!(main.len(), 1);
+        assert_eq!(main.items()[0].1.body.peek::<u8>(), Some(&8));
+        assert_eq!(w.sim.component::<Mailbox<Frame>>(w.sinks[0]).len(), 1);
+        // Three events per frame: NIC, switch, receiver.
+        assert_eq!(w.sim.events_executed(), 4 * 3);
     }
 }

@@ -11,7 +11,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::fault::FaultPlan;
 use crate::frame::NodeAddr;
-use crate::switch::{NetPort, OverloadPolicy, PortCounters, Switch};
+use crate::switch::{NetPort, OverloadPolicy, PortCounters, RxSelector, Switch};
 
 /// Physical-layer parameters of the fabric.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
@@ -135,6 +135,14 @@ impl Network {
             .attach_rx(self.addr(i), rx);
     }
 
+    /// Attaches a second receive handler for node `i`: frames whose body
+    /// `to_alt` accepts go to `alt`, the rest to the [`Network::attach_rx`]
+    /// handler (a dual-stack node's protocol demux).
+    pub fn attach_rx_alt(&self, sim: &mut Simulator, i: usize, alt: Endpoint, to_alt: RxSelector) {
+        sim.component_mut::<Switch>(self.switch)
+            .attach_rx_alt(self.addr(i), alt, to_alt);
+    }
+
     /// Installs a fault-injection policy on the switch.
     pub fn set_fault_plan(&self, sim: &mut Simulator, plan: FaultPlan) {
         sim.component_mut::<Switch>(self.switch)
@@ -156,7 +164,7 @@ impl Network {
     /// [`Network::crash_node`]) closes at `at` and the fabric carries its
     /// traffic again. Fencing of the old incarnation's frames is the
     /// cluster's job (a [`crate::switch::Reincarnate`] control event to the
-    /// node's port plus epoch fences at the peers' RxMuxes).
+    /// node's port plus epoch fences at the peers' protocol engines).
     pub fn restart_node(&self, sim: &mut Simulator, i: usize, at: Time) {
         let addr = self.addr(i);
         let sw = sim.component_mut::<Switch>(self.switch);

@@ -7,6 +7,8 @@
 //! rendezvous WRITE placement) live entirely behind this interface, which is
 //! what makes the CCLO engine protocol-portable.
 
+use std::collections::BTreeMap;
+
 use bytes::Bytes;
 
 use accl_sim::prelude::*;
@@ -216,7 +218,8 @@ pub mod ports {
     pub const TX_CMD: PortId = PortId(0);
     /// Tx data ([`super::StreamChunk`]), in command order.
     pub const TX_DATA: PortId = PortId(1);
-    /// Frames arriving from the network ([`accl_net::Frame`]).
+    /// Frames arriving from the network ([`accl_net::Frame`]) and
+    /// [`super::EpochFence`] control events.
     pub const NET_RX: PortId = PortId(2);
     /// Internal timers.
     pub const TIMER: PortId = PortId(3);
@@ -395,6 +398,23 @@ impl TxCreditGate {
     }
 }
 
+/// Control event raising the minimum acceptable epoch for frames from
+/// `src`, delivered on [`ports::NET_RX`]: posted to every survivor's POE
+/// when `src` restarts, so the old incarnation's in-flight frames are
+/// fenced out (see [`PoeIo`]).
+#[derive(Debug, Clone, Copy)]
+pub struct EpochFence {
+    /// The peer whose old incarnation is being fenced.
+    pub src: accl_net::NodeAddr,
+    /// Frames from `src` with `epoch < min_epoch` are dropped.
+    pub min_epoch: u32,
+}
+
+/// Counter of frames dropped at Rx for a stale sender epoch, shared by
+/// every engine. The name is kept from the Rx mux that once held the
+/// fence, so tests and tools that read the counter keep working.
+const STALE_EPOCH_DROPS: &str = "poe.mux.stale_epoch_drops";
+
 /// The `poe.<engine>.*` stat keys [`PoeIo`] reports under: one table per
 /// engine, so each engine keeps its own counter names (perfbench sums
 /// them by name).
@@ -415,10 +435,22 @@ pub(crate) struct PoeStatKeys {
 /// Owns the wire endpoint, the upward endpoints, the session table, the tx
 /// credit gate and the per-frame processing latency, and implements what
 /// every engine needs of them: gated data sends and ungated control sends,
-/// the [`ports::CREDIT`] handler, the Rx FCS check, the Tx `poe.seg` span
-/// with its outgoing `poe.flow` edge, the Rx `poe.rx` span that joins it,
-/// and the completion and delivery emissions. Every send leaves after the
-/// processing latency.
+/// the [`ports::CREDIT`] handler, the Rx admission checks, the Tx
+/// `poe.seg` span with its outgoing `poe.flow` edge, the Rx `poe.rx` span
+/// that joins it, and the completion and delivery emissions. Every send
+/// leaves after the processing latency.
+///
+/// Rx admission ([`PoeIo::rx_admit`]) is two checks. The FCS check drops
+/// frames a fault flipped in flight. The **epoch fence** drops frames from
+/// a restarted peer's previous life: every frame carries the sender's
+/// incarnation number (`Frame::epoch`, stamped by the NIC), and the edge
+/// keeps a per-source minimum acceptable epoch. When a peer restarts, the
+/// cluster posts an [`EpochFence`] to every survivor's POE. Frames from
+/// the old incarnation that were still buffered in the fabric at crash
+/// time arrive with an old epoch and are dropped before they can confuse
+/// the rejoined session's matching logic. The fence is checked when a
+/// frame arrives, not when it was scheduled: a frame sent before the
+/// restart that lands after it must still be dropped.
 #[derive(Debug)]
 pub struct PoeIo {
     net_tx: Endpoint,
@@ -428,6 +460,9 @@ pub struct PoeIo {
     latency: Dur,
     keys: &'static PoeStatKeys,
     fcs_dropped: u64,
+    /// Minimum acceptable `Frame::epoch` per source; absent = 0.
+    fences: BTreeMap<u32, u32>,
+    stale_epoch_drops: u64,
 }
 
 impl PoeIo {
@@ -448,6 +483,8 @@ impl PoeIo {
             latency: Dur::from_ns(processing_ns),
             keys,
             fcs_dropped: 0,
+            fences: BTreeMap::new(),
+            stale_epoch_drops: 0,
         }
     }
 
@@ -477,6 +514,27 @@ impl PoeIo {
     /// Frames dropped at Rx for a bad frame check sequence.
     pub fn fcs_dropped(&self) -> u64 {
         self.fcs_dropped
+    }
+
+    /// Frames dropped at Rx for carrying a stale incarnation epoch.
+    pub fn stale_epoch_drops(&self) -> u64 {
+        self.stale_epoch_drops
+    }
+
+    /// The minimum acceptable epoch currently enforced for `src`.
+    pub fn min_epoch(&self, src: accl_net::NodeAddr) -> u32 {
+        self.fences.get(&src.0).copied().unwrap_or(0)
+    }
+
+    /// Folds the epoch fences and the stale-drop count into a running
+    /// `state_digest`.
+    pub(crate) fn fold_fences(&self, h: &mut u64) {
+        accl_sim::digest::fnv_fold(h, &self.stale_epoch_drops.to_le_bytes());
+        accl_sim::digest::fnv_fold(h, &(self.fences.len() as u64).to_le_bytes());
+        for (&src, &min) in &self.fences {
+            accl_sim::digest::fnv_fold(h, &u64::from(src).to_le_bytes());
+            accl_sim::digest::fnv_fold(h, &u64::from(min).to_le_bytes());
+        }
     }
 
     /// Records the Tx `poe.seg` span of a `bytes`-byte segment under
@@ -556,17 +614,35 @@ impl PoeIo {
         }
     }
 
-    /// The Rx frame check. Returns `None` when `frame` failed its FCS and
-    /// was dropped (counted, and marked with a `poe.fcs_drop` instant).
-    /// With `verify` off (the chaos harness's self-test) nothing is
-    /// dropped and the result is `Some(corrupted)`; with it on, a kept
-    /// frame is always `Some(false)`.
-    pub(crate) fn rx_fcs(
+    /// Admits one [`ports::NET_RX`] event. An [`EpochFence`] raises its
+    /// source's minimum epoch and yields `None`. A frame from a stale
+    /// incarnation is dropped (counted, and marked with a `poe.stale_drop`
+    /// instant), and so is a frame that failed its FCS (counted, and
+    /// marked with a `poe.fcs_drop` instant). A kept frame comes back with
+    /// whether it is corrupted: with `verify` off (the chaos harness's
+    /// self-test) corrupted frames are kept, with it on that flag is
+    /// always `false`.
+    pub(crate) fn rx_admit(
         &mut self,
         ctx: &mut Ctx<'_>,
-        frame: &accl_net::Frame,
+        payload: Payload,
         verify: bool,
-    ) -> Option<bool> {
+    ) -> Option<(accl_net::Frame, bool)> {
+        let frame = match payload.try_downcast::<accl_net::Frame>() {
+            Ok(frame) => frame,
+            Err(other) => {
+                let fence = other.downcast::<EpochFence>();
+                let min = self.fences.entry(fence.src.0).or_insert(0);
+                *min = (*min).max(fence.min_epoch);
+                return None;
+            }
+        };
+        if frame.epoch < self.min_epoch(frame.src) {
+            self.stale_epoch_drops += 1;
+            ctx.stats().add(STALE_EPOCH_DROPS, 1);
+            accl_sim::trace_instant!(ctx, "poe.stale_drop", frame.span);
+            return None;
+        }
         let corrupted = !frame.fcs_ok();
         if corrupted && verify {
             self.fcs_dropped += 1;
@@ -574,7 +650,7 @@ impl PoeIo {
             accl_sim::trace_instant!(ctx, "poe.fcs_drop", frame.span);
             return None;
         }
-        Some(corrupted)
+        Some((frame, corrupted))
     }
 
     /// Records the Rx `poe.rx` span of `frame` under the sender's wire
@@ -1087,6 +1163,93 @@ mod tests {
             SpanId::NONE,
         );
         assert_eq!(d.inflight(), 2);
+    }
+
+    /// A bare UDP engine whose Rx chunks land in a mailbox, for driving
+    /// its `NET_RX` port by hand. Returns the simulator, the engine and
+    /// the mailbox.
+    fn udp_rx_bench() -> (Simulator, ComponentId, ComponentId) {
+        let mut sim = Simulator::new(0);
+        let wire = sim.add("wire", Mailbox::<accl_net::Frame>::new());
+        let meta = sim.add("meta", Mailbox::<PoeRxMeta>::new());
+        let data = sim.add("data", Mailbox::<RxChunk>::new());
+        let done = sim.add("done", CompletionLog::new());
+        let up = PoeUpward {
+            rx_meta: Endpoint::of(meta),
+            rx_data: Endpoint::of(data),
+            tx_done: Endpoint::of(done),
+        };
+        let udp = crate::udp::UdpPoe::new(
+            Default::default(),
+            Endpoint::of(wire),
+            up,
+            SessionTable::new(),
+        );
+        let poe = sim.add("udp", udp);
+        (sim, poe, data)
+    }
+
+    /// A one-byte, one-segment datagram from `src` in incarnation `epoch`.
+    fn dgram_from(src: u32, epoch: u32, msg_id: u64) -> accl_net::Frame {
+        let dgram = crate::udp::UdpDgram {
+            dst_session: SessionId(src),
+            msg_id,
+            offset: 0,
+            total: 1,
+            data: Bytes::from_static(b"x"),
+        };
+        let mut frame = accl_net::Frame::new(NodeAddr(src), NodeAddr(1), 1, dgram);
+        frame.epoch = epoch;
+        frame
+    }
+
+    #[test]
+    fn stale_epochs_are_fenced() {
+        let (mut sim, poe, data) = udp_rx_bench();
+        let at = Endpoint::new(poe, ports::NET_RX);
+        // Epoch-0 frame before any fence: delivered.
+        sim.post(at, Time::ZERO, dgram_from(0, 0, 0));
+        // Fence source 0 at epoch 1; later epoch-0 frames drop, epoch-1
+        // frames pass.
+        let fence = EpochFence {
+            src: NodeAddr(0),
+            min_epoch: 1,
+        };
+        sim.post(at, Time::from_us(1), fence);
+        sim.post(at, Time::from_us(2), dgram_from(0, 0, 1));
+        sim.post(at, Time::from_us(3), dgram_from(0, 1, 2));
+        // Frames from *other* sources are unaffected by the fence.
+        sim.post(at, Time::from_us(4), dgram_from(3, 0, 3));
+        sim.run();
+        assert_eq!(sim.component::<Mailbox<RxChunk>>(data).len(), 3);
+        let io = sim.component::<crate::udp::UdpPoe>(poe).io();
+        assert_eq!(io.stale_epoch_drops(), 1);
+        assert_eq!(io.min_epoch(NodeAddr(0)), 1);
+        assert_eq!(io.min_epoch(NodeAddr(3)), 0);
+        assert_eq!(sim.stats().counter(STALE_EPOCH_DROPS), 1);
+    }
+
+    #[test]
+    fn fences_fold_into_the_engine_digest() {
+        let (mut sim, poe, _) = udp_rx_bench();
+        let digest = |sim: &Simulator| sim.component::<crate::udp::UdpPoe>(poe).state_digest();
+        let before = digest(&sim);
+        let fence = EpochFence {
+            src: NodeAddr(2),
+            min_epoch: 1,
+        };
+        sim.post(Endpoint::new(poe, ports::NET_RX), Time::ZERO, fence);
+        sim.run();
+        let fenced = digest(&sim);
+        assert_ne!(before, fenced);
+        // A stale drop moves it again.
+        sim.post(
+            Endpoint::new(poe, ports::NET_RX),
+            Time::from_us(1),
+            dgram_from(2, 0, 0),
+        );
+        sim.run();
+        assert_ne!(digest(&sim), fenced);
     }
 
     fn gate_frame() -> accl_net::Frame {

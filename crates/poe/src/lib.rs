@@ -12,24 +12,23 @@
 //!   token-based flow control.
 //!
 //! The shared interface lives in [`iface`], with [`iface::PoeIo`], the one
-//! I/O edge (credit gate, FCS check, span/flow stamping, completions) each
-//! engine owns, so engines hold only protocol state. The CCLO engine
-//! (`accl-cclo`) drives any engine through it without protocol logic.
+//! I/O edge (credit gate, FCS check, epoch fence, span/flow stamping,
+//! completions) each engine owns, so engines hold only protocol state. The
+//! CCLO engine (`accl-cclo`) drives any engine through it without protocol
+//! logic.
 
 #![warn(missing_docs)]
 
 pub mod iface;
-pub mod mux;
 pub mod rdma;
 pub mod tcp;
 pub mod udp;
 
 pub use iface::{
-    ports, CompletionLog, PoeRxMeta, PoeSessionError, PoeTxCmd, PoeTxDone, PoeUpward, RxChunk,
-    RxDemux, SessionErrorKind, SessionId, SessionTable, StreamChunk, TxAssembler, TxKind,
+    ports, CompletionLog, EpochFence, PoeRxMeta, PoeSessionError, PoeTxCmd, PoeTxDone, PoeUpward,
+    RxChunk, RxDemux, SessionErrorKind, SessionId, SessionTable, StreamChunk, TxAssembler, TxKind,
     TxSegment,
 };
-pub use mux::{EpochFence, RxMux};
 pub use rdma::{RdmaConfig, RdmaPdu, RdmaPoe};
 pub use tcp::{TcpConfig, TcpPoe, TcpSegment};
 pub use udp::{UdpConfig, UdpDgram, UdpPoe};

@@ -12,7 +12,6 @@ use std::collections::{BTreeMap, VecDeque};
 use bytes::Bytes;
 
 use accl_mem::bus::{ports as mem_ports, MemAddr, MemWriteReq};
-use accl_net::Frame;
 use accl_sim::prelude::*;
 use accl_sim::trace::SpanId;
 
@@ -532,12 +531,11 @@ impl Component for RdmaPoe {
                 }
             }
             ports::NET_RX => {
-                let frame = payload.downcast::<Frame>();
                 // A failed check taints every header field: drop the whole
                 // frame and let go-back-N close the PSN gap.
-                if self.io.rx_fcs(ctx, &frame, true).is_none() {
+                let Some((frame, _)) = self.io.rx_admit(ctx, payload, true) else {
                     return;
-                }
+                };
                 self.frames_received += 1;
                 // Control PDUs (credits, NAKs) carry no wire span, and
                 // record no `poe.rx` span.
@@ -720,6 +718,7 @@ impl Component for RdmaPoe {
         }
         fold(self.qp_error.len() as u64);
         self.io.tx_credit_gate().fold_digest(&mut h);
+        self.io.fold_fences(&mut h);
         Some(h)
     }
 }

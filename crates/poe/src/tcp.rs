@@ -13,7 +13,6 @@ use std::collections::{BTreeMap, VecDeque};
 
 use bytes::{Bytes, BytesMut};
 
-use accl_net::Frame;
 use accl_sim::prelude::*;
 use accl_sim::trace::SpanId;
 
@@ -616,10 +615,10 @@ impl Component for TcpPoe {
                 self.attribute_data(ctx);
             }
             ports::NET_RX => {
-                let frame = payload.downcast::<Frame>();
                 // Bad CRC: drop at the MAC. The sender's RTO / fast
                 // retransmit recovers the lost bytes.
-                let Some(corrupted) = self.io.rx_fcs(ctx, &frame, self.cfg.verify_fcs) else {
+                let Some((frame, corrupted)) = self.io.rx_admit(ctx, payload, self.cfg.verify_fcs)
+                else {
                     return;
                 };
                 if !frame.body.is::<TcpSegment>() {
@@ -745,6 +744,7 @@ impl Component for TcpPoe {
             fold(st.ooo.len() as u64);
         }
         self.io.tx_credit_gate().fold_digest(&mut h);
+        self.io.fold_fences(&mut h);
         Some(h)
     }
 }

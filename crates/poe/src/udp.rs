@@ -8,7 +8,6 @@
 
 use bytes::Bytes;
 
-use accl_net::Frame;
 use accl_sim::prelude::*;
 
 use crate::iface::{
@@ -149,13 +148,12 @@ impl Component for UdpPoe {
                 self.emit_segments(ctx, segs);
             }
             ports::NET_RX => {
-                let frame = payload.downcast::<Frame>();
                 // Connectionless engine: a mangled datagram is
                 // indistinguishable from loss once dropped — UDP has no
                 // recovery, the bytes are simply gone.
-                if self.io.rx_fcs(ctx, &frame, true).is_none() {
+                let Some((frame, _)) = self.io.rx_admit(ctx, payload, true) else {
                     return;
-                }
+                };
                 self.dgrams_received += 1;
                 let rx_span = self.io.rx_span(ctx, &frame);
                 let dgram = frame.body.downcast::<UdpDgram>();
@@ -199,6 +197,7 @@ impl Component for UdpPoe {
             accl_sim::digest::fnv_fold(&mut h, &v.to_le_bytes());
         }
         self.io.tx_credit_gate().fold_digest(&mut h);
+        self.io.fold_fences(&mut h);
         Some(h)
     }
 }
