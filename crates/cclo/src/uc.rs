@@ -59,21 +59,20 @@ pub struct TransportFailover {
     pub reliable: bool,
 }
 
-/// Self-scheduled watchdog token. A firing is acted on only if the call it
-/// was armed for is still active and nothing progressed since it was armed
-/// (`gen` unchanged); progress events simply let stale tokens lapse.
+/// The collective watchdog's deadline: the uC's one kernel timer slot
+/// ([`WATCHDOG`]). Every progress event cancels the slot, so a firing means
+/// the active call has been blocked, without progress, since it was armed.
 #[derive(Debug, Clone, Copy)]
 struct UcTimeout {
-    /// The watched call's sequence number.
-    seq: u64,
-    /// Progress generation at arming time.
-    gen: u64,
-    /// Escalation level this token was armed at. Fixed-threshold watchdogs
-    /// always arm at [`DetectLevel::Confirm`] (a firing aborts directly);
-    /// the adaptive detector arms at Suspect first and only a subsequent
-    /// Confirm firing aborts.
+    /// Escalation level this deadline was armed at. Fixed-threshold
+    /// watchdogs always arm at [`DetectLevel::Confirm`] (a firing aborts
+    /// directly); the adaptive detector arms at Suspect first and only a
+    /// subsequent Confirm firing aborts.
     level: DetectLevel,
 }
+
+/// Kernel timer slot key of the collective watchdog on [`ports::TIMEOUT`].
+const WATCHDOG: u64 = 0;
 
 /// Detector stream key for local DMP completions (per-peer streams use the
 /// peer's rank, which is always below this).
@@ -105,8 +104,6 @@ struct CallState {
     parked: Vec<crate::firmware::DmpInstr>,
     blocked: Blocked,
     scratch_base: u64,
-    /// Monotone call sequence number (validates watchdog tokens).
-    seq: u64,
     /// The call's open `uc.call` span.
     span: SpanId,
 }
@@ -134,11 +131,8 @@ pub struct Uc {
     calls_completed: u64,
     /// The node's RBM (abort cleanup); unset in control-plane-only tests.
     rbm: Option<ComponentId>,
-    /// Calls started so far (mints [`CallState::seq`]).
+    /// Calls started so far.
     call_seq: u64,
-    /// Bumped on every completion/notification; stale watchdog tokens
-    /// compare against it.
-    progress_gen: u64,
     /// Tickets of aborted calls whose DMP completions are still in flight.
     orphans: BTreeSet<u64>,
     orphans_reaped: u64,
@@ -189,7 +183,6 @@ impl Uc {
             calls_completed: 0,
             rbm: None,
             call_seq: 0,
-            progress_gen: 0,
             orphans: BTreeSet::new(),
             orphans_reaped: 0,
             calls_aborted: 0,
@@ -408,7 +401,6 @@ impl Uc {
             );
             ctx.span_interval("uc.decode", span, ctx.now(), ctx.now() + planning);
         }
-        let seq = self.call_seq;
         self.call_seq += 1;
         self.call = Some(CallState {
             cmd,
@@ -419,17 +411,15 @@ impl Uc {
             parked: Vec::new(),
             blocked: Blocked::Stepping,
             scratch_base: 0,
-            seq,
             span,
         });
         ctx.send_self(ports::STEP, planning, ());
     }
 
     /// Arms the collective watchdog for the active call's current blocked
-    /// state. Stale tokens (progress happened, or another call is active)
-    /// lapse harmlessly at expiry. With the adaptive detector the first
-    /// deadline is armed at the Suspect level; otherwise the fixed
-    /// threshold arms directly at Confirm.
+    /// state. With the adaptive detector the first deadline is armed at
+    /// the Suspect level; otherwise the fixed threshold arms directly at
+    /// Confirm.
     fn arm_timeout(&mut self, ctx: &mut Ctx<'_>) {
         let level = if self.detector.is_some() {
             DetectLevel::Suspect
@@ -468,15 +458,7 @@ impl Uc {
                 Dur::from_us(us)
             }
         };
-        ctx.send_self(
-            ports::TIMEOUT,
-            wait,
-            UcTimeout {
-                seq: call.seq,
-                gen: self.progress_gen,
-                level,
-            },
-        );
+        ctx.arm_timer(ports::TIMEOUT, WATCHDOG, wait, UcTimeout { level });
     }
 
     /// Aborts the active call: outstanding DMP work is disowned (its
@@ -837,7 +819,7 @@ impl Component for Uc {
             }
             ports::DMP_DONE => {
                 let done = payload.downcast::<DmpDone>();
-                self.progress_gen += 1;
+                ctx.cancel_timer(ports::TIMEOUT, WATCHDOG);
                 if let Some(det) = &mut self.detector {
                     det.observe(LOCAL_STREAM, ctx.now());
                 }
@@ -863,13 +845,13 @@ impl Component for Uc {
                 let notif = payload.downcast::<UcNotif>();
                 if let UcNotif::RxExhausted = notif {
                     // Pool starvation is not forward progress: it must not
-                    // lapse pending watchdog tokens. It only recolors a
-                    // later abort as resource exhaustion.
+                    // cancel the watchdog. It only recolors a later abort
+                    // as resource exhaustion.
                     self.rx_exhausted_events += 1;
                     ctx.stats().add("uc.rx_exhausted_notifs", 1);
                     return;
                 }
-                self.progress_gen += 1;
+                ctx.cancel_timer(ports::TIMEOUT, WATCHDOG);
                 if let Some(det) = &mut self.detector {
                     let src = match &notif {
                         UcNotif::RndzvInit(sig) | UcNotif::RndzvDone(sig) => sig.src_rank,
@@ -901,39 +883,34 @@ impl Component for Uc {
             }
             ports::TIMEOUT => {
                 let token = payload.downcast::<UcTimeout>();
-                let expired = match &self.call {
-                    Some(call) => {
-                        call.seq == token.seq
-                            && self.progress_gen == token.gen
-                            && call.blocked != Blocked::Stepping
-                    }
-                    None => false,
-                };
-                if expired {
-                    if token.level == DetectLevel::Suspect {
-                        // Soft suspicion: record it, then escalate to a
-                        // Confirm deadline under the SAME progress
-                        // generation — any progress before it fires still
-                        // lapses the token and clears the suspicion.
-                        self.suspicions += 1;
-                        ctx.stats().add("uc.suspects", 1);
-                        if ctx.spans_enabled() {
-                            if let Some(call) = &self.call {
-                                ctx.span_instant("uc.suspect", call.span);
-                            }
+                debug_assert!(
+                    self.call
+                        .as_ref()
+                        .is_some_and(|call| call.blocked != Blocked::Stepping),
+                    "watchdog fired for a call that is not blocked"
+                );
+                if token.level == DetectLevel::Suspect {
+                    // Soft suspicion: record it, then escalate to a
+                    // Confirm deadline — any progress before it fires
+                    // still cancels it and clears the suspicion.
+                    self.suspicions += 1;
+                    ctx.stats().add("uc.suspects", 1);
+                    if ctx.spans_enabled() {
+                        if let Some(call) = &self.call {
+                            ctx.span_instant("uc.suspect", call.span);
                         }
-                        self.arm_timeout_at(ctx, DetectLevel::Confirm);
-                        return;
                     }
-                    // A watchdog expiry while the eager pool ran dry during
-                    // the call is local starvation, not remote silence.
-                    let status = if self.rx_exhausted_events > 0 {
-                        CmdStatus::ResourceExhausted
-                    } else {
-                        CmdStatus::TimedOut
-                    };
-                    self.abort_call(ctx, status);
+                    self.arm_timeout_at(ctx, DetectLevel::Confirm);
+                    return;
                 }
+                // A watchdog expiry while the eager pool ran dry during
+                // the call is local starvation, not remote silence.
+                let status = if self.rx_exhausted_events > 0 {
+                    CmdStatus::ResourceExhausted
+                } else {
+                    CmdStatus::TimedOut
+                };
+                self.abort_call(ctx, status);
             }
             ports::FAILOVER => {
                 let fo = payload.downcast::<TransportFailover>();

@@ -396,29 +396,17 @@ impl AcclCluster {
         match self.cfg.transport {
             Transport::Udp => {}
             Transport::Tcp => {
-                self.sim
-                    .component_mut::<TcpPoe>(self.nodes[a].poe)
-                    .reinstate_session(SessionId(b as u32));
-                self.sim
-                    .component_mut::<TcpPoe>(self.nodes[b].poe)
-                    .reinstate_session(SessionId(a as u32));
+                TcpPoe::reinstate_session(&mut self.sim, self.nodes[a].poe, SessionId(b as u32));
+                TcpPoe::reinstate_session(&mut self.sim, self.nodes[b].poe, SessionId(a as u32));
             }
             Transport::Rdma => {
-                self.sim
-                    .component_mut::<RdmaPoe>(self.nodes[a].poe)
-                    .reinstate_qp(SessionId(b as u32));
-                self.sim
-                    .component_mut::<RdmaPoe>(self.nodes[b].poe)
-                    .reinstate_qp(SessionId(a as u32));
+                RdmaPoe::reinstate_qp(&mut self.sim, self.nodes[a].poe, SessionId(b as u32));
+                RdmaPoe::reinstate_qp(&mut self.sim, self.nodes[b].poe, SessionId(a as u32));
                 if let Some(fb) = self.nodes[a].fallback_poe {
-                    self.sim
-                        .component_mut::<TcpPoe>(fb)
-                        .reinstate_session(SessionId(b as u32));
+                    TcpPoe::reinstate_session(&mut self.sim, fb, SessionId(b as u32));
                 }
                 if let Some(fb) = self.nodes[b].fallback_poe {
-                    self.sim
-                        .component_mut::<TcpPoe>(fb)
-                        .reinstate_session(SessionId(a as u32));
+                    TcpPoe::reinstate_session(&mut self.sim, fb, SessionId(a as u32));
                 }
             }
         }

@@ -131,25 +131,32 @@ fn lossy_plan() -> FaultPlan {
 /// fails here. Never re-capture them to make a change pass. Both digests
 /// hash component ids, so adding or removing a component moves them:
 /// re-capture only after checking that, per simulated timestamp, the
-/// deliveries by (component name, port, payload type) are unchanged.
+/// deliveries by (component name, port, payload type) are unchanged. The
+/// timeline digest also moves when the kernel stops delivering an event
+/// it used to (a superseded timer deadline, see `accl_sim`'s timer
+/// slots): re-capture the timeline column then only after checking that
+/// the new delivery sequence is the old one with just those deliveries
+/// removed, and that each removed delivery was a no-op before (it
+/// scheduled nothing and left every state digest unchanged). The
+/// state-hash column must not move in that case.
 const PINNED: &[(&str, u64, u64)] = &[
-    ("coyote_rdma", 0x8a9f8b2acb548623, 0x6fa562db9626b514),
-    ("xrt_tcp", 0xdb28fa43fc45e17f, 0x72d1957d2392edad),
+    ("coyote_rdma", 0x4091e9c8db3ed724, 0x6fa562db9626b514),
+    ("xrt_tcp", 0xef37480ea896f516, 0x72d1957d2392edad),
     ("xrt_udp", 0xa605e856690ad0e5, 0x7175fc9337da5c90),
     (
         "coyote_rdma+overload",
-        0x8467fdb3b4aaaddc,
+        0xbaa660de7b184545,
         0x6fa562db9626b514,
     ),
-    ("xrt_tcp+overload", 0xfa7c82448123c223, 0x72d1957d2392edad),
+    ("xrt_tcp+overload", 0x2c0a064c601cb8d4, 0x72d1957d2392edad),
     ("xrt_udp+overload", 0x8e77cca8bd80f7d7, 0x7175fc9337da5c90),
     (
         "coyote_rdma+tcp_fallback",
-        0x695c2975534050d5,
+        0xb09d3be970df6b1a,
         0x9fbd766c9e90ea34,
     ),
-    ("xrt_tcp+lossy", 0xef69e269f1f5440b, 0x46962324d278818f),
-    ("coyote_rdma+lossy", 0x99c5667a6520e037, 0x790cbba1a2ff33e1),
+    ("xrt_tcp+lossy", 0x6e9d0a5b7218d1c3, 0x46962324d278818f),
+    ("coyote_rdma+lossy", 0x209c5c44290691b1, 0x790cbba1a2ff33e1),
 ];
 
 fn pinned_case(name: &str) -> (ClusterConfig, Option<FaultPlan>) {

@@ -12,7 +12,10 @@ use accl_core::{
     AcclCluster, AlgoConfig, BufLoc, CclError, ClusterConfig, CollSpec, MembershipEvent, Transport,
 };
 use accl_net::Degradation;
-use accl_sim::prelude::{ComponentId, QueueKind, Time};
+use accl_poe::iface::ports;
+use accl_sim::prelude::{
+    Component, ComponentId, Ctx, Dur, Endpoint, Payload, PortId, QueueKind, Time,
+};
 
 fn i32s(vals: &[i32]) -> Vec<u8> {
     vals.iter().flat_map(|v| v.to_le_bytes()).collect()
@@ -473,4 +476,73 @@ fn detector_decisions_survive_permuted_tie_order() {
             "degraded-run decisions moved under tie salt {salt:#x}"
         );
     }
+}
+
+/// Stops the run when its event arrives, so a test can act on the
+/// cluster while timers are still pending.
+struct Halt;
+
+impl Component for Halt {
+    fn on_event(&mut self, ctx: &mut Ctx<'_>, _port: PortId, _payload: Payload) {
+        ctx.stop();
+    }
+}
+
+/// A retransmission timer armed before `reinstate_node` never fires into
+/// the reinstated session or queue pair. Node 1 is cut off from the start,
+/// so the fragments between it and node 0 go unacknowledged, and a
+/// retransmission timer (first RTO 100 µs on both transports) is pending
+/// when the run halts at 60 µs. Reinstating node 1 cancels the timers of
+/// both directions of the pair: the pending deadline passes without a
+/// retransmission and is counted as superseded.
+fn reinstate_cancels_the_old_incarnations_timers(transport: Transport) {
+    let mut c = AcclCluster::build(cfg_for(transport, 2, 30_000));
+    c.crash_node(1, Time::ZERO);
+    let halt = c.sim.add("halt", Halt);
+    let (specs, _) = allreduce_setup(&mut c, &[0, 1], 4096, 0);
+    let programs = specs.into_iter().map(|s| vec![HostOp::Coll(s)]).collect();
+    c.sim.post(Endpoint::of(halt), Time::from_us(60), ());
+    assert!(c.try_run_host_programs(programs).is_err(), "the run halts");
+
+    // Both engines key a session's retransmission timer by the session id
+    // (session `j` carries traffic to node `j`).
+    let slots = [(c.node(0).poe, 1u64), (c.node(1).poe, 0u64)];
+    let pending = |c: &AcclCluster| {
+        slots
+            .iter()
+            .filter(|&&(poe, key)| c.sim.timer_pending(poe, ports::TIMER, key))
+            .count()
+    };
+    assert!(
+        pending(&c) > 0,
+        "a retransmission timer of the pair is pending"
+    );
+    let retransmits = |c: &AcclCluster| {
+        c.sim.stats().counter("poe.tcp.retransmits")
+            + c.sim.stats().counter("poe.rdma.retransmissions")
+    };
+    let superseded = |c: &AcclCluster| c.sim.stats().counter("sim.kernel.timers_superseded");
+    let (retransmitted, skipped) = (retransmits(&c), superseded(&c));
+    c.reinstate_node(1);
+    assert_eq!(pending(&c), 0, "reinstating cancels the pair's timers");
+    c.sim.run_until(Time::from_us(60) + Dur::from_us(200));
+    assert_eq!(
+        retransmits(&c),
+        retransmitted,
+        "no RTO fired into the reinstated pair"
+    );
+    assert!(
+        superseded(&c) > skipped,
+        "the old deadline popped and was skipped"
+    );
+}
+
+#[test]
+fn reinstate_cancels_the_old_incarnations_timers_on_tcp() {
+    reinstate_cancels_the_old_incarnations_timers(Transport::Tcp);
+}
+
+#[test]
+fn reinstate_cancels_the_old_incarnations_timers_on_rdma() {
+    reinstate_cancels_the_old_incarnations_timers(Transport::Rdma);
 }

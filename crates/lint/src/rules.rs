@@ -1,5 +1,5 @@
 //! The parser-backed rule families: resource-pairing, digest-coverage,
-//! exhaustive-handling, layering, and time-safety.
+//! exhaustive-handling, layering, time-safety, and timer-generation.
 //!
 //! These complement the token-stream determinism rules in [`crate`]: they
 //! need the item/function/flow structure that [`crate::parse`] recovers and
@@ -12,6 +12,7 @@
 //! | `exhaustive-handling` | no `_` wildcard over sim-visible protocol enums |
 //! | `layering` | crates respect the mlwip module seams (net ⊄ poe, cclo ⊄ net internals); POE engines leave the I/O plumbing to `iface::PoeIo` |
 //! | `time-safety` | no unchecked `+`/`-`/`*` on raw picosecond values outside the checked ctors |
+//! | `timer-generation` | no `send_self` of a payload carrying a `gen` field: timers are kernel slots (`Ctx::arm_timer`) |
 
 use crate::cfg::{self, Event};
 use crate::lexer::{TokKind, Token};
@@ -39,6 +40,7 @@ pub fn run(file: &str, krate: Option<&str>, toks: &[Token], parsed: &ParsedFile)
         layering(file, krate, toks, &mut findings);
     }
     time_safety(file, toks, &mut findings);
+    timer_generation(file, toks, &mut findings);
     findings
 }
 
@@ -1202,4 +1204,101 @@ fn time_safety(file: &str, toks: &[Token], findings: &mut Vec<Finding>) {
             }
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// timer-generation
+// ---------------------------------------------------------------------------
+
+/// A self-addressed payload stamped with a generation number is a
+/// hand-rolled lazy-cancel timer: the handler compares `gen` against
+/// component state and drops stale tokens, each of which still costs an
+/// event. Timers are kernel-owned slots (`Ctx::arm_timer` /
+/// `Ctx::cancel_timer`), whose superseded deadlines are never delivered.
+/// Flags a `send_self(…)` whose arguments construct a struct, declared in
+/// the same file, that has a field named `gen`.
+fn timer_generation(file: &str, toks: &[Token], findings: &mut Vec<Finding>) {
+    let stamped = structs_with_field(toks, "gen");
+    if stamped.is_empty() {
+        return;
+    }
+    for (i, t) in toks.iter().enumerate() {
+        if t.text != "send_self" || toks.get(i + 1).is_none_or(|n| n.text != "(") {
+            continue;
+        }
+        let mut depth = 0usize;
+        for (j, a) in toks.iter().enumerate().skip(i + 1) {
+            match a.text.as_str() {
+                "(" => depth += 1,
+                ")" => {
+                    depth -= 1;
+                    if depth == 0 {
+                        break;
+                    }
+                }
+                _ => {}
+            }
+            let constructs = a.kind == TokKind::Ident
+                && stamped.contains(&a.text)
+                && toks.get(j + 1).is_some_and(|n| n.text == "{");
+            if constructs {
+                findings.push(Finding {
+                    file: file.into(),
+                    line: t.line,
+                    rule: "timer-generation",
+                    severity: Severity::Deny,
+                    message: format!(
+                        "`send_self` of `{}`, which carries a `gen` field: a generation-checked \
+                         self-message is a lazy-cancel timer whose stale tokens still run as \
+                         events — arm a kernel timer slot (`Ctx::arm_timer`, `cancel_timer`) \
+                         instead",
+                        a.text
+                    ),
+                    allowed: None,
+                });
+                break;
+            }
+        }
+    }
+}
+
+/// Names of the structs declared in `toks` with a named field `field`.
+fn structs_with_field(toks: &[Token], field: &str) -> Vec<String> {
+    let mut out = Vec::new();
+    for (i, t) in toks.iter().enumerate() {
+        if t.text != "struct" {
+            continue;
+        }
+        let Some(name) = toks.get(i + 1).filter(|n| n.kind == TokKind::Ident) else {
+            continue;
+        };
+        // Skip generics and where-clauses to the body; tuple and unit
+        // structs have no named fields.
+        let Some(open) = toks[i + 2..]
+            .iter()
+            .position(|n| matches!(n.text.as_str(), "{" | "(" | ";"))
+            .map(|k| i + 2 + k)
+            .filter(|&k| toks[k].text == "{")
+        else {
+            continue;
+        };
+        let mut depth = 0usize;
+        for (j, b) in toks.iter().enumerate().skip(open) {
+            match b.text.as_str() {
+                "{" | "(" | "[" => depth += 1,
+                "}" | ")" | "]" => {
+                    depth -= 1;
+                    if depth == 0 {
+                        break;
+                    }
+                }
+                _ => {}
+            }
+            if depth == 1 && b.text == field && toks.get(j + 1).is_some_and(|n| n.text == ":") {
+                out.push(name.text.clone());
+                break;
+            }
+        }
+    }
+    out
 }

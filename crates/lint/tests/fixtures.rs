@@ -284,3 +284,32 @@ fn poe_engines_may_not_name_the_shared_io_plumbing() {
         .iter()
         .all(|f| f.rule != "layering"));
 }
+
+#[test]
+fn generation_stamped_self_messages_are_flagged() {
+    // A `gen`-checked self-message is a hand-rolled lazy-cancel timer;
+    // kernel timer slots replace it. The payload type's declaration in
+    // the same file decides: a `gen` field flags the `send_self` line.
+    let src = "
+struct RtoTimer { qp: u32, gen: u64 }
+struct Tick { qp: u32 }
+struct Pair(u32, u64);
+fn f(ctx: &mut Ctx<'_>, qp: u32) {
+    ctx.send_self(ports::TIMER, rto, RtoTimer { qp, gen: 1 });
+    ctx.send_self(ports::TIMER, rto, Tick { qp });
+    ctx.send(peer, rto, RtoTimer { qp, gen: 2 });
+    ctx.arm_timer(ports::TIMER, 0, rto, Tick { qp });
+}
+";
+    let found: Vec<_> = rules(src)
+        .into_iter()
+        .filter(|(r, _, _)| *r == "timer-generation")
+        .collect();
+    assert_eq!(found, vec![("timer-generation", 6, false)], "{found:?}");
+    // Without a `gen` field anywhere, nothing is flagged.
+    let clean = "
+struct RtoTimer { qp: u32, generation_hint: u64 }
+fn f(ctx: &mut Ctx<'_>) { ctx.send_self(ports::TIMER, rto, RtoTimer { qp: 0, generation_hint: 0 }); }
+";
+    assert!(gating_rules(clean).is_empty());
+}

@@ -20,18 +20,29 @@ use crate::iface::{
     SessionTable, StreamChunk, TxAssembler, TxKind, TxSegment,
 };
 
-/// Token-starvation watchdog timer (self-addressed).
+/// Token-starvation watchdog: the deadline of the QP's
+/// [`starve_slot`] kernel timer.
 #[derive(Debug, Clone, Copy)]
 struct StarveTimer {
     qp: SessionId,
-    gen: u64,
 }
 
-/// Retransmission-timeout timer (self-addressed).
+/// Retransmission timeout: the deadline of the QP's [`rto_slot`] kernel
+/// timer.
 #[derive(Debug, Clone, Copy)]
 struct RtoTimer {
     qp: SessionId,
-    gen: u64,
+}
+
+/// The kernel timer slot key of `qp`'s retransmission timer.
+fn rto_slot(qp: SessionId) -> u64 {
+    u64::from(qp.0)
+}
+
+/// The kernel timer slot key of `qp`'s starvation watchdog (kept apart
+/// from [`rto_slot`] on the shared timer port).
+fn starve_slot(qp: SessionId) -> u64 {
+    1 << 32 | u64::from(qp.0)
 }
 
 /// RDMA wire protocol data units.
@@ -139,8 +150,6 @@ struct QpTx {
     unacked: VecDeque<(u64, TxSegment)>,
     /// Consecutive retransmission rounds without ack progress.
     retries: u32,
-    /// RTO-timer generation; a pending timer with an older gen is stale.
-    rto_gen: u64,
 }
 
 const STATS: PoeStatKeys = PoeStatKeys {
@@ -168,9 +177,6 @@ pub struct RdmaPoe {
     last_nak: BTreeMap<SessionId, u64>,
     /// Receiver-side pending credit counts per peer QP.
     owed_credits: BTreeMap<SessionId, u32>,
-    /// Starvation-timer generation per QP; bumped on every credit so a
-    /// pending timer from before the progress is recognized as stale.
-    starve_gen: BTreeMap<SessionId, u64>,
     /// Queue pairs in the error state.
     qp_error: BTreeMap<SessionId, SessionErrorKind>,
     frames_sent: u64,
@@ -192,7 +198,6 @@ impl RdmaPoe {
             expected_psn: BTreeMap::new(),
             last_nak: BTreeMap::new(),
             owed_credits: BTreeMap::new(),
-            starve_gen: BTreeMap::new(),
             qp_error: BTreeMap::new(),
             frames_sent: 0,
             frames_received: 0,
@@ -232,20 +237,23 @@ impl RdmaPoe {
         self.qp_error.iter().map(|(&q, &k)| (q, k)).collect()
     }
 
-    /// Re-establishes `qp` after a peer restart: drops the error state and
-    /// every per-QP protocol variable (window accounting, PSN cursors,
-    /// stalled fragments, owed credits) so the next message starts a fresh
-    /// conversation with the peer's new incarnation. Both directions of a
-    /// QP pair must be reinstated together — the cluster's rejoin path
-    /// does that.
-    pub fn reinstate_qp(&mut self, qp: SessionId) {
-        self.qp_error.remove(&qp);
-        self.tx.remove(&qp);
-        self.stalled.remove(&qp);
-        self.expected_psn.remove(&qp);
-        self.last_nak.remove(&qp);
-        self.owed_credits.remove(&qp);
-        self.starve_gen.remove(&qp);
+    /// Re-establishes `qp` of the engine `poe` after a peer restart: drops
+    /// the error state and every per-QP protocol variable (window
+    /// accounting, PSN cursors, stalled fragments, owed credits) and
+    /// cancels the QP's timers, so the next message starts a fresh
+    /// conversation with the peer's new incarnation and no deadline of the
+    /// old one fires into it. Both directions of a QP pair must be
+    /// reinstated together — the cluster's rejoin path does that.
+    pub fn reinstate_qp(sim: &mut Simulator, poe: ComponentId, qp: SessionId) {
+        let engine = sim.component_mut::<RdmaPoe>(poe);
+        engine.qp_error.remove(&qp);
+        engine.tx.remove(&qp);
+        engine.stalled.remove(&qp);
+        engine.expected_psn.remove(&qp);
+        engine.last_nak.remove(&qp);
+        engine.owed_credits.remove(&qp);
+        sim.cancel_timer(poe, ports::TIMER, rto_slot(qp));
+        sim.cancel_timer(poe, ports::TIMER, starve_slot(qp));
     }
 
     /// Whether `qp` may put one more fragment in flight. An idle QP always
@@ -256,25 +264,15 @@ impl RdmaPoe {
     }
 
     fn arm_starve_timer(&mut self, ctx: &mut Ctx<'_>, qp: SessionId) {
-        let gen = *self.starve_gen.entry(qp).or_insert(0);
-        ctx.send_self(
-            ports::TIMER,
-            Dur::from_us(self.cfg.starvation_timeout_us),
-            StarveTimer { qp, gen },
-        );
+        let wait = Dur::from_us(self.cfg.starvation_timeout_us);
+        ctx.arm_timer(ports::TIMER, starve_slot(qp), wait, StarveTimer { qp });
     }
 
     fn arm_rto(&mut self, ctx: &mut Ctx<'_>, qp: SessionId) {
         let Some(st) = self.tx.get(&qp) else { return };
         let backoff = st.retries.min(6);
-        ctx.send_self(
-            ports::TIMER,
-            Dur::from_us(self.cfg.rto_us << backoff),
-            RtoTimer {
-                qp,
-                gen: st.rto_gen,
-            },
-        );
+        let rto = Dur::from_us(self.cfg.rto_us << backoff);
+        ctx.arm_timer(ports::TIMER, rto_slot(qp), rto, RtoTimer { qp });
     }
 
     /// Sends or stalls a segment depending on the QP's token budget.
@@ -305,12 +303,12 @@ impl RdmaPoe {
     /// per command whose final fragment was dropped.
     fn fail_qp(&mut self, ctx: &mut Ctx<'_>, qp: SessionId, kind: SessionErrorKind) {
         self.qp_error.insert(qp, kind);
-        *self.starve_gen.entry(qp).or_insert(0) += 1;
+        ctx.cancel_timer(ports::TIMER, starve_slot(qp));
+        ctx.cancel_timer(ports::TIMER, rto_slot(qp));
         if let Some(st) = self.tx.get_mut(&qp) {
             // Transmitted `last` fragments already reported local success;
             // only never-transmitted (stalled) commands complete in error.
             st.unacked.clear();
-            st.rto_gen += 1;
         }
         ctx.stats().add("poe.rdma.qp_errors", 1);
         self.io.tx_error(ctx, qp, kind, None);
@@ -332,7 +330,6 @@ impl RdmaPoe {
         let was_idle = st.unacked.is_empty();
         st.unacked.push_back((psn, seg.clone()));
         if was_idle {
-            st.rto_gen += 1;
             self.arm_rto(ctx, qp);
         }
         self.send_on_wire(ctx, &seg, psn);
@@ -389,7 +386,6 @@ impl RdmaPoe {
         let exhausted = {
             let st = self.tx.entry(qp).or_default();
             st.retries += 1;
-            st.rto_gen += 1;
             st.retries > self.cfg.max_retransmits
         };
         if exhausted {
@@ -434,17 +430,18 @@ impl RdmaPoe {
                         break;
                     }
                 }
-                // Progress: reset the retry ladder, void pending timers.
+                // Progress: reset the retry ladder.
                 st.retries = 0;
-                st.rto_gen += 1;
                 true
             }
         };
         if !advanced {
             return;
         }
-        // Any ack progress also resets the starvation watchdog.
-        *self.starve_gen.entry(qp).or_insert(0) += 1;
+        // Progress voids both pending deadlines; they re-arm below if
+        // fragments are still unacknowledged or stalled.
+        ctx.cancel_timer(ports::TIMER, rto_slot(qp));
+        ctx.cancel_timer(ports::TIMER, starve_slot(qp));
         if self.tx.get(&qp).is_some_and(|st| !st.unacked.is_empty()) {
             self.arm_rto(ctx, qp);
         }
@@ -608,24 +605,19 @@ impl Component for RdmaPoe {
                     }
                 }
             }
+            // Progress and QP errors cancel both slots, so a firing timer
+            // always finds fragments stalled or unacknowledged.
             ports::TIMER => match payload.try_downcast::<StarveTimer>() {
                 Ok(timer) => {
-                    let stale = self.starve_gen.get(&timer.qp).copied().unwrap_or(0) != timer.gen;
-                    let still_stalled = self.stalled.get(&timer.qp).is_some_and(|q| !q.is_empty());
-                    if stale || !still_stalled || self.qp_error.contains_key(&timer.qp) {
-                        return;
-                    }
+                    debug_assert!(self.stalled.get(&timer.qp).is_some_and(|q| !q.is_empty()));
                     self.fail_qp(ctx, timer.qp, SessionErrorKind::TokenStarvation);
                 }
                 Err(other) => {
                     let timer = other.downcast::<RtoTimer>();
-                    let live = self
+                    debug_assert!(self
                         .tx
                         .get(&timer.qp)
-                        .is_some_and(|st| st.rto_gen == timer.gen && !st.unacked.is_empty());
-                    if !live || self.qp_error.contains_key(&timer.qp) {
-                        return;
-                    }
+                        .is_some_and(|st| !st.unacked.is_empty()));
                     ctx.stats().add("poe.rdma.rto_fired", 1);
                     self.retry_round(ctx, timer.qp);
                 }

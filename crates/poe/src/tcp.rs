@@ -46,11 +46,16 @@ pub struct TcpAck {
     pub window: u64,
 }
 
-/// Retransmission timer message (self-addressed).
+/// Retransmission timer message: the deadline of the session's kernel
+/// timer slot (see [`rto_slot`]).
 #[derive(Debug, Clone, Copy)]
 struct RtoTimer {
     session: SessionId,
-    gen: u64,
+}
+
+/// The kernel timer slot key of `session`'s retransmission timer.
+fn rto_slot(session: SessionId) -> u64 {
+    u64::from(session.0)
 }
 
 /// Configuration of the TCP engine.
@@ -112,8 +117,6 @@ struct TxState {
     srtt_us: Option<f64>,
     rttvar_us: f64,
     rto: Dur,
-    timer_gen: u64,
-    timer_armed: bool,
     rtt_probe: Option<(u64, Time)>,
     retransmits: u64,
     /// Total bytes offered to this session's stream (headers included).
@@ -277,15 +280,19 @@ impl TcpPoe {
             .collect()
     }
 
-    /// Re-establishes `session` after a peer restart: discards the dead
-    /// connection's sender and receiver state (error flag, retransmission
-    /// ladder, sequence cursors, reassembly buffers) so the next message
-    /// opens a fresh conversation with the peer's new incarnation. Both
-    /// sides of a session pair must be reinstated together, or sequence
-    /// numbers desynchronize — the cluster's rejoin path does that.
-    pub fn reinstate_session(&mut self, session: SessionId) {
-        self.tx.remove(&session);
-        self.rx.remove(&session);
+    /// Re-establishes `session` of the engine `poe` after a peer restart:
+    /// discards the dead connection's sender and receiver state (error
+    /// flag, retransmission ladder, sequence cursors, reassembly buffers)
+    /// and cancels its retransmission timer, so the next message opens a
+    /// fresh conversation with the peer's new incarnation and no deadline
+    /// of the old one fires into it. Both sides of a session pair must be
+    /// reinstated together, or sequence numbers desynchronize — the
+    /// cluster's rejoin path does that.
+    pub fn reinstate_session(sim: &mut Simulator, poe: ComponentId, session: SessionId) {
+        let engine = sim.component_mut::<TcpPoe>(poe);
+        engine.tx.remove(&session);
+        engine.rx.remove(&session);
+        sim.cancel_timer(poe, ports::TIMER, rto_slot(session));
     }
 
     fn tx_state(&mut self, session: SessionId) -> &mut TxState {
@@ -357,9 +364,9 @@ impl TcpPoe {
     /// still queued (or issued later) for the session complete in error as
     /// their stream bytes are consumed.
     fn abort_session(&mut self, ctx: &mut Ctx<'_>, session: SessionId, kind: SessionErrorKind) {
+        ctx.cancel_timer(ports::TIMER, rto_slot(session));
         let st = self.tx_state(session);
         st.error = Some(kind);
-        st.timer_armed = false;
         st.unacked.clear();
         st.pending.clear();
         st.pending_len = 0;
@@ -448,22 +455,18 @@ impl TcpPoe {
             };
             self.io.send_data(ctx, peer, n as u32, span, seg);
         }
-        if !st.unacked.is_empty() && !st.timer_armed {
-            Self::arm_timer_inner(ctx, st, session);
+        if !st.unacked.is_empty() && !ctx.timer_pending(ports::TIMER, rto_slot(session)) {
+            Self::arm_rto(ctx, st, session);
         }
     }
 
-    fn arm_timer_inner(ctx: &mut Ctx<'_>, st: &mut TxState, session: SessionId) {
-        st.timer_gen += 1;
-        st.timer_armed = true;
-        let rto = st.rto;
-        ctx.send_self(
+    /// (Re-)arms `session`'s retransmission timer at the current RTO.
+    fn arm_rto(ctx: &mut Ctx<'_>, st: &TxState, session: SessionId) {
+        ctx.arm_timer(
             ports::TIMER,
-            rto,
-            RtoTimer {
-                session,
-                gen: st.timer_gen,
-            },
+            rto_slot(session),
+            st.rto,
+            RtoTimer { session },
         );
     }
 
@@ -537,9 +540,9 @@ impl TcpPoe {
                 }
             }
             if st.unacked.is_empty() {
-                st.timer_armed = false;
+                ctx.cancel_timer(ports::TIMER, rto_slot(session));
             } else {
-                Self::arm_timer_inner(ctx, st, session);
+                Self::arm_rto(ctx, st, session);
             }
             self.try_send(ctx, session);
         } else if !st.unacked.is_empty() {
@@ -636,14 +639,12 @@ impl Component for TcpPoe {
                 self.on_segment(ctx, seg, rx_span)
             }
             ports::TIMER => {
-                let timer = payload.downcast::<RtoTimer>();
+                let session = payload.downcast::<RtoTimer>().session;
                 let max_rto = Dur::from_us(self.cfg.max_rto_us);
                 let max_retransmits = self.cfg.max_retransmits;
-                let st = self.tx_state(timer.session);
-                if !st.timer_armed || st.timer_gen != timer.gen || st.unacked.is_empty() {
-                    return;
-                }
-                let session = timer.session;
+                let st = self.tx_state(session);
+                // An ACK that empties the window cancels the timer.
+                debug_assert!(!st.unacked.is_empty(), "RTO fired with nothing unacked");
                 st.consec_rto += 1;
                 if st.consec_rto > max_retransmits {
                     // Fail-stop detection: the peer never acknowledged any
@@ -654,7 +655,7 @@ impl Component for TcpPoe {
                 st.rto = (st.rto * 2).min(max_rto);
                 self.retransmit_head(ctx, session);
                 let st = self.tx_state(session);
-                Self::arm_timer_inner(ctx, st, session);
+                Self::arm_rto(ctx, st, session);
             }
             ports::CREDIT => self.io.on_credit(ctx, payload),
             other => panic!("TCP engine has no port {other:?}"),

@@ -11,6 +11,8 @@
 //!   or software agent implements this trait.
 //! - [`sim::Simulator`] — the event loop; events execute in `(time, seq)`
 //!   order, making runs bit-for-bit reproducible for a given seed.
+//! - [`sim::Ctx::arm_timer`] — kernel-owned timer slots: a re-armed or
+//!   cancelled timer's old deadline is never delivered.
 //! - [`pipe::Pipe`] — the shared timing model for bandwidth-limited FIFO
 //!   resources (links, DMA channels, datapaths).
 //! - [`mailbox::Mailbox`] — harness-side collector for observing results.
@@ -50,6 +52,7 @@ pub mod race;
 pub mod sim;
 pub mod stats;
 pub mod time;
+mod timer;
 pub mod trace;
 
 /// Commonly used items, for glob import.

@@ -72,7 +72,13 @@ struct EvKey {
     /// handlers depend on.
     seq: u64,
     idx: u32,
+    /// Kernel timer slot this event is the deadline of, or [`NO_TIMER`]
+    /// (see [`crate::timer`]). Sits in what would otherwise be padding.
+    timer: u32,
 }
+
+/// [`EvKey::timer`] of an ordinary (non-timer) event.
+pub(crate) const NO_TIMER: u32 = u32::MAX;
 
 impl EvKey {
     #[inline]
@@ -208,6 +214,22 @@ impl EventQueue {
     /// Panics if `seq` does not fit in [`SEQ_BITS`] bits.
     #[inline]
     pub(crate) fn push(&mut self, time: Time, seq: u64, src: u32, dst: Endpoint, payload: Payload) {
+        self.push_tagged(time, seq, src, dst, payload, NO_TIMER);
+    }
+
+    /// [`EventQueue::push`] for the deadline of kernel timer slot `timer`
+    /// ([`NO_TIMER`] for an ordinary event); the tag comes back from
+    /// [`EventQueue::pop_key`].
+    #[inline]
+    pub(crate) fn push_tagged(
+        &mut self,
+        time: Time,
+        seq: u64,
+        src: u32,
+        dst: Endpoint,
+        payload: Payload,
+        timer: u32,
+    ) {
         assert!(seq <= SEQ_MASK, "event sequence number overflow");
         let payload = core::mem::ManuallyDrop::new(payload);
         let idx = match self.free.pop() {
@@ -241,6 +263,7 @@ impl EventQueue {
             time: time.as_ps(),
             seq,
             idx,
+            timer,
         };
         self.len += 1;
         match self.kind {
@@ -250,11 +273,11 @@ impl EventQueue {
     }
 
     /// Removes the globally earliest `(time, seq)` event and returns its
-    /// key; the body stays in the slab until [`EventQueue::take`] claims it.
-    /// Splitting pop this way keeps the returned value in registers on the
-    /// hot path.
+    /// key as `(time, seq, slab index, timer slot)`; the body stays in the
+    /// slab until [`EventQueue::take`] claims it. Splitting pop this way
+    /// keeps the returned value in registers on the hot path.
     #[inline]
-    pub(crate) fn pop_key(&mut self) -> Option<(Time, u64, u32)> {
+    pub(crate) fn pop_key(&mut self) -> Option<(Time, u64, u32, u32)> {
         let key = match self.kind {
             QueueKind::Heap => self.heap.pop()?,
             QueueKind::Calendar => {
@@ -267,7 +290,12 @@ impl EventQueue {
             }
         };
         self.len -= 1;
-        Some((Time::from_ps(key.time), key.seq & SEQ_MASK, key.idx))
+        Some((
+            Time::from_ps(key.time),
+            key.seq & SEQ_MASK,
+            key.idx,
+            key.timer,
+        ))
     }
 
     /// Claims the body of an event whose key was returned by
@@ -284,11 +312,12 @@ impl EventQueue {
         (dst, payload)
     }
 
-    /// Removes and returns the globally earliest `(time, seq)` event.
-    pub(crate) fn pop(&mut self) -> Option<(Time, u64, Endpoint, Payload)> {
-        let (time, seq, idx) = self.pop_key()?;
+    /// Removes and returns the globally earliest `(time, seq)` event and
+    /// its timer slot tag.
+    pub(crate) fn pop(&mut self) -> Option<(Time, u64, Endpoint, Payload, u32)> {
+        let (time, seq, idx, timer) = self.pop_key()?;
         let (dst, payload) = self.take(idx);
-        Some((time, seq, dst, payload))
+        Some((time, seq, dst, payload, timer))
     }
 
     /// Time of the earliest pending event. `&mut` because the calendar may
@@ -320,8 +349,8 @@ impl EventQueue {
             pending.push(ev);
         }
         self.kind = kind;
-        for (time, seq, dst, payload) in pending {
-            self.push(time, seq, SRC_EXTERNAL, dst, payload);
+        for (time, seq, dst, payload, timer) in pending {
+            self.push_tagged(time, seq, SRC_EXTERNAL, dst, payload, timer);
         }
     }
 
@@ -437,7 +466,7 @@ mod tests {
 
     fn drain(q: &mut EventQueue) -> Vec<(u64, u64)> {
         core::iter::from_fn(|| q.pop())
-            .map(|(t, s, _, _)| (t.as_ps(), s))
+            .map(|(t, s, ..)| (t.as_ps(), s))
             .collect()
     }
 
@@ -522,13 +551,13 @@ mod tests {
                         q.push(Time::from_ps(*t), *s, SRC_EXTERNAL, ep(0), Payload::new(*s))
                     }
                     None => {
-                        let (t, s, _, p) = q.pop().expect("pop on non-empty");
+                        let (t, s, _, p, _) = q.pop().expect("pop on non-empty");
                         assert_eq!(p.downcast::<u64>(), s);
                         out.push((t.as_ps(), s));
                     }
                 }
             }
-            out.extend(core::iter::from_fn(|| q.pop()).map(|(t, s, _, _)| (t.as_ps(), s)));
+            out.extend(core::iter::from_fn(|| q.pop()).map(|(t, s, ..)| (t.as_ps(), s)));
             out
         };
         assert_eq!(run(QueueKind::Heap), run(QueueKind::Calendar));
@@ -618,7 +647,7 @@ mod tests {
                 q.push(Time::from_ps(64), seq, src, ep(0), Payload::new(src));
             }
             let mut popped = Vec::new();
-            while let Some((t, seq, _, p)) = q.pop() {
+            while let Some((t, seq, _, p, _)) = q.pop() {
                 assert_eq!(t, Time::from_ps(64));
                 popped.push((p.downcast::<u32>(), seq));
             }

@@ -21,9 +21,10 @@ use rand::SeedableRng;
 use crate::deadlock::{self, DeadlockReport, ResourceState};
 use crate::digest::{fnv1a, FNV_OFFSET};
 use crate::event::{ComponentId, Endpoint, Payload, PortId};
-use crate::queue::{EventQueue, QueueKind, SRC_EXTERNAL};
+use crate::queue::{EventQueue, QueueKind, NO_TIMER, SRC_EXTERNAL};
 use crate::stats::Stats;
 use crate::time::{Dur, Time};
+use crate::timer::TimerTable;
 use crate::trace::{Attr, FlowId, SpanEvent, SpanId, SpanRecorder};
 
 /// A simulated hardware or software entity.
@@ -89,6 +90,7 @@ pub struct Ctx<'a> {
     self_id: ComponentId,
     queue: &'a mut EventQueue,
     seq: &'a mut u64,
+    timers: &'a mut TimerTable,
     stats: &'a mut Stats,
     stop: &'a mut bool,
     spans: &'a mut SpanRecorder,
@@ -134,6 +136,37 @@ impl Ctx<'_> {
     /// Schedules `payload` back to `port` of the executing component after `delay`.
     pub fn send_self<T: Any + Send>(&mut self, port: PortId, delay: Dur, payload: T) {
         self.send(Endpoint::new(self.self_id, port), delay, payload);
+    }
+
+    /// Arms this component's timer slot `(port, key)`: `payload` arrives on
+    /// `port` after `delay`, exactly as a [`Ctx::send_self`] made here
+    /// would, unless the slot is re-armed or cancelled first. A re-arm
+    /// supersedes the pending deadline; the kernel never delivers a
+    /// superseded one (see [`crate::timer`]).
+    pub fn arm_timer<T: Any + Send>(&mut self, port: PortId, key: u64, delay: Dur, payload: T) {
+        let seq = *self.seq;
+        *self.seq += 1;
+        let id = self.timers.arm(self.self_id, port, key, seq);
+        self.queue.push_tagged(
+            self.now + delay,
+            seq,
+            self.self_id.0,
+            Endpoint::new(self.self_id, port),
+            Payload::new(payload),
+            id,
+        );
+    }
+
+    /// Cancels this component's timer slot `(port, key)`: its pending
+    /// deadline, if any, is never delivered.
+    pub fn cancel_timer(&mut self, port: PortId, key: u64) {
+        self.timers.cancel(self.self_id, port, key);
+    }
+
+    /// Whether this component's timer slot `(port, key)` has a deadline
+    /// pending. False inside the handler the slot's own deadline fired.
+    pub fn timer_pending(&self, port: PortId, key: u64) -> bool {
+        self.timers.pending(self.self_id, port, key)
     }
 
     /// Simulation-wide statistics registry. Stamps the current simulated
@@ -382,6 +415,21 @@ pub struct Simulator {
     last_run_summary: Option<RunSummary>,
     /// Tie-set recorder for the race detector (None = off).
     tie_rec: Option<crate::race::TieRecorder>,
+    /// Kernel-owned timer slots.
+    timers: TimerTable,
+    /// Superseded timer deadlines skipped so far.
+    superseded: u64,
+}
+
+/// What [`Simulator::pop_next`] did with the head of the queue.
+#[derive(PartialEq, Eq)]
+enum Popped {
+    /// The queue was empty.
+    Empty,
+    /// A superseded timer deadline: the clock advanced, nothing ran.
+    Skipped,
+    /// An event was delivered.
+    Executed,
 }
 
 impl Simulator {
@@ -409,6 +457,8 @@ impl Simulator {
             stall_deadline: None,
             last_run_summary: None,
             tie_rec: None,
+            timers: TimerTable::default(),
+            superseded: 0,
         }
     }
 
@@ -737,6 +787,19 @@ impl Simulator {
         self.post(dst, self.time + delay, payload);
     }
 
+    /// Cancels timer slot `(port, key)` of component `comp` from outside
+    /// any handler (see [`Ctx::cancel_timer`]), e.g. when a harness resets
+    /// the state the timer guarded.
+    pub fn cancel_timer(&mut self, comp: ComponentId, port: PortId, key: u64) {
+        self.timers.cancel(comp, port, key);
+    }
+
+    /// Whether timer slot `(port, key)` of component `comp` has a deadline
+    /// pending.
+    pub fn timer_pending(&self, comp: ComponentId, port: PortId, key: u64) -> bool {
+        self.timers.pending(comp, port, key)
+    }
+
     /// Read-only statistics registry.
     pub fn stats(&self) -> &Stats {
         &self.stats
@@ -747,18 +810,38 @@ impl Simulator {
         &mut self.stats
     }
 
-    /// Executes a single event. Returns `false` if the queue was empty.
+    /// Executes a single event, skipping any superseded timer deadlines
+    /// ahead of it. Returns `false` if the queue drained.
     ///
     /// # Panics
     ///
     /// Panics if an event addresses a reserved-but-uninstalled component.
     pub fn step(&mut self) -> bool {
-        let Some((time, seq, idx)) = self.queue.pop_key() else {
-            return false;
+        loop {
+            match self.pop_next() {
+                Popped::Empty => return false,
+                Popped::Skipped => {}
+                Popped::Executed => return true,
+            }
+        }
+    }
+
+    /// Pops the head of the queue and delivers it, unless it is a timer
+    /// deadline that a re-arm or cancel superseded. A skipped deadline
+    /// still advances the clock (a drained run ends at its last deadline,
+    /// as if the timer had fired and done nothing) but is not an event:
+    /// it is counted only in `sim.kernel.timers_superseded`.
+    fn pop_next(&mut self) -> Popped {
+        let Some((time, seq, idx, timer)) = self.queue.pop_key() else {
+            return Popped::Empty;
         };
         debug_assert!(time >= self.time, "event queue went backwards");
         self.time = time;
         let (dst, payload) = self.queue.take(idx);
+        if timer != NO_TIMER && !self.timers.fire(timer, seq) {
+            self.superseded += 1;
+            return Popped::Skipped;
+        }
         if self.trace.is_some() || self.digest.is_some() || self.tie_rec.is_some() {
             self.note_delivery(time, seq, dst, payload.type_name());
         }
@@ -777,6 +860,7 @@ impl Simulator {
             self_id: dst.comp,
             queue: &mut self.queue,
             seq: &mut self.seq,
+            timers: &mut self.timers,
             stats: &mut self.stats,
             stop: &mut self.stop,
             spans_on: self.spans.is_enabled(),
@@ -784,7 +868,7 @@ impl Simulator {
         };
         comp.on_event(&mut ctx, dst.port, payload);
         self.components[dst.comp.index()] = Some(comp);
-        true
+        Popped::Executed
     }
 
     /// Records a delivery into the trace ring, the timeline digest and/or
@@ -835,10 +919,15 @@ impl Simulator {
     /// it to `u64::MAX`.
     pub fn run_bounded(&mut self, horizon: Time, max_events: u64) -> RunOutcome {
         let events_before = self.executed;
+        let superseded_before = self.superseded;
         let mut gauges = DepthGauges::new();
         let outcome = self.run_loop(horizon, max_events, &mut gauges);
         let executed = self.executed - events_before;
         self.stats.add("sim.kernel.events_executed", executed);
+        let superseded = self.superseded - superseded_before;
+        if superseded > 0 {
+            self.stats.add("sim.kernel.timers_superseded", superseded);
+        }
         let summary = gauges.summarize(outcome.clone(), executed, self.queue.len());
         self.stats
             .record("sim.kernel.queue_depth.max", summary.max_queue_depth as f64);
@@ -857,13 +946,16 @@ impl Simulator {
                 if self.stop {
                     return RunOutcome::Stopped;
                 }
-                if !self.step() {
-                    return match self.first_stall_report() {
-                        Some(report) => RunOutcome::Stalled(report),
-                        None => RunOutcome::Drained,
-                    };
+                match self.pop_next() {
+                    Popped::Empty => {
+                        return match self.first_stall_report() {
+                            Some(report) => RunOutcome::Stalled(report),
+                            None => RunOutcome::Drained,
+                        };
+                    }
+                    Popped::Skipped => gauges.observe_depth(self.queue.len()),
+                    Popped::Executed => gauges.observe(self.executed, self.queue.len()),
                 }
-                gauges.observe(self.executed, self.queue.len());
             }
         }
         loop {
@@ -904,9 +996,12 @@ impl Simulator {
             if budget == 0 {
                 return RunOutcome::Budget;
             }
-            budget -= 1;
-            self.step();
-            gauges.observe(self.executed, self.queue.len());
+            if self.pop_next() == Popped::Executed {
+                budget -= 1;
+                gauges.observe(self.executed, self.queue.len());
+            } else {
+                gauges.observe_depth(self.queue.len());
+            }
         }
     }
 
@@ -988,11 +1083,18 @@ impl DepthGauges {
 
     #[inline]
     fn observe(&mut self, executed: u64, depth: usize) {
-        if depth > self.max {
-            self.max = depth;
-        }
+        self.observe_depth(depth);
         if executed.is_multiple_of(DEPTH_SAMPLE_STRIDE) {
             self.samples.push(depth);
+        }
+    }
+
+    /// Tracks the maximum only: after a skipped timer deadline, which
+    /// leaves the sampled (per-event) series alone.
+    #[inline]
+    fn observe_depth(&mut self, depth: usize) {
+        if depth > self.max {
+            self.max = depth;
         }
     }
 
