@@ -210,7 +210,7 @@ impl Dmp {
                 mc.span,
                 &[Attr {
                     key: "bytes",
-                    value: AttrValue::Bytes(mc.len),
+                    value: AttrValue::U64(mc.len),
                 }],
             );
         }

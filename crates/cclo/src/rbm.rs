@@ -457,7 +457,7 @@ impl Rbm {
                 last_end,
                 &[Attr {
                     key: "bytes",
-                    value: AttrValue::Bytes(total),
+                    value: AttrValue::U64(total),
                 }],
             );
             // Link the wait to the arrival that ended it, so the critical

@@ -306,7 +306,7 @@ impl TxSys {
                 job.span(),
                 &[Attr {
                     key: "bytes",
-                    value: AttrValue::Bytes(job.payload_len()),
+                    value: AttrValue::U64(job.payload_len()),
                 }],
             );
         }

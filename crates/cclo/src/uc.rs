@@ -395,7 +395,7 @@ impl Uc {
                     },
                     Attr {
                         key: "bytes",
-                        value: AttrValue::Bytes(cmd.bytes()),
+                        value: AttrValue::U64(cmd.bytes()),
                     },
                 ],
             );

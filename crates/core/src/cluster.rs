@@ -741,12 +741,6 @@ impl AcclCluster {
         self.sim.enable_spans(capacity);
     }
 
-    /// The recorded span events in record order (empty unless tracing
-    /// was enabled).
-    pub fn trace_events(&self) -> Vec<accl_sim::trace::SpanEvent> {
-        self.sim.span_events()
-    }
-
     /// Enables fixed-width sim-time metric windows on the cluster's
     /// simulator: every counter/gauge/histogram write made by a component
     /// is additionally routed into the window containing its simulated
@@ -755,12 +749,6 @@ impl AcclCluster {
     /// [`accl_sim::stats::Stats::enable_windows`].
     pub fn enable_metric_windows(&mut self, width: Dur) {
         self.sim.enable_metric_windows(width);
-    }
-
-    /// Chrome/Perfetto `trace_event` JSON of the recorded timeline —
-    /// load it at `ui.perfetto.dev` or `chrome://tracing`.
-    pub fn chrome_trace(&self) -> String {
-        accl_sim::trace::chrome_trace_json(&self.sim)
     }
 
     /// A snapshot of one node's engine counters (observability: the

@@ -78,7 +78,7 @@ fn traced_allreduce_on(
         assert_eq!(c.read(dst), expect, "node {node} ({kind:?})");
     }
     assert_eq!(c.sim.spans_dropped(), 0, "ring must hold the whole run");
-    c.trace_events()
+    c.sim.span_events()
 }
 
 #[test]

@@ -335,7 +335,7 @@ impl Component for MemoryBus {
                         xfer_end + latency,
                         &[Attr {
                             key: "bytes",
-                            value: AttrValue::Bytes(req.len),
+                            value: AttrValue::U64(req.len),
                         }],
                     );
                 }
@@ -399,7 +399,7 @@ impl Component for MemoryBus {
                         end + latency,
                         &[Attr {
                             key: "bytes",
-                            value: AttrValue::Bytes(len),
+                            value: AttrValue::U64(len),
                         }],
                     );
                 }

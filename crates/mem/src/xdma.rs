@@ -131,7 +131,7 @@ impl Component for XdmaEngine {
                     &[
                         Attr {
                             key: "bytes",
-                            value: AttrValue::Bytes(req.len),
+                            value: AttrValue::U64(req.len),
                         },
                         Attr {
                             key: "dir",

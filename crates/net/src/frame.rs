@@ -76,7 +76,7 @@ pub struct Frame {
     /// segment creation ([`accl_sim::trace::FlowId`] via `Ctx::flow_begin`)
     /// and the Rx POE joins it into its receive span, making the Tx→Rx
     /// handoff a first-class DAG edge for critical-path analysis (and a
-    /// Chrome `s`/`f` arrow in the trace export). [`FlowId::NONE`] when
+    /// Chrome `s`/`f` arrow in the Perfetto rendering). [`FlowId::NONE`] when
     /// tracing is off. Excluded from the FCS, like `src` and `span`.
     pub flow: FlowId,
     /// Flow-control credit accounting: when set, the sending

@@ -300,7 +300,7 @@ impl Switch {
                     },
                     Attr {
                         key: "bytes",
-                        value: AttrValue::Bytes(wire),
+                        value: AttrValue::U64(wire),
                     },
                 ],
             );
@@ -522,7 +522,7 @@ impl NetPort {
                     },
                     Attr {
                         key: "bytes",
-                        value: AttrValue::Bytes(wire),
+                        value: AttrValue::U64(wire),
                     },
                 ],
             );

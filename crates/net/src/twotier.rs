@@ -87,7 +87,7 @@ impl Component for TierSwitch {
                 end + self.propagation,
                 &[Attr {
                     key: "bytes",
-                    value: AttrValue::Bytes(wire),
+                    value: AttrValue::U64(wire),
                 }],
             );
         }

@@ -91,6 +91,31 @@ impl Default for CaptureConfig {
     }
 }
 
+impl CaptureConfig {
+    /// Checks the options against each other and the workload; `capture`
+    /// panics on a configuration this rejects.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.window == Some(Dur::ZERO) {
+            return Err("the metric window width must be positive".to_string());
+        }
+        match (self.degrade_rank, self.workload) {
+            (Some(rank), Workload::Allreduce8) if rank as usize >= ALLREDUCE8_RANKS => {
+                Err(format!(
+                    "degrade rank {rank} out of range (allreduce8 has {ALLREDUCE8_RANKS} ranks)"
+                ))
+            }
+            (Some(_), Workload::Dlrm | Workload::Rejoin) => Err(format!(
+                "degrade rank is only supported for the allreduce8 workload, not {}",
+                self.workload.label()
+            )),
+            _ => Ok(()),
+        }
+    }
+}
+
+/// Ranks of the [`Workload::Allreduce8`] cluster.
+const ALLREDUCE8_RANKS: usize = 8;
+
 /// A `[start-of-time, forever)` 10 Gb/s zero-loss throttle on one link.
 fn whole_run_throttle(rank: u32) -> (NodeAddr, Degradation) {
     (
@@ -106,6 +131,9 @@ fn whole_run_throttle(rank: u32) -> (NodeAddr, Degradation) {
 
 /// Runs the configured workload with tracing on and snapshots the trace.
 pub fn capture(cfg: &CaptureConfig) -> TraceDoc {
+    if let Err(e) = cfg.validate() {
+        panic!("invalid capture: {e}");
+    }
     match cfg.workload {
         Workload::Allreduce8 => capture_allreduce8(cfg),
         Workload::Dlrm => capture_dlrm(cfg),
@@ -124,7 +152,7 @@ fn from_i32s(b: &[u8]) -> Vec<i32> {
 }
 
 fn capture_allreduce8(cfg: &CaptureConfig) -> TraceDoc {
-    let n = 8usize;
+    let n = ALLREDUCE8_RANKS;
     let count = 4096u64;
     let mut cluster = AcclCluster::build(ClusterConfig {
         seed: cfg.seed,
@@ -136,7 +164,6 @@ fn capture_allreduce8(cfg: &CaptureConfig) -> TraceDoc {
         cluster.enable_metric_windows(w);
     }
     if let Some(rank) = cfg.degrade_rank {
-        assert!((rank as usize) < n, "degrade rank out of range");
         let (addr, window) = whole_run_throttle(rank);
         cluster.set_fault_plan(FaultPlan::none().with_degradation(addr, window));
     }
@@ -175,10 +202,6 @@ fn capture_allreduce8(cfg: &CaptureConfig) -> TraceDoc {
 /// reinstate + expand and finish a verified full-strength round. The
 /// resulting trace carries every MTTR milestone.
 fn capture_rejoin(cfg: &CaptureConfig) -> TraceDoc {
-    assert!(
-        cfg.degrade_rank.is_none(),
-        "degrade-rank is only supported for the allreduce workload"
-    );
     let n = 3usize;
     let dead = 2usize;
     let count = 1024u64;
@@ -285,10 +308,6 @@ fn rejoin_verified_allreduce(cluster: &mut AcclCluster, members: &[usize], count
 }
 
 fn capture_dlrm(cfg: &CaptureConfig) -> TraceDoc {
-    assert!(
-        cfg.degrade_rank.is_none(),
-        "degrade-rank is only supported for the allreduce workload"
-    );
     let model = DlrmModel::generate(
         DlrmConfig {
             tables: 16,

@@ -324,6 +324,7 @@ mod tests {
             parent,
             comp: 0,
             name: name.to_string(),
+            attrs: vec![],
         }
     }
 

@@ -5,12 +5,16 @@
 //! The format is integer-only — times are picoseconds, never fractional
 //! units — so a document round-trips bit-exactly:
 //! `parse(serialize(doc)) == doc` for every capturable trace, which the
-//! round-trip tests pin. The codec's layout puts each event, and each
-//! window's counters and gauges, on one line.
+//! round-trip tests pin. The codec's layout puts each event without
+//! attributes, and each window's counters and gauges, on one line. An
+//! event's attributes ride in an optional `"a"` object, written only when
+//! there are some, so attribute-free documents keep their bytes.
 
 use accl_sim::json::{self, Json};
 
-use crate::model::{HistSummary, ObsEvent, ObsKind, TraceDoc, WindowRow, WindowSeries, SCHEMA};
+use crate::model::{
+    HistSummary, ObsEvent, ObsKind, ObsValue, TraceDoc, WindowRow, WindowSeries, SCHEMA,
+};
 
 fn obj<'a>(pairs: impl IntoIterator<Item = (&'a str, Json)>) -> Json {
     Json::Obj(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
@@ -24,14 +28,25 @@ fn string(s: &str) -> Json {
 /// serialize to equal bytes (artifacts can be compared with `cmp`).
 pub fn serialize(doc: &TraceDoc) -> String {
     let events = doc.events.iter().map(|e| {
-        obj([
+        let mut fields = vec![
             ("t", Json::U64(e.time_ps)),
             ("k", string(e.kind.code())),
             ("id", Json::U64(e.id)),
             ("par", Json::U64(e.parent)),
             ("c", Json::U64(u64::from(e.comp))),
             ("n", string(&e.name)),
-        ])
+        ];
+        if !e.attrs.is_empty() {
+            let attrs = e.attrs.iter().map(|(k, v)| {
+                let v = match v {
+                    ObsValue::U64(n) => Json::U64(*n),
+                    ObsValue::Str(s) => string(s),
+                };
+                (k.clone(), v)
+            });
+            fields.push(("a", Json::Obj(attrs.collect())));
+        }
+        obj(fields)
     });
     let mut root = vec![
         ("schema", string(SCHEMA)),
@@ -126,6 +141,14 @@ pub fn parse(text: &str) -> Result<TraceDoc, String> {
             comp: u32::try_from(e.field_as("c", Json::as_u64)?)
                 .map_err(|_| "component overflow")?,
             name: text_of(e, "n")?,
+            attrs: match e.get("a") {
+                None => Vec::new(),
+                Some(_) => members(e, "a", |v| match v {
+                    Json::U64(n) => Some(ObsValue::U64(*n)),
+                    Json::Str(s) => Some(ObsValue::Str(s.clone())),
+                    _ => None,
+                })?,
+            },
         });
     }
     let windows = match root.get("windows") {
@@ -186,6 +209,7 @@ mod tests {
                     parent: 0,
                     comp: 0,
                     name: "driver.coll".to_string(),
+                    attrs: vec![],
                 },
                 ObsEvent {
                     time_ps: 42,
@@ -194,6 +218,7 @@ mod tests {
                     parent: 11,
                     comp: 1,
                     name: "poe.flow".to_string(),
+                    attrs: vec![],
                 },
                 ObsEvent {
                     time_ps: 50,
@@ -202,6 +227,7 @@ mod tests {
                     parent: 0,
                     comp: 0,
                     name: String::new(),
+                    attrs: vec![],
                 },
             ],
             windows: Some(WindowSeries {
@@ -229,12 +255,21 @@ mod tests {
 
     #[test]
     fn round_trips_bit_exactly() {
-        let doc = sample_doc();
-        let text = serialize(&doc);
-        let back = parse(&text).unwrap();
-        assert_eq!(back, doc);
-        // Serialization is canonical: equal docs, equal bytes.
-        assert_eq!(serialize(&back), text);
+        let mut attributed = sample_doc();
+        attributed.events[0].attrs = vec![
+            (
+                "op".to_string(),
+                ObsValue::Str("allreduce \"x\"".to_string()),
+            ),
+            ("bytes".to_string(), ObsValue::U64(u64::MAX)),
+        ];
+        for doc in [sample_doc(), attributed] {
+            let text = serialize(&doc);
+            let back = parse(&text).unwrap();
+            assert_eq!(back, doc);
+            // Serialization is canonical: equal docs, equal bytes.
+            assert_eq!(serialize(&back), text);
+        }
     }
 
     #[test]

@@ -36,7 +36,9 @@
 //! the DLRM inference pipeline) with tracing on and snapshots them into
 //! the self-contained [`model::TraceDoc`] interchange form
 //! (`accl-obs-trace-v1` JSON, hand-rolled — no serde dependency), which
-//! the `accl-obs` binary reads back for offline analysis.
+//! the `accl-obs` binary reads back for offline analysis. It is the one
+//! run artifact: [`perfetto`] renders it as Chrome/Perfetto
+//! `trace_event` JSON for viewing.
 
 pub mod capture;
 pub mod critpath;
@@ -45,6 +47,7 @@ pub mod graph;
 pub mod json;
 pub mod model;
 pub mod mttr;
+pub mod perfetto;
 pub mod slo;
 
 pub use capture::{capture, CaptureConfig, Workload};
@@ -54,5 +57,5 @@ pub use critpath::{
 };
 pub use diff::{diff_attributions, DiffReport, DiffRow};
 pub use graph::SpanGraph;
-pub use model::{HistSummary, ObsEvent, ObsKind, TraceDoc, WindowRow, WindowSeries};
+pub use model::{HistSummary, ObsEvent, ObsKind, ObsValue, TraceDoc, WindowRow, WindowSeries};
 pub use mttr::{analyze as recovery_timeline, AvailabilitySummary, RecoveryTimeline};

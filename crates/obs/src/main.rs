@@ -7,6 +7,10 @@
 //!     Run a reference workload with tracing on and write the
 //!     accl-obs-trace-v1 snapshot.
 //!
+//! accl-obs perfetto trace.json -o perfetto.json
+//!     Render the snapshot as Chrome/Perfetto trace_event JSON (load it
+//!     at ui.perfetto.dev or chrome://tracing).
+//!
 //! accl-obs critical-path trace.json [--roots NAME] [--digest-only]
 //!     Walk the causal critical path of every collective root, print the
 //!     integer-exact attribution table and the critical-path digest.
@@ -33,7 +37,7 @@
 
 use std::process::ExitCode;
 
-use accl_obs::{capture, critpath, diff, graph, json, mttr, slo};
+use accl_obs::{capture, critpath, diff, graph, json, mttr, perfetto, slo};
 use accl_obs::{CaptureConfig, TraceDoc, Workload};
 use accl_sim::prelude::*;
 
@@ -46,12 +50,15 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("dump") => cmd_dump(&args[1..]),
+        Some("perfetto") => cmd_perfetto(&args[1..]),
         Some("critical-path") => cmd_critical_path(&args[1..]),
         Some("diff") => cmd_diff(&args[1..]),
         Some("slo") => cmd_slo(&args[1..]),
         Some("mttr") => cmd_mttr(&args[1..]),
         Some("--help") | Some("-h") | None => {
-            eprintln!("usage: accl-obs <dump|critical-path|diff|slo|mttr> ... (see crate docs)");
+            eprintln!(
+                "usage: accl-obs <dump|perfetto|critical-path|diff|slo|mttr> ... (see crate docs)"
+            );
             ExitCode::from(if args.is_empty() { 2 } else { 0 })
         }
         Some(other) => fail(&format!("unknown subcommand \"{other}\"")),
@@ -112,6 +119,13 @@ fn parse_u64(args: &[String], flag: &str, default: u64) -> Result<u64, String> {
         None => Ok(default),
         Some(v) => v.parse().map_err(|_| format!("{flag}: bad number \"{v}\"")),
     }
+}
+
+/// The `-o` / `--out` path a writing subcommand requires.
+fn out_path(args: &[String], cmd: &str) -> Result<String, String> {
+    opt_value(args, "-o")?
+        .or(opt_value(args, "--out")?)
+        .ok_or_else(|| format!("{cmd} needs -o <path>"))
 }
 
 fn load(path: &str) -> Result<TraceDoc, String> {
@@ -177,9 +191,8 @@ fn cmd_dump(args: &[String]) -> ExitCode {
             span_capacity: 1 << 20,
             degrade_rank,
         };
-        let out = opt_value(args, "-o")?
-            .or(opt_value(args, "--out")?)
-            .ok_or("dump needs -o <path>")?;
+        cfg.validate()?;
+        let out = out_path(args, "dump")?;
         let doc = capture(&cfg);
         std::fs::write(&out, json::serialize(&doc)).map_err(|e| format!("write {out}: {e}"))?;
         eprintln!(
@@ -188,6 +201,22 @@ fn cmd_dump(args: &[String]) -> ExitCode {
             doc.events.len(),
             doc.components.len()
         );
+        Ok(())
+    };
+    match run() {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => fail(&e),
+    }
+}
+
+fn cmd_perfetto(args: &[String]) -> ExitCode {
+    let run = || -> Result<(), String> {
+        let pos = positional(args);
+        let path = pos.first().ok_or("perfetto needs a trace file")?;
+        let doc = load(path)?;
+        let out = out_path(args, "perfetto")?;
+        std::fs::write(&out, perfetto::render(&doc)).map_err(|e| format!("write {out}: {e}"))?;
+        eprintln!("wrote {out} ({} events)", doc.events.len());
         Ok(())
     };
     match run() {

@@ -1,15 +1,17 @@
 //! The self-contained trace interchange model.
 //!
 //! A [`TraceDoc`] is everything the analyses need, detached from the live
-//! simulator: component names, the span/flow event stream, and (when the
-//! run enabled metric windows) the windowed counter/histogram series.
-//! It is built from a finished cluster ([`TraceDoc::from_cluster`]) and
-//! round-trips losslessly through the `accl-obs-trace-v1` JSON form in
-//! [`crate::json`]. All times are integer picoseconds.
+//! simulator: component names, the span/flow event stream with its
+//! attributes, and (when the run enabled metric windows) the windowed
+//! counter/histogram series. It is built from a finished cluster
+//! ([`TraceDoc::from_cluster`]) and round-trips losslessly through the
+//! `accl-obs-trace-v1` JSON form in [`crate::json`]. All times are
+//! integer picoseconds. It is the one run artifact: the Chrome/Perfetto
+//! JSON is a rendering of it ([`crate::perfetto`]).
 
 use accl_core::AcclCluster;
 use accl_sim::stats::{Histogram, Stats};
-use accl_sim::trace::{SpanEvent, SpanEventKind};
+use accl_sim::trace::{AttrValue, SpanEvent, SpanEventKind};
 
 /// Schema tag written into (and required from) every serialized trace.
 pub const SCHEMA: &str = "accl-obs-trace-v1";
@@ -58,6 +60,15 @@ impl ObsKind {
     }
 }
 
+/// An owned span attribute value: the mirror of [`AttrValue`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ObsValue {
+    /// An unsigned quantity.
+    U64(u64),
+    /// A label.
+    Str(String),
+}
+
 /// One span or flow event, owned (no `'static` name borrows) so a parsed
 /// trace is indistinguishable from a freshly captured one.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -75,6 +86,8 @@ pub struct ObsEvent {
     pub comp: u32,
     /// Span name (`layer.stage` convention).
     pub name: String,
+    /// The span's `key = value` attributes, in recording order.
+    pub attrs: Vec<(String, ObsValue)>,
 }
 
 /// Integer summary of one [`Histogram`] inside one window: enough for the
@@ -211,6 +224,17 @@ impl TraceDoc {
                 parent: e.parent.0,
                 comp: e.comp.index() as u32,
                 name: e.name.to_string(),
+                attrs: e
+                    .attrs
+                    .iter()
+                    .map(|a| {
+                        let value = match a.value {
+                            AttrValue::U64(v) => ObsValue::U64(v),
+                            AttrValue::Str(s) => ObsValue::Str(s.to_string()),
+                        };
+                        (a.key.to_string(), value)
+                    })
+                    .collect(),
             })
             .collect();
         let queue = match cluster.sim.queue_kind() {

@@ -270,6 +270,7 @@ mod tests {
             parent: 0,
             comp,
             name: name.to_string(),
+            attrs: vec![],
         }
     }
 

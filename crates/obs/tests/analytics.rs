@@ -13,12 +13,16 @@
 //!    component, span type and rank;
 //!  - windowed metrics are identical across event-queue kinds;
 //!  - a captured document round-trips bit-exactly through the JSON
-//!    interchange form.
+//!    interchange form;
+//!  - the Perfetto rendering of a capture has one complete event per
+//!    matched span and one event per flow side.
 
 use accl_core::{AcclCluster, BufLoc, ClusterConfig, CollOp, CollSpec, DType, SyncProto};
+use std::collections::BTreeSet;
+
 use accl_obs::{
-    attribute, capture, critical_path, critical_path_digest, diff_attributions, json, Attribution,
-    CaptureConfig, CriticalPath, SpanGraph, TraceDoc, Workload,
+    attribute, capture, critical_path, critical_path_digest, diff_attributions, json, perfetto,
+    Attribution, CaptureConfig, CriticalPath, ObsKind, SpanGraph, TraceDoc, Workload,
 };
 use accl_sim::prelude::*;
 
@@ -243,6 +247,35 @@ fn captured_trace_round_trips_through_json() {
         critical_path_digest(&paths_a),
         critical_path_digest(&paths_b)
     );
+}
+
+#[test]
+fn perfetto_rendering_has_one_event_per_span_and_flow_side() {
+    let doc = capture(&CaptureConfig::default());
+    let ended: BTreeSet<u64> = doc
+        .events
+        .iter()
+        .filter(|e| e.kind == ObsKind::End)
+        .map(|e| e.id)
+        .collect();
+    let count = |kind: ObsKind| doc.events.iter().filter(|e| e.kind == kind).count();
+    let matched = doc
+        .events
+        .iter()
+        .filter(|e| e.kind == ObsKind::Begin && ended.contains(&e.id))
+        .count();
+    let text = perfetto::render(&doc);
+    let phase = |ph: &str| {
+        text.lines()
+            .filter(|l| l.starts_with(&format!("{{\"ph\": \"{ph}\"")))
+            .count()
+    };
+    assert!(matched > 0 && count(ObsKind::FlowBegin) > 0);
+    assert_eq!(phase("X"), matched);
+    assert_eq!(phase("B"), count(ObsKind::Begin) - matched);
+    assert_eq!(phase("s"), count(ObsKind::FlowBegin));
+    assert_eq!(phase("f"), count(ObsKind::FlowEnd));
+    assert_eq!(phase("i"), count(ObsKind::Instant));
 }
 
 #[test]

@@ -551,7 +551,7 @@ impl PoeIo {
             ctx.now() + self.latency,
             &[Attr {
                 key: "bytes",
-                value: AttrValue::Bytes(bytes),
+                value: AttrValue::U64(bytes),
             }],
         )
     }

@@ -176,7 +176,7 @@ pub fn write(value: &Json) -> String {
 /// `\r` use their short forms, and every other C0 control character is
 /// written as `\u00XX`. This is the one string escaper for every JSON
 /// writer in the workspace, including the ones that format their own
-/// numbers (the Chrome trace exporter, the kernel micro-benchmark).
+/// numbers (the `accl-obs` Perfetto renderer, the kernel micro-benchmark).
 pub fn quote(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');

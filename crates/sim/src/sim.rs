@@ -213,14 +213,14 @@ impl Ctx<'_> {
 
     /// Closes span `id` at the current time. No-op for [`SpanId::NONE`].
     pub fn span_end(&mut self, id: SpanId) {
-        self.spans.end(self.now, self.self_id, id, &[]);
+        self.spans.end(self.now, self.self_id, id);
     }
 
     /// Closes span `id` at `at` — which may lie in the simulated future,
     /// for work whose completion time is already reserved (a [`crate::pipe::Pipe`]
     /// reservation's end).
     pub fn span_end_at(&mut self, id: SpanId, at: Time) {
-        self.spans.end(at, self.self_id, id, &[]);
+        self.spans.end(at, self.self_id, id);
     }
 
     /// Records a complete `[start, end]` span in one call (both times may

@@ -7,10 +7,11 @@
 //! ([`crate::sim::Ctx::span_begin`] / [`crate::sim::Ctx::span_end`]), link
 //! them causally by carrying a [`SpanId`] in payloads, and attach typed
 //! [`AttrValue`] attributes. A single collective then yields a complete
-//! multi-rank timeline exportable as Chrome/Perfetto `trace_event` JSON
-//! ([`chrome_trace_json`]). Latency attribution over that timeline is the
-//! `accl-obs` critical-path walk, which charges each interval of a
-//! collective to the span (and so the component) that set it.
+//! multi-rank timeline. The kernel owns no export format: `accl-obs`
+//! snapshots the ring into its `TraceDoc` run artifact, renders that as
+//! Chrome/Perfetto `trace_event` JSON (`accl-obs perfetto`), and walks
+//! its critical path, which charges each interval of a collective to the
+//! span (and so the component) that set it.
 //!
 //! # Determinism contract
 //!
@@ -39,8 +40,7 @@ use std::collections::BTreeMap;
 
 use crate::digest::{fnv1a, FNV_OFFSET, FNV_PRIME};
 use crate::event::ComponentId;
-use crate::json::quote;
-use crate::time::{Dur, Time};
+use crate::time::Time;
 
 /// Identity of one span. `SpanId::NONE` (zero) means "no span" — the
 /// parent of a root span, or any id produced while tracing is disabled.
@@ -74,8 +74,8 @@ impl SpanId {
 /// but when the handoff crosses ranks the consumer may also causally
 /// depend on state owned by another chain.
 /// Emit with [`crate::sim::Ctx::flow_begin`], join with
-/// [`crate::sim::Ctx::flow_end`]; exporters render them as Chrome `s`/`f`
-/// flow arrows and `accl-obs` treats them as extra DAG edges.
+/// [`crate::sim::Ctx::flow_end`]; `accl-obs` treats them as extra DAG
+/// edges and renders them as Chrome `s`/`f` flow arrows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct FlowId(pub u64);
 
@@ -93,16 +93,10 @@ impl FlowId {
 /// sim-visible code and must not introduce platform-dependent rounding.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AttrValue {
-    /// An unsigned quantity (counts, lengths, ranks, tickets).
+    /// An unsigned quantity (byte counts, lengths, ranks, tickets).
     U64(u64),
-    /// A signed quantity.
-    I64(i64),
     /// A static label (op names, protocol names).
     Str(&'static str),
-    /// A byte count (rendered with a unit by exporters).
-    Bytes(u64),
-    /// A duration.
-    Dur(Dur),
 }
 
 impl From<u64> for AttrValue {
@@ -123,21 +117,9 @@ impl From<u16> for AttrValue {
     }
 }
 
-impl From<i64> for AttrValue {
-    fn from(v: i64) -> Self {
-        AttrValue::I64(v)
-    }
-}
-
 impl From<&'static str> for AttrValue {
     fn from(v: &'static str) -> Self {
         AttrValue::Str(v)
-    }
-}
-
-impl From<Dur> for AttrValue {
-    fn from(v: Dur) -> Self {
-        AttrValue::Dur(v)
     }
 }
 
@@ -172,7 +154,7 @@ pub enum SpanEventKind {
 pub struct SpanEvent {
     /// Simulated time of the event. Interval spans recorded via
     /// [`crate::sim::Ctx::span_interval`] may carry times in the simulated
-    /// future (a pipe reservation's end); exporters sort by time.
+    /// future (a pipe reservation's end), so ring order is not time order.
     pub time: Time,
     /// Whether this opens, closes, or marks.
     pub kind: SpanEventKind,
@@ -185,7 +167,7 @@ pub struct SpanEvent {
     pub comp: ComponentId,
     /// Span name (`layer.stage` convention, e.g. `"uc.call"`).
     pub name: &'static str,
-    /// Typed attributes attached at this event.
+    /// Typed attributes (only `Begin` and `Instant` carry any).
     pub attrs: Vec<Attr>,
 }
 
@@ -302,12 +284,12 @@ impl SpanRecorder {
 
     /// Records a span closing at `time`. No-op for [`SpanId::NONE`].
     #[inline]
-    pub(crate) fn end(&mut self, time: Time, comp: ComponentId, id: SpanId, attrs: &[Attr]) {
+    pub(crate) fn end(&mut self, time: Time, comp: ComponentId, id: SpanId) {
         if !self.enabled || id.is_none() {
             return;
         }
         let none = SpanId::NONE;
-        self.record(time, SpanEventKind::End, comp, "", Some(id), none, attrs);
+        self.record(time, SpanEventKind::End, comp, "", Some(id), none, &[]);
     }
 
     /// Records a point event at `time`.
@@ -379,7 +361,7 @@ impl SpanRecorder {
     ) -> SpanId {
         debug_assert!(end >= start, "inverted span interval");
         let id = self.begin(start, comp, name, parent, attrs);
-        self.end(end, comp, id, &[]);
+        self.end(end, comp, id);
         id
     }
 
@@ -531,177 +513,6 @@ pub fn max_span_depth(events: &[SpanEvent]) -> usize {
         max = max.max(depth);
     }
     max
-}
-
-fn attr_json(v: &AttrValue) -> String {
-    match v {
-        AttrValue::U64(n) | AttrValue::Bytes(n) => format!("{n}"),
-        AttrValue::I64(n) => format!("{n}"),
-        AttrValue::Str(s) => quote(s),
-        AttrValue::Dur(d) => format!("\"{d}\""),
-    }
-}
-
-fn args_json(attrs: &[Attr]) -> String {
-    if attrs.is_empty() {
-        return String::new();
-    }
-    let body: Vec<String> = attrs
-        .iter()
-        .map(|a| format!("{}: {}", quote(a.key), attr_json(&a.value)))
-        .collect();
-    format!(", \"args\": {{{}}}", body.join(", "))
-}
-
-/// `pid` for the Chrome export: ranks (components named `n<r>.…`) map to
-/// process `r`; everything else (harness components) to `u32::MAX`.
-fn pid_of(name: &str) -> u32 {
-    name.strip_prefix('n')
-        .and_then(|rest| rest.split('.').next())
-        .and_then(|digits| digits.parse::<u32>().ok())
-        .unwrap_or(u32::MAX)
-}
-
-/// Exports the simulator's span ring as Chrome/Perfetto `trace_event` JSON
-/// (the `{"traceEvents": […]}` object form). Matched begin/end pairs
-/// become complete (`"ph": "X"`) events; instants become `"ph": "i"`;
-/// an unmatched begin (still-open span, or its end was evicted from the
-/// ring) becomes a `"ph": "B"` without an `E`, which Perfetto renders as
-/// unterminated. Timestamps are microseconds (the format's unit), emitted
-/// with picosecond precision.
-pub fn chrome_trace_json(sim: &crate::sim::Simulator) -> String {
-    let events = sim.span_events();
-    // Pair Begin/End by id (ids are unique by construction).
-    let mut ends: BTreeMap<SpanId, Time> = BTreeMap::new();
-    for e in &events {
-        if e.kind == SpanEventKind::End {
-            ends.insert(e.id, e.time);
-        }
-    }
-    let ts = |t: Time| -> String {
-        let ps = t.as_ps();
-        format!("{}.{:06}", ps / 1_000_000, ps % 1_000_000)
-    };
-    let mut out = String::from("{\"displayTimeUnit\": \"ns\", \"traceEvents\": [\n");
-    let mut first = true;
-    let mut push = |line: String, out: &mut String| {
-        if !first {
-            out.push_str(",\n");
-        }
-        first = false;
-        out.push_str(&line);
-    };
-    // Process/thread naming metadata.
-    let mut named: BTreeMap<(u32, u32), &str> = BTreeMap::new();
-    for e in &events {
-        let name = sim.name(e.comp);
-        named
-            .entry((pid_of(name), e.comp.index() as u32))
-            .or_insert(name);
-    }
-    let mut pids: Vec<u32> = named.keys().map(|&(p, _)| p).collect();
-    pids.dedup();
-    for pid in pids {
-        let label = if pid == u32::MAX {
-            "harness".to_string()
-        } else {
-            format!("rank {pid}")
-        };
-        push(
-            format!(
-                "{{\"ph\": \"M\", \"name\": \"process_name\", \"pid\": {pid}, \"tid\": 0, \
-                 \"args\": {{\"name\": \"{label}\"}}}}"
-            ),
-            &mut out,
-        );
-    }
-    for (&(pid, tid), name) in &named {
-        push(
-            format!(
-                "{{\"ph\": \"M\", \"name\": \"thread_name\", \"pid\": {pid}, \"tid\": {tid}, \
-                 \"args\": {{\"name\": {}}}}}",
-                quote(name)
-            ),
-            &mut out,
-        );
-    }
-    for e in &events {
-        let pid = pid_of(sim.name(e.comp));
-        let tid = e.comp.index() as u32;
-        let cat = e.name.split('.').next().unwrap_or("span");
-        match e.kind {
-            SpanEventKind::Begin => {
-                let common = format!(
-                    "\"name\": {}, \"cat\": {}, \"pid\": {}, \"tid\": {}, \
-                     \"ts\": {}{}",
-                    quote(e.name),
-                    quote(cat),
-                    pid,
-                    tid,
-                    ts(e.time),
-                    args_json(&e.attrs),
-                );
-                match ends.get(&e.id) {
-                    Some(&end) => {
-                        let dur_ps = end.as_ps().saturating_sub(e.time.as_ps());
-                        push(
-                            format!(
-                                "{{\"ph\": \"X\", {common}, \"dur\": {}.{:06}}}",
-                                dur_ps / 1_000_000,
-                                dur_ps % 1_000_000
-                            ),
-                            &mut out,
-                        );
-                    }
-                    None => push(format!("{{\"ph\": \"B\", {common}}}"), &mut out),
-                }
-            }
-            SpanEventKind::Instant => push(
-                format!(
-                    "{{\"ph\": \"i\", \"s\": \"t\", \"name\": {}, \"cat\": {}, \
-                     \"pid\": {}, \"tid\": {}, \"ts\": {}{}}}",
-                    quote(e.name),
-                    quote(cat),
-                    pid,
-                    tid,
-                    ts(e.time),
-                    args_json(&e.attrs),
-                ),
-                &mut out,
-            ),
-            // Chrome flow events: `s` (start) on the producing slice,
-            // `f` with `bp: "e"` (bind to enclosing slice end) on the
-            // consuming slice. Pairs share `cat`, `name`, and `id`; the
-            // id is the deterministic FlowId rendered in hex.
-            SpanEventKind::FlowBegin => push(
-                format!(
-                    "{{\"ph\": \"s\", \"id\": \"{:#x}\", \"name\": {}, \
-                     \"cat\": \"flow\", \"pid\": {}, \"tid\": {}, \"ts\": {}}}",
-                    e.id.0,
-                    quote(e.name),
-                    pid,
-                    tid,
-                    ts(e.time),
-                ),
-                &mut out,
-            ),
-            SpanEventKind::FlowEnd => push(
-                format!(
-                    "{{\"ph\": \"f\", \"bp\": \"e\", \"id\": \"{:#x}\", \"name\": {}, \
-                     \"cat\": \"flow\", \"pid\": {}, \"tid\": {}, \"ts\": {}}}",
-                    e.id.0,
-                    quote(e.name),
-                    pid,
-                    tid,
-                    ts(e.time),
-                ),
-                &mut out,
-            ),
-            SpanEventKind::End => {}
-        }
-    }
-    out.push_str("\n]}\n");
-    out
 }
 
 #[cfg(test)]

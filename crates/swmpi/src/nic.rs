@@ -164,7 +164,7 @@ impl SwNic {
                 req.span,
                 &[Attr {
                     key: "bytes",
-                    value: AttrValue::Bytes(total),
+                    value: AttrValue::U64(total),
                 }],
             );
         }
@@ -244,7 +244,7 @@ impl SwNic {
                 span,
                 &[Attr {
                     key: "bytes",
-                    value: AttrValue::Bytes(head.total),
+                    value: AttrValue::U64(head.total),
                 }],
             );
         }

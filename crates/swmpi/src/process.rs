@@ -254,7 +254,7 @@ impl MpiProcess {
                     },
                     Attr {
                         key: "bytes",
-                        value: AttrValue::Bytes(bytes),
+                        value: AttrValue::U64(bytes),
                     },
                     Attr {
                         key: "rank",
