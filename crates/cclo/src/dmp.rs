@@ -472,8 +472,9 @@ impl Dmp {
     }
 }
 
-/// Removes exactly `n` bytes from a chunk queue.
-fn take_bytes(q: &mut VecDeque<Bytes>, n: u64) -> Bytes {
+/// Removes exactly `n` bytes from a chunk queue: a slice of the head
+/// chunk when it holds them, else a gather across chunks.
+pub(crate) fn take_bytes(q: &mut VecDeque<Bytes>, n: u64) -> Bytes {
     let n = n as usize;
     let head = q.front_mut().expect("take from empty operand buffer");
     if head.len() > n {

@@ -34,12 +34,15 @@ pub mod fx32 {
 
 macro_rules! combine_as {
     ($ty:ty, $a:expr, $b:expr, $out:expr, $f:expr) => {{
-        let step = core::mem::size_of::<$ty>();
-        for (ca, cb) in $a.chunks_exact(step).zip($b.chunks_exact(step)) {
+        const STEP: usize = core::mem::size_of::<$ty>();
+        let lanes = $out
+            .chunks_exact_mut(STEP)
+            .zip($a.chunks_exact(STEP).zip($b.chunks_exact(STEP)));
+        for (co, (ca, cb)) in lanes {
             let va = <$ty>::from_le_bytes(ca.try_into().unwrap());
             let vb = <$ty>::from_le_bytes(cb.try_into().unwrap());
             let r: $ty = $f(va, vb);
-            $out.extend_from_slice(&r.to_le_bytes());
+            co.copy_from_slice(&r.to_le_bytes());
         }
     }};
 }
@@ -57,7 +60,7 @@ pub fn combine(dtype: DType, func: ReduceFn, a: &[u8], b: &[u8]) -> Bytes {
         0,
         "operand not a multiple of element size"
     );
-    let mut out = Vec::with_capacity(a.len());
+    let mut out = vec![0u8; a.len()];
     match (dtype, func) {
         (DType::U8, ReduceFn::Sum) => combine_as!(u8, a, b, out, |x: u8, y: u8| x.wrapping_add(y)),
         (DType::U8, ReduceFn::Max) => combine_as!(u8, a, b, out, |x: u8, y: u8| x.max(y)),

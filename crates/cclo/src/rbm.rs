@@ -20,6 +20,7 @@ use accl_sim::prelude::*;
 use accl_sim::trace::{Attr, AttrValue, SpanId};
 
 use crate::config::CcloConfig;
+use crate::dmp::take_bytes;
 use crate::msg::MsgSignature;
 use crate::rxsys::{RbmData, RbmMeta, RxMsgKey};
 
@@ -421,16 +422,17 @@ impl Rbm {
             );
             return;
         }
-        // Reassemble in offset order and emit datapath-paced chunks.
+        // Emit datapath-paced chunks straight from the pieces in offset
+        // order; only a chunk that straddles two pieces is gathered.
         let mut pieces = msg.pieces;
         pieces.sort_by_key(|(off, _)| *off);
-        let mut buf = Vec::with_capacity(msg.sig.payload_len as usize);
+        let mut payload = VecDeque::with_capacity(pieces.len());
+        let mut total = 0u64;
         for (off, data) in pieces {
-            assert_eq!(off as usize, buf.len(), "payload reassembly gap");
-            buf.extend_from_slice(&data);
+            assert_eq!(off, total, "payload reassembly gap");
+            total += data.len() as u64;
+            payload.push_back(data);
         }
-        let payload = Bytes::from(buf);
-        let total = payload.len() as u64;
         let mut off = 0u64;
         let mut last_end = start;
         while off < total {
@@ -443,7 +445,7 @@ impl Rbm {
                 RbmStream {
                     ticket: q.ticket,
                     offset: off,
-                    data: payload.slice(off as usize..(off + n) as usize),
+                    data: take_bytes(&mut payload, n),
                     last: off + n == total,
                 },
             );

@@ -315,12 +315,6 @@ impl Component for MemoryBus {
                 let (target, base, penalty) = self.resolve(req.addr, req.len);
                 self.record_tlb_delta(ctx, tlb_before);
                 let chunk = u64::from(self.cfg.chunk_bytes.max(1));
-                // One allocation per request; every chunk below is a
-                // refcounted slice of it.
-                let data = match target {
-                    MemTarget::Host => self.host.read_bytes(base, req.len as usize),
-                    MemTarget::Device => self.device.read_bytes(base, req.len as usize),
-                };
                 self.bytes_read += req.len;
                 let (counter, span_name) = leg_names(target, false);
                 ctx.stats().add(counter, req.len);
@@ -340,15 +334,20 @@ impl Component for MemoryBus {
                     );
                 }
                 // Deliver chunks pipelined: chunk i lands once its bytes have
-                // crossed the pipe, plus the access latency.
-                let mut off = 0u64;
+                // crossed the pipe, plus the access latency. Each chunk is
+                // read now, so it carries the bytes as of the request; one
+                // within a page is a slice of that page.
                 let t0 = pipe.next_free() - pipe.service_time(req.len);
+                let bw = pipe.bandwidth_bytes_per_sec();
+                let store = match target {
+                    MemTarget::Host => &self.host,
+                    MemTarget::Device => &self.device,
+                };
+                let mut off = 0u64;
                 while off < req.len {
                     let n = chunk.min(req.len - off);
                     let done_bytes = off + n;
-                    let at = t0
-                        + Dur::for_bytes_bw(done_bytes, pipe.bandwidth_bytes_per_sec())
-                        + latency;
+                    let at = t0 + Dur::for_bytes_bw(done_bytes, bw) + latency;
                     let last = done_bytes == req.len;
                     ctx.send_at(
                         req.data_to,
@@ -356,7 +355,7 @@ impl Component for MemoryBus {
                         MemChunk {
                             tag: req.tag,
                             offset: off,
-                            data: data.slice(off as usize..done_bytes as usize),
+                            data: store.read_bytes(base + off, n as usize),
                             last,
                         },
                     );
@@ -383,8 +382,8 @@ impl Component for MemoryBus {
                 let (target, base, penalty) = self.resolve(req.addr, len);
                 self.record_tlb_delta(ctx, tlb_before);
                 match target {
-                    MemTarget::Host => self.host.write(base, &req.data),
-                    MemTarget::Device => self.device.write(base, &req.data),
+                    MemTarget::Host => self.host.write_bytes(base, &req.data),
+                    MemTarget::Device => self.device.write_bytes(base, &req.data),
                 }
                 self.bytes_written += len;
                 let (counter, span_name) = leg_names(target, true);
@@ -532,6 +531,43 @@ mod tests {
         sim.run();
         let mb = sim.component::<Mailbox<MemChunk>>(chunks);
         assert_eq!(&mb.items()[0].1.data[..], b"hello accl");
+    }
+
+    #[test]
+    fn read_delivers_the_bytes_from_before_a_same_time_write() {
+        let (mut sim, bus, chunks, dones) = setup(MemBusConfig::default());
+        sim.component_mut::<MemoryBus>(bus)
+            .device_write(0x3000, &[1u8; PAGE_SIZE as usize]);
+        let read = MemReadReq {
+            addr: MemAddr::Phys(MemTarget::Device, 0x3000),
+            len: PAGE_SIZE,
+            data_to: Endpoint::of(chunks),
+            done_to: None,
+            tag: 0,
+            span: SpanId::NONE,
+        };
+        sim.post(Endpoint::new(bus, ports::READ), Time::ZERO, read);
+        // Same instant, posted second: it executes after the read, and
+        // its completion lands before the read's chunk does.
+        sim.post(
+            Endpoint::new(bus, ports::WRITE),
+            Time::ZERO,
+            MemWriteReq {
+                addr: MemAddr::Phys(MemTarget::Device, 0x3010),
+                data: Bytes::from(vec![2u8; 32]),
+                done_to: Some(Endpoint::of(dones)),
+                tag: 1,
+                span: SpanId::NONE,
+            },
+        );
+        sim.run();
+        let written = sim.component::<Mailbox<MemDone>>(dones).items()[0].0;
+        let mb = sim.component::<Mailbox<MemChunk>>(chunks);
+        assert!(written < mb.items()[0].0, "the write completes first");
+        assert_eq!(&mb.items()[0].1.data[..], &[1u8; PAGE_SIZE as usize][..]);
+        let after = sim.component::<MemoryBus>(bus).device_read(0x3000, 0x40);
+        assert_eq!(&after[0x10..0x30], &[2u8; 32]);
+        assert_eq!(&after[..0x10], &[1u8; 0x10]);
     }
 
     #[test]

@@ -118,8 +118,8 @@ impl MpiCluster {
     }
 
     /// The output buffer of rank `i` after the last run.
-    pub fn dst(&self, i: usize) -> Vec<u8> {
+    pub fn dst(&self, i: usize) -> &[u8] {
         let p = self.procs[i].expect("rank has not run yet");
-        self.sim.component::<MpiProcess>(p).dst().to_vec()
+        self.sim.component::<MpiProcess>(p).dst()
     }
 }

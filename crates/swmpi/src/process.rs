@@ -123,7 +123,8 @@ pub struct MpiProcess {
     // Current collective state.
     ops: VecDeque<FwOp>,
     pending: Vec<Pending>,
-    src: Vec<u8>,
+    /// The active call's input; reads of it are slices, not copies.
+    src: Bytes,
     dst: Vec<u8>,
     scratch: Vec<u8>,
     env: Option<FwEnv>,
@@ -162,7 +163,7 @@ impl MpiProcess {
             call_seq: 0,
             ops: VecDeque::new(),
             pending: Vec::new(),
-            src: Vec::new(),
+            src: Bytes::new(),
             dst: Vec::new(),
             scratch: Vec::new(),
             env: None,
@@ -225,7 +226,7 @@ impl MpiProcess {
 
     fn next_step(&mut self, ctx: &mut Ctx<'_>) {
         self.step_started = ctx.now();
-        let Some(op) = self.program.front().cloned() else {
+        let Some(op) = self.program.pop_front() else {
             self.running = false;
             self.finished_at = Some(ctx.now());
             return;
@@ -277,7 +278,7 @@ impl MpiProcess {
             dst: DataLoc::None,
         };
         let schedule = self.firmware.schedule(call.op, &env);
-        self.src = call.src;
+        self.src = Bytes::from(call.src);
         self.dst = vec![0; call.dst_len];
         self.scratch = vec![0; schedule.scratch_bytes as usize];
         self.ops = schedule.ops.into();
@@ -285,26 +286,22 @@ impl MpiProcess {
         self.try_progress(ctx);
     }
 
-    fn buf(&self, r: BufRef) -> &Vec<u8> {
+    fn read_buf(&self, r: BufRef, off: u64, len: u64) -> Bytes {
+        let range = off as usize..(off + len) as usize;
         match r {
-            BufRef::Src => &self.src,
-            BufRef::Dst => &self.dst,
-            BufRef::Scratch => &self.scratch,
+            BufRef::Src => self.src.slice(range),
+            BufRef::Dst => Bytes::copy_from_slice(&self.dst[range]),
+            BufRef::Scratch => Bytes::copy_from_slice(&self.scratch[range]),
         }
     }
 
-    fn read_buf(&self, r: BufRef, off: u64, len: u64) -> Bytes {
-        let b = self.buf(r);
-        Bytes::copy_from_slice(&b[off as usize..(off + len) as usize])
-    }
-
     fn write_buf(&mut self, r: BufRef, off: u64, data: &[u8]) {
-        let b = match r {
-            BufRef::Src => &mut self.src,
-            BufRef::Dst => &mut self.dst,
-            BufRef::Scratch => &mut self.scratch,
-        };
-        b[off as usize..off as usize + data.len()].copy_from_slice(data);
+        let range = off as usize..off as usize + data.len();
+        match r {
+            BufRef::Src => unreachable!("MPI schedules never write the input buffer"),
+            BufRef::Dst => self.dst[range].copy_from_slice(data),
+            BufRef::Scratch => self.scratch[range].copy_from_slice(data),
+        }
     }
 
     /// Whether an instruction's network inputs are available.
@@ -511,7 +508,6 @@ impl MpiProcess {
     }
 
     fn complete_step(&mut self, ctx: &mut Ctx<'_>) {
-        self.program.pop_front();
         self.records.push(MpiRecord {
             index: self.index,
             started: self.step_started,
