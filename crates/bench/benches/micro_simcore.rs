@@ -24,8 +24,8 @@ use accl_sim::prelude::*;
 use accl_sim::{trace_end, trace_span};
 
 /// Global allocator wrapper counting allocation calls, so the JSON report
-/// can track allocs/event — the metric the inline-payload and slab work
-/// is meant to drive toward zero.
+/// can track allocs/event. Each payload is one allocation, so a chain
+/// reads about 1.0 and the queue's own storage shows as the excess.
 struct CountingAlloc;
 
 static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
@@ -199,25 +199,42 @@ struct WorkloadResult {
 /// Times `work` (which returns the number of events it executed) over
 /// `reps` repetitions, reporting best-rep throughput and allocs/event.
 fn measure(name: &'static str, reps: u32, mut work: impl FnMut() -> u64) -> WorkloadResult {
-    // Warm-up rep, also used for the allocation count.
-    let allocs_before = ALLOC_CALLS.load(Ordering::Relaxed);
-    let events = work();
-    let allocs = ALLOC_CALLS.load(Ordering::Relaxed) - allocs_before;
+    let [row] = measure_interleaved(reps, [(name, &mut work)]);
+    row
+}
 
-    let mut best = Duration::MAX;
-    for _ in 0..reps {
-        let start = Instant::now();
-        let n = black_box(work());
-        let elapsed = start.elapsed();
-        assert_eq!(n, events, "workload {name} is not steady");
-        best = best.min(elapsed);
+/// [`measure`] for workloads whose rates are compared with each other:
+/// their timed reps alternate in one loop (`a b`, then `b a`, ...), so a
+/// slow stretch of the machine hits every row alike instead of whichever
+/// ran last.
+fn measure_interleaved<const N: usize>(
+    reps: u32,
+    rows: [(&'static str, &mut dyn FnMut() -> u64); N],
+) -> [WorkloadResult; N] {
+    // Warm-up rep, also used for the allocation count.
+    let mut rows = rows.map(|(name, work)| {
+        let allocs_before = ALLOC_CALLS.load(Ordering::Relaxed);
+        let events = work();
+        let allocs = ALLOC_CALLS.load(Ordering::Relaxed) - allocs_before;
+        (name, work, events, allocs, Duration::MAX)
+    });
+    for rep in 0..reps {
+        for k in 0..N {
+            let i = if rep % 2 == 0 { k } else { N - 1 - k };
+            let (name, work, events, _, best) = &mut rows[i];
+            let start = Instant::now();
+            let n = black_box(work());
+            let elapsed = start.elapsed();
+            assert_eq!(n, *events, "workload {name} is not steady");
+            *best = (*best).min(elapsed);
+        }
     }
-    WorkloadResult {
+    rows.map(|(name, _, events, allocs, best)| WorkloadResult {
         name,
         events,
         events_per_sec: events as f64 / best.as_secs_f64(),
         allocs_per_event: allocs as f64 / events as f64,
-    }
+    })
 }
 
 /// Runs a self-chain from one seed event; returns the events executed.
@@ -308,6 +325,9 @@ fn emit_json(results: &[WorkloadResult], quick: bool) {
         "  \"mode\": \"{}\",\n",
         if quick { "quick" } else { "full" }
     ));
+    // CPUs this process may run on: a `taskset` pin makes it 1.
+    let host_cpus = std::thread::available_parallelism().map_or(0, |n| n.get());
+    out.push_str(&format!("  \"host_cpus\": {host_cpus},\n"));
     out.push_str(
         "  \"baseline_note\": \"pre-overhaul kernel: BinaryHeap + boxed payloads + copied chunks\",\n",
     );
@@ -374,17 +394,26 @@ fn main() {
     // their ratio within 2%, and a shorter chain (a few ms) is noisier
     // than that.
     let chain_n = 1_000_000u64;
+    // CI gates `chain_1m_spans_off` within 2% of `chain_1m_events` of the
+    // same run, so the two rows are measured interleaved.
+    let chain_10k = measure("chain_10k_events", reps, || {
+        run_chain(SelfChain { remaining: 10_000 })
+    });
+    let [chain_1m, spans_off] = measure_interleaved(
+        reps,
+        [
+            ("chain_1m_events", &mut || {
+                run_chain(SelfChain { remaining: chain_n })
+            }),
+            ("chain_1m_spans_off", &mut || {
+                run_chain(SpannedChain { remaining: chain_n })
+            }),
+        ],
+    );
     let results = vec![
-        measure("chain_10k_events", reps, || {
-            run_chain(SelfChain { remaining: 10_000 })
-        }),
-        measure("chain_1m_events", reps, move || {
-            run_chain(SelfChain { remaining: chain_n })
-        }),
-        // CI gates this row within 2% of `chain_1m_events` of the same run.
-        measure("chain_1m_spans_off", reps, move || {
-            run_chain(SpannedChain { remaining: chain_n })
-        }),
+        chain_10k,
+        chain_1m,
+        spans_off,
         measure("mixed_near_far_256k", reps, move || mixed_near_far(mix_n)),
         measure("post_then_drain_100k", reps, move || {
             post_then_drain(drain_n)

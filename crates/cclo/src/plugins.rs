@@ -47,7 +47,28 @@ macro_rules! combine_as {
     }};
 }
 
+/// `r`, with every NaN replaced by the one canonical quiet NaN. Which
+/// operand's payload a float op propagates is left to the code generator,
+/// so debug and release builds could otherwise disagree bit for bit.
+fn canon32(r: f32) -> f32 {
+    if r.is_nan() {
+        f32::NAN
+    } else {
+        r
+    }
+}
+
+/// [`canon32`] for `f64`.
+fn canon64(r: f64) -> f64 {
+    if r.is_nan() {
+        f64::NAN
+    } else {
+        r
+    }
+}
+
 /// Applies `func` elementwise over two equal-length byte buffers of `dtype`.
+/// Float results that are NaN come out as the canonical `NAN`.
 ///
 /// # Panics
 ///
@@ -84,14 +105,26 @@ pub fn combine(dtype: DType, func: ReduceFn, a: &[u8], b: &[u8]) -> Bytes {
         (DType::I64, ReduceFn::Prod) => {
             combine_as!(i64, a, b, out, |x: i64, y: i64| x.wrapping_mul(y))
         }
-        (DType::F32, ReduceFn::Sum) => combine_as!(f32, a, b, out, |x: f32, y: f32| x + y),
-        (DType::F32, ReduceFn::Max) => combine_as!(f32, a, b, out, |x: f32, y: f32| x.max(y)),
-        (DType::F32, ReduceFn::Min) => combine_as!(f32, a, b, out, |x: f32, y: f32| x.min(y)),
-        (DType::F32, ReduceFn::Prod) => combine_as!(f32, a, b, out, |x: f32, y: f32| x * y),
-        (DType::F64, ReduceFn::Sum) => combine_as!(f64, a, b, out, |x: f64, y: f64| x + y),
-        (DType::F64, ReduceFn::Max) => combine_as!(f64, a, b, out, |x: f64, y: f64| x.max(y)),
-        (DType::F64, ReduceFn::Min) => combine_as!(f64, a, b, out, |x: f64, y: f64| x.min(y)),
-        (DType::F64, ReduceFn::Prod) => combine_as!(f64, a, b, out, |x: f64, y: f64| x * y),
+        (DType::F32, ReduceFn::Sum) => combine_as!(f32, a, b, out, |x: f32, y: f32| canon32(x + y)),
+        (DType::F32, ReduceFn::Max) => {
+            combine_as!(f32, a, b, out, |x: f32, y: f32| canon32(x.max(y)))
+        }
+        (DType::F32, ReduceFn::Min) => {
+            combine_as!(f32, a, b, out, |x: f32, y: f32| canon32(x.min(y)))
+        }
+        (DType::F32, ReduceFn::Prod) => {
+            combine_as!(f32, a, b, out, |x: f32, y: f32| canon32(x * y))
+        }
+        (DType::F64, ReduceFn::Sum) => combine_as!(f64, a, b, out, |x: f64, y: f64| canon64(x + y)),
+        (DType::F64, ReduceFn::Max) => {
+            combine_as!(f64, a, b, out, |x: f64, y: f64| canon64(x.max(y)))
+        }
+        (DType::F64, ReduceFn::Min) => {
+            combine_as!(f64, a, b, out, |x: f64, y: f64| canon64(x.min(y)))
+        }
+        (DType::F64, ReduceFn::Prod) => {
+            combine_as!(f64, a, b, out, |x: f64, y: f64| canon64(x * y))
+        }
         (DType::Fx32, ReduceFn::Sum) => {
             combine_as!(i32, a, b, out, |x: i32, y: i32| x.saturating_add(y))
         }

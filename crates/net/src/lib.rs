@@ -16,7 +16,6 @@ pub mod fault;
 pub mod frame;
 pub mod switch;
 pub mod topology;
-pub mod twotier;
 
 pub use fault::{
     ChaosProfile, Degradation, FaultAction, FaultEvent, FaultPlan, FaultPlanGen, LinkSchedule,
@@ -27,4 +26,3 @@ pub use switch::{
     NetPort, OverloadPolicy, PauseFrame, PortCounters, Reincarnate, RxSelector, Switch,
 };
 pub use topology::{NetConfig, Network};
-pub use twotier::TwoTierNetwork;

@@ -6,23 +6,15 @@
 //! protocol engines, ...) can define their own message types without the
 //! kernel knowing about them.
 //!
-//! Payloads use a small-value optimization: values of at most
-//! [`INLINE_PAYLOAD_WORDS`] machine words (and word alignment) are stored
-//! inline in the `Payload` itself, so small events such as timer ticks and
-//! credits never touch the allocator. Larger or over-aligned values fall
-//! back to boxing. At three words (24 bytes on 64-bit targets), every
-//! event carrying a refcounted `Bytes` window is boxed: memory chunks
-//! (48 bytes), read and write requests (64 and 72 bytes) and network
-//! frames (88 bytes). The typed-downcast API is identical for both
-//! representations.
+//! A payload is one boxed value plus its type name and an optional clone
+//! hook, whatever the value's size: each payload allocates once (a
+//! zero-sized value does not). There is no inline form for small values:
+//! on the perfbench workloads only 1.6–28.9% of deliveries carry a value
+//! of three words or less, too few to pay for the `unsafe` code such a
+//! form needs (DESIGN.md, "Simulator kernel performance model").
 
-use core::any::{Any, TypeId};
+use core::any::Any;
 use core::fmt;
-use core::mem::{align_of, size_of, ManuallyDrop, MaybeUninit};
-
-/// Number of machine words a payload value may occupy and still be stored
-/// inline (without boxing).
-pub const INLINE_PAYLOAD_WORDS: usize = 3;
 
 /// Identifies a component registered with the simulator.
 #[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -98,158 +90,16 @@ impl fmt::Debug for Endpoint {
     }
 }
 
-/// Per-type metadata for inline payloads, promoted to a `'static` constant
-/// per monomorphization so an [`InlineValue`] carries a single pointer of
-/// runtime type information.
-struct PayloadMeta {
-    type_id: fn() -> TypeId,
-    type_name: fn() -> &'static str,
-    drop_fn: unsafe fn(*mut u8),
-    /// Clones the stored value from `src` into `dst` (both valid, aligned
-    /// `T` slots). Present only for payloads built via
-    /// [`Payload::cloneable`]; `Payload::new` cannot observe `T: Clone`.
-    clone_fn: Option<unsafe fn(*const u8, *mut u8)>,
-}
+/// Clone hook of a payload; `None` unless built via [`Payload::cloneable`].
+type CloneFn = Option<fn(&(dyn Any + Send)) -> Payload>;
 
-trait HasPayloadMeta {
-    const META: PayloadMeta;
-}
-
-impl<T: 'static> HasPayloadMeta for T {
-    const META: PayloadMeta = PayloadMeta {
-        type_id: TypeId::of::<T>,
-        type_name: core::any::type_name::<T>,
-        drop_fn: drop_in_place_erased::<T>,
-        clone_fn: None,
-    };
-}
-
-trait HasCloneablePayloadMeta {
-    const META: PayloadMeta;
-}
-
-impl<T: 'static + Clone> HasCloneablePayloadMeta for T {
-    const META: PayloadMeta = PayloadMeta {
-        type_id: TypeId::of::<T>,
-        type_name: core::any::type_name::<T>,
-        drop_fn: drop_in_place_erased::<T>,
-        clone_fn: Some(clone_in_place_erased::<T>),
-    };
-}
-
-/// Inline storage for small payload values: raw word-aligned bytes plus a
-/// pointer to just enough runtime type information to check, drop and move
-/// out the stored value.
-///
-/// Invariants (upheld by [`Payload::new`]):
-/// - `buf` holds a valid `T` with `meta == &<T as HasPayloadMeta>::META`,
-///   `size_of::<T>() <= INLINE_PAYLOAD_WORDS * word` and
-///   `align_of::<T>() <= align_of::<usize>()`;
-/// - `T: Send`, so the auto-derived `Send` for the raw storage is sound.
-struct InlineValue {
-    buf: MaybeUninit<[usize; INLINE_PAYLOAD_WORDS]>,
-    meta: &'static PayloadMeta,
-}
-
-unsafe fn drop_in_place_erased<T>(p: *mut u8) {
-    unsafe { core::ptr::drop_in_place(p.cast::<T>()) }
-}
-
-unsafe fn clone_in_place_erased<T: Clone>(src: *const u8, dst: *mut u8) {
-    unsafe { dst.cast::<T>().write((*src.cast::<T>()).clone()) }
-}
-
-fn clone_boxed_erased<T: Any + Send + Clone>(v: &(dyn Any + Send)) -> Payload {
+fn clone_erased<T: Any + Send + Clone>(v: &(dyn Any + Send)) -> Payload {
     Payload::cloneable(
         v.downcast_ref::<T>()
-            .expect("boxed clone fn called on wrong type")
+            .expect("clone hook called on wrong type")
             .clone(),
     )
 }
-
-impl InlineValue {
-    /// Whether a `T` qualifies for inline storage.
-    const fn fits<T>() -> bool {
-        size_of::<T>() <= INLINE_PAYLOAD_WORDS * size_of::<usize>()
-            && align_of::<T>() <= align_of::<usize>()
-    }
-
-    fn new<T: Any + Send>(value: T) -> InlineValue {
-        InlineValue::with_meta(value, &<T as HasPayloadMeta>::META)
-    }
-
-    fn new_cloneable<T: Any + Send + Clone>(value: T) -> InlineValue {
-        InlineValue::with_meta(value, &<T as HasCloneablePayloadMeta>::META)
-    }
-
-    fn with_meta<T: Any + Send>(value: T, meta: &'static PayloadMeta) -> InlineValue {
-        debug_assert!(InlineValue::fits::<T>());
-        let mut buf = MaybeUninit::<[usize; INLINE_PAYLOAD_WORDS]>::uninit();
-        // SAFETY: `fits` guarantees size and alignment; the value is moved
-        // into the buffer and ownership is tracked by `InlineValue`'s Drop.
-        unsafe { buf.as_mut_ptr().cast::<T>().write(value) };
-        InlineValue { buf, meta }
-    }
-
-    /// Clones the stored value into a fresh `InlineValue`, if the stored
-    /// type registered a clone fn (built via [`Payload::cloneable`]).
-    fn try_clone(&self) -> Option<InlineValue> {
-        let clone_fn = self.meta.clone_fn?;
-        let mut buf = MaybeUninit::<[usize; INLINE_PAYLOAD_WORDS]>::uninit();
-        // SAFETY: `clone_fn` matches the stored type per invariants; the
-        // destination buffer has the same size/alignment as the source.
-        unsafe {
-            clone_fn(
-                self.buf.as_ptr().cast::<u8>(),
-                buf.as_mut_ptr().cast::<u8>(),
-            )
-        };
-        Some(InlineValue {
-            buf,
-            meta: self.meta,
-        })
-    }
-
-    fn is<T: Any>(&self) -> bool {
-        // Same monomorphization usually means the same promoted META
-        // constant; the pointer comparison is the hot-path win and the
-        // `TypeId` call covers duplicate instantiations across codegen
-        // units.
-        core::ptr::eq(self.meta, &<T as HasPayloadMeta>::META)
-            || (self.meta.type_id)() == TypeId::of::<T>()
-    }
-
-    fn peek<T: Any>(&self) -> Option<&T> {
-        // SAFETY: type checked; buffer holds a valid `T` per invariants.
-        self.is::<T>()
-            .then(|| unsafe { &*self.buf.as_ptr().cast::<T>() })
-    }
-
-    /// Moves the stored value out. Caller must have checked `is::<T>()`.
-    fn take<T: Any>(self) -> T {
-        debug_assert!(self.is::<T>());
-        let this = ManuallyDrop::new(self);
-        // SAFETY: type checked by the caller; `ManuallyDrop` suppresses the
-        // destructor so the value is not dropped after being read out.
-        unsafe { this.buf.as_ptr().cast::<T>().read() }
-    }
-}
-
-impl Drop for InlineValue {
-    fn drop(&mut self) {
-        // SAFETY: `drop_fn` matches the stored type per invariants.
-        unsafe { (self.meta.drop_fn)(self.buf.as_mut_ptr().cast::<u8>()) }
-    }
-}
-
-enum Repr {
-    Inline(InlineValue),
-    Boxed(Box<dyn Any + Send>, &'static str, BoxedCloneFn),
-}
-
-/// Clone hook for boxed payloads; `None` unless built via
-/// [`Payload::cloneable`].
-type BoxedCloneFn = Option<fn(&(dyn Any + Send)) -> Payload>;
 
 /// A type-erased event payload.
 ///
@@ -258,24 +108,21 @@ type BoxedCloneFn = Option<fn(&(dyn Any + Send)) -> Payload>;
 /// [`Payload::peek`] (borrowing). Downcasting to the wrong type is a
 /// programming error and panics with the expected/actual type names, which
 /// in practice pinpoints mis-wired endpoints immediately.
-///
-/// Values of at most [`INLINE_PAYLOAD_WORDS`] words are stored inline
-/// (no allocation); larger values are boxed. The distinction is not
-/// observable through the API.
 pub struct Payload {
-    repr: Repr,
+    value: Box<dyn Any + Send>,
+    type_name: &'static str,
+    clone_fn: CloneFn,
 }
 
 impl Payload {
     /// Wraps `value` into a type-erased payload.
     #[inline]
     pub fn new<T: Any + Send>(value: T) -> Self {
-        let repr = if InlineValue::fits::<T>() {
-            Repr::Inline(InlineValue::new(value))
-        } else {
-            Repr::Boxed(Box::new(value), core::any::type_name::<T>(), None)
-        };
-        Payload { repr }
+        Payload {
+            value: Box::new(value),
+            type_name: core::any::type_name::<T>(),
+            clone_fn: None,
+        }
     }
 
     /// Wraps `value` into a type-erased payload that supports
@@ -284,48 +131,26 @@ impl Payload {
     /// hook (used e.g. by fault injection to duplicate frames in flight).
     #[inline]
     pub fn cloneable<T: Any + Send + Clone>(value: T) -> Self {
-        let repr = if InlineValue::fits::<T>() {
-            Repr::Inline(InlineValue::new_cloneable(value))
-        } else {
-            Repr::Boxed(
-                Box::new(value),
-                core::any::type_name::<T>(),
-                Some(clone_boxed_erased::<T>),
-            )
-        };
-        Payload { repr }
+        Payload {
+            clone_fn: Some(clone_erased::<T>),
+            ..Payload::new(value)
+        }
     }
 
     /// Deep-clones the payload, if it was built via [`Payload::cloneable`].
     /// Returns `None` for payloads without a registered clone hook.
     pub fn try_clone(&self) -> Option<Payload> {
-        match &self.repr {
-            Repr::Inline(v) => v.try_clone().map(|v| Payload {
-                repr: Repr::Inline(v),
-            }),
-            Repr::Boxed(b, _, clone_fn) => clone_fn.map(|f| f(&**b)),
-        }
+        self.clone_fn.map(|f| f(&*self.value))
     }
 
     /// Whether [`Payload::try_clone`] would succeed.
     pub fn is_cloneable(&self) -> bool {
-        match &self.repr {
-            Repr::Inline(v) => v.meta.clone_fn.is_some(),
-            Repr::Boxed(_, _, clone_fn) => clone_fn.is_some(),
-        }
+        self.clone_fn.is_some()
     }
 
     /// The `type_name` of the wrapped value (for diagnostics/tracing).
     pub fn type_name(&self) -> &'static str {
-        match &self.repr {
-            Repr::Inline(v) => (v.meta.type_name)(),
-            Repr::Boxed(_, name, _) => name,
-        }
-    }
-
-    /// Whether the wrapped value is stored inline (no heap allocation).
-    pub fn is_inline(&self) -> bool {
-        matches!(self.repr, Repr::Inline(_))
+        self.type_name
     }
 
     /// Recovers the concrete payload value.
@@ -348,32 +173,20 @@ impl Payload {
     /// Attempts to recover the concrete payload value, returning `self` back on mismatch.
     #[inline]
     pub fn try_downcast<T: Any>(self) -> Result<T, Payload> {
-        match self.repr {
-            Repr::Inline(v) if v.is::<T>() => Ok(v.take()),
-            Repr::Boxed(b, name, clone_fn) => match b.downcast::<T>() {
-                Ok(b) => Ok(*b),
-                Err(inner) => Err(Payload {
-                    repr: Repr::Boxed(inner, name, clone_fn),
-                }),
-            },
-            repr => Err(Payload { repr }),
+        match self.value.downcast::<T>() {
+            Ok(v) => Ok(*v),
+            Err(value) => Err(Payload { value, ..self }),
         }
     }
 
     /// Borrows the payload as a `T` if it is one.
     pub fn peek<T: Any>(&self) -> Option<&T> {
-        match &self.repr {
-            Repr::Inline(v) => v.peek::<T>(),
-            Repr::Boxed(b, _, _) => b.downcast_ref::<T>(),
-        }
+        self.value.downcast_ref::<T>()
     }
 
     /// Whether the wrapped value is a `T`.
     pub fn is<T: Any>(&self) -> bool {
-        match &self.repr {
-            Repr::Inline(v) => v.is::<T>(),
-            Repr::Boxed(b, _, _) => b.is::<T>(),
-        }
+        self.value.is::<T>()
     }
 }
 
@@ -411,20 +224,6 @@ mod tests {
     }
 
     #[test]
-    fn small_values_are_inline_large_are_boxed() {
-        assert!(Payload::new(7u64).is_inline());
-        assert!(Payload::new(()).is_inline());
-        assert!(Payload::new([0usize; INLINE_PAYLOAD_WORDS]).is_inline());
-        // One word over the threshold: boxed.
-        assert!(!Payload::new([0usize; INLINE_PAYLOAD_WORDS + 1]).is_inline());
-        // Over-aligned: boxed even though it fits by size.
-        #[repr(align(32))]
-        struct OverAligned(#[allow(dead_code)] u8);
-        assert!(!Payload::new(OverAligned(1)).is_inline());
-        assert_eq!(Payload::new(OverAligned(9)).downcast::<OverAligned>().0, 9);
-    }
-
-    #[test]
     fn inline_and_boxed_have_identical_api_behaviour() {
         let small = Payload::new(5u16);
         let large = Payload::new([5u64; 8]);
@@ -434,53 +233,79 @@ mod tests {
         assert_eq!(large.peek::<[u64; 8]>(), Some(&[5u64; 8]));
         assert!(small.try_downcast::<u64>().is_err());
         assert_eq!(large.downcast::<[u64; 8]>(), [5u64; 8]);
+        // Over-aligned and zero-sized values take the same path.
+        #[repr(align(32))]
+        struct OverAligned(u8);
+        assert_eq!(Payload::new(OverAligned(9)).downcast::<OverAligned>().0, 9);
+        Payload::new(()).downcast::<()>();
     }
 
     #[test]
     fn inline_payloads_drop_their_value_exactly_once() {
-        struct Canary(Arc<AtomicU32>);
-        impl Drop for Canary {
+        // A one-word and a 40-word value: every size takes the one path.
+        struct Canary<const N: usize>(Arc<AtomicU32>, [u64; N]);
+        impl<const N: usize> Drop for Canary<N> {
             fn drop(&mut self) {
                 self.0.fetch_add(1, Ordering::SeqCst);
             }
         }
-        let drops = Arc::new(AtomicU32::new(0));
+        fn check<const N: usize>() {
+            let drops = Arc::new(AtomicU32::new(0));
+            let canary = || Canary::<N>(Arc::clone(&drops), [7; N]);
 
-        // Dropped without downcast.
-        let p = Payload::new(Canary(Arc::clone(&drops)));
-        assert!(p.is_inline(), "Canary should fit inline");
-        drop(p);
-        assert_eq!(drops.load(Ordering::SeqCst), 1);
+            // Dropped without downcast.
+            drop(Payload::new(canary()));
+            assert_eq!(drops.load(Ordering::SeqCst), 1);
 
-        // Moved out via downcast: dropped once by the caller.
-        let p = Payload::new(Canary(Arc::clone(&drops)));
-        let c = p.downcast::<Canary>();
-        assert_eq!(drops.load(Ordering::SeqCst), 1);
-        drop(c);
-        assert_eq!(drops.load(Ordering::SeqCst), 2);
+            // Moved out via downcast: dropped once by the caller.
+            let c = Payload::new(canary()).downcast::<Canary<N>>();
+            assert_eq!(drops.load(Ordering::SeqCst), 1);
+            assert_eq!(c.1, [7; N]);
+            drop(c);
+            assert_eq!(drops.load(Ordering::SeqCst), 2);
 
-        // Failed try_downcast keeps the value alive in the returned payload.
-        let p = Payload::new(Canary(Arc::clone(&drops)));
-        let p = p.try_downcast::<u32>().unwrap_err();
-        assert_eq!(drops.load(Ordering::SeqCst), 2);
-        drop(p);
-        assert_eq!(drops.load(Ordering::SeqCst), 3);
+            // Failed try_downcast keeps the value alive in the returned payload.
+            let p = Payload::new(canary()).try_downcast::<u32>().unwrap_err();
+            assert_eq!(drops.load(Ordering::SeqCst), 2);
+            assert!(p.is::<Canary<N>>());
+            drop(p);
+            assert_eq!(drops.load(Ordering::SeqCst), 3);
+        }
+        check::<0>();
+        check::<40>();
     }
 
     #[test]
     fn cloneable_payloads_clone_inline_and_boxed() {
-        // Inline.
+        // Small.
         let p = Payload::cloneable(31u64);
-        assert!(p.is_inline() && p.is_cloneable());
-        let q = p.try_clone().expect("inline clone");
+        assert!(p.is_cloneable());
+        let q = p.try_clone().expect("small clone");
+        assert_eq!(q.type_name(), p.type_name());
         assert_eq!(p.downcast::<u64>(), 31);
         assert_eq!(q.downcast::<u64>(), 31);
-        // Boxed.
+        // Large.
         let p = Payload::cloneable([3u64; 16]);
-        assert!(!p.is_inline() && p.is_cloneable());
-        let q = p.try_clone().expect("boxed clone");
+        assert!(p.is_cloneable());
+        let q = p.try_clone().expect("large clone");
+        assert!(q.is_cloneable(), "a clone clones again");
         assert_eq!(q.downcast::<[u64; 16]>(), [3u64; 16]);
         assert_eq!(p.downcast::<[u64; 16]>(), [3u64; 16]);
+    }
+
+    #[test]
+    fn type_name_is_the_values_type_name() {
+        // The timeline digest folds this string, so it must not change form.
+        assert_eq!(
+            Payload::new(1u32).type_name(),
+            core::any::type_name::<u32>()
+        );
+        assert_eq!(
+            Payload::cloneable([0u8; 64]).type_name(),
+            core::any::type_name::<[u8; 64]>()
+        );
+        let p = Payload::new(2i64).try_downcast::<u8>().unwrap_err();
+        assert_eq!(p.type_name(), core::any::type_name::<i64>());
     }
 
     #[test]

@@ -38,6 +38,7 @@
 //! assert_eq!(sim.component::<Mailbox<u32>>(sink).items()[0].1, 42);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod deadlock;

@@ -16,9 +16,11 @@
 //! [`QueueKind::Heap`] keeps the old ordering structure alive behind the
 //! same API so tests can A/B the two and assert identical timelines.
 //!
-//! Event bodies (`Endpoint` + [`Payload`]) live in a slab indexed by `u32`;
-//! the ordering structures move only 24-byte keys, and slots are recycled
-//! through a free list so steady-state scheduling never allocates.
+//! Event bodies (`Endpoint` + [`Payload`]) live in a slab of
+//! `Option<Slot>` indexed by `u32`; the ordering structures move only
+//! 24-byte keys, and vacant slots are recycled through a free list, so the
+//! queue's own storage stops growing once it has held its peak population.
+//! The payload's box is the one allocation per event.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -120,22 +122,19 @@ impl Ord for EvKey {
     }
 }
 
-/// Slab slot holding the body of a scheduled event.
-///
-/// `payload` is live iff the slot's index is referenced by a key in one of
-/// the ordering structures (never from the free list); `ManuallyDrop`
-/// avoids paying an `Option` discriminant write on every push/pop, and
-/// `EventQueue::drop` drains pending events to release live payloads.
+/// Slab slot holding the body of a scheduled event. A slab entry is
+/// `Some` iff its index is referenced by a key in one of the ordering
+/// structures, and `None` while the index sits on the free list.
 struct Slot {
     dst: Endpoint,
-    payload: core::mem::ManuallyDrop<Payload>,
+    payload: Payload,
 }
 
 /// The event queue. See the module docs for the design.
 pub(crate) struct EventQueue {
     kind: QueueKind,
     /// Event bodies; `free` lists vacant indices for recycling.
-    slab: Vec<Slot>,
+    slab: Vec<Option<Slot>>,
     free: Vec<u32>,
     /// Near-future calendar. Only the cursor bucket is kept sorted
     /// (descending, so the minimum pops from the end); other buckets are
@@ -154,13 +153,6 @@ pub(crate) struct EventQueue {
     len: usize,
     /// Seed of the tie-order permutation, when one is active.
     tie_salt: Option<u64>,
-}
-
-impl Drop for EventQueue {
-    fn drop(&mut self) {
-        // Release live payloads (`ManuallyDrop` in the slab will not).
-        while self.pop().is_some() {}
-    }
 }
 
 impl EventQueue {
@@ -231,17 +223,15 @@ impl EventQueue {
         timer: u32,
     ) {
         assert!(seq <= SEQ_MASK, "event sequence number overflow");
-        let payload = core::mem::ManuallyDrop::new(payload);
+        let slot = Some(Slot { dst, payload });
         let idx = match self.free.pop() {
             Some(i) => {
-                // Assigning over a `ManuallyDrop` never drops the previous
-                // value; the old payload was taken when the slot was freed.
-                self.slab[i as usize] = Slot { dst, payload };
+                self.slab[i as usize] = slot;
                 i
             }
             None => {
                 let i = u32::try_from(self.slab.len()).expect("event slab overflow");
-                self.slab.push(Slot { dst, payload });
+                self.slab.push(slot);
                 i
             }
         };
@@ -302,14 +292,11 @@ impl EventQueue {
     /// [`EventQueue::pop_key`], freeing its slab slot.
     #[inline]
     pub(crate) fn take(&mut self, idx: u32) -> (Endpoint, Payload) {
-        let slot = &mut self.slab[idx as usize];
-        // SAFETY: `idx` came from a popped key, so the slot is live and no
-        // other key references it; the slot index moves to the free list,
-        // so the payload is never read or dropped again.
-        let payload = unsafe { core::mem::ManuallyDrop::take(&mut slot.payload) };
-        let dst = slot.dst;
+        let slot = self.slab[idx as usize]
+            .take()
+            .expect("popped key names a live slot");
         self.free.push(idx);
-        (dst, payload)
+        (slot.dst, slot.payload)
     }
 
     /// Removes and returns the globally earliest `(time, seq)` event and
@@ -459,6 +446,9 @@ impl EventQueue {
 mod tests {
     use super::*;
     use crate::event::{ComponentId, PortId};
+    use crate::sim::{Component, Ctx, Simulator};
+    use std::sync::atomic::{AtomicU32, Ordering as AtomicOrdering};
+    use std::sync::Arc;
 
     fn ep(comp: u32) -> Endpoint {
         Endpoint::new(ComponentId(comp), PortId::DEFAULT)
@@ -625,6 +615,50 @@ mod tests {
         }
         // All rounds reused the 100 slots of the first.
         assert!(q.slab.len() <= 100, "slab grew to {}", q.slab.len());
+    }
+
+    #[test]
+    fn queued_payloads_drop_exactly_once_with_the_queue() {
+        struct Canary(Arc<AtomicU32>);
+        impl Drop for Canary {
+            fn drop(&mut self) {
+                self.0.fetch_add(1, AtomicOrdering::SeqCst);
+            }
+        }
+        let drops = Arc::new(AtomicU32::new(0));
+        let count = || drops.load(AtomicOrdering::SeqCst);
+        let canary = || Payload::new(Canary(Arc::clone(&drops)));
+
+        for kind in [QueueKind::Heap, QueueKind::Calendar] {
+            drops.store(0, AtomicOrdering::SeqCst);
+            let mut q = EventQueue::new(kind);
+            // Near and far events, and a recycled slot.
+            let times = [10, 3 * CALENDAR_SPAN_PS, 20, 50 * CALENDAR_SPAN_PS];
+            for (seq, &t) in times.iter().enumerate() {
+                q.push(Time::from_ps(t), seq as u64, SRC_EXTERNAL, ep(0), canary());
+            }
+            drop(q.pop());
+            q.push(Time::from_ps(30), 4, SRC_EXTERNAL, ep(0), canary());
+            assert_eq!(count(), 1, "{kind:?}");
+            drop(q);
+            assert_eq!(count(), 5, "{kind:?}");
+        }
+
+        // Through a simulator: events left queued past the run horizon.
+        struct Drain;
+        impl Component for Drain {
+            fn on_event(&mut self, _: &mut Ctx<'_>, _: PortId, _: Payload) {}
+        }
+        drops.store(0, AtomicOrdering::SeqCst);
+        let mut sim = Simulator::new(0);
+        let sink = Endpoint::of(sim.add("drain", Drain));
+        for ns in [1, 2, 1_000, 100_000] {
+            sim.post(sink, Time::from_ns(ns), Canary(Arc::clone(&drops)));
+        }
+        sim.run_until(Time::from_ns(10));
+        assert_eq!(count(), 2);
+        drop(sim);
+        assert_eq!(count(), 4);
     }
 
     #[test]
