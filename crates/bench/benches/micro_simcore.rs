@@ -99,8 +99,10 @@ impl Component for SpannedChain {
 }
 
 /// A chain that interleaves short-delay events with periodic far-future
-/// timers (RTO-like, 100 us out) — the near/far mix the tiered queue is
-/// designed for.
+/// messages (RTO-like, 100 us out). They are plain sends, not timer slots,
+/// so one in 64 events stays queued under the near chain and the heap
+/// grows to thousands of entries: the deep-queue case a watchdog re-armed
+/// through `Ctx::arm_timer` no longer creates.
 struct MixedTimerChain {
     remaining: u64,
     timer_sink: Endpoint,
@@ -111,7 +113,7 @@ impl Component for MixedTimerChain {
         if self.remaining > 0 {
             self.remaining -= 1;
             if self.remaining.is_multiple_of(64) {
-                // Far-future timer: lands in the spill heap, not the calendar.
+                // Far-future message: stays queued, deepening the heap.
                 ctx.send(self.timer_sink, Dur::from_us(100), v);
             }
             ctx.send_self(port, Dur::from_ns(1), v + 1);
@@ -134,6 +136,8 @@ fn bench_event_dispatch(c: &mut Criterion) {
     g.finish();
 }
 
+/// Posts a batch of events and drains it: a heap as deep as the batch,
+/// the event queue's worst case.
 fn bench_fanout_schedule(c: &mut Criterion) {
     let mut g = c.benchmark_group("simcore/heap");
     g.throughput(Throughput::Elements(10_000));

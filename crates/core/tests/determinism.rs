@@ -1,9 +1,8 @@
 //! Golden-digest determinism tests for the simulation kernel.
 //!
 //! The simulator promises a bit-for-bit reproducible `(time, seq)` event
-//! order for a given seed. These tests pin that promise across the two
-//! event-queue implementations (the legacy global heap and the tiered
-//! calendar scheduler) by hashing the full delivery timeline —
+//! order for a given seed. These tests pin that promise, run to run and
+//! against literal goldens, by hashing the full delivery timeline —
 //! `(time, seq, dst, payload type)` per event — of a real 4-node
 //! allreduce. Any divergence in event *order*, not just in results,
 //! changes the digest.
@@ -13,7 +12,6 @@ use accl_core::host::HostOp;
 use accl_core::{AcclCluster, BufLoc, ClusterConfig, CollOp, DType};
 use accl_net::FaultPlan;
 use accl_sim::digest::{fnv1a, FNV_OFFSET};
-use accl_sim::prelude::QueueKind;
 
 fn i32s(vals: &[i32]) -> Vec<u8> {
     vals.iter().flat_map(|v| v.to_le_bytes()).collect()
@@ -40,14 +38,13 @@ fn summed(n: usize, count: u64) -> Vec<u8> {
 }
 
 /// Runs a seeded 4-node, 4096×i32 allreduce on `cfg` with timeline
-/// digesting enabled on the given queue kind (and `plan` installed, if
-/// any), checks the result, and returns the cluster for inspection.
-fn run_allreduce(cfg: ClusterConfig, kind: QueueKind, plan: Option<FaultPlan>) -> AcclCluster {
+/// digesting enabled (and `plan` installed, if any), checks the result,
+/// and returns the cluster for inspection.
+fn run_allreduce(cfg: ClusterConfig, plan: Option<FaultPlan>) -> AcclCluster {
     let n = cfg.nodes;
     let count = 4096u64;
     let label = format!("{:?}/{:?}", cfg.platform, cfg.transport);
     let mut c = AcclCluster::build(cfg);
-    c.sim.set_queue_kind(kind);
     c.sim.enable_digest();
     if let Some(plan) = plan {
         c.set_fault_plan(plan);
@@ -70,14 +67,14 @@ fn run_allreduce(cfg: ClusterConfig, kind: QueueKind, plan: Option<FaultPlan>) -
     // a digest collision over garbage can't pass silently.
     let expect = summed(n, count);
     for (node, dst) in dsts.iter().enumerate() {
-        assert_eq!(c.read(dst), expect, "node {node} ({label}, {kind:?})");
+        assert_eq!(c.read(dst), expect, "node {node} ({label})");
     }
     c
 }
 
-/// The timeline digest of the seeded 4-node RDMA allreduce on `kind`.
-fn allreduce_digest(kind: QueueKind) -> u64 {
-    run_allreduce(ClusterConfig::coyote_rdma(4), kind, None)
+/// The timeline digest of the seeded 4-node RDMA allreduce.
+fn allreduce_digest() -> u64 {
+    run_allreduce(ClusterConfig::coyote_rdma(4), None)
         .sim
         .timeline_digest()
         .expect("digest was enabled before the run")
@@ -86,21 +83,22 @@ fn allreduce_digest(kind: QueueKind) -> u64 {
 #[test]
 fn allreduce_timeline_is_reproducible_run_to_run() {
     assert_eq!(
-        allreduce_digest(QueueKind::Calendar),
-        allreduce_digest(QueueKind::Calendar),
-        "same seed, same queue: timeline must be bit-identical"
+        allreduce_digest(),
+        allreduce_digest(),
+        "same seed: timeline must be bit-identical"
     );
 }
 
 #[test]
 fn queue_swap_leaves_the_timeline_bit_identical() {
-    // The tentpole contract: the tiered calendar queue is a drop-in
-    // replacement for the global heap — every event fires at the same
-    // (time, seq) with the same destination and payload type.
+    // There is one queue structure; a rebuilt cluster must replay the
+    // first one's timeline: every event fires at the same (time, seq)
+    // with the same destination and payload type.
+    let first = allreduce_digest();
     assert_eq!(
-        allreduce_digest(QueueKind::Heap),
-        allreduce_digest(QueueKind::Calendar),
-        "calendar scheduler changed the event timeline"
+        allreduce_digest(),
+        first,
+        "a rebuilt cluster changed the event timeline"
     );
 }
 
@@ -188,7 +186,7 @@ fn pinned_transport_digests_match_literal_goldens() {
     for &(name, _, _) in PINNED {
         let (cfg, plan) = pinned_case(name);
         let lossy = plan.is_some();
-        let c = run_allreduce(cfg, QueueKind::Calendar, plan);
+        let c = run_allreduce(cfg, plan);
         if lossy {
             let drops: u64 = (0..c.len()).map(|i| c.corrupted_drops(i)).sum();
             assert!(drops > 0, "{name}: the plan must hit the Rx FCS drop");
@@ -210,12 +208,11 @@ fn pinned_transport_digests_match_literal_goldens() {
 /// the population where an event queue with an unstable tie-break rule, or
 /// an unordered container feeding the scheduler, would scramble the
 /// timeline.
-fn tie_heavy_digest(kind: QueueKind) -> u64 {
+fn tie_heavy_digest() -> u64 {
     let n = 4;
     let count = 256u64;
     let rounds = 3usize;
     let mut c = AcclCluster::build(ClusterConfig::coyote_rdma(n));
-    c.sim.set_queue_kind(kind);
     c.sim.enable_digest();
     let mut programs: Vec<Vec<HostOp>> = vec![Vec::new(); n];
     let mut dsts = Vec::new();
@@ -245,7 +242,7 @@ fn tie_heavy_digest(kind: QueueKind) -> u64 {
                 })
                 .collect::<Vec<_>>(),
         );
-        assert_eq!(c.read(dst), expect, "round {r} node {node} ({kind:?})");
+        assert_eq!(c.read(dst), expect, "round {r} node {node}");
     }
     c.sim
         .timeline_digest()
@@ -255,18 +252,21 @@ fn tie_heavy_digest(kind: QueueKind) -> u64 {
 #[test]
 fn tie_heavy_timeline_is_reproducible_run_to_run() {
     assert_eq!(
-        tie_heavy_digest(QueueKind::Calendar),
-        tie_heavy_digest(QueueKind::Calendar),
+        tie_heavy_digest(),
+        tie_heavy_digest(),
         "tie-heavy 4-rank workload must replay bit-identically"
     );
 }
 
 #[test]
 fn tie_heavy_timeline_is_queue_invariant() {
+    // One queue structure: the tie-heavy timeline must replay when the
+    // cluster is rebuilt.
+    let first = tie_heavy_digest();
     assert_eq!(
-        tie_heavy_digest(QueueKind::Heap),
-        tie_heavy_digest(QueueKind::Calendar),
-        "queue kinds disagree on a tie-heavy timeline"
+        tie_heavy_digest(),
+        first,
+        "a rebuilt cluster changed the tie-heavy timeline"
     );
 }
 
@@ -285,11 +285,10 @@ fn fnv(buffers: &[Vec<u8>]) -> u64 {
 
 /// Runs the seeded 4-node allreduce with an optional permuted tie-order
 /// rule and returns the digest of the read-back results.
-fn allreduce_result_digest(kind: QueueKind, salt: Option<u64>) -> u64 {
+fn allreduce_result_digest(salt: Option<u64>) -> u64 {
     let n = 4;
     let count = 4096u64;
     let mut c = AcclCluster::build(ClusterConfig::coyote_rdma(n));
-    c.sim.set_queue_kind(kind);
     if let Some(s) = salt {
         // Applies to events scheduled from here on — i.e. the whole
         // collective, whose events are all posted during the run.
@@ -320,20 +319,18 @@ fn allreduce_result_digest(kind: QueueKind, salt: Option<u64>) -> u64 {
 /// The acceptance bar for the race detector on the real system: a seeded
 /// 4-node allreduce must reproduce its golden *result* digest bit-for-bit
 /// when same-timestamp events are deliberately executed in a permuted
-/// order, on both queue kinds. (The event-*timeline* digest legitimately
+/// order. (The event-*timeline* digest legitimately
 /// differs under a different tie-break rule; what must not move is the
 /// data.)
 #[test]
 fn allreduce_result_survives_permuted_tie_order() {
-    for kind in [QueueKind::Calendar, QueueKind::Heap] {
-        let golden = allreduce_result_digest(kind, None);
-        for salt in [1u64, 0x5eed, 0xdead_beef] {
-            assert_eq!(
-                allreduce_result_digest(kind, Some(salt)),
-                golden,
-                "allreduce data changed under permuted tie order \
-                 ({kind:?}, salt {salt:#x}) — same-timestamp handlers do not commute"
-            );
-        }
+    let golden = allreduce_result_digest(None);
+    for salt in [1u64, 0x5eed, 0xdead_beef] {
+        assert_eq!(
+            allreduce_result_digest(Some(salt)),
+            golden,
+            "allreduce data changed under permuted tie order \
+             (salt {salt:#x}) — same-timestamp handlers do not commute"
+        );
     }
 }

@@ -12,7 +12,7 @@ use accl_core::{
     AcclCluster, AlgoConfig, BufLoc, CclError, ClusterConfig, CollSpec, HostDriver, Platform,
     RetryPolicy, Transport,
 };
-use accl_sim::prelude::{Dur, QueueKind, RunOutcome, Time};
+use accl_sim::prelude::{Dur, RunOutcome, Time};
 
 fn i32s(vals: &[i32]) -> Vec<u8> {
     vals.iter().flat_map(|v| v.to_le_bytes()).collect()
@@ -373,17 +373,15 @@ fn rdma_qp_errors_fail_over_to_tcp() {
 
 /// In-flight corruption on the reliable transports is caught by the FCS
 /// check, counted, and repaired by retransmission (TCP) or go-back-N
-/// (RDMA): collective results stay bit-exact and the whole timeline is
-/// identical under either event-queue implementation.
+/// (RDMA): collective results stay bit-exact.
 #[test]
 fn corrupted_frames_repaired_bit_exactly_on_tcp_and_rdma() {
     let count = 8192u64;
-    let run = |transport: Transport, kind: QueueKind| -> (Vec<Vec<u8>>, u64, u64) {
+    let run = |transport: Transport| -> (Vec<Vec<u8>>, u64) {
         let mut cfg = ClusterConfig::coyote_rdma(2);
         cfg.transport = transport;
         cfg.cclo.collective_timeout_us = Some(100_000);
         let mut c = AcclCluster::build(cfg);
-        c.sim.set_queue_kind(kind);
         // Explicit indices: the injection is part of the test's contract,
         // not a probabilistic draw that may come up empty at some seed.
         c.set_fault_plan(accl_net::FaultPlan::corrupt_frames([2, 5, 9, 13]));
@@ -394,10 +392,10 @@ fn corrupted_frames_repaired_bit_exactly_on_tcp_and_rdma() {
         }
         let data = dsts.iter().map(|d| c.read(d)).collect();
         let drops = (0..2).map(|i| c.corrupted_drops(i)).sum();
-        (data, drops, c.sim.events_executed())
+        (data, drops)
     };
     for transport in [Transport::Tcp, Transport::Rdma] {
-        let (data, drops, events) = run(transport, QueueKind::Heap);
+        let (data, drops) = run(transport);
         for rank in 0..2 {
             assert_eq!(
                 data[rank],
@@ -408,13 +406,6 @@ fn corrupted_frames_repaired_bit_exactly_on_tcp_and_rdma() {
         assert!(
             drops > 0,
             "{transport:?}: corruption must have been injected"
-        );
-        let (data_cal, drops_cal, events_cal) = run(transport, QueueKind::Calendar);
-        assert_eq!(data, data_cal, "{transport:?} queue-kind data divergence");
-        assert_eq!(drops, drops_cal, "{transport:?} queue-kind drop divergence");
-        assert_eq!(
-            events, events_cal,
-            "{transport:?} queue-kind event divergence"
         );
     }
 }
@@ -441,14 +432,13 @@ fn udp_corruption_surfaces_as_data_corrupted() {
 /// The ULFM recovery workflow still converges when the surviving links
 /// keep dropping 1–5% of all frames: the crash is diagnosed, the shrunken
 /// communicator's reissued collective completes bit-exactly (TCP absorbs
-/// the sustained loss), and the whole timeline is queue-kind-invariant.
+/// the sustained loss).
 #[test]
 fn shrink_and_reissue_converges_under_sustained_loss() {
     let dead = 2usize;
     let count = 512u64;
-    let run = |loss: f64, kind: QueueKind| -> String {
+    for loss in [0.01, 0.05] {
         let mut c = AcclCluster::build(coyote_tcp(3, 30_000));
-        c.sim.set_queue_kind(kind);
         c.set_algo_config(AlgoConfig {
             allreduce_ring_min_bytes: 1,
             ..AlgoConfig::default()
@@ -482,14 +472,6 @@ fn shrink_and_reissue_converges_under_sustained_loss() {
             assert_eq!(c.read(&dsts[rank]), summed(2, count), "loss {loss} data");
         }
         assert!(c.network().frames_dropped(&c.sim) > 0);
-        format!("events={} records={records:?}", c.sim.events_executed())
-    };
-    for loss in [0.01, 0.05] {
-        assert_eq!(
-            run(loss, QueueKind::Heap),
-            run(loss, QueueKind::Calendar),
-            "loss {loss}: timeline must be queue-kind-invariant"
-        );
     }
 }
 

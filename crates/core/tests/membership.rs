@@ -2,7 +2,8 @@
 //! restarting, and rejoining via [`Communicator::expand`]; degraded links
 //! staying *suspected* (never falsely killed) under the adaptive failure
 //! detector; fabric partitions resolving split-brain-safely and
-//! re-merging after the heal — all bit-replay-stable across queue kinds.
+//! re-merging after the heal — all bit-replay-stable run to run and under
+//! permuted tie order.
 
 #![allow(clippy::needless_range_loop)] // rank loops index parallel spec/buffer arrays
 
@@ -13,9 +14,7 @@ use accl_core::{
 };
 use accl_net::Degradation;
 use accl_poe::iface::ports;
-use accl_sim::prelude::{
-    Component, ComponentId, Ctx, Dur, Endpoint, Payload, PortId, QueueKind, Time,
-};
+use accl_sim::prelude::{Component, ComponentId, Ctx, Dur, Endpoint, Payload, PortId, Time};
 
 fn i32s(vals: &[i32]) -> Vec<u8> {
     vals.iter().flat_map(|v| v.to_le_bytes()).collect()
@@ -340,7 +339,7 @@ fn partition_minority_fails_fast_and_remerges_after_heal() {
 }
 
 /// Everything the recovery timeline exposes that must be bit-identical
-/// run-to-run and across queue kinds.
+/// run-to-run.
 #[derive(Debug, PartialEq)]
 struct Observables {
     events_executed: u64,
@@ -372,13 +371,12 @@ impl Observables {
 /// The crash → restart → rejoin lifecycle under the adaptive detector,
 /// parameterized by engine configuration. Suspect/confirm decisions are
 /// part of every uC's state digest, so digest equality pins them.
-fn rejoin_observables(kind: QueueKind, tie_salt: Option<u64>) -> Observables {
+fn rejoin_observables(tie_salt: Option<u64>) -> Observables {
     let dead = 2usize;
     let count = 512u64;
     let mut cfg = cfg_for(Transport::Tcp, 3, 30_000);
     cfg.cclo.adaptive_watchdog = Some(AdaptiveWatchdogCfg::default());
     let mut c = AcclCluster::build(cfg);
-    c.sim.set_queue_kind(kind);
     if let Some(salt) = tie_salt {
         c.sim.permute_tie_order(salt);
     }
@@ -406,10 +404,9 @@ fn rejoin_observables(kind: QueueKind, tie_salt: Option<u64>) -> Observables {
 
 /// The degraded-link-only scenario under the adaptive detector,
 /// parameterized the same way.
-fn degraded_observables(kind: QueueKind, tie_salt: Option<u64>) -> Observables {
+fn degraded_observables(tie_salt: Option<u64>) -> Observables {
     let count = 512u64;
     let mut c = degraded_cluster(2, true);
-    c.sim.set_queue_kind(kind);
     if let Some(salt) = tie_salt {
         c.sim.permute_tie_order(salt);
     }
@@ -422,12 +419,12 @@ fn degraded_observables(kind: QueueKind, tie_salt: Option<u64>) -> Observables {
     Observables::collect(&mut c)
 }
 
-/// Satellite determinism gate: the full recovery timeline — including
-/// every suspect/confirm decision folded into the uC digests — is
-/// bit-identical across queue kinds.
+/// Determinism gate: the full recovery timeline — including every
+/// suspect/confirm decision folded into the uC digests — replays
+/// bit-identically when the cluster is rebuilt.
 #[test]
 fn rejoin_timeline_digest_stable_across_queues() {
-    let golden = rejoin_observables(QueueKind::Heap, None);
+    let golden = rejoin_observables(None);
     assert!(!golden.state_digests.is_empty());
     assert!(
         golden.suspicions.iter().any(|&s| s > 0),
@@ -435,9 +432,9 @@ fn rejoin_timeline_digest_stable_across_queues() {
         golden.suspicions
     );
     assert_eq!(
-        rejoin_observables(QueueKind::Calendar, None),
+        rejoin_observables(None),
         golden,
-        "rejoin timeline diverged between the heap and calendar queues"
+        "rejoin timeline diverged between two runs"
     );
 }
 
@@ -446,12 +443,12 @@ fn rejoin_timeline_digest_stable_across_queues() {
 /// is equally replayable.
 #[test]
 fn degraded_timeline_digest_stable_across_queues() {
-    let golden = degraded_observables(QueueKind::Heap, None);
+    let golden = degraded_observables(None);
     assert!(!golden.state_digests.is_empty());
     assert_eq!(
-        degraded_observables(QueueKind::Calendar, None),
+        degraded_observables(None),
         golden,
-        "degraded timeline diverged between the heap and calendar queues"
+        "degraded timeline diverged between two runs"
     );
 }
 
@@ -460,18 +457,18 @@ fn degraded_timeline_digest_stable_across_queues() {
 /// per-stream history, never queue order.
 #[test]
 fn detector_decisions_survive_permuted_tie_order() {
-    let golden = rejoin_observables(QueueKind::Heap, None);
+    let golden = rejoin_observables(None);
     for salt in [1u64, 0x5eed, 0xdead_beef] {
         assert_eq!(
-            rejoin_observables(QueueKind::Heap, Some(salt)),
+            rejoin_observables(Some(salt)),
             golden,
             "suspect/confirm decisions moved under tie salt {salt:#x}"
         );
     }
-    let degraded_golden = degraded_observables(QueueKind::Heap, None);
+    let degraded_golden = degraded_observables(None);
     for salt in [1u64, 0x5eed] {
         assert_eq!(
-            degraded_observables(QueueKind::Heap, Some(salt)),
+            degraded_observables(Some(salt)),
             degraded_golden,
             "degraded-run decisions moved under tie salt {salt:#x}"
         );

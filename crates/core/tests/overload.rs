@@ -92,11 +92,10 @@ fn bounded_cluster_completes_collectives_on_every_transport() {
 /// Timeline digest of a bounded 4-node TCP allreduce with a non-wedging
 /// overload fault mix injected: one recoverable credit leak, a pause
 /// storm, and a pool shrink.
-fn overloaded_digest(kind: QueueKind) -> u64 {
+fn overloaded_digest() -> u64 {
     let n = 4;
     let count = 1024u64;
     let mut c = AcclCluster::build(ClusterConfig::xrt_tcp(n).with_overload_limits());
-    c.sim.set_queue_kind(kind);
     c.sim.enable_digest();
     let plan = FaultPlan::none()
         // Leak 4 of n1's 32 tx credits: pressure, not a wedge.
@@ -108,8 +107,8 @@ fn overloaded_digest(kind: QueueKind) -> u64 {
     let records = c.host_collective(specs);
     let expect = summed(n, count);
     for node in 0..n {
-        assert_eq!(records[node].result(), Ok(()), "node {node} ({kind:?})");
-        assert_eq!(c.read(&dsts[node]), expect, "node {node} ({kind:?})");
+        assert_eq!(records[node].result(), Ok(()), "node {node}");
+        assert_eq!(c.read(&dsts[node]), expect, "node {node}");
     }
     // The faults actually landed where the plan aimed them.
     assert_eq!(c.node_stats(3).rx_buffers_shrunk, 2);
@@ -121,18 +120,21 @@ fn overloaded_digest(kind: QueueKind) -> u64 {
 #[test]
 fn overloaded_timeline_is_reproducible_run_to_run() {
     assert_eq!(
-        overloaded_digest(QueueKind::Calendar),
-        overloaded_digest(QueueKind::Calendar),
+        overloaded_digest(),
+        overloaded_digest(),
         "overload faults broke same-seed reproducibility"
     );
 }
 
 #[test]
 fn overloaded_timeline_is_queue_invariant() {
+    // One queue structure: a rebuilt cluster must replay the overloaded
+    // timeline.
+    let first = overloaded_digest();
     assert_eq!(
-        overloaded_digest(QueueKind::Heap),
-        overloaded_digest(QueueKind::Calendar),
-        "queue kinds disagree under overload faults"
+        overloaded_digest(),
+        first,
+        "a rebuilt cluster changed the overloaded timeline"
     );
 }
 

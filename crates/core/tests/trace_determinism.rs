@@ -4,13 +4,12 @@
 //! Span ids are content-derived (component, name, ordinal — never queue
 //! internals or allocation order), so the identical timeline promise
 //! extends to the trace: the same seeded workload must yield the same
-//! span events on both event-queue implementations, run to run, and
-//! under deliberately permuted same-timestamp delivery order.
+//! span events run to run, and the same span population under
+//! deliberately permuted same-timestamp delivery order.
 
 use accl_core::driver::CollSpec;
 use accl_core::{AcclCluster, BufLoc, ClusterConfig, CollOp, DType};
 use accl_net::FaultPlan;
-use accl_sim::prelude::QueueKind;
 use accl_sim::trace::{max_span_depth, span_canon_digest, span_digest, SpanEvent};
 
 fn i32s(vals: &[i32]) -> Vec<u8> {
@@ -27,22 +26,20 @@ fn pattern(node: usize, count: u64) -> Vec<u8> {
 
 /// Runs a seeded 4-node RDMA allreduce with tracing on and returns the
 /// recorded span stream. `salt` permutes same-timestamp delivery order.
-fn traced_allreduce(kind: QueueKind, salt: Option<u64>) -> Vec<SpanEvent> {
-    traced_allreduce_on(ClusterConfig::coyote_rdma(4), kind, salt, None)
+fn traced_allreduce(salt: Option<u64>) -> Vec<SpanEvent> {
+    traced_allreduce_on(ClusterConfig::coyote_rdma(4), salt, None)
 }
 
 /// [`traced_allreduce`] on any cluster configuration, with an optional
 /// fault plan installed before the run.
 fn traced_allreduce_on(
     cfg: ClusterConfig,
-    kind: QueueKind,
     salt: Option<u64>,
     plan: Option<FaultPlan>,
 ) -> Vec<SpanEvent> {
     let n = cfg.nodes;
     let count = 4096u64;
     let mut c = AcclCluster::build(cfg);
-    c.sim.set_queue_kind(kind);
     if let Some(plan) = plan {
         c.set_fault_plan(plan);
     }
@@ -75,7 +72,7 @@ fn traced_allreduce_on(
             .collect::<Vec<_>>(),
     );
     for (node, dst) in dsts.iter().enumerate() {
-        assert_eq!(c.read(dst), expect, "node {node} ({kind:?})");
+        assert_eq!(c.read(dst), expect, "node {node}");
     }
     assert_eq!(c.sim.spans_dropped(), 0, "ring must hold the whole run");
     c.sim.span_events()
@@ -83,23 +80,23 @@ fn traced_allreduce_on(
 
 #[test]
 fn span_stream_is_reproducible_run_to_run() {
-    let a = traced_allreduce(QueueKind::Calendar, None);
-    let b = traced_allreduce(QueueKind::Calendar, None);
+    let a = traced_allreduce(None);
+    let b = traced_allreduce(None);
     assert!(!a.is_empty());
     assert_eq!(a, b, "same seed must replay the identical span stream");
 }
 
 #[test]
 fn span_stream_is_queue_invariant() {
-    let calendar = traced_allreduce(QueueKind::Calendar, None);
-    let heap = traced_allreduce(QueueKind::Heap, None);
-    // Not merely digest-equal: the full streams (ids, parents, times,
-    // attributes, record order) must match event for event.
+    // One queue structure: a rebuilt cluster must record the same span
+    // stream. Not merely digest-equal: the full streams (ids, parents,
+    // times, attributes, record order) must match event for event.
+    let first = traced_allreduce(None);
+    let again = traced_allreduce(None);
     assert_eq!(
-        calendar, heap,
-        "queue kinds disagree on the recorded span stream"
+        first, again,
+        "a rebuilt cluster recorded a different span stream"
     );
-    assert_eq!(span_digest(&calendar), span_digest(&heap));
 }
 
 /// The flow edge the RBM draws from the arrival that completed a message
@@ -153,10 +150,9 @@ fn pinned_span_digests_match_literal_goldens() {
             corrupt_indices: [12, 61].into_iter().collect(),
             ..FaultPlan::drop_frames([5, 40])
         });
-        let (flows, rest): (Vec<SpanEvent>, Vec<SpanEvent>) =
-            traced_allreduce_on(cfg, QueueKind::Calendar, None, plan)
-                .into_iter()
-                .partition(|e| e.name == RBM_FLOW);
+        let (flows, rest): (Vec<SpanEvent>, Vec<SpanEvent>) = traced_allreduce_on(cfg, None, plan)
+            .into_iter()
+            .partition(|e| e.name == RBM_FLOW);
         got.push((name, span_canon_digest(&rest), span_digest(&rest)));
         got_flows.push((name, span_digest(&flows)));
     }
@@ -180,7 +176,7 @@ fn pinned_span_digests_match_literal_goldens() {
 
 #[test]
 fn trace_covers_every_layer_of_the_stack() {
-    let events = traced_allreduce(QueueKind::Calendar, None);
+    let events = traced_allreduce(None);
     let names: std::collections::BTreeSet<&str> = events.iter().map(|e| e.name).collect();
     for required in [
         "driver.coll",
@@ -213,14 +209,12 @@ fn trace_covers_every_layer_of_the_stack() {
 /// the data, which `traced_allreduce` asserts on every run.
 #[test]
 fn span_population_survives_permuted_tie_order() {
-    for kind in [QueueKind::Calendar, QueueKind::Heap] {
-        let golden = span_canon_digest(&traced_allreduce(kind, None));
-        for salt in [1u64, 0x5eed, 0xdead_beef] {
-            assert_eq!(
-                span_canon_digest(&traced_allreduce(kind, Some(salt))),
-                golden,
-                "span population changed under permuted tie order ({kind:?}, salt {salt:#x})"
-            );
-        }
+    let golden = span_canon_digest(&traced_allreduce(None));
+    for salt in [1u64, 0x5eed, 0xdead_beef] {
+        assert_eq!(
+            span_canon_digest(&traced_allreduce(Some(salt))),
+            golden,
+            "span population changed under permuted tie order (salt {salt:#x})"
+        );
     }
 }

@@ -129,9 +129,6 @@ pub struct PipelineObserve {
     pub span_capacity: usize,
     /// Fixed sim-time metric window width; `None` leaves windowing off.
     pub metric_window: Option<Dur>,
-    /// Event-queue structure override for A/B timeline validation; `None`
-    /// keeps the simulator default.
-    pub queue: Option<QueueKind>,
 }
 
 /// [`run_pipeline`] with observability enabled, returning the finished
@@ -175,9 +172,6 @@ pub fn run_pipeline_observed(
         },
         ..ClusterConfig::xrt_tcp(nodes)
     });
-    if let Some(kind) = observe.queue {
-        cluster.sim.set_queue_kind(kind);
-    }
     if observe.span_capacity > 0 {
         cluster.enable_tracing(observe.span_capacity);
     }

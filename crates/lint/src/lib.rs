@@ -1,8 +1,8 @@
 //! accl-lint: the determinism linter for the ACCL+ simulation workspace.
 //!
 //! Every experiment in this repository rests on the simulator's bit-replay
-//! contract: a seeded run replays bit-identically, across queue kinds and
-//! across machines. That contract is trivially broken by ambient
+//! contract: a seeded run replays bit-identically, across runs, tie
+//! permutations and machines. That contract is trivially broken by ambient
 //! nondeterminism — one `HashMap` iteration in an event handler, one wall
 //! clock read, one float accumulating into a timestamp — and nothing about
 //! `cargo test` catches the breakage until a golden digest diverges weeks

@@ -66,8 +66,6 @@ pub struct CaptureConfig {
     pub workload: Workload,
     /// Simulation seed.
     pub seed: u64,
-    /// Event-queue kind.
-    pub queue: QueueKind,
     /// Metric window width; `None` disables windowed metrics.
     pub window: Option<Dur>,
     /// Span-ring capacity (the capture asserts nothing was dropped).
@@ -83,7 +81,6 @@ impl Default for CaptureConfig {
         CaptureConfig {
             workload: Workload::Allreduce8,
             seed: 1,
-            queue: QueueKind::default(),
             window: Some(Dur::from_us(1)),
             span_capacity: 1 << 20,
             degrade_rank: None,
@@ -158,7 +155,6 @@ fn capture_allreduce8(cfg: &CaptureConfig) -> TraceDoc {
         seed: cfg.seed,
         ..ClusterConfig::coyote_rdma(n)
     });
-    cluster.sim.set_queue_kind(cfg.queue);
     cluster.enable_tracing(cfg.span_capacity);
     if let Some(w) = cfg.window {
         cluster.enable_metric_windows(w);
@@ -211,7 +207,6 @@ fn capture_rejoin(cfg: &CaptureConfig) -> TraceDoc {
     base.cclo.collective_timeout_us = Some(30_000);
     base.cclo.adaptive_watchdog = Some(AdaptiveWatchdogCfg::default());
     let mut cluster = AcclCluster::build(base);
-    cluster.sim.set_queue_kind(cfg.queue);
     cluster.enable_tracing(cfg.span_capacity);
     if let Some(w) = cfg.window {
         cluster.enable_metric_windows(w);
@@ -323,7 +318,6 @@ fn capture_dlrm(cfg: &CaptureConfig) -> TraceDoc {
     let observe = PipelineObserve {
         span_capacity: cfg.span_capacity,
         metric_window: cfg.window,
-        queue: Some(cfg.queue),
     };
     let (result, cluster) =
         run_pipeline_observed(&model, DlrmTiming::default(), inferences, 1, &observe);

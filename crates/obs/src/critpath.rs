@@ -23,8 +23,7 @@
 //!
 //! Determinism: candidate choice is a pure max over `(reach, begin, id)`
 //! of content-derived span ids, so bit-identical traces (the replay
-//! contract across queue kinds) yield bit-identical
-//! paths and digests.
+//! contract) yield bit-identical paths and digests.
 
 use std::collections::BTreeSet;
 

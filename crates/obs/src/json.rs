@@ -52,7 +52,6 @@ pub fn serialize(doc: &TraceDoc) -> String {
         ("schema", string(SCHEMA)),
         ("workload", string(&doc.workload)),
         ("seed", Json::U64(doc.seed)),
-        ("queue", string(&doc.queue)),
         (
             "components",
             Json::Arr(doc.components.iter().map(|c| string(c)).collect()),
@@ -184,7 +183,6 @@ pub fn parse(text: &str) -> Result<TraceDoc, String> {
     Ok(TraceDoc {
         workload: text_of(&root, "workload")?,
         seed: root.field_as("seed", Json::as_u64)?,
-        queue: text_of(&root, "queue")?,
         components,
         events,
         windows,
@@ -199,7 +197,6 @@ mod tests {
         TraceDoc {
             workload: "allreduce8".to_string(),
             seed: 7,
-            queue: "calendar".to_string(),
             components: vec!["n0.driver".to_string(), "switch \"x\"".to_string()],
             events: vec![
                 ObsEvent {
@@ -270,6 +267,19 @@ mod tests {
             // Serialization is canonical: equal docs, equal bytes.
             assert_eq!(serialize(&back), text);
         }
+    }
+
+    #[test]
+    fn reads_older_dumps_that_name_a_queue() {
+        // Dumps written while the simulator had two queue structures carry
+        // a top-level "queue" member; the reader ignores it.
+        let doc = sample_doc();
+        let text = serialize(&doc);
+        let seed = "\"seed\": 7,";
+        assert!(text.contains(seed), "{text}");
+        let older = text.replace(seed, &format!("{seed}\n  \"queue\": \"calendar\","));
+        assert_ne!(older, text);
+        assert_eq!(parse(&older).unwrap(), doc);
     }
 
     #[test]

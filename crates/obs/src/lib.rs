@@ -30,7 +30,7 @@
 //! Everything is integer picoseconds end to end: parsing, analysis and
 //! serialization never touch floats, so every artifact — including the
 //! critical-path digest CI pins — is bit-identical across hosts and
-//! event-queue kinds.
+//! reruns.
 //!
 //! The [`capture`] module runs the reference workloads (8-rank allreduce,
 //! the DLRM inference pipeline) with tracing on and snapshots them into

@@ -2,8 +2,8 @@
 //!
 //! ```text
 //! accl-obs dump --workload allreduce8|dlrm [--seed N]
-//!               [--queue calendar|heap] [--window-us N] [--no-window]
-//!               [--degrade-rank R] -o trace.json
+//!               [--window-us N] [--no-window] [--degrade-rank R]
+//!               -o trace.json
 //!     Run a reference workload with tracing on and write the
 //!     accl-obs-trace-v1 snapshot.
 //!
@@ -93,7 +93,6 @@ fn positional(args: &[String]) -> Vec<&String> {
                 flag,
                 "workload"
                     | "seed"
-                    | "queue"
                     | "window-us"
                     | "degrade-rank"
                     | "o"
@@ -163,17 +162,30 @@ fn paths_of(
         .collect())
 }
 
+/// The options `dump` accepts; any other `-`-prefixed argument is an
+/// error.
+const DUMP_OPTIONS: [&str; 7] = [
+    "--workload",
+    "--seed",
+    "--window-us",
+    "--no-window",
+    "--degrade-rank",
+    "-o",
+    "--out",
+];
+
 fn cmd_dump(args: &[String]) -> ExitCode {
     let run = || -> Result<(), String> {
+        if let Some(bad) = args
+            .iter()
+            .find(|a| a.starts_with('-') && !DUMP_OPTIONS.contains(&a.as_str()))
+        {
+            return Err(format!("unknown option \"{bad}\""));
+        }
         let workload = match opt_value(args, "--workload")? {
             Some(w) => Workload::from_label(&w)
                 .ok_or_else(|| format!("unknown workload \"{w}\" (allreduce8|dlrm|rejoin)"))?,
             None => Workload::Allreduce8,
-        };
-        let queue = match opt_value(args, "--queue")?.as_deref() {
-            None | Some("calendar") => QueueKind::Calendar,
-            Some("heap") => QueueKind::Heap,
-            Some(other) => return Err(format!("unknown queue \"{other}\" (calendar|heap)")),
         };
         let window = if args.iter().any(|a| a == "--no-window") {
             None
@@ -186,7 +198,6 @@ fn cmd_dump(args: &[String]) -> ExitCode {
         let cfg = CaptureConfig {
             workload,
             seed: parse_u64(args, "--seed", 1)?,
-            queue,
             window,
             span_capacity: 1 << 20,
             degrade_rank,
@@ -246,11 +257,10 @@ fn cmd_critical_path(args: &[String]) -> ExitCode {
         print!(
             "{}",
             attr.table(&format!(
-                "critical-path attribution: {} ({} roots, seed {}, {} queue)",
+                "critical-path attribution: {} ({} roots, seed {})",
                 doc.workload,
                 paths.len(),
-                doc.seed,
-                doc.queue
+                doc.seed
             ))
         );
         println!("critical-path digest: {digest:#018x}");
@@ -304,8 +314,8 @@ fn cmd_mttr(args: &[String]) -> ExitCode {
         print!(
             "{}",
             timeline.table(&format!(
-                "recovery timeline: {} (seed {}, {} queue)",
-                doc.workload, doc.seed, doc.queue
+                "recovery timeline: {} (seed {})",
+                doc.workload, doc.seed
             ))
         );
         if let Some(w) = &doc.windows {

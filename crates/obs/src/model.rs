@@ -175,8 +175,6 @@ pub struct TraceDoc {
     pub workload: String,
     /// Simulation seed the run used.
     pub seed: u64,
-    /// Event-queue kind label (`calendar` / `heap`).
-    pub queue: String,
     /// Component names, indexed by [`ObsEvent::comp`].
     pub components: Vec<String>,
     /// The span/flow event stream, in ring order.
@@ -237,14 +235,9 @@ impl TraceDoc {
                     .collect(),
             })
             .collect();
-        let queue = match cluster.sim.queue_kind() {
-            accl_sim::queue::QueueKind::Calendar => "calendar",
-            accl_sim::queue::QueueKind::Heap => "heap",
-        };
         TraceDoc {
             workload: workload.to_string(),
             seed,
-            queue: queue.to_string(),
             components,
             events,
             windows: WindowSeries::from_stats(cluster.sim.stats()),

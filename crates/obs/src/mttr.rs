@@ -22,7 +22,7 @@
 //!    world (the rejoined node included) finishing a collective.
 //!
 //! All arithmetic is integer picoseconds on span timestamps, so the table
-//! is bit-identical across hosts and queue kinds — CI can diff it like
+//! is bit-identical across hosts and reruns — CI can diff it like
 //! any other artifact. Availability is summarized from the
 //! same windowed counters the SLO series renders: a window is *degraded*
 //! when `driver.calls_failed` ticked inside it.

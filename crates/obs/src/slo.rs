@@ -3,7 +3,7 @@
 //! Turns a run's [`WindowSeries`] into a per-window text report:
 //! counter rates and histogram p50/p99/p999 per fixed-width sim-time
 //! window. Because windows are integer-only and deterministic, the
-//! report is bit-identical across reruns and queue kinds — CI can diff
+//! report is bit-identical across reruns and hosts — CI can diff
 //! it like any other artifact.
 //!
 //! Every window that completed collectives also gets an **availability**

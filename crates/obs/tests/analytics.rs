@@ -3,7 +3,7 @@
 //!
 //!  - the critical path of the 8-rank allreduce is an exact integer
 //!    partition of each call's end-to-end latency, and its digest is
-//!    bit-identical run-to-run and across event-queue kinds;
+//!    bit-identical run-to-run;
 //!  - the critical path follows Rx waits onto the wire: the net layer's
 //!    share of an allreduce rises with message size, eager and
 //!    rendezvous alike;
@@ -11,7 +11,7 @@
 //!    regressions;
 //!  - `diff` against a deliberately degraded link names the affected
 //!    component, span type and rank;
-//!  - windowed metrics are identical across event-queue kinds;
+//!  - windowed metrics are identical run-to-run;
 //!  - a captured document round-trips bit-exactly through the JSON
 //!    interchange form;
 //!  - the Perfetto rendering of a capture has one complete event per
@@ -24,7 +24,6 @@ use accl_obs::{
     attribute, capture, critical_path, critical_path_digest, diff_attributions, json, perfetto,
     Attribution, CaptureConfig, CriticalPath, ObsKind, SpanGraph, TraceDoc, Workload,
 };
-use accl_sim::prelude::*;
 
 fn analyze(doc: &TraceDoc) -> (Vec<CriticalPath>, Attribution) {
     let g = SpanGraph::build(doc);
@@ -146,20 +145,10 @@ fn critical_path_digest_is_replay_and_queue_invariant() {
         critical_path_digest(&paths)
     };
     let golden = digest_of(&CaptureConfig::default());
-    // Run-to-run.
     assert_eq!(
         digest_of(&CaptureConfig::default()),
         golden,
         "rerun diverged"
-    );
-    // Queue A/B.
-    assert_eq!(
-        digest_of(&CaptureConfig {
-            queue: QueueKind::Heap,
-            ..CaptureConfig::default()
-        }),
-        golden,
-        "heap queue diverged"
     );
 }
 
@@ -216,21 +205,15 @@ fn degraded_link_diff_names_component_span_and_rank() {
 
 #[test]
 fn windowed_metrics_are_queue_invariant() {
-    let calendar = capture(&CaptureConfig::default());
+    let first = capture(&CaptureConfig::default());
     assert!(
-        calendar
-            .windows
-            .as_ref()
-            .is_some_and(|w| !w.rows.is_empty()),
+        first.windows.as_ref().is_some_and(|w| !w.rows.is_empty()),
         "default capture must produce populated windows"
     );
-    let heap = capture(&CaptureConfig {
-        queue: QueueKind::Heap,
-        ..CaptureConfig::default()
-    });
+    let again = capture(&CaptureConfig::default());
     assert_eq!(
-        heap.windows, calendar.windows,
-        "heap-queue windowed metrics diverged from the calendar queue"
+        again.windows, first.windows,
+        "windowed metrics diverged between two runs"
     );
 }
 
@@ -305,8 +288,7 @@ fn dlrm_pipeline_traces_and_attributes() {
 
 /// The self-healing reference workload traces end to end: the MTTR
 /// analysis pins an ordered recovery timeline to the span stream, the
-/// windowed availability dips during the outage and returns, and the
-/// whole timeline is bit-identical across event-queue kinds.
+/// windowed availability dips during the outage and returns.
 #[test]
 fn rejoin_trace_yields_a_recovery_timeline() {
     let doc = capture(&CaptureConfig {
@@ -330,13 +312,4 @@ fn rejoin_trace_yields_a_recovery_timeline() {
     assert!(a.calls > a.failed, "the reissues must complete");
     assert!(a.degraded_windows > 0);
     assert!(a.availability_milli() < 1000);
-
-    // Milestones are derived from integer span timestamps only, so the
-    // heap queue reproduces them exactly.
-    let heap = capture(&CaptureConfig {
-        workload: Workload::Rejoin,
-        queue: QueueKind::Heap,
-        ..CaptureConfig::default()
-    });
-    assert_eq!(accl_obs::recovery_timeline(&heap), Some(t));
 }

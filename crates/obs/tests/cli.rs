@@ -33,7 +33,7 @@ fn bad_input_exits_2_with_a_message() {
     let missing = dir.join("missing.json");
     let missing = missing.to_str().unwrap();
 
-    let cases: [(&[&str], &str); 5] = [
+    let cases: [(&[&str], &str); 6] = [
         (
             &["dump", "--window-us", "0", "-o", out],
             "metric window width must be positive",
@@ -53,6 +53,10 @@ fn bad_input_exits_2_with_a_message() {
                 out,
             ],
             "only supported for the allreduce8 workload",
+        ),
+        (
+            &["dump", "--queue", "heap", "-o", out],
+            "unknown option \"--queue\"",
         ),
         (&["perfetto", missing, "-o", out], "cannot read"),
         (

@@ -4,9 +4,9 @@
 //! inter-arrival times with a normal distribution and reports a continuous
 //! suspicion level `phi = -log10(P(gap > elapsed))`. Floating-point math and
 //! log tables are both banned in timing paths here (the bit-replay contract
-//! requires digest-identical state across queue kinds and tie
-//! permutations), so this module reformulates the detector as **deadline
-//! scheduling over integer statistics**:
+//! requires digest-identical state across runs and tie permutations), so
+//! this module reformulates the detector as **deadline scheduling over
+//! integer statistics**:
 //!
 //! - Each observed stream (a peer's acks, notifications, local DMA
 //!   completions) keeps a fixed-size ring of recent inter-arrival gaps in

@@ -48,7 +48,7 @@ pub mod event;
 pub mod json;
 pub mod mailbox;
 pub mod pipe;
-pub mod queue;
+mod queue;
 pub mod race;
 pub mod sim;
 pub mod stats;
@@ -63,7 +63,6 @@ pub mod prelude {
     pub use crate::event::{ComponentId, Endpoint, Payload, PortId};
     pub use crate::mailbox::Mailbox;
     pub use crate::pipe::{Latency, Pipe};
-    pub use crate::queue::QueueKind;
     pub use crate::sim::{
         Component, Ctx, ParkedWork, RunOutcome, RunSummary, Simulator, StallReport,
     };

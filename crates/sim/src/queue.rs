@@ -1,26 +1,21 @@
-//! The tiered event queue: a bucketed near-future calendar spilling to a
-//! far-future heap, with payloads recycled through a slab.
+//! The event queue: one binary heap of ordering keys, with event bodies
+//! recycled through a slab.
 //!
-//! The simulation's event population is bimodal. Almost all events are
-//! *near*: pipe beats, link hops, cycle ticks and processing delays a few
-//! nanoseconds to a microsecond out. A small minority are *far*: RTO
-//! retransmission timers, stall watchdogs, starvation timeouts tens of
-//! microseconds to milliseconds out. A global `BinaryHeap` pays `O(log n)`
-//! sift cost per event for both; the tiered queue gives the near majority
-//! `O(1)` amortized push/pop (a calendar of [`NUM_BUCKETS`] buckets of
-//! [`BUCKET_WIDTH_PS`] each) and parks the far minority in a small spill
-//! heap that is only consulted when the calendar window slides.
+//! **Ordering contract**: `pop_key` always returns the globally smallest
+//! `(time, order word)` entry. Without a tie-order permutation the order
+//! word is the scheduling `seq`, so events run in `(time, seq)` order.
 //!
-//! **Ordering contract**: `pop` always returns the globally smallest
-//! `(time, seq)` event — bit-identical to the `BinaryHeap` it replaced.
-//! [`QueueKind::Heap`] keeps the old ordering structure alive behind the
-//! same API so tests can A/B the two and assert identical timelines.
+//! The queue stays shallow: a kernel timer slot keeps at most one entry
+//! queued however often it is re-armed (see [`crate::timer`]), so the
+//! population is the in-flight messages of the model plus one deadline
+//! per armed slot.
 //!
 //! Event bodies (`Endpoint` + [`Payload`]) live in a slab of
-//! `Option<Slot>` indexed by `u32`; the ordering structures move only
-//! 24-byte keys, and vacant slots are recycled through a free list, so the
-//! queue's own storage stops growing once it has held its peak population.
-//! The payload's box is the one allocation per event.
+//! `Option<Slot>` indexed by `u32`; the heap moves only 24-byte keys, and
+//! vacant slots are recycled through a free list, so the queue's own
+//! storage stops growing once it has held its peak population. The
+//! payload's box is the one allocation per event. A timer entry has no
+//! body here: its slot holds the destination and the payload.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -28,38 +23,24 @@ use std::collections::BinaryHeap;
 use crate::event::{Endpoint, Payload};
 use crate::time::Time;
 
-/// Log2 of the calendar bucket width in picoseconds.
-const BUCKET_WIDTH_BITS: u32 = 12;
-/// Width of one calendar bucket: 4096 ps ≈ 4.1 ns, sized to the common
-/// short-delay event (pipe beat at 100 Gbps, link hop, cycle tick).
-pub const BUCKET_WIDTH_PS: u64 = 1 << BUCKET_WIDTH_BITS;
-/// Number of calendar buckets (power of two). The calendar window spans
-/// `NUM_BUCKETS * BUCKET_WIDTH_PS` ≈ 4.2 us; anything further out (RTO
-/// timers start at 25 us) spills to the far heap.
-pub const NUM_BUCKETS: usize = 1024;
-const BUCKET_MASK: usize = NUM_BUCKETS - 1;
-/// Calendar window span in picoseconds.
-pub const CALENDAR_SPAN_PS: u64 = (NUM_BUCKETS as u64) << BUCKET_WIDTH_BITS;
-
-/// Which ordering structure backs the queue.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum QueueKind {
-    /// Single global binary heap — the pre-overhaul structure, kept for
-    /// A/B timeline validation and as a fallback.
-    Heap,
-    /// Tiered calendar + far-heap scheduler (the default).
-    #[default]
-    Calendar,
-}
-
 /// Bits of [`EvKey::seq`] that hold the scheduling sequence number; the
 /// bits above carry the channel rank of a tie-order permutation.
 const SEQ_BITS: u32 = 40;
 /// Mask selecting the sequence number from an order word.
 const SEQ_MASK: u64 = (1 << SEQ_BITS) - 1;
 
-/// Ordering key for one scheduled event; the body lives in the slab.
-#[derive(Clone, Copy, Debug)]
+/// What a queue entry delivers.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Entry {
+    /// An ordinary event; its body is at this slab index.
+    Event(u32),
+    /// The deadline of this kernel timer slot (see [`crate::timer`]).
+    Timer(u32),
+}
+
+/// Ordering key for one scheduled entry, ordered by `(time, seq)` alone:
+/// `seq` is unique, so two keys never tie.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct EvKey {
     time: u64,
     /// Order word among same-`time` events. Without a tie-order
@@ -73,19 +54,19 @@ struct EvKey {
     /// order, never a race; cross-channel tie order is exactly what racy
     /// handlers depend on.
     seq: u64,
-    idx: u32,
-    /// Kernel timer slot this event is the deadline of, or [`NO_TIMER`]
-    /// (see [`crate::timer`]). Sits in what would otherwise be padding.
-    timer: u32,
+    entry: Entry,
 }
 
-/// [`EvKey::timer`] of an ordinary (non-timer) event.
-pub(crate) const NO_TIMER: u32 = u32::MAX;
-
-impl EvKey {
-    #[inline]
-    fn key(&self) -> (u64, u64) {
-        (self.time, self.seq)
+impl PartialOrd for EvKey {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl Ord for EvKey {
+    /// Reversed, so the max-heap `BinaryHeap` pops the earliest key. A
+    /// derived `Ord` on `Reverse<EvKey>` measured slower on deep queues.
+    fn cmp(&self, other: &Self) -> Ordering {
+        (other.time, other.seq).cmp(&(self.time, self.seq))
     }
 }
 
@@ -104,76 +85,27 @@ fn splitmix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-impl PartialEq for EvKey {
-    fn eq(&self, other: &Self) -> bool {
-        self.key() == other.key()
-    }
-}
-impl Eq for EvKey {}
-impl PartialOrd for EvKey {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for EvKey {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: BinaryHeap is a max-heap, we need earliest-first.
-        other.key().cmp(&self.key())
-    }
-}
-
 /// Slab slot holding the body of a scheduled event. A slab entry is
-/// `Some` iff its index is referenced by a key in one of the ordering
-/// structures, and `None` while the index sits on the free list.
+/// `Some` iff its index is referenced by a key in the heap, and `None`
+/// while the index sits on the free list.
 struct Slot {
     dst: Endpoint,
     payload: Payload,
 }
 
 /// The event queue. See the module docs for the design.
+#[derive(Default)]
 pub(crate) struct EventQueue {
-    kind: QueueKind,
+    heap: BinaryHeap<EvKey>,
     /// Event bodies; `free` lists vacant indices for recycling.
     slab: Vec<Option<Slot>>,
     free: Vec<u32>,
-    /// Near-future calendar. Only the cursor bucket is kept sorted
-    /// (descending, so the minimum pops from the end); other buckets are
-    /// unsorted and sorted once when the cursor reaches them.
-    buckets: Vec<Vec<EvKey>>,
-    cursor: usize,
-    /// Start time (ps) of the cursor bucket. The calendar window covers
-    /// `[cursor_start, cursor_start + CALENDAR_SPAN_PS)`.
-    cursor_start: u64,
-    cursor_sorted: bool,
-    near_len: usize,
-    /// Far-future spill (min-heap via reversed `Ord`).
-    far: BinaryHeap<EvKey>,
-    /// Legacy single-heap structure for [`QueueKind::Heap`].
-    heap: BinaryHeap<EvKey>,
-    len: usize,
     /// Seed of the tie-order permutation, when one is active.
     tie_salt: Option<u64>,
 }
 
 impl EventQueue {
-    pub(crate) fn new(kind: QueueKind) -> Self {
-        EventQueue {
-            kind,
-            slab: Vec::new(),
-            free: Vec::new(),
-            buckets: vec![Vec::new(); NUM_BUCKETS],
-            cursor: 0,
-            cursor_start: 0,
-            cursor_sorted: true,
-            near_len: 0,
-            far: BinaryHeap::new(),
-            heap: BinaryHeap::new(),
-            len: 0,
-            tie_salt: None,
-        }
-    }
-
-    /// Sets (or clears) the tie-order permutation seed. Affects events
+    /// Sets (or clears) the tie-order permutation seed. Affects entries
     /// pushed from now on: same-timestamp events from *different channels*
     /// (source component → destination endpoint) execute in a seeded
     /// permutation of the channel interleaving instead of FIFO; each
@@ -185,44 +117,14 @@ impl EventQueue {
         self.tie_salt = salt;
     }
 
-    pub(crate) fn kind(&self) -> QueueKind {
-        self.kind
-    }
-
     pub(crate) fn len(&self) -> usize {
-        self.len
-    }
-
-    #[allow(dead_code)]
-    pub(crate) fn is_empty(&self) -> bool {
-        self.len == 0
+        self.heap.len()
     }
 
     /// Schedules `payload` for `dst` at `(time, seq)`, sent by component
     /// `src` ([`SRC_EXTERNAL`] from outside any component).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `seq` does not fit in [`SEQ_BITS`] bits.
     #[inline]
     pub(crate) fn push(&mut self, time: Time, seq: u64, src: u32, dst: Endpoint, payload: Payload) {
-        self.push_tagged(time, seq, src, dst, payload, NO_TIMER);
-    }
-
-    /// [`EventQueue::push`] for the deadline of kernel timer slot `timer`
-    /// ([`NO_TIMER`] for an ordinary event); the tag comes back from
-    /// [`EventQueue::pop_key`].
-    #[inline]
-    pub(crate) fn push_tagged(
-        &mut self,
-        time: Time,
-        seq: u64,
-        src: u32,
-        dst: Endpoint,
-        payload: Payload,
-        timer: u32,
-    ) {
-        assert!(seq <= SEQ_MASK, "event sequence number overflow");
         let slot = Some(Slot { dst, payload });
         let idx = match self.free.pop() {
             Some(i) => {
@@ -235,6 +137,22 @@ impl EventQueue {
                 i
             }
         };
+        self.push_key(time, seq, src, dst, Entry::Event(idx));
+    }
+
+    /// Queues the deadline `(time, seq)` of kernel timer slot `timer`,
+    /// which delivers to `dst`; the component `dst` names is the source.
+    #[inline]
+    pub(crate) fn push_timer(&mut self, time: Time, seq: u64, dst: Endpoint, timer: u32) {
+        self.push_key(time, seq, dst.comp.0, dst, Entry::Timer(timer));
+    }
+
+    /// # Panics
+    ///
+    /// Panics if `seq` does not fit in [`SEQ_BITS`] bits.
+    #[inline]
+    fn push_key(&mut self, time: Time, seq: u64, src: u32, dst: Endpoint, entry: Entry) {
+        assert!(seq <= SEQ_MASK, "event sequence number overflow");
         let seq = match self.tie_salt {
             None => seq,
             Some(salt) => {
@@ -249,47 +167,25 @@ impl EventQueue {
                 (splitmix64(chan ^ salt) & !SEQ_MASK) | seq
             }
         };
-        let key = EvKey {
+        self.heap.push(EvKey {
             time: time.as_ps(),
             seq,
-            idx,
-            timer,
-        };
-        self.len += 1;
-        match self.kind {
-            QueueKind::Heap => self.heap.push(key),
-            QueueKind::Calendar => self.push_calendar(key),
-        }
+            entry,
+        });
     }
 
-    /// Removes the globally earliest `(time, seq)` event and returns its
-    /// key as `(time, seq, slab index, timer slot)`; the body stays in the
-    /// slab until [`EventQueue::take`] claims it. Splitting pop this way
-    /// keeps the returned value in registers on the hot path.
+    /// Removes the globally earliest entry and returns its `(time, seq,
+    /// entry)`; an event's body stays in the slab until
+    /// [`EventQueue::take`] claims it. Splitting pop this way keeps the
+    /// returned value in registers on the hot path.
     #[inline]
-    pub(crate) fn pop_key(&mut self) -> Option<(Time, u64, u32, u32)> {
-        let key = match self.kind {
-            QueueKind::Heap => self.heap.pop()?,
-            QueueKind::Calendar => {
-                if !self.settle() {
-                    return None;
-                }
-                let key = self.buckets[self.cursor].pop().expect("settled on event");
-                self.near_len -= 1;
-                key
-            }
-        };
-        self.len -= 1;
-        Some((
-            Time::from_ps(key.time),
-            key.seq & SEQ_MASK,
-            key.idx,
-            key.timer,
-        ))
+    pub(crate) fn pop_key(&mut self) -> Option<(Time, u64, Entry)> {
+        let key = self.heap.pop()?;
+        Some((Time::from_ps(key.time), key.seq & SEQ_MASK, key.entry))
     }
 
-    /// Claims the body of an event whose key was returned by
-    /// [`EventQueue::pop_key`], freeing its slab slot.
+    /// Claims the body of the event at slab index `idx`, popped as
+    /// [`Entry::Event`], freeing its slab slot.
     #[inline]
     pub(crate) fn take(&mut self, idx: u32) -> (Endpoint, Payload) {
         let slot = self.slab[idx as usize]
@@ -299,146 +195,10 @@ impl EventQueue {
         (slot.dst, slot.payload)
     }
 
-    /// Removes and returns the globally earliest `(time, seq)` event and
-    /// its timer slot tag.
-    pub(crate) fn pop(&mut self) -> Option<(Time, u64, Endpoint, Payload, u32)> {
-        let (time, seq, idx, timer) = self.pop_key()?;
-        let (dst, payload) = self.take(idx);
-        Some((time, seq, dst, payload, timer))
-    }
-
-    /// Time of the earliest pending event. `&mut` because the calendar may
-    /// advance its cursor over empty buckets to find it.
+    /// Time of the earliest pending entry.
     #[inline]
-    pub(crate) fn peek_time(&mut self) -> Option<Time> {
-        match self.kind {
-            QueueKind::Heap => self.heap.peek().map(|k| Time::from_ps(k.time)),
-            QueueKind::Calendar => {
-                if !self.settle() {
-                    return None;
-                }
-                self.buckets[self.cursor]
-                    .last()
-                    .map(|k| Time::from_ps(k.time))
-            }
-        }
-    }
-
-    /// Switches the backing structure, preserving all pending events and
-    /// their `(time, seq)` order. Used by tests to A/B the schedulers on
-    /// an already-built simulation.
-    pub(crate) fn set_kind(&mut self, kind: QueueKind) {
-        if kind == self.kind {
-            return;
-        }
-        let mut pending = Vec::with_capacity(self.len);
-        while let Some(ev) = self.pop() {
-            pending.push(ev);
-        }
-        self.kind = kind;
-        for (time, seq, dst, payload, timer) in pending {
-            self.push_tagged(time, seq, SRC_EXTERNAL, dst, payload, timer);
-        }
-    }
-
-    /// Inclusive end of the calendar window.
-    #[inline]
-    fn window_end_incl(&self) -> u64 {
-        self.cursor_start.saturating_add(CALENDAR_SPAN_PS - 1)
-    }
-
-    #[inline]
-    fn push_calendar(&mut self, key: EvKey) {
-        if key.time > self.window_end_incl() {
-            self.far.push(key);
-            return;
-        }
-        self.near_len += 1;
-        // `send_at` forbids scheduling into the past, but the cursor may sit
-        // ahead of `now` after a peek advanced it over empty buckets; such
-        // events (rel == 0 by saturation) belong in the cursor bucket, where
-        // descending order still pops them first.
-        let rel = (key.time.saturating_sub(self.cursor_start) >> BUCKET_WIDTH_BITS) as usize;
-        debug_assert!(rel < NUM_BUCKETS);
-        if rel == 0 {
-            let bucket = &mut self.buckets[self.cursor];
-            if self.cursor_sorted {
-                // Keep the active bucket sorted (descending by (time, seq)).
-                // The common case — the bucket just drained, or the new key
-                // is the earliest pending — appends without a search.
-                if bucket.last().is_none_or(|e| e.key() > key.key()) {
-                    bucket.push(key);
-                } else {
-                    let pos = bucket.partition_point(|e| e.key() > key.key());
-                    bucket.insert(pos, key);
-                }
-            } else {
-                bucket.push(key);
-            }
-        } else {
-            self.buckets[(self.cursor + rel) & BUCKET_MASK].push(key);
-        }
-    }
-
-    /// Positions the cursor on the bucket holding the globally earliest
-    /// event and sorts it. Returns `false` if the queue is empty.
-    #[inline]
-    fn settle(&mut self) -> bool {
-        if self.len == 0 {
-            return false;
-        }
-        loop {
-            if self.near_len == 0 {
-                // Calendar empty: jump the window to the far minimum.
-                let fmin = self.far.peek().expect("len > 0 with empty tiers").time;
-                self.cursor_start = fmin & !(BUCKET_WIDTH_PS - 1);
-                self.cursor_sorted = false;
-                self.migrate_far();
-                debug_assert!(self.near_len > 0);
-            }
-            if !self.buckets[self.cursor].is_empty() {
-                if !self.cursor_sorted {
-                    // allow_nondeterminism(unstable-tie-sort): every key ends in the globally unique seq, so no two elements compare equal
-                    self.buckets[self.cursor].sort_unstable_by_key(|e| core::cmp::Reverse(e.key()));
-                    self.cursor_sorted = true;
-                }
-                return true;
-            }
-            // Advance the window one bucket; the bucket the cursor leaves
-            // behind comes to represent the new far edge of the window, so
-            // pull any far events that now fall inside it.
-            self.cursor = (self.cursor + 1) & BUCKET_MASK;
-            self.cursor_start += BUCKET_WIDTH_PS;
-            self.cursor_sorted = false;
-            if self
-                .far
-                .peek()
-                .is_some_and(|f| f.time <= self.window_end_incl())
-            {
-                self.migrate_far();
-            }
-        }
-    }
-
-    /// Moves far-heap events that now fall inside the calendar window.
-    fn migrate_far(&mut self) {
-        let limit = self.window_end_incl();
-        while let Some(f) = self.far.peek() {
-            if f.time > limit {
-                break;
-            }
-            let key = self.far.pop().expect("peeked");
-            self.near_len += 1;
-            let rel = (key.time.saturating_sub(self.cursor_start) >> BUCKET_WIDTH_BITS) as usize;
-            debug_assert!(rel < NUM_BUCKETS);
-            if rel == 0 && self.cursor_sorted {
-                let bucket = &mut self.buckets[self.cursor];
-                let pos = bucket.partition_point(|e| e.key() > key.key());
-                bucket.insert(pos, key);
-            } else {
-                self.buckets[(self.cursor + rel) & BUCKET_MASK].push(key);
-            }
-        }
+    pub(crate) fn peek_time(&self) -> Option<Time> {
+        self.heap.peek().map(|k| Time::from_ps(k.time))
     }
 }
 
@@ -454,53 +214,36 @@ mod tests {
         Endpoint::new(ComponentId(comp), PortId::DEFAULT)
     }
 
+    /// Pops the earliest event with its body.
+    fn pop(q: &mut EventQueue) -> Option<(Time, u64, Endpoint, Payload)> {
+        let (time, seq, entry) = q.pop_key()?;
+        let Entry::Event(idx) = entry else {
+            panic!("only events are queued here");
+        };
+        let (dst, payload) = q.take(idx);
+        Some((time, seq, dst, payload))
+    }
+
     fn drain(q: &mut EventQueue) -> Vec<(u64, u64)> {
-        core::iter::from_fn(|| q.pop())
+        core::iter::from_fn(|| pop(q))
             .map(|(t, s, ..)| (t.as_ps(), s))
             .collect()
     }
 
     #[test]
     fn orders_by_time_then_seq() {
-        for kind in [QueueKind::Heap, QueueKind::Calendar] {
-            let mut q = EventQueue::new(kind);
-            for (t, s) in [(10, 2u64), (5, 3), (10, 1), (5, 0)] {
-                q.push(Time::from_ps(t), s, SRC_EXTERNAL, ep(0), Payload::new(()));
-            }
-            assert_eq!(drain(&mut q), vec![(5, 0), (5, 3), (10, 1), (10, 2)]);
+        let mut q = EventQueue::default();
+        for (t, s) in [(10, 2u64), (5, 3), (10, 1), (5, 0)] {
+            q.push(Time::from_ps(t), s, SRC_EXTERNAL, ep(0), Payload::new(()));
         }
-    }
-
-    #[test]
-    fn near_and_far_events_interleave_correctly() {
-        let mut q = EventQueue::new(QueueKind::Calendar);
-        let mut expect = Vec::new();
-        // Far timers way beyond the calendar span, near events inside it,
-        // and events right at the span boundary.
-        let times = [
-            1u64,
-            BUCKET_WIDTH_PS - 1,
-            BUCKET_WIDTH_PS,
-            CALENDAR_SPAN_PS - 1,
-            CALENDAR_SPAN_PS,
-            CALENDAR_SPAN_PS + 1,
-            10 * CALENDAR_SPAN_PS,
-            100 * CALENDAR_SPAN_PS + 7,
-        ];
-        for (seq, &t) in times.iter().enumerate() {
-            let seq = seq as u64;
-            q.push(Time::from_ps(t), seq, SRC_EXTERNAL, ep(0), Payload::new(()));
-            expect.push((t, seq));
-        }
-        expect.sort_unstable();
-        assert_eq!(drain(&mut q), expect);
+        assert_eq!(drain(&mut q), vec![(5, 0), (5, 3), (10, 1), (10, 2)]);
     }
 
     #[test]
     fn matches_heap_on_adversarial_sequences() {
         // Deterministic pseudo-random interleaving of pushes and pops with
-        // near, far and boundary-straddling times; both queue kinds must
-        // produce identical sequences.
+        // short, long and zero delays; every pop must return the smallest
+        // pending key of a sorted model of the pushed keys.
         let mut lcg = 0x2545F4914F6CDD1Du64;
         let mut step = move || {
             lcg = lcg
@@ -518,11 +261,10 @@ mod tests {
                 ops.push(None);
                 pending -= 1;
             } else {
-                // Mix of sub-bucket, sub-span and far-future delays.
                 let delay = match r % 7 {
-                    0..=2 => r % BUCKET_WIDTH_PS,
-                    3..=4 => r % CALENDAR_SPAN_PS,
-                    5 => r % (20 * CALENDAR_SPAN_PS),
+                    0..=2 => r % 4096,
+                    3..=4 => r % (1 << 22),
+                    5 => r % (20 << 22),
                     _ => 0,
                 };
                 ops.push(Some((now + delay, seq)));
@@ -532,73 +274,52 @@ mod tests {
             now += step() % 100;
         }
 
-        let run = |kind: QueueKind| -> Vec<(u64, u64)> {
-            let mut q = EventQueue::new(kind);
-            let mut out = Vec::new();
-            for op in &ops {
-                match op {
-                    Some((t, s)) => {
-                        q.push(Time::from_ps(*t), *s, SRC_EXTERNAL, ep(0), Payload::new(*s))
-                    }
-                    None => {
-                        let (t, s, _, p, _) = q.pop().expect("pop on non-empty");
-                        assert_eq!(p.downcast::<u64>(), s);
-                        out.push((t.as_ps(), s));
-                    }
-                }
-            }
-            out.extend(core::iter::from_fn(|| q.pop()).map(|(t, s, ..)| (t.as_ps(), s)));
-            out
+        let mut q = EventQueue::default();
+        let mut model: Vec<(u64, u64)> = Vec::new();
+        let check_pop = |q: &mut EventQueue, model: &mut Vec<(u64, u64)>| {
+            let min = model.iter().copied().min().expect("pop on non-empty");
+            model.retain(|&k| k != min);
+            let (t, s, _, p) = pop(q).expect("queue holds the model's keys");
+            assert_eq!(p.downcast::<u64>(), s);
+            assert_eq!((t.as_ps(), s), min);
         };
-        assert_eq!(run(QueueKind::Heap), run(QueueKind::Calendar));
+        for op in &ops {
+            match *op {
+                Some((t, s)) => {
+                    q.push(Time::from_ps(t), s, SRC_EXTERNAL, ep(0), Payload::new(s));
+                    model.push((t, s));
+                }
+                None => check_pop(&mut q, &mut model),
+            }
+        }
+        while !model.is_empty() {
+            check_pop(&mut q, &mut model);
+        }
+        assert!(pop(&mut q).is_none());
     }
 
     #[test]
     fn peek_matches_pop() {
-        let mut q = EventQueue::new(QueueKind::Calendar);
+        let mut q = EventQueue::default();
         q.push(Time::from_ps(500), 0, SRC_EXTERNAL, ep(0), Payload::new(()));
         q.push(
-            Time::from_ps(100 * CALENDAR_SPAN_PS),
+            Time::from_ps(1 << 40),
             1,
             SRC_EXTERNAL,
             ep(0),
             Payload::new(()),
         );
         assert_eq!(q.peek_time(), Some(Time::from_ps(500)));
-        assert_eq!(q.pop().unwrap().0, Time::from_ps(500));
-        assert_eq!(q.peek_time(), Some(Time::from_ps(100 * CALENDAR_SPAN_PS)));
-        assert_eq!(q.pop().unwrap().0, Time::from_ps(100 * CALENDAR_SPAN_PS));
+        assert_eq!(pop(&mut q).unwrap().0, Time::from_ps(500));
+        assert_eq!(q.peek_time(), Some(Time::from_ps(1 << 40)));
+        assert_eq!(pop(&mut q).unwrap().0, Time::from_ps(1 << 40));
         assert_eq!(q.peek_time(), None);
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn push_behind_an_advanced_cursor_still_pops_first() {
-        let mut q = EventQueue::new(QueueKind::Calendar);
-        // A lone far event pulls the cursor forward on peek...
-        q.push(
-            Time::from_ps(50 * CALENDAR_SPAN_PS),
-            0,
-            SRC_EXTERNAL,
-            ep(0),
-            Payload::new(()),
-        );
-        assert_eq!(q.peek_time(), Some(Time::from_ps(50 * CALENDAR_SPAN_PS)));
-        // ...then an earlier event arrives (allowed: still >= sim time).
-        q.push(
-            Time::from_ps(1000),
-            1,
-            SRC_EXTERNAL,
-            ep(0),
-            Payload::new(()),
-        );
-        assert_eq!(q.peek_time(), Some(Time::from_ps(1000)));
-        assert_eq!(drain(&mut q), vec![(1000, 1), (50 * CALENDAR_SPAN_PS, 0)]);
+        assert_eq!(q.len(), 0);
     }
 
     #[test]
     fn slab_recycles_slots() {
-        let mut q = EventQueue::new(QueueKind::Calendar);
+        let mut q = EventQueue::default();
         for round in 0..10u64 {
             for i in 0..100u64 {
                 q.push(
@@ -610,7 +331,7 @@ mod tests {
                 );
             }
             for _ in 0..100 {
-                q.pop().unwrap();
+                pop(&mut q).unwrap();
             }
         }
         // All rounds reused the 100 slots of the first.
@@ -629,20 +350,16 @@ mod tests {
         let count = || drops.load(AtomicOrdering::SeqCst);
         let canary = || Payload::new(Canary(Arc::clone(&drops)));
 
-        for kind in [QueueKind::Heap, QueueKind::Calendar] {
-            drops.store(0, AtomicOrdering::SeqCst);
-            let mut q = EventQueue::new(kind);
-            // Near and far events, and a recycled slot.
-            let times = [10, 3 * CALENDAR_SPAN_PS, 20, 50 * CALENDAR_SPAN_PS];
-            for (seq, &t) in times.iter().enumerate() {
-                q.push(Time::from_ps(t), seq as u64, SRC_EXTERNAL, ep(0), canary());
-            }
-            drop(q.pop());
-            q.push(Time::from_ps(30), 4, SRC_EXTERNAL, ep(0), canary());
-            assert_eq!(count(), 1, "{kind:?}");
-            drop(q);
-            assert_eq!(count(), 5, "{kind:?}");
+        let mut q = EventQueue::default();
+        // Pending events, and a recycled slot.
+        for (seq, t) in [10, 3 << 22, 20, 50 << 22].into_iter().enumerate() {
+            q.push(Time::from_ps(t), seq as u64, SRC_EXTERNAL, ep(0), canary());
         }
+        drop(pop(&mut q));
+        q.push(Time::from_ps(30), 4, SRC_EXTERNAL, ep(0), canary());
+        assert_eq!(count(), 1);
+        drop(q);
+        assert_eq!(count(), 5);
 
         // Through a simulator: events left queued past the run horizon.
         struct Drain;
@@ -673,70 +390,41 @@ mod tests {
         // must neither disturb a channel's FIFO order nor leak into the
         // returned `seq`.
         let base = SEQ_MASK - 7;
-        for kind in [QueueKind::Heap, QueueKind::Calendar] {
-            let mut q = EventQueue::new(kind);
-            q.set_tie_salt(Some(0x5eed));
-            for seq in base..=SEQ_MASK {
-                let src = 1 + (seq % 2) as u32;
-                q.push(Time::from_ps(64), seq, src, ep(0), Payload::new(src));
-            }
-            let mut popped = Vec::new();
-            while let Some((t, seq, _, p, _)) = q.pop() {
-                assert_eq!(t, Time::from_ps(64));
-                popped.push((p.downcast::<u32>(), seq));
-            }
-            let mut all: Vec<u64> = popped.iter().map(|&(_, s)| s).collect();
-            all.sort_unstable();
-            assert_eq!(all, (base..=SEQ_MASK).collect::<Vec<_>>());
-            for src in [1, 2] {
-                let chan: Vec<u64> = popped
-                    .iter()
-                    .filter(|&&(s, _)| s == src)
-                    .map(|&(_, seq)| seq)
-                    .collect();
-                assert_eq!(chan.len(), 4);
-                assert!(chan.windows(2).all(|w| w[0] < w[1]), "{kind:?}: {chan:?}");
-            }
+        let mut q = EventQueue::default();
+        q.set_tie_salt(Some(0x5eed));
+        for seq in base..=SEQ_MASK {
+            let src = 1 + (seq % 2) as u32;
+            q.push(Time::from_ps(64), seq, src, ep(0), Payload::new(src));
+        }
+        let mut popped = Vec::new();
+        while let Some((t, seq, _, p)) = pop(&mut q) {
+            assert_eq!(t, Time::from_ps(64));
+            popped.push((p.downcast::<u32>(), seq));
+        }
+        let mut all: Vec<u64> = popped.iter().map(|&(_, s)| s).collect();
+        all.sort_unstable();
+        assert_eq!(all, (base..=SEQ_MASK).collect::<Vec<_>>());
+        for src in [1, 2] {
+            let chan: Vec<u64> = popped
+                .iter()
+                .filter(|&&(s, _)| s == src)
+                .map(|&(_, seq)| seq)
+                .collect();
+            assert_eq!(chan.len(), 4);
+            assert!(chan.windows(2).all(|w| w[0] < w[1]), "{chan:?}");
         }
     }
 
     #[test]
     #[should_panic(expected = "sequence number overflow")]
     fn seq_beyond_the_order_word_is_rejected() {
-        let mut q = EventQueue::new(QueueKind::Calendar);
+        let mut q = EventQueue::default();
         q.push(
             Time::ZERO,
             SEQ_MASK + 1,
             SRC_EXTERNAL,
             ep(0),
             Payload::new(()),
-        );
-    }
-
-    #[test]
-    fn set_kind_preserves_pending_events() {
-        let mut q = EventQueue::new(QueueKind::Calendar);
-        for (i, &t) in [700u64, 20, 20, 5 * CALENDAR_SPAN_PS, 3].iter().enumerate() {
-            q.push(
-                Time::from_ps(t),
-                i as u64,
-                SRC_EXTERNAL,
-                ep(0),
-                Payload::new(i),
-            );
-        }
-        q.set_kind(QueueKind::Heap);
-        assert_eq!(q.kind(), QueueKind::Heap);
-        assert_eq!(q.len(), 5);
-        assert_eq!(
-            drain(&mut q),
-            vec![
-                (3, 4),
-                (20, 1),
-                (20, 2),
-                (700, 0),
-                (5 * CALENDAR_SPAN_PS, 3)
-            ]
         );
     }
 }

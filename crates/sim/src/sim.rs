@@ -7,11 +7,10 @@
 //! relies on for its own simulation platform (§4.2) and that our integration
 //! tests assert.
 //!
-//! The event queue is the tiered calendar/heap scheduler of [`crate::queue`];
-//! [`Simulator::set_queue_kind`] switches to the legacy single-heap structure
-//! for A/B timeline validation, and [`Simulator::enable_digest`] folds every
-//! delivery into an order-sensitive hash so two runs can be compared without
-//! recording full traces.
+//! The event queue is the binary heap of [`crate::queue`], kept shallow by
+//! the kernel timer slots of [`crate::timer`]. [`Simulator::enable_digest`]
+//! folds every delivery into an order-sensitive hash so two runs can be
+//! compared without recording full traces.
 
 use core::any::Any;
 
@@ -21,7 +20,7 @@ use rand::SeedableRng;
 use crate::deadlock::{self, DeadlockReport, ResourceState};
 use crate::digest::{fnv1a, FNV_OFFSET};
 use crate::event::{ComponentId, Endpoint, Payload, PortId};
-use crate::queue::{EventQueue, QueueKind, NO_TIMER, SRC_EXTERNAL};
+use crate::queue::{Entry, EventQueue, SRC_EXTERNAL};
 use crate::stats::Stats;
 use crate::time::{Dur, Time};
 use crate::timer::TimerTable;
@@ -146,14 +145,13 @@ impl Ctx<'_> {
     pub fn arm_timer<T: Any + Send>(&mut self, port: PortId, key: u64, delay: Dur, payload: T) {
         let seq = *self.seq;
         *self.seq += 1;
-        let id = self.timers.arm(self.self_id, port, key, seq);
-        self.queue.push_tagged(
+        self.timers.arm(
+            self.queue,
+            Endpoint::new(self.self_id, port),
+            key,
             self.now + delay,
             seq,
-            self.self_id.0,
-            Endpoint::new(self.self_id, port),
             Payload::new(payload),
-            id,
         );
     }
 
@@ -417,8 +415,6 @@ pub struct Simulator {
     tie_rec: Option<crate::race::TieRecorder>,
     /// Kernel-owned timer slots.
     timers: TimerTable,
-    /// Superseded timer deadlines skipped so far.
-    superseded: u64,
 }
 
 /// What [`Simulator::pop_next`] did with the head of the queue.
@@ -426,24 +422,19 @@ pub struct Simulator {
 enum Popped {
     /// The queue was empty.
     Empty,
-    /// A superseded timer deadline: the clock advanced, nothing ran.
+    /// A timer entry that delivered nothing: the clock advanced, nothing
+    /// ran.
     Skipped,
     /// An event was delivered.
     Executed,
 }
 
 impl Simulator {
-    /// Creates an empty simulator with the given RNG seed and the default
-    /// (tiered calendar) event queue.
+    /// Creates an empty simulator with the given RNG seed.
     pub fn new(seed: u64) -> Self {
-        Simulator::new_with_queue(seed, QueueKind::default())
-    }
-
-    /// Creates an empty simulator with an explicit event-queue structure.
-    pub fn new_with_queue(seed: u64, kind: QueueKind) -> Self {
         Simulator {
             time: Time::ZERO,
-            queue: EventQueue::new(kind),
+            queue: EventQueue::default(),
             seq: 0,
             components: Vec::new(),
             names: Vec::new(),
@@ -458,7 +449,6 @@ impl Simulator {
             last_run_summary: None,
             tie_rec: None,
             timers: TimerTable::default(),
-            superseded: 0,
         }
     }
 
@@ -500,18 +490,6 @@ impl Simulator {
                 Some((ComponentId(i as u32), d))
             })
             .collect()
-    }
-
-    /// The event-queue structure currently in use.
-    pub fn queue_kind(&self) -> QueueKind {
-        self.queue.kind()
-    }
-
-    /// Switches the event-queue structure, preserving all pending events
-    /// and their `(time, seq)` execution order. Used to A/B the tiered
-    /// scheduler against the legacy heap on identical workloads.
-    pub fn set_queue_kind(&mut self, kind: QueueKind) {
-        self.queue.set_kind(kind);
     }
 
     /// Number of events currently pending in the queue.
@@ -810,8 +788,8 @@ impl Simulator {
         &mut self.stats
     }
 
-    /// Executes a single event, skipping any superseded timer deadlines
-    /// ahead of it. Returns `false` if the queue drained.
+    /// Executes a single event, skipping any timer entries that deliver
+    /// nothing ahead of it. Returns `false` if the queue drained.
     ///
     /// # Panics
     ///
@@ -827,21 +805,29 @@ impl Simulator {
     }
 
     /// Pops the head of the queue and delivers it, unless it is a timer
-    /// deadline that a re-arm or cancel superseded. A skipped deadline
-    /// still advances the clock (a drained run ends at its last deadline,
-    /// as if the timer had fired and done nothing) but is not an event:
-    /// it is counted only in `sim.kernel.timers_superseded`.
+    /// entry that delivers nothing (see [`crate::timer`]). Such an entry,
+    /// and with the queue empty the latest deadline ever armed, still
+    /// advances the clock (a drained run ends at its last deadline, as if
+    /// the timer had fired and done nothing) but is not an event.
     fn pop_next(&mut self) -> Popped {
-        let Some((time, seq, idx, timer)) = self.queue.pop_key() else {
-            return Popped::Empty;
+        let Some((time, seq, entry)) = self.queue.pop_key() else {
+            return match self.timers.trailing_deadline(self.time) {
+                Some(t) => {
+                    self.time = t;
+                    Popped::Skipped
+                }
+                None => Popped::Empty,
+            };
         };
         debug_assert!(time >= self.time, "event queue went backwards");
         self.time = time;
-        let (dst, payload) = self.queue.take(idx);
-        if timer != NO_TIMER && !self.timers.fire(timer, seq) {
-            self.superseded += 1;
-            return Popped::Skipped;
-        }
+        let (dst, payload) = match entry {
+            Entry::Event(idx) => self.queue.take(idx),
+            Entry::Timer(id) => match self.timers.fire(&mut self.queue, id, time, seq) {
+                Some(ev) => ev,
+                None => return Popped::Skipped,
+            },
+        };
         if self.trace.is_some() || self.digest.is_some() || self.tie_rec.is_some() {
             self.note_delivery(time, seq, dst, payload.type_name());
         }
@@ -919,12 +905,11 @@ impl Simulator {
     /// it to `u64::MAX`.
     pub fn run_bounded(&mut self, horizon: Time, max_events: u64) -> RunOutcome {
         let events_before = self.executed;
-        let superseded_before = self.superseded;
         let mut gauges = DepthGauges::new();
         let outcome = self.run_loop(horizon, max_events, &mut gauges);
         let executed = self.executed - events_before;
         self.stats.add("sim.kernel.events_executed", executed);
-        let superseded = self.superseded - superseded_before;
+        let superseded = self.timers.take_superseded();
         if superseded > 0 {
             self.stats.add("sim.kernel.timers_superseded", superseded);
         }
@@ -969,7 +954,7 @@ impl Simulator {
             // the sweep cost is not paid per event.
             if let Some(deadline) = deadline_pending {
                 let crossing =
-                    self.time >= deadline || self.queue.peek_time().is_some_and(|t| t >= deadline);
+                    self.time >= deadline || self.next_time().is_some_and(|t| t >= deadline);
                 if crossing {
                     deadline_pending = None;
                     self.time = self.time.max(deadline.min(horizon));
@@ -978,7 +963,7 @@ impl Simulator {
                     }
                 }
             }
-            match self.queue.peek_time() {
+            match self.next_time() {
                 None => {
                     // Stall watchdog, drain edge: a clean drain means no
                     // component should still be holding work.
@@ -1003,6 +988,13 @@ impl Simulator {
                 gauges.observe_depth(self.queue.len());
             }
         }
+    }
+
+    /// Time of the next entry [`Simulator::pop_next`] would take.
+    fn next_time(&self) -> Option<Time> {
+        self.queue
+            .peek_time()
+            .or_else(|| self.timers.trailing_deadline(self.time))
     }
 
     /// The stall report of the lowest-id stuck component, if any.
@@ -1545,8 +1537,8 @@ mod tests {
         assert_ne!(run_once(42), run_once(43));
     }
 
-    /// Workload with pseudo-random near/far delays used for the digest and
-    /// queue-kind equivalence tests.
+    /// Workload with pseudo-random near/far delays used for the digest
+    /// tests.
     struct JitterMix {
         remaining: u32,
         rng: StdRng,
@@ -1581,22 +1573,6 @@ mod tests {
         }
     }
 
-    fn digest_with_kind(kind: QueueKind) -> u64 {
-        let mut sim = Simulator::new_with_queue(7, kind);
-        sim.enable_digest();
-        let a = sim.add("mix", JitterMix::new(&sim, 500));
-        sim.post(Endpoint::of(a), Time::ZERO, 0u32);
-        assert_eq!(sim.run(), RunOutcome::Drained);
-        sim.timeline_digest().expect("digest enabled")
-    }
-
-    #[test]
-    fn queue_kinds_produce_identical_timelines() {
-        let calendar = digest_with_kind(QueueKind::Calendar);
-        let heap = digest_with_kind(QueueKind::Heap);
-        assert_eq!(calendar, heap, "tiered queue changed the event order");
-    }
-
     #[test]
     fn digest_detects_timeline_differences() {
         let mut sim = Simulator::new(0);
@@ -1613,25 +1589,6 @@ mod tests {
         sim.run();
         let d2 = sim.timeline_digest().unwrap();
         assert_ne!(d1, d2);
-    }
-
-    #[test]
-    fn set_queue_kind_mid_build_preserves_pending_events() {
-        let run = |swap: bool| -> u64 {
-            let mut sim = Simulator::new(3);
-            sim.enable_digest();
-            let a = sim.add("mix", JitterMix::new(&sim, 200));
-            for i in 0..10u32 {
-                sim.post(Endpoint::of(a), Time::from_ps(u64::from(i) * 7), i);
-            }
-            if swap {
-                sim.set_queue_kind(QueueKind::Heap);
-                assert_eq!(sim.queue_kind(), QueueKind::Heap);
-            }
-            sim.run();
-            sim.timeline_digest().unwrap()
-        };
-        assert_eq!(run(false), run(true));
     }
 
     #[test]

@@ -19,8 +19,8 @@
 //! randomness, or perturbs the timeline. Span ids are *content-derived* —
 //! FNV-1a over `(component, span name, parent id, per-(component, name,
 //! parent) ordinal)` — not allocation-order counters, so ids and
-//! timestamps replay bit-identically across `QueueKind` A/B and across
-//! the race detector's tie-order permutations (two tied handlers may swap
+//! timestamps replay bit-identically run to run and across the race
+//! detector's tie-order permutations (two tied handlers may swap
 //! execution order, but each span keeps the id derived from its causal
 //! position, not from global arrival order at the component). The whole module
 //! is integer-only in sim-visible paths and passes `accl-lint`.

@@ -208,9 +208,11 @@ fn same_channel_fifo_order_survives_permutation() {
 }
 
 #[test]
-fn tie_recording_identical_across_queue_kinds() {
-    let trace_for = |kind: QueueKind, salt: Option<u64>| {
-        let mut sim = Simulator::new_with_queue(42, kind);
+fn tie_recording_identical_across_tie_permutations() {
+    // The canonical trace compares each tie-set as a set, so neither a
+    // replay nor a tie-order permutation may move it.
+    let trace_for = |salt: Option<u64>| {
+        let mut sim = Simulator::new(42);
         sim.enable_tie_recording();
         if let Some(s) = salt {
             sim.permute_tie_order(s);
@@ -220,11 +222,11 @@ fn tie_recording_identical_across_queue_kinds() {
         assert_eq!(sim.run(), RunOutcome::Drained);
         sim.tie_trace().unwrap()
     };
+    let golden = trace_for(None);
     for salt in [None, Some(17), Some(0xabcd)] {
-        let cal = trace_for(QueueKind::Calendar, salt);
-        let heap = trace_for(QueueKind::Heap, salt);
-        assert_eq!(cal, heap, "canonical trace diverged across queue kinds");
-        assert_eq!(cal.digest(), heap.digest());
+        let trace = trace_for(salt);
+        assert_eq!(trace, golden, "canonical trace diverged under {salt:?}");
+        assert_eq!(trace.digest(), golden.digest());
     }
 }
 
