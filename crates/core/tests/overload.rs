@@ -126,18 +126,6 @@ fn overloaded_timeline_is_reproducible_run_to_run() {
     );
 }
 
-#[test]
-fn overloaded_timeline_is_queue_invariant() {
-    // One queue structure: a rebuilt cluster must replay the overloaded
-    // timeline.
-    let first = overloaded_digest();
-    assert_eq!(
-        overloaded_digest(),
-        first,
-        "a rebuilt cluster changed the overloaded timeline"
-    );
-}
-
 /// Three host processes race one driver whose submission queue holds a
 /// single waiting call: the first runs, the second queues, the third is
 /// shed immediately with `Busy` — on both nodes symmetrically, so the two

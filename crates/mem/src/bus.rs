@@ -18,8 +18,8 @@ use accl_sim::prelude::*;
 use accl_sim::trace::{Attr, AttrValue, SpanId};
 use serde::{Deserialize, Serialize};
 
-use crate::store::{MemStore, PAGE_SIZE};
-use crate::tlb::{MemTarget, Tlb, TlbConfig};
+use crate::store::MemStore;
+use crate::tlb::{MemTarget, Tlb, TlbConfig, PAGE_SIZE};
 
 /// An address understood by the memory bus.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -336,7 +336,7 @@ impl Component for MemoryBus {
                 // Deliver chunks pipelined: chunk i lands once its bytes have
                 // crossed the pipe, plus the access latency. Each chunk is
                 // read now, so it carries the bytes as of the request; one
-                // within a page is a slice of that page.
+                // within a single store extent is a slice of that extent.
                 let t0 = pipe.next_free() - pipe.service_time(req.len);
                 let bw = pipe.bandwidth_bytes_per_sec();
                 let store = match target {

@@ -23,6 +23,6 @@ pub mod xdma;
 
 pub use bus::{MemAddr, MemBusConfig, MemChunk, MemDone, MemReadReq, MemWriteReq, MemoryBus};
 pub use space::{AddrSpace, Region};
-pub use store::{MemStore, PAGE_SIZE};
-pub use tlb::{MemTarget, Tlb, TlbConfig};
+pub use store::MemStore;
+pub use tlb::{MemTarget, Tlb, TlbConfig, PAGE_SIZE};
 pub use xdma::{XdmaCopy, XdmaDir, XdmaDone, XdmaEngine};

@@ -1,59 +1,35 @@
-//! Sparse byte-addressable backing store with shared pages.
+//! Sparse byte-addressable backing store of shared extents.
 //!
 //! Every simulated memory (host DDR, FPGA HBM) holds real bytes so that
 //! collectives, reductions and the DLRM use case produce verifiable results,
-//! not just timing. The store is sparse — pages materialize on first write —
+//! not just timing. The store is sparse — it holds only the ranges written —
 //! because experiments address gigabyte-scale spaces while touching only the
 //! buffers in use.
 //!
-//! Pages are shared [`Bytes`] of exactly [`PAGE_SIZE`], so payloads move by
-//! reference, as they do through the CCLO datapath:
+//! The store is a map of disjoint, non-empty extents, each a shared
+//! [`Bytes`] keyed by its start address, so payloads move by reference, as
+//! they do through the CCLO datapath:
 //!
-//! - A write that covers a whole page stores that page as a slice of the
-//!   writer's buffer; no bytes are copied.
-//! - A write that covers part of a page patches it in place when the store
-//!   holds the only handle on it. Otherwise (a reader, or a sibling page
-//!   from the same write, still holds it) that one page is copied first:
-//!   copy-on-write. Bytes a reader was handed never change.
-//! - A read within one page returns a slice of it; a read across pages
-//!   gathers into a fresh buffer.
+//! - A write stores the writer's buffer as one extent. The extents it
+//!   overlaps are cut back to their slices outside it; no bytes are copied.
+//! - A read within one extent returns a slice of it; any other read gathers
+//!   into a fresh buffer, with unwritten bytes reading as zero.
+//! - A write replaces extents and never modifies one, so bytes a reader was
+//!   handed and the buffer a writer stored never change.
 //!
-//! Retention: each resident page pins exactly one allocation, the one
-//! behind the write that stored it (or its own copied page). That
-//! allocation is freed once every page and reader slice cut from it has
-//! let go, so a rewritten buffer frees its old writers' buffers.
+//! Retention: an extent pins its writer's allocation. A partly overwritten
+//! extent keeps pinning all of it through its head and tail slices, however
+//! few of its bytes are still live. The allocation is freed once every
+//! extent and reader slice cut from it has let go.
 
-use bytes::{Bytes, BytesMut};
+use bytes::Bytes;
 use std::collections::BTreeMap;
-
-/// Page size of the backing store, in bytes.
-pub const PAGE_SIZE: u64 = 4096;
-
-const PAGE: usize = PAGE_SIZE as usize;
 
 /// A sparse, zero-initialized byte store.
 #[derive(Default)]
 pub struct MemStore {
-    /// Resident pages by base address; each is exactly `PAGE_SIZE` long.
-    pages: BTreeMap<u64, Bytes>,
-}
-
-/// Splits `[addr, addr + len)` into per-page pieces
-/// `(page base, offset in page, offset in range, length)`.
-fn pieces(addr: u64, len: usize) -> impl Iterator<Item = (u64, usize, usize, usize)> {
-    let mut off = 0usize;
-    std::iter::from_fn(move || {
-        if off == len {
-            return None;
-        }
-        let a = addr + off as u64;
-        let base = a & !(PAGE_SIZE - 1);
-        let in_page = (a - base) as usize;
-        let n = (PAGE - in_page).min(len - off);
-        let piece = (base, in_page, off, n);
-        off += n;
-        Some(piece)
-    })
+    /// Written bytes as disjoint, non-empty extents: start address → bytes.
+    extents: BTreeMap<u64, Bytes>,
 }
 
 impl MemStore {
@@ -64,38 +40,59 @@ impl MemStore {
 
     /// Writes a copy of `data` starting at `addr`.
     ///
-    /// The copy is one allocation, which every whole page it covers then
-    /// shares (see [`MemStore::write_bytes`]).
+    /// The copy is one allocation, stored as one extent (see
+    /// [`MemStore::write_bytes`]).
     pub fn write(&mut self, addr: u64, data: &[u8]) {
         self.write_bytes(addr, &Bytes::copy_from_slice(data));
     }
 
-    /// Writes `data` starting at `addr`, sharing its allocation for every
-    /// whole page it covers and patching (or copying on write) the partial
-    /// pages at either end.
+    /// Writes `data` starting at `addr` as one extent that shares the
+    /// writer's allocation. The extents it overlaps keep only their slices
+    /// outside the written range; nothing is copied.
     pub fn write_bytes(&mut self, addr: u64, data: &Bytes) {
-        for (base, in_page, off, n) in pieces(addr, data.len()) {
-            if n == PAGE {
-                self.pages.insert(base, data.slice(off..off + n));
-                continue;
-            }
-            let mut page = match self.pages.remove(&base) {
-                None => BytesMut::from(vec![0u8; PAGE]),
-                Some(page) => page
-                    .try_into_mut()
-                    .unwrap_or_else(|shared| BytesMut::from(shared.to_vec())),
-            };
-            page[in_page..in_page + n].copy_from_slice(&data[off..off + n]);
-            self.pages.insert(base, page.freeze());
+        // An empty extent inserted at an existing start would erase it.
+        if data.is_empty() {
+            return;
         }
+        let end = addr + data.len() as u64;
+        // An extent starting before `addr` keeps its head; if it also
+        // reaches past `end`, its tail survives as a separate extent.
+        if let Some((&start, e)) = self.extents.range_mut(..addr).next_back() {
+            let reach = start + e.len() as u64;
+            if reach > addr {
+                let tail = (reach > end).then(|| e.slice((end - start) as usize..));
+                *e = e.slice(..(addr - start) as usize);
+                if let Some(tail) = tail {
+                    self.extents.insert(end, tail);
+                }
+            }
+        }
+        // Extents starting inside the new one are replaced; only the last
+        // can reach past `end`, and its tail survives.
+        while let Some((&start, _)) = self.extents.range(addr..end).next() {
+            let e = self.extents.remove(&start).expect("the extent just found");
+            if start + e.len() as u64 > end {
+                self.extents.insert(end, e.slice((end - start) as usize..));
+            }
+        }
+        self.extents.insert(addr, data.clone());
     }
 
-    /// Reads `len` bytes starting at `addr`; untouched bytes read as zero.
+    /// Reads `len` bytes starting at `addr`; unwritten bytes read as zero.
     pub fn read(&self, addr: u64, len: usize) -> Vec<u8> {
         let mut out = vec![0u8; len];
-        for (base, in_page, off, n) in pieces(addr, len) {
-            if let Some(page) = self.pages.get(&base) {
-                out[off..off + n].copy_from_slice(&page[in_page..in_page + n]);
+        let end = addr + len as u64;
+        let first = self
+            .extents
+            .range(..=addr)
+            .next_back()
+            .map_or(addr, |(&start, _)| start);
+        for (&start, e) in self.extents.range(first..end) {
+            let lo = start.max(addr);
+            let hi = (start + e.len() as u64).min(end);
+            if lo < hi {
+                out[(lo - addr) as usize..(hi - addr) as usize]
+                    .copy_from_slice(&e[(lo - start) as usize..(hi - start) as usize]);
             }
         }
         out
@@ -103,22 +100,24 @@ impl MemStore {
 
     /// Reads `len` bytes starting at `addr` as a shared buffer.
     ///
-    /// This is the DMA-path entry point. A range within one resident page
-    /// is a slice of that page (no copy); any other range is gathered into
-    /// one new buffer. Either way the result keeps the bytes it was read
-    /// with, whatever is written afterwards.
+    /// This is the DMA-path entry point. A range within one extent is a
+    /// slice of it (no copy); any other range is gathered into one new
+    /// buffer. Either way the result keeps the bytes it was read with,
+    /// whatever is written afterwards.
     pub fn read_bytes(&self, addr: u64, len: usize) -> Bytes {
-        let base = addr & !(PAGE_SIZE - 1);
-        let in_page = (addr - base) as usize;
-        match self.pages.get(&base) {
-            Some(page) if in_page + len <= PAGE => page.slice(in_page..in_page + len),
+        match self.extents.range(..=addr).next_back() {
+            Some((&start, e)) if addr + len as u64 <= start + e.len() as u64 => {
+                let off = (addr - start) as usize;
+                e.slice(off..off + len)
+            }
             _ => Bytes::from(self.read(addr, len)),
         }
     }
 
-    /// Number of materialized pages.
-    pub fn resident_pages(&self) -> usize {
-        self.pages.len()
+    /// Number of extents the store holds.
+    #[cfg(test)]
+    fn extents(&self) -> usize {
+        self.extents.len()
     }
 }
 
@@ -126,28 +125,26 @@ impl MemStore {
 mod tests {
     use super::*;
 
+    const PAGE: usize = 4096;
+
     #[test]
     fn roundtrip_within_a_page() {
         let mut m = MemStore::new();
         m.write(100, &[1, 2, 3]);
         assert_eq!(m.read(100, 3), vec![1, 2, 3]);
         assert_eq!(m.read(99, 5), vec![0, 1, 2, 3, 0]);
-        assert_eq!(m.resident_pages(), 1);
+        assert_eq!(m.extents(), 1);
     }
 
     #[test]
     fn roundtrip_across_pages() {
         let mut m = MemStore::new();
-        let data: Vec<u8> = (0..=255)
-            .cycle()
-            .take(3 * PAGE_SIZE as usize)
-            .map(|v| v as u8)
-            .collect();
-        let addr = PAGE_SIZE - 7;
+        let data: Vec<u8> = (0..=255).cycle().take(3 * PAGE).map(|v| v as u8).collect();
+        let addr = PAGE as u64 - 7;
         m.write(addr, &data);
         assert_eq!(m.read(addr, data.len()), data);
         assert_eq!(&m.read_bytes(addr, data.len())[..], &data[..]);
-        assert_eq!(m.resident_pages(), 4);
+        assert_eq!(m.extents(), 1, "one write, one extent");
     }
 
     #[test]
@@ -155,7 +152,7 @@ mod tests {
         let m = MemStore::new();
         assert_eq!(m.read(1 << 40, 8), vec![0; 8]);
         assert_eq!(&m.read_bytes(1 << 40, 8)[..], &[0; 8]);
-        assert_eq!(m.resident_pages(), 0);
+        assert_eq!(m.extents(), 0);
     }
 
     #[test]
@@ -164,54 +161,81 @@ mod tests {
         m.write(10, &[9u8; 100]);
         let b = m.read_bytes(0, 200);
         assert_eq!(&b[..], &m.read(0, 200)[..]);
-        let again = m.read_bytes(10, 100);
-        assert_eq!(again.as_ptr(), b[10..].as_ptr(), "one page, one allocation");
+        let whole = m.read_bytes(10, 100);
+        let part = m.read_bytes(30, 50);
+        assert_eq!(
+            part.as_ptr(),
+            whole[20..].as_ptr(),
+            "one extent, one allocation"
+        );
     }
 
     #[test]
     fn whole_page_write_bytes_shares_the_writers_allocation() {
         let mut m = MemStore::new();
         let data = Bytes::from(vec![7u8; 2 * PAGE + 5]);
-        m.write_bytes(PAGE_SIZE, &data);
-        assert_eq!(m.read_bytes(PAGE_SIZE, PAGE).as_ptr(), data.as_ptr());
+        m.write_bytes(PAGE as u64, &data);
+        assert_eq!(m.read_bytes(PAGE as u64, PAGE).as_ptr(), data.as_ptr());
         assert_eq!(
-            m.read_bytes(2 * PAGE_SIZE, PAGE).as_ptr(),
+            m.read_bytes(2 * PAGE as u64, PAGE).as_ptr(),
             data[PAGE..].as_ptr()
         );
-        // The 5-byte tail landed in a zero page of its own.
-        assert_eq!(m.read(3 * PAGE_SIZE, 6), vec![7, 7, 7, 7, 7, 0]);
+        // The 5-byte tail ends the extent; past it memory reads zero.
+        assert_eq!(m.read(3 * PAGE as u64, 6), vec![7, 7, 7, 7, 7, 0]);
     }
 
     #[test]
-    fn partial_write_to_an_unshared_page_patches_it_in_place() {
+    fn unaligned_write_bytes_reads_back_as_one_slice() {
         let mut m = MemStore::new();
-        m.write(0, &[1u8; 16]);
-        let before = m.read_bytes(0, 1).as_ptr();
-        m.write(4, &[2u8; 4]);
-        assert_eq!(m.read_bytes(0, 1).as_ptr(), before, "no reallocation");
-        let mut expect = vec![1u8; 16];
-        expect[4..8].fill(2);
-        assert_eq!(m.read(0, 16), expect);
+        let data = Bytes::from((0..2 * PAGE + 5).map(|i| i as u8).collect::<Vec<u8>>());
+        let addr = 3 * PAGE as u64 + 11;
+        m.write_bytes(addr, &data);
+        let back = m.read_bytes(addr, data.len());
+        assert_eq!(back.as_ptr(), data.as_ptr(), "a slice across page edges");
+        assert_eq!(back, data);
     }
 
     #[test]
-    fn partial_write_copies_a_shared_page_and_leaves_readers_alone() {
+    fn write_inside_an_extent_slices_its_neighbours_and_leaves_readers_alone() {
         let mut m = MemStore::new();
         let data = Bytes::from(vec![3u8; 2 * PAGE]);
         m.write_bytes(0, &data);
-        let held = m.read_bytes(0, PAGE);
-        m.write(8, &[4u8; 8]);
+        let held = m.read_bytes(0, 2 * PAGE);
+        let patch = Bytes::from(vec![4u8; 8]);
+        m.write_bytes(8, &patch);
+        assert_eq!(m.extents(), 3);
+        assert_eq!(
+            m.read_bytes(0, 8).as_ptr(),
+            data.as_ptr(),
+            "head is a slice"
+        );
+        assert_eq!(
+            m.read_bytes(16, 2 * PAGE - 16).as_ptr(),
+            data[16..].as_ptr(),
+            "tail is a slice"
+        );
+        assert_eq!(m.read_bytes(8, 8).as_ptr(), patch.as_ptr());
         assert!(held.iter().all(|&b| b == 3), "a held read never changes");
         assert!(
             data.iter().all(|&b| b == 3),
             "the writer's buffer never changes"
         );
-        assert_ne!(
-            m.read_bytes(0, 1).as_ptr(),
-            held.as_ptr(),
-            "copied on write"
-        );
-        assert_eq!(m.read(6, 4), vec![3, 3, 4, 4]);
+        let mut expect = [3u8; 24];
+        expect[4..12].fill(4);
+        assert_eq!(&m.read_bytes(4, 24)[..], &expect[..]);
+    }
+
+    #[test]
+    fn rewrites_keep_one_extent_and_empty_writes_change_nothing() {
+        let mut m = MemStore::new();
+        for i in 0..1000u32 {
+            m.write(64, &i.to_le_bytes().repeat(32));
+        }
+        assert_eq!(m.extents(), 1);
+        assert_eq!(m.read(64, 4), 999u32.to_le_bytes());
+        m.write_bytes(64, &Bytes::new());
+        assert_eq!(m.extents(), 1);
+        assert_eq!(m.read(64, 128), 999u32.to_le_bytes().repeat(32));
     }
 
     #[test]

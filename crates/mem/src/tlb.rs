@@ -17,7 +17,8 @@ use std::collections::BTreeMap;
 use accl_sim::time::Dur;
 use serde::{Deserialize, Serialize};
 
-use crate::store::PAGE_SIZE;
+/// Page size of the Coyote TLB, in bytes.
+pub const PAGE_SIZE: u64 = 4096;
 
 /// Where a page physically resides.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
