@@ -9,7 +9,6 @@
 #![warn(missing_docs)]
 
 use accl_core::driver::CollSpec;
-use accl_core::host::HostOp;
 use accl_core::{AcclCluster, BufLoc, BufferHandle, ClusterConfig, CollOp, DType};
 use accl_sim::time::Dur;
 use accl_swmpi::{MpiCall, MpiCluster, MpiConfig};
@@ -268,21 +267,4 @@ pub fn mpi_f2f_model(n: usize, cfg: MpiConfig, op: CollOp, bytes: u64, seed: u64
 /// A standard Coyote-RDMA cluster for ACCL+ measurements.
 pub fn coyote_cluster(n: usize) -> AcclCluster {
     AcclCluster::build(ClusterConfig::coyote_rdma(n))
-}
-
-/// Mean of the collective-phase latencies over `reps` repetitions with
-/// fresh clusters (deterministic but averaged as the paper averages 250
-/// runs; our simulator is deterministic so a few reps suffice to cover
-/// allocation layouts).
-pub fn averaged<F: FnMut(u64) -> Dur>(reps: u64, mut f: F) -> Dur {
-    let total: u64 = (0..reps).map(|i| f(i).as_ps()).sum();
-    Dur::from_ps(total / reps)
-}
-
-/// Re-export for bench binaries.
-pub use accl_core::host::Program;
-
-/// Builds a host program of compute + collective for the GEMV use case.
-pub fn compute_then_coll(compute: Dur, spec: CollSpec) -> Vec<HostOp> {
-    Program::new().compute(compute).coll(spec).build()
 }

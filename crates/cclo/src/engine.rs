@@ -56,12 +56,26 @@ pub struct CcloEngine {
 impl CcloEngine {
     /// Builds and wires the engine into `sim`.
     pub fn build(sim: &mut Simulator, prefix: &str, spec: &CcloEngineSpec) -> CcloEngine {
-        let uc = sim.reserve(format!("{prefix}.uc"));
-        let dmp = sim.reserve(format!("{prefix}.dmp"));
-        let rbm = sim.reserve(format!("{prefix}.rbm"));
-        let txsys = sim.reserve(format!("{prefix}.txsys"));
-        let rxsys = sim.reserve(format!("{prefix}.rxsys"));
+        let engine = CcloEngine::reserve(sim, prefix);
+        engine.install(sim, prefix, spec);
+        engine
+    }
 
+    /// Reserves the engine's component ids, named under `prefix`.
+    pub fn reserve(sim: &mut Simulator, prefix: &str) -> CcloEngine {
+        CcloEngine {
+            uc: sim.reserve(format!("{prefix}.uc")),
+            dmp: sim.reserve(format!("{prefix}.dmp")),
+            rbm: sim.reserve(format!("{prefix}.rbm")),
+            txsys: sim.reserve(format!("{prefix}.txsys")),
+            rxsys: sim.reserve(format!("{prefix}.rxsys")),
+        }
+    }
+
+    /// Builds the engine's components and installs them under its ids:
+    /// at assembly, and again as fresh instances when the node reboots.
+    pub fn install(&self, sim: &mut Simulator, prefix: &str, spec: &CcloEngineSpec) {
+        let (uc, dmp, rbm, txsys, rxsys) = (self.uc, self.dmp, self.rbm, self.txsys, self.rxsys);
         // Resource labels are scoped by node ("n0.cclo" -> "n0") so stall
         // reports and the deadlock detector name the owning node.
         let scope = prefix.split('.').next().unwrap_or(prefix);
@@ -111,13 +125,6 @@ impl CcloEngine {
                 spec.cfg.cycles(4),
             ),
         );
-        CcloEngine {
-            uc,
-            dmp,
-            rbm,
-            txsys,
-            rxsys,
-        }
     }
 
     /// The endpoint commands are submitted to (host driver or kernels).

@@ -37,4 +37,4 @@ pub use config::{
 pub use engine::{CcloEngine, CcloEngineSpec};
 pub use firmware::{CollectiveProgram, FirmwareTable};
 pub use msg::{DType, MsgSignature, MsgType, ReduceFn};
-pub use rbm::{RbmPurge, RbmResync};
+pub use rbm::RbmPurge;

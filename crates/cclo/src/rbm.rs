@@ -89,9 +89,6 @@ pub mod ports {
     /// Fault injection: permanently remove buffers from the pool
     /// ([`super::RbmShrink`]).
     pub const SHRINK: PortId = PortId(4);
-    /// Restart recovery: drop all Rx state and restore the pool
-    /// ([`super::RbmResync`]).
-    pub const RESYNC: PortId = PortId(5);
 }
 
 /// uC request to drop all eager state belonging to an aborted collective:
@@ -105,16 +102,6 @@ pub struct RbmPurge {
     /// The aborted command's user tag.
     pub user_tag: u64,
 }
-
-/// Restart recovery: the node rebooted and its Rx-buffer contents did not
-/// survive. Every buffered or in-flight message, waiting DMP query,
-/// deferred admission and orphan piece is dropped, and the pool is
-/// restored to its full post-shrink capacity. Posted by the cluster at a
-/// node's restart instant, before any rejoin traffic arrives, so the new
-/// incarnation starts from a clean reassembly state instead of mixing
-/// pre-crash fragments into post-rejoin messages.
-#[derive(Debug, Clone, Copy)]
-pub struct RbmResync;
 
 /// Chaos fault: permanently removes `bufs` buffers from the Rx pool,
 /// modelling memory pressure or a buffer-accounting bug. Free buffers are
@@ -236,26 +223,6 @@ impl Rbm {
         } else {
             self.free_bufs += 1;
         }
-    }
-
-    /// Wipes all Rx state after the node's own restart: a rebooted RBM
-    /// has no in-flight messages, no pending queries, and a full buffer
-    /// pool. Shrink faults model permanent capacity loss and survive the
-    /// reboot; any outstanding debt is settled by the wipe.
-    fn resync(&mut self, ctx: &mut Ctx<'_>) {
-        let dropped_msgs = self.msgs.len() as u64;
-        let dropped_queries = self.queries.values().map(VecDeque::len).sum::<usize>();
-        self.msgs.clear();
-        self.by_match.clear();
-        self.queries.clear();
-        self.orphan_data.clear();
-        self.waiting_admission.clear();
-        self.free_bufs = self.cfg.rx_buf_count.saturating_sub(self.shrunk);
-        self.shrink_debt = 0;
-        ctx.stats().add("rbm.resyncs", 1);
-        ctx.stats().add("rbm.resync_dropped_msgs", dropped_msgs);
-        ctx.stats()
-            .add("rbm.resync_dropped_queries", dropped_queries as u64);
     }
 
     /// Messages buffered but not yet matched.
@@ -534,10 +501,6 @@ impl Component for Rbm {
             ports::PURGE => {
                 let p = payload.downcast::<RbmPurge>();
                 self.purge(ctx, p);
-            }
-            ports::RESYNC => {
-                payload.downcast::<RbmResync>();
-                self.resync(ctx);
             }
             ports::SHRINK => {
                 let s = payload.downcast::<RbmShrink>();
@@ -900,39 +863,6 @@ mod tests {
         let st = h.sim.component::<Rbm>(h.rbm).resource_state().unwrap();
         assert_eq!(st.gauges[0].capacity, Some(0));
         assert_eq!(st.gauges[0].used, 0);
-    }
-
-    #[test]
-    fn resync_wipes_rx_state_and_restores_the_pool() {
-        let cfg = CcloConfig {
-            rx_buf_count: 2,
-            ..CcloConfig::default()
-        };
-        let mut h = harness(cfg);
-        // A half-received message holds a buffer, a query is parked, and a
-        // shrink left a debt of one — the full mess a crash leaves behind.
-        meta(&mut h, 0, sig(1, 3, 8));
-        data(&mut h, 0, 0, vec![1u8; 4]);
-        query(&mut h, 2, 9, 8, 55);
-        h.sim.post(
-            Endpoint::new(h.rbm, ports::SHRINK),
-            h.sim.now(),
-            RbmShrink { bufs: 1 },
-        );
-        h.sim.run();
-        h.sim
-            .post(Endpoint::new(h.rbm, ports::RESYNC), h.sim.now(), RbmResync);
-        h.sim.run();
-        let rbm = h.sim.component::<Rbm>(h.rbm);
-        assert_eq!(rbm.unmatched_messages(), 0);
-        assert_eq!(rbm.pending_queries(), 0);
-        // Pool restored to capacity minus the (permanent) shrink.
-        assert_eq!(rbm.free_buffers(), 1);
-        // The wiped state does not leak: a fresh message matches cleanly.
-        meta(&mut h, 7, sig(1, 3, 8));
-        data(&mut h, 7, 0, vec![9u8; 8]);
-        query(&mut h, 1, 3, 8, 56);
-        assert_eq!(collect(&h, 56), vec![9u8; 8]);
     }
 
     #[test]

@@ -264,8 +264,9 @@ impl Uc {
         }
     }
 
-    /// Forgets ALL inter-arrival history. Called on the node's own
-    /// restart: a rebooted uC has no memory of any cadence.
+    /// Forgets ALL inter-arrival history. Called when a node that stayed
+    /// up (a partition's minority side) rejoins: every cadence it learned
+    /// spans the cut.
     pub fn reset_all_history(&mut self) {
         self.detector = Self::build_detector(&self.cfg);
     }

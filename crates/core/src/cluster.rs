@@ -6,11 +6,15 @@
 //! Applications then allocate buffers, write initial data, and run host or
 //! kernel programs against the cluster.
 
+use std::collections::BTreeMap;
+use std::sync::Arc;
+
 use accl_cclo::config::CommunicatorCfg;
 use accl_cclo::engine::{CcloEngine, CcloEngineSpec};
-use accl_cclo::uc::TransportFailover;
+use accl_cclo::uc::{TransportFailover, Uc};
+use accl_cclo::{AlgoConfig, CollOp, CollectiveProgram};
 use accl_mem::{MemAddr, MemBusConfig, MemoryBus, XdmaEngine};
-use accl_net::Network;
+use accl_net::{NetPort, Network};
 use accl_poe::iface::{ports as poe_ports, SessionId, SessionTable};
 use accl_poe::rdma::{RdmaPdu, RdmaPoe};
 use accl_poe::tcp::TcpPoe;
@@ -44,6 +48,145 @@ pub struct NodeHandles {
     pub xdma: Option<ComponentId>,
     /// The host CCL driver.
     pub driver: ComponentId,
+}
+
+impl NodeHandles {
+    /// Reserves node `i`'s component ids.
+    fn reserve(sim: &mut Simulator, cfg: &ClusterConfig, i: usize) -> NodeHandles {
+        // Written in registration order: the ids, and every digest that
+        // hashes them, depend on it.
+        NodeHandles {
+            bus: sim.reserve(format!("n{i}.bus")),
+            poe: sim.reserve(format!("n{i}.poe")),
+            cclo: CcloEngine::reserve(sim, &format!("n{i}.cclo")),
+            fallback_poe: (cfg.transport == Transport::Rdma && cfg.tcp_fallback)
+                .then(|| sim.reserve(format!("n{i}.poe.tcp"))),
+            xdma: (cfg.platform != Platform::Coyote).then(|| sim.reserve(format!("n{i}.xdma"))),
+            driver: sim.reserve(format!("n{i}.driver")),
+        }
+    }
+
+    /// Builds node `i`'s components per `cfg` and installs them under
+    /// these ids, fully wired: at cluster assembly, and again as fresh
+    /// instances when the node reboots.
+    fn install(&self, sim: &mut Simulator, cfg: &ClusterConfig, net: &Network, i: usize) {
+        let unified = cfg.platform == Platform::Coyote;
+        let bus_cfg = if unified {
+            MemBusConfig::coyote()
+        } else {
+            MemBusConfig::default()
+        };
+        sim.install(self.bus, MemoryBus::new(bus_cfg));
+        if unified {
+            // The scratch region is device-resident and eagerly mapped.
+            sim.component_mut::<MemoryBus>(self.bus).map_range(
+                SCRATCH_BASE,
+                SCRATCH_BYTES,
+                accl_mem::MemTarget::Device,
+            );
+        }
+        let scratch_mem = if unified {
+            MemAddr::Virt(SCRATCH_BASE)
+        } else {
+            MemAddr::Phys(accl_mem::MemTarget::Device, SCRATCH_BASE)
+        };
+        let cclo = &self.cclo;
+        cclo.install(
+            sim,
+            &format!("n{i}.cclo"),
+            &CcloEngineSpec {
+                cfg: cfg.cclo,
+                mem_bus: self.bus,
+                poe: self.poe,
+                rendezvous_capable: cfg.transport.rendezvous_capable(),
+                reliable: cfg.transport != Transport::Udp,
+                scratch_mem,
+            },
+        );
+        let make_sessions = || {
+            let mut sessions = SessionTable::new();
+            for j in 0..cfg.nodes {
+                if i != j {
+                    sessions.connect(SessionId(j as u32), net.addr(j), SessionId(i as u32));
+                }
+            }
+            sessions
+        };
+        let (poe, tx, up) = (self.poe, net.tx(i), cclo.poe_upward());
+        match cfg.transport {
+            Transport::Udp => sim.install(
+                poe,
+                UdpPoe::new(UdpConfig::default(), tx, up, make_sessions()),
+            ),
+            Transport::Tcp => sim.install(poe, TcpPoe::new(cfg.tcp, tx, up, make_sessions())),
+            Transport::Rdma => sim.install(
+                poe,
+                RdmaPoe::new(cfg.rdma, tx, up, make_sessions()).with_mem_bus(self.bus),
+            ),
+        }
+        if let Some(window) = cfg.tx_credit_window {
+            let io = match cfg.transport {
+                Transport::Udp => sim.component_mut::<UdpPoe>(poe).io_mut(),
+                Transport::Tcp => sim.component_mut::<TcpPoe>(poe).io_mut(),
+                Transport::Rdma => sim.component_mut::<RdmaPoe>(poe).io_mut(),
+            };
+            io.set_tx_credit_window(Some(window), format!("net.txcredit(n{i})"));
+        }
+        // With a standby TCP POE armed, the switch splits the node's
+        // inbound frames between the two engines by PDU type, and the
+        // Tx system learns where to retarget after repeated QP errors.
+        if let Some(fb) = self.fallback_poe {
+            let mut standby = TcpPoe::new(cfg.tcp, net.tx(i), cclo.poe_upward(), make_sessions());
+            if let Some(window) = cfg.tx_credit_window {
+                standby
+                    .io_mut()
+                    .set_tx_credit_window(Some(window), format!("net.txcredit(n{i}.tcp)"));
+            }
+            sim.install(fb, standby);
+            cclo.set_tx_fallback(
+                sim,
+                Endpoint::new(fb, poe_ports::TX_CMD),
+                Endpoint::new(fb, poe_ports::TX_DATA),
+                TransportFailover {
+                    rendezvous_capable: false,
+                    reliable: true,
+                },
+                FAILOVER_THRESHOLD,
+            );
+        }
+        // The switch delivers straight to the engine, each of which
+        // fences frames from a restarted peer's previous incarnation.
+        net.attach_rx(sim, i, Endpoint::new(poe, poe_ports::NET_RX));
+        if let Some(fb) = self.fallback_poe {
+            net.attach_rx_alt(sim, i, Endpoint::new(fb, poe_ports::NET_RX), |b| {
+                !b.is::<RdmaPdu>()
+            });
+        }
+        cclo.set_communicator(
+            sim,
+            0,
+            CommunicatorCfg {
+                rank: i as u32,
+                peers: (0..cfg.nodes)
+                    .map(|j| (net.addr(j), SessionId(j as u32)))
+                    .collect(),
+            },
+        );
+        if let Some(xdma) = self.xdma {
+            sim.install(xdma, XdmaEngine::new(self.bus, cfg.xdma_setup_us()));
+        }
+        let mut driver = HostDriver::new(i as u32, cclo.cmd(), self.xdma, cfg.invocation_latency());
+        if let Some(policy) = cfg.busy_retry {
+            // Jitter comes from a per-driver forked stream, so busy
+            // backoff schedules replay bit-for-bit per (seed, node)
+            // and never perturb any other component's entropy.
+            driver.set_busy_retry(policy, Some(sim.fork_rng(&format!("n{i}.driver.busy"))));
+        }
+        if cfg.max_queued_calls.is_some() {
+            driver.set_max_queued_calls(cfg.max_queued_calls);
+        }
+        sim.install(self.driver, driver);
+    }
 }
 
 /// Counters of one node's engine, read back MMIO-style after (or during)
@@ -86,12 +229,19 @@ pub struct AcclCluster {
     net: Network,
     nodes: Vec<NodeHandles>,
     spaces: Vec<NodeSpaces>,
-    comms: std::collections::BTreeMap<u32, Communicator>,
+    comms: BTreeMap<u32, Communicator>,
     /// Partition windows scheduled on the fabric (for post-run verdicts).
     partitions_seen: Vec<accl_net::Partition>,
     /// Membership transitions observed by the harness, in schedule order.
     membership_log: Vec<(Time, MembershipEvent)>,
+    /// Per node: when its current life ends, once a crash is scheduled.
+    crashes: Vec<Option<Time>>,
+    /// Settings applied to every node, replayed on a node that reboots.
+    settings: Vec<Box<Setting>>,
 }
+
+/// A setting the cluster applies to one node.
+type Setting = dyn Fn(&mut Simulator, &NodeHandles) + Send;
 
 impl AcclCluster {
     /// Builds a cluster per `cfg`.
@@ -99,159 +249,26 @@ impl AcclCluster {
         cfg.validate();
         let mut sim = Simulator::new(cfg.seed);
         let net = Network::build(&mut sim, cfg.net, cfg.nodes);
-        let unified = cfg.platform == Platform::Coyote;
-        let mut nodes = Vec::new();
-        let mut spaces = Vec::new();
-        for i in 0..cfg.nodes {
-            let bus_cfg = if unified {
-                MemBusConfig::coyote()
-            } else {
-                MemBusConfig::default()
-            };
-            let bus = sim.add(format!("n{i}.bus"), MemoryBus::new(bus_cfg));
-            if unified {
-                // The scratch region is device-resident and eagerly mapped.
-                sim.component_mut::<MemoryBus>(bus).map_range(
-                    SCRATCH_BASE,
-                    SCRATCH_BYTES,
-                    accl_mem::MemTarget::Device,
-                );
-            }
-            let poe = sim.reserve(format!("n{i}.poe"));
-            let scratch_mem = if unified {
-                MemAddr::Virt(SCRATCH_BASE)
-            } else {
-                MemAddr::Phys(accl_mem::MemTarget::Device, SCRATCH_BASE)
-            };
-            let cclo = CcloEngine::build(
-                &mut sim,
-                &format!("n{i}.cclo"),
-                &CcloEngineSpec {
-                    cfg: cfg.cclo,
-                    mem_bus: bus,
-                    poe,
-                    rendezvous_capable: cfg.transport.rendezvous_capable(),
-                    reliable: cfg.transport != Transport::Udp,
-                    scratch_mem,
-                },
-            );
-            let make_sessions = || {
-                let mut sessions = SessionTable::new();
-                for j in 0..cfg.nodes {
-                    if i != j {
-                        sessions.connect(SessionId(j as u32), net.addr(j), SessionId(i as u32));
-                    }
-                }
-                sessions
-            };
-            let up = cclo.poe_upward();
-            match cfg.transport {
-                Transport::Udp => {
-                    sim.install(
-                        poe,
-                        UdpPoe::new(UdpConfig::default(), net.tx(i), up, make_sessions()),
-                    );
-                }
-                Transport::Tcp => {
-                    sim.install(poe, TcpPoe::new(cfg.tcp, net.tx(i), up, make_sessions()));
-                }
-                Transport::Rdma => {
-                    sim.install(
-                        poe,
-                        RdmaPoe::new(cfg.rdma, net.tx(i), up, make_sessions()).with_mem_bus(bus),
-                    );
-                }
-            }
-            if let Some(window) = cfg.tx_credit_window {
-                let io = match cfg.transport {
-                    Transport::Udp => sim.component_mut::<UdpPoe>(poe).io_mut(),
-                    Transport::Tcp => sim.component_mut::<TcpPoe>(poe).io_mut(),
-                    Transport::Rdma => sim.component_mut::<RdmaPoe>(poe).io_mut(),
-                };
-                io.set_tx_credit_window(Some(window), format!("net.txcredit(n{i})"));
-            }
-            // With a standby TCP POE armed, the switch splits the node's
-            // inbound frames between the two engines by PDU type, and the
-            // Tx system learns where to retarget after repeated QP errors.
-            let fallback_poe = (cfg.transport == Transport::Rdma && cfg.tcp_fallback).then(|| {
-                let mut standby =
-                    TcpPoe::new(cfg.tcp, net.tx(i), cclo.poe_upward(), make_sessions());
-                if let Some(window) = cfg.tx_credit_window {
-                    standby
-                        .io_mut()
-                        .set_tx_credit_window(Some(window), format!("net.txcredit(n{i}.tcp)"));
-                }
-                let fb = sim.add(format!("n{i}.poe.tcp"), standby);
-                cclo.set_tx_fallback(
-                    &mut sim,
-                    Endpoint::new(fb, poe_ports::TX_CMD),
-                    Endpoint::new(fb, poe_ports::TX_DATA),
-                    TransportFailover {
-                        rendezvous_capable: false,
-                        reliable: true,
-                    },
-                    FAILOVER_THRESHOLD,
-                );
-                fb
-            });
-            // The switch delivers straight to the engine, each of which
-            // fences frames from a restarted peer's previous incarnation.
-            net.attach_rx(&mut sim, i, Endpoint::new(poe, poe_ports::NET_RX));
-            if let Some(fb) = fallback_poe {
-                net.attach_rx_alt(&mut sim, i, Endpoint::new(fb, poe_ports::NET_RX), |b| {
-                    !b.is::<RdmaPdu>()
-                });
-            }
-            cclo.set_communicator(
-                &mut sim,
-                0,
-                CommunicatorCfg {
-                    rank: i as u32,
-                    peers: (0..cfg.nodes)
-                        .map(|j| (net.addr(j), SessionId(j as u32)))
-                        .collect(),
-                },
-            );
-            let xdma = (!unified).then(|| {
-                sim.add(
-                    format!("n{i}.xdma"),
-                    XdmaEngine::new(bus, cfg.xdma_setup_us()),
-                )
-            });
-            let mut driver_comp =
-                HostDriver::new(i as u32, cclo.cmd(), xdma, cfg.invocation_latency());
-            if let Some(policy) = cfg.busy_retry {
-                // Jitter comes from a per-driver forked stream, so busy
-                // backoff schedules replay bit-for-bit per (seed, node)
-                // and never perturb any other component's entropy.
-                driver_comp
-                    .set_busy_retry(policy, Some(sim.fork_rng(&format!("n{i}.driver.busy"))));
-            }
-            if cfg.max_queued_calls.is_some() {
-                driver_comp.set_max_queued_calls(cfg.max_queued_calls);
-            }
-            let driver = sim.add(format!("n{i}.driver"), driver_comp);
-            nodes.push(NodeHandles {
-                bus,
-                poe,
-                fallback_poe,
-                cclo,
-                xdma,
-                driver,
-            });
-            spaces.push(NodeSpaces::new());
-        }
-        let mut comms = std::collections::BTreeMap::new();
+        let nodes: Vec<NodeHandles> = (0..cfg.nodes)
+            .map(|i| {
+                let node = NodeHandles::reserve(&mut sim, &cfg, i);
+                node.install(&mut sim, &cfg, &net, i);
+                node
+            })
+            .collect();
+        let mut comms = BTreeMap::new();
         comms.insert(0, Communicator::world(cfg.nodes));
         AcclCluster {
             sim,
+            spaces: (0..cfg.nodes).map(|_| NodeSpaces::new()).collect(),
+            crashes: vec![None; cfg.nodes],
             cfg,
             net,
             nodes,
-            spaces,
             comms,
             partitions_seen: Vec::new(),
             membership_log: Vec::new(),
+            settings: Vec::new(),
         }
     }
 
@@ -281,10 +298,12 @@ impl AcclCluster {
     }
 
     /// Schedules a fail-stop crash of node `i` at simulated time `at`:
-    /// from then on the fabric blackholes every frame to or from it.
-    /// Composes with any faults already scheduled.
+    /// from then on the fabric blackholes every frame to or from it, and
+    /// the node runs nothing until [`AcclCluster::reinstate_node`]
+    /// reboots it. Composes with any faults already scheduled.
     pub fn crash_node(&mut self, i: usize, at: Time) {
         self.net.crash_node(&mut self.sim, i, at);
+        self.schedule_crash(i, at);
     }
 
     /// Schedules a `[from, until)` outage of node `i`'s link, composing
@@ -293,18 +312,15 @@ impl AcclCluster {
         self.net.link_down(&mut self.sim, i, from, until);
     }
 
-    /// Schedules a *restart* of previously crashed node `i` at `at`: the
-    /// fabric closes its crash window, the NIC comes back with a bumped
-    /// incarnation epoch, every survivor's POE fences the old
-    /// incarnation's in-flight frames, and the node's Rx buffer manager
-    /// wipes its pre-crash state. The node is back on the network but NOT
-    /// yet a communicator member — readmit it between runs with
-    /// [`AcclCluster::reinstate_node`] +
-    /// [`Communicator::expand`](crate::comm::Communicator::expand) +
-    /// [`AcclCluster::install_communicator`].
+    /// Schedules a *restart* of crashed node `i` at `at`: the fabric
+    /// closes its crash window and every survivor's POE fences the old
+    /// incarnation's in-flight frames. The node stays down until
+    /// [`AcclCluster::reinstate_node`] reboots it. Like the fabric,
+    /// ignores a restart with no earlier crash, or at or before it.
     pub fn restart_node(&mut self, i: usize, at: Time) {
-        self.net.restart_node(&mut self.sim, i, at);
-        self.schedule_restart_effects(i, at);
+        if self.net.restart_node(&mut self.sim, i, at) == Some(at) {
+            self.schedule_restart_effects(i, at);
+        }
     }
 
     /// Schedules a `[from, until)` fabric partition along `mask` (bit
@@ -315,17 +331,59 @@ impl AcclCluster {
         self.record_partition(accl_net::Partition { mask, from, until });
     }
 
-    /// Posts the non-fabric side effects of node `i` restarting at `at`:
-    /// NIC reincarnation, peer epoch fences, and the RBM wipe.
+    /// Suspends node `i`'s whole domain at `at`, unless an earlier crash
+    /// is already scheduled: every component `build` made for it and its
+    /// NIC. The procs of its runs join when they are spawned.
+    fn schedule_crash(&mut self, i: usize, at: Time) {
+        if i >= self.nodes.len() || self.crashes[i].is_some_and(|t| t <= at) {
+            return;
+        }
+        self.crashes[i] = Some(at);
+        let (n, c) = (&self.nodes[i], &self.nodes[i].cclo);
+        let mut domain = vec![n.bus, n.poe, c.uc, c.dmp, c.rbm, c.txsys, c.rxsys, n.driver];
+        domain.extend(n.fallback_poe.into_iter().chain(n.xdma));
+        domain.push(self.net.port_id(i));
+        self.sim.suspend_at(at.max(self.sim.now()), domain);
+    }
+
+    /// Adds `proc` as node `i`'s program for this run and starts it on
+    /// `start` now. It stops with the node's scheduled crash, at once if
+    /// the node is down.
+    fn spawn(
+        &mut self,
+        i: usize,
+        name: String,
+        proc: impl Component,
+        start: PortId,
+    ) -> ComponentId {
+        let id = self.sim.add(name, proc);
+        let now = self.sim.now();
+        if let Some(at) = self.crashes[i] {
+            self.sim.suspend_at(at.max(now), vec![id]);
+        }
+        self.sim.post(Endpoint::new(id, start), now, ());
+        id
+    }
+
+    /// Runs the simulation until its queue drains.
+    fn run_to_drain(&mut self) -> Result<(), String> {
+        match self.sim.run() {
+            RunOutcome::Drained => Ok(()),
+            RunOutcome::Stalled(report) => Err(format!("simulation stalled: {report}")),
+            other => Err(format!("simulation ended abnormally: {other:?}")),
+        }
+    }
+
+    /// Posts the non-fabric side of node `i` restarting at `at`: every
+    /// survivor's POEs fence frames from its current incarnation.
     fn schedule_restart_effects(&mut self, i: usize, at: Time) {
         if i >= self.nodes.len() {
             return;
         }
-        self.sim
-            .post(Endpoint::of(self.net.port_id(i)), at, accl_net::Reincarnate);
+        let nic = self.sim.component::<NetPort>(self.net.port_id(i));
         let fence = accl_poe::EpochFence {
             src: self.net.addr(i),
-            min_epoch: 1,
+            min_epoch: nic.incarnation() + 1,
         };
         for (j, node) in self.nodes.iter().enumerate() {
             if j != i {
@@ -335,11 +393,6 @@ impl AcclCluster {
                 }
             }
         }
-        self.sim.post(
-            Endpoint::new(self.nodes[i].cclo.rbm, accl_cclo::rbm::ports::RESYNC),
-            at,
-            accl_cclo::rbm::RbmResync,
-        );
         self.membership_log
             .push((at, MembershipEvent::Restarted { node: i }));
     }
@@ -359,57 +412,59 @@ impl AcclCluster {
         &self.membership_log
     }
 
-    /// Readmits a restarted node at the transport layer: every session
-    /// (or queue pair) between `node` and its peers — in both directions,
-    /// standby path included — is reinstated, and the adaptive detectors'
-    /// inter-arrival histories involving the node are forgotten (the new
-    /// incarnation's cadence owes nothing to the old one's). Call between
-    /// runs, after the restart instant has passed; then readmit the node
-    /// at the communicator layer with
-    /// [`Communicator::expand`](crate::comm::Communicator::expand) +
-    /// [`AcclCluster::install_communicator`].
+    /// Readmits a node at the transport layer. A crashed node reboots
+    /// first: `build`'s per-node code installs fresh components under the
+    /// same ids, its NIC takes the next incarnation, and the cluster's
+    /// settings are re-applied. Every peer's session (or queue pair) to
+    /// the node is reinstated, standby path included, and the peers'
+    /// adaptive detectors forget the node's cadence. A node that never
+    /// crashed (a partition's minority side) also reinstates its own
+    /// sessions and forgets all its history. Call between runs, after
+    /// the restart instant; then readmit the node at the communicator
+    /// layer with [`Communicator::expand`](crate::comm::Communicator::expand)
+    /// + [`AcclCluster::install_communicator`].
     pub fn reinstate_node(&mut self, node: usize) {
         assert!(node < self.nodes.len(), "node {node} out of range");
-        for j in 0..self.nodes.len() {
-            if j != node {
-                self.reinstate_pair(node, j);
+        let rebooted = self.sim.suspended_since(self.nodes[node].driver).is_some();
+        if rebooted {
+            self.net.reboot_port(&mut self.sim, node);
+            self.nodes[node].install(&mut self.sim, &self.cfg, &self.net, node);
+            self.crashes[node] = None;
+            for setting in &self.settings {
+                setting(&mut self.sim, &self.nodes[node]);
             }
         }
-        for j in 0..self.nodes.len() {
-            let uc = self.nodes[j].cclo.uc;
-            let uc = self.sim.component_mut::<accl_cclo::uc::Uc>(uc);
-            if j == node {
-                uc.reset_all_history();
-            } else {
-                uc.reset_peer_history(node as u32);
+        for j in (0..self.nodes.len()).filter(|&j| j != node) {
+            self.reinstate_session(j, node);
+            if !rebooted {
+                self.reinstate_session(node, j);
             }
+            self.uc_mut(j).reset_peer_history(node as u32);
+        }
+        if !rebooted {
+            self.uc_mut(node).reset_all_history();
         }
         let now = self.sim.now();
         self.membership_log
             .push((now, MembershipEvent::Rejoined { node }));
     }
 
-    /// Reinstates the transport sessions between nodes `a` and `b` in
-    /// both directions (session `j` on a node carries traffic to node
-    /// `j`). UDP is connectionless: nothing to reinstate.
-    fn reinstate_pair(&mut self, a: usize, b: usize) {
+    /// Reinstates node `a`'s transport session (or queue pair) to node
+    /// `b`, standby path included.
+    fn reinstate_session(&mut self, a: usize, b: usize) {
+        let (poe, peer) = (self.nodes[a].poe, SessionId(b as u32));
         match self.cfg.transport {
-            Transport::Udp => {}
-            Transport::Tcp => {
-                TcpPoe::reinstate_session(&mut self.sim, self.nodes[a].poe, SessionId(b as u32));
-                TcpPoe::reinstate_session(&mut self.sim, self.nodes[b].poe, SessionId(a as u32));
-            }
-            Transport::Rdma => {
-                RdmaPoe::reinstate_qp(&mut self.sim, self.nodes[a].poe, SessionId(b as u32));
-                RdmaPoe::reinstate_qp(&mut self.sim, self.nodes[b].poe, SessionId(a as u32));
-                if let Some(fb) = self.nodes[a].fallback_poe {
-                    TcpPoe::reinstate_session(&mut self.sim, fb, SessionId(b as u32));
-                }
-                if let Some(fb) = self.nodes[b].fallback_poe {
-                    TcpPoe::reinstate_session(&mut self.sim, fb, SessionId(a as u32));
-                }
-            }
+            Transport::Udp => UdpPoe::reinstate_session(&mut self.sim, poe, peer),
+            Transport::Tcp => TcpPoe::reinstate_session(&mut self.sim, poe, peer),
+            Transport::Rdma => RdmaPoe::reinstate_qp(&mut self.sim, poe, peer),
         }
+        if let Some(fb) = self.nodes[a].fallback_poe {
+            TcpPoe::reinstate_session(&mut self.sim, fb, peer);
+        }
+    }
+
+    fn uc_mut(&mut self, i: usize) -> &mut Uc {
+        self.sim.component_mut::<Uc>(self.nodes[i].cclo.uc)
     }
 
     /// Replaces the fabric's fault plan wholesale (loss, delay, outages).
@@ -454,17 +509,17 @@ impl AcclCluster {
                 accl_cclo::rbm::RbmShrink { bufs },
             );
         }
-        // Node restarts carry side effects beyond the fabric's crash
-        // window: reincarnation, epoch fencing, RBM resync. Only restarts
-        // that actually reopen a crash window count (the plan ignores a
-        // restart with no matching earlier crash).
-        let restarted: Vec<(usize, Time)> = plan
-            .node_restarts
-            .keys()
-            .filter_map(|&addr| plan.restart_time(addr).map(|at| (addr.index(), at)))
-            .collect();
-        for (n, at) in restarted {
-            self.schedule_restart_effects(n, at);
+        // Crashes stop the node, as `crash_node` does; restarts fence its
+        // old epoch at the survivors. Only restarts that actually close a
+        // crash window count (the plan ignores a restart with no matching
+        // earlier crash).
+        for (&addr, &at) in &plan.node_crashes {
+            self.schedule_crash(addr.index(), at);
+        }
+        for &addr in plan.node_restarts.keys() {
+            if let Some(at) = plan.restart_time(addr) {
+                self.schedule_restart_effects(addr.index(), at);
+            }
         }
         for &p in &plan.partitions {
             self.record_partition(p);
@@ -558,34 +613,27 @@ impl AcclCluster {
             .enumerate()
             .map(|(i, ops)| {
                 let driver = Endpoint::new(self.nodes[i].driver, crate::driver::ports::CALL);
-                let id = self.sim.add(
-                    format!("n{i}.hostproc.{}", start.as_ps()),
-                    HostProc::new(driver, ops),
-                );
-                self.sim
-                    .post(Endpoint::new(id, host_ports::START), start, ());
-                id
+                let name = format!("n{i}.hostproc.{}", start.as_ps());
+                self.spawn(i, name, HostProc::new(driver, ops), host_ports::START)
             })
             .collect();
-        match self.sim.run() {
-            RunOutcome::Drained => {}
-            RunOutcome::Stalled(report) => return Err(format!("simulation stalled: {report}")),
-            other => return Err(format!("simulation ended abnormally: {other:?}")),
-        }
+        self.run_to_drain()?;
         let mut results: Vec<Vec<OpRecord>> = Vec::with_capacity(procs.len());
         for &id in &procs {
             let proc = self.sim.component::<HostProc>(id);
-            if proc.finished_at().is_none() {
-                return Err("a host program did not finish (deadlock?)".to_string());
-            }
-            results.push(proc.records().to_vec());
+            results.push(match self.sim.suspended_since(id) {
+                Some(crash) => proc.crashed_records(crash),
+                None if proc.finished_at().is_none() => {
+                    return Err("a host program did not finish (deadlock?)".to_string())
+                }
+                None => proc.records().to_vec(),
+            });
         }
         // Failure-detector readout. A node trusts its own POE's dead-session
         // diagnosis first. Nodes without one (e.g. a ring rank that never
         // sends toward the dead peer) accept accusations gossiped from
-        // nodes that are not themselves suspects — a crashed node also
-        // "diagnoses" every peer it could not reach, and must not get to
-        // frame the survivors.
+        // nodes that are not themselves suspects: an accused node's own
+        // accusations must not frame the survivors.
         let own: Vec<Vec<u32>> = (0..self.nodes.len())
             .map(|n| self.failed_peers(n))
             .collect();
@@ -601,13 +649,8 @@ impl AcclCluster {
                 .first()
                 .copied()
                 .or_else(|| gossiped.iter().copied().find(|&p| p != node as u32));
-            let Some(peer) = verdict else { continue };
-            for rec in records {
-                if let Some(b) = &mut rec.breakdown {
-                    if matches!(b.result, Err(CclError::Timeout) | Err(CclError::Aborted)) {
-                        b.result = Err(CclError::PeerFailed(peer));
-                    }
-                }
+            if let Some(peer) = verdict {
+                recolor(records, timed_out, CclError::PeerFailed(peer));
             }
         }
         let confirmed_at = self.sim.now();
@@ -627,15 +670,8 @@ impl AcclCluster {
         // upgrade applies to UDP only.
         if self.cfg.transport == Transport::Udp {
             for (node, records) in results.iter_mut().enumerate() {
-                if self.corrupted_drops(node) == 0 {
-                    continue;
-                }
-                for rec in records {
-                    if let Some(b) = &mut rec.breakdown {
-                        if matches!(b.result, Err(CclError::Timeout) | Err(CclError::Aborted)) {
-                            b.result = Err(CclError::DataCorrupted);
-                        }
-                    }
+                if self.corrupted_drops(node) > 0 {
+                    recolor(records, timed_out, CclError::DataCorrupted);
                 }
             }
         }
@@ -654,21 +690,10 @@ impl AcclCluster {
                 }
                 for (node, records) in results.iter_mut().enumerate() {
                     if crate::membership::resolve_partition(&world, node, p.mask)
-                        != Err(CclError::Partitioned)
+                        == Err(CclError::Partitioned)
                     {
-                        continue;
-                    }
-                    for rec in records.iter_mut() {
-                        if let Some(b) = &mut rec.breakdown {
-                            if matches!(
-                                b.result,
-                                Err(CclError::Timeout)
-                                    | Err(CclError::Aborted)
-                                    | Err(CclError::PeerFailed(_))
-                            ) {
-                                b.result = Err(CclError::Partitioned);
-                            }
-                        }
+                        let failed = |e| timed_out(e) || matches!(e, CclError::PeerFailed(_));
+                        recolor(records, failed, CclError::Partitioned);
                     }
                 }
             }
@@ -699,31 +724,22 @@ impl AcclCluster {
             .into_iter()
             .enumerate()
             .map(|(i, ops)| {
-                let id = self.sim.add(
-                    format!("n{i}.kernel.{}", start.as_ps()),
-                    KernelProc::new(
-                        self.nodes[i].cclo.cmd(),
-                        self.nodes[i].cclo.stream_in(),
-                        self.cfg.cclo.clock_mhz,
-                        ops,
-                    ),
-                );
+                let cclo = &self.nodes[i].cclo;
+                let kernel =
+                    KernelProc::new(cclo.cmd(), cclo.stream_in(), self.cfg.cclo.clock_mhz, ops);
+                let name = format!("n{i}.kernel.{}", start.as_ps());
+                let id = self.spawn(i, name, kernel, kernel_ports::START);
                 self.nodes[i]
                     .cclo
                     .set_kernel_out(&mut self.sim, Endpoint::new(id, kernel_ports::STREAM_RX));
-                self.sim
-                    .post(Endpoint::new(id, kernel_ports::START), start, ());
                 id
             })
             .collect();
-        match self.sim.run() {
-            RunOutcome::Drained => {}
-            RunOutcome::Stalled(report) => panic!("simulation stalled: {report}"),
-            other => panic!("simulation ended abnormally: {other:?}"),
-        }
+        self.run_to_drain().unwrap_or_else(|why| panic!("{why}"));
         for &id in &kernels {
             assert!(
-                self.sim.component::<KernelProc>(id).finished_at().is_some(),
+                self.sim.component::<KernelProc>(id).finished_at().is_some()
+                    || self.sim.suspended_since(id).is_some(),
                 "a kernel program did not finish (deadlock?)"
             );
         }
@@ -840,15 +856,22 @@ impl AcclCluster {
         primary.fcs_dropped() + standby
     }
 
+    /// Applies `setting` to every node, and again to each node that
+    /// reboots.
+    fn apply(&mut self, setting: impl Fn(&mut Simulator, &NodeHandles) + Send + 'static) {
+        for node in &self.nodes {
+            setting(&mut self.sim, node);
+        }
+        self.settings.push(Box::new(setting));
+    }
+
     /// Sets every node driver's retry policy for timed-out eager
     /// collectives.
     pub fn set_retry_policy(&mut self, policy: RetryPolicy) {
-        for i in 0..self.nodes.len() {
-            let driver = self.nodes[i].driver;
-            self.sim
-                .component_mut::<HostDriver>(driver)
+        self.apply(move |sim, node| {
+            sim.component_mut::<HostDriver>(node.driver)
                 .set_retry_policy(policy);
-        }
+        });
     }
 
     /// A communicator installed on this cluster, by id (0 = world).
@@ -903,27 +926,31 @@ impl AcclCluster {
     }
 
     /// Tunes every engine's algorithm-selection thresholds at runtime.
-    pub fn set_algo_config(&mut self, algo: accl_cclo::AlgoConfig) {
-        for i in 0..self.nodes.len() {
-            let engine_uc = self.nodes[i].cclo.uc;
-            self.sim
-                .component_mut::<accl_cclo::uc::Uc>(engine_uc)
-                .set_algo_config(algo);
-        }
+    pub fn set_algo_config(&mut self, algo: AlgoConfig) {
+        self.apply(move |sim, node| {
+            sim.component_mut::<Uc>(node.cclo.uc).set_algo_config(algo);
+        });
     }
 
     /// Loads firmware on every engine (user-defined collectives, §4.4.4).
-    pub fn load_firmware(
-        &mut self,
-        op: accl_cclo::CollOp,
-        program: std::sync::Arc<dyn accl_cclo::CollectiveProgram>,
-    ) {
-        for i in 0..self.nodes.len() {
-            let e = &self.nodes[i].cclo;
-            let uc = e.uc;
-            self.sim
-                .component_mut::<accl_cclo::uc::Uc>(uc)
+    pub fn load_firmware(&mut self, op: CollOp, program: Arc<dyn CollectiveProgram>) {
+        self.apply(move |sim, node| {
+            sim.component_mut::<Uc>(node.cclo.uc)
                 .load_firmware(op, program.clone());
+        });
+    }
+}
+
+/// Whether `e` says a call made no progress, without naming a cause.
+fn timed_out(e: CclError) -> bool {
+    matches!(e, CclError::Timeout | CclError::Aborted)
+}
+
+/// Recolors the calls among `records` whose error `from` accepts as `to`.
+fn recolor(records: &mut [OpRecord], from: impl Fn(CclError) -> bool, to: CclError) {
+    for done in records.iter_mut().filter_map(|r| r.breakdown.as_mut()) {
+        if done.result.is_err_and(&from) {
+            done.result = Err(to);
         }
     }
 }

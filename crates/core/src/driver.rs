@@ -136,6 +136,22 @@ pub struct DriverDone {
     pub total: Dur,
 }
 
+impl DriverDone {
+    /// The completion of call `ticket` turned away with `err` before any
+    /// phase ran.
+    pub fn rejected(ticket: u64, err: CclError) -> DriverDone {
+        DriverDone {
+            ticket,
+            result: Err(err),
+            stage_in: Dur::ZERO,
+            invoke: Dur::ZERO,
+            collective: Dur::ZERO,
+            stage_out: Dur::ZERO,
+            total: Dur::ZERO,
+        }
+    }
+}
+
 /// Ports of the [`HostDriver`] component.
 pub mod ports {
     use accl_sim::event::PortId;
@@ -383,18 +399,11 @@ impl HostDriver {
             self.calls_completed += 1;
             self.calls_failed += 1;
             ctx.stats().add("driver.calls_rejected", 1);
+            let err = CclError::InvalidCommunicator(call.spec.comm);
             ctx.send(
                 call.reply_to,
                 Dur::ZERO,
-                DriverDone {
-                    ticket: call.ticket,
-                    result: Err(CclError::InvalidCommunicator(call.spec.comm)),
-                    stage_in: Dur::ZERO,
-                    invoke: Dur::ZERO,
-                    collective: Dur::ZERO,
-                    stage_out: Dur::ZERO,
-                    total: Dur::ZERO,
-                },
+                DriverDone::rejected(call.ticket, err),
             );
             self.maybe_start(ctx);
             return;
@@ -694,19 +703,8 @@ impl Component for HostDriver {
                     self.calls_completed += 1;
                     self.calls_failed += 1;
                     ctx.stats().add("driver.calls_shed", 1);
-                    ctx.send(
-                        call.reply_to,
-                        Dur::ZERO,
-                        DriverDone {
-                            ticket: call.ticket,
-                            result: Err(CclError::Busy),
-                            stage_in: Dur::ZERO,
-                            invoke: Dur::ZERO,
-                            collective: Dur::ZERO,
-                            stage_out: Dur::ZERO,
-                            total: Dur::ZERO,
-                        },
-                    );
+                    let done = DriverDone::rejected(call.ticket, CclError::Busy);
+                    ctx.send(call.reply_to, Dur::ZERO, done);
                     return;
                 }
                 self.queue.push_back(call);

@@ -56,6 +56,9 @@ pub enum CclError {
     /// [`crate::comm::Communicator::expand`] readmitting a node that is
     /// already a member. Recoverable — re-resolve membership and retry.
     InvalidGroup,
+    /// This node crashed (fail-stop) before the call completed. The node
+    /// runs nothing until it is readmitted, which reboots it.
+    Crashed,
 }
 
 impl core::fmt::Display for CclError {
@@ -85,6 +88,7 @@ impl core::fmt::Display for CclError {
             CclError::InvalidGroup => {
                 write!(f, "membership operation produced an invalid group")
             }
+            CclError::Crashed => write!(f, "this node crashed before the call completed"),
         }
     }
 }

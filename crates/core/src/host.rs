@@ -31,13 +31,14 @@ pub struct OpRecord {
     pub started: Time,
     /// When it completed.
     pub finished: Time,
-    /// For collectives: the driver's phase breakdown.
+    /// For collectives, and for any op its node's crash cut short: the
+    /// driver's phase breakdown.
     pub breakdown: Option<DriverDone>,
 }
 
 impl OpRecord {
-    /// The op's outcome: compute ops always succeed, collectives report
-    /// the driver's result.
+    /// The op's outcome: compute ops succeed unless a crash cut them
+    /// short, collectives report the driver's result.
     pub fn result(&self) -> Result<(), CclError> {
         self.breakdown.map_or(Ok(()), |b| b.result)
     }
@@ -83,6 +84,20 @@ impl HostProc {
     /// Per-op completion records (after the run).
     pub fn records(&self) -> &[OpRecord] {
         &self.records
+    }
+
+    /// The records of a program its node's crash stopped at `at`: the ops
+    /// it completed, then every other op failed with [`CclError::Crashed`].
+    pub fn crashed_records(&self, at: Time) -> Vec<OpRecord> {
+        let crashed = |index: usize| OpRecord {
+            index,
+            started: at,
+            finished: at,
+            breakdown: Some(DriverDone::rejected(index as u64, CclError::Crashed)),
+        };
+        let mut records = self.records.clone();
+        records.extend((self.index..self.index + self.ops.len()).map(crashed));
+        records
     }
 
     /// When the program finished, if it did.

@@ -39,8 +39,9 @@ pub enum MembershipEvent {
         /// The failed node's index.
         node: usize,
     },
-    /// A failed node's new incarnation came back up (its NIC re-announced
-    /// with a bumped epoch); it is not yet a communicator member.
+    /// A crashed node's restart instant passed: the fabric carries its
+    /// traffic again and survivors fence its old epoch. It stays down,
+    /// and out of every communicator, until readmitted (rebooted).
     Restarted {
         /// The restarted node's index.
         node: usize,

@@ -281,8 +281,9 @@ fn retry_budget_exhaustion_reports_aborted() {
     let count = 256u64;
     let mut c = AcclCluster::build(coyote_udp(2, 100));
     c.set_retry_policy(RetryPolicy::retries(2));
-    // The peer is dark forever: no attempt can ever succeed.
-    c.crash_node(1, Time::ZERO);
+    // The link between the ranks is dark forever: no attempt can ever
+    // succeed, and both ranks stay up to run their retry ladders.
+    c.link_down(1, Time::ZERO, Time::MAX);
     let (specs, _) = allreduce_setup(&mut c, &[0, 1], count, 0);
     let records = c.host_collective(specs);
     for rank in 0..2 {

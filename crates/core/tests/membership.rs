@@ -12,7 +12,7 @@ use accl_core::host::HostOp;
 use accl_core::{
     AcclCluster, AlgoConfig, BufLoc, CclError, ClusterConfig, CollSpec, MembershipEvent, Transport,
 };
-use accl_net::Degradation;
+use accl_net::{Degradation, NetPort};
 use accl_poe::iface::ports;
 use accl_sim::prelude::{Component, ComponentId, Ctx, Dur, Endpoint, Payload, PortId, Time};
 
@@ -86,28 +86,49 @@ fn run_subset_allreduce(c: &mut AcclCluster, members: &[usize], count: u64, comm
     }
 }
 
+/// Deliveries the trace ring of [`crash_restart_rejoin`] can hold: more
+/// than the whole lifecycle executes.
+const LIFECYCLE_TRACE: usize = 1 << 12;
+
+/// What the crashed node did while it was down, from its crash until
+/// `reinstate_node`.
+struct DownTime {
+    /// Deliveries its components executed, rendered.
+    executed: Vec<String>,
+    /// Deliveries to its components the kernel dropped.
+    dropped: u64,
+}
+
 /// The full self-healing lifecycle on one transport: crash mid-allreduce
 /// → survivors diagnose and shrink → reissue on the survivor group →
 /// restart + transport reinstatement → expand readmits the node with its
 /// original numbering → a full-world allreduce completes with golden
-/// data. Returns the cluster for post-mortem assertions.
-fn crash_restart_rejoin(transport: Transport, timeout_us: u64) -> AcclCluster {
+/// data. Returns the cluster for post-mortem assertions, and what the
+/// crashed node did while it was down.
+fn crash_restart_rejoin(transport: Transport, timeout_us: u64) -> (AcclCluster, DownTime) {
     let dead = 2usize;
     let count = 1024u64;
+    let crash = Time::from_us(1);
     let mut c = AcclCluster::build(cfg_for(transport, 3, timeout_us));
+    c.sim.enable_trace(LIFECYCLE_TRACE);
     c.set_algo_config(AlgoConfig {
         allreduce_ring_min_bytes: 1,
         ..AlgoConfig::default()
     });
-    c.crash_node(dead, Time::from_us(1));
+    c.crash_node(dead, crash);
     // The restart instant lands while the first (failing) run drains, so
-    // the NIC reincarnates, survivors fence the old epoch, and the RBM
-    // wipes — all inside run 1's timeline.
+    // the fabric reopens and survivors fence the old epoch inside run 1's
+    // timeline; the node itself stays down until it is reinstated.
     c.restart_node(dead, Time::from_ms(60));
 
     // Run 1: the crash fails every rank's collective in bounded time.
     let (specs, _) = allreduce_setup(&mut c, &[0, 1, 2], count, 0);
     let records = c.host_collective(specs);
+    assert_eq!(
+        records[dead].result(),
+        Err(CclError::Crashed),
+        "{transport:?}: the crashed rank's call"
+    );
     for rank in [0usize, 1] {
         assert!(
             records[rank].result().is_err(),
@@ -130,9 +151,33 @@ fn crash_restart_rejoin(transport: Transport, timeout_us: u64) -> AcclCluster {
     c.install_communicator(&survivors);
     run_subset_allreduce(&mut c, &[0, 1], count, 1, "survivor reissue");
 
-    // Run 3: the restarted node rejoins — sessions reinstated, detector
-    // history forgotten, expand restores the world numbering — and a
-    // full-strength allreduce completes bit-exactly.
+    assert!(
+        c.sim.events_executed() < LIFECYCLE_TRACE as u64,
+        "the trace ring holds every delivery"
+    );
+    let prefix = format!("n{dead}.");
+    let down = DownTime {
+        executed: c
+            .sim
+            .trace()
+            .iter()
+            .filter(|r| r.time >= crash && c.sim.name(r.comp).starts_with(&prefix))
+            .map(|r| {
+                format!(
+                    "{} {}.{:?} [{}]",
+                    r.time,
+                    c.sim.name(r.comp),
+                    r.port,
+                    r.payload_type
+                )
+            })
+            .collect(),
+        dropped: c.sim.stats().counter("sim.kernel.suspended_drops"),
+    };
+
+    // Run 3: the restarted node rejoins — rebooted, sessions reinstated,
+    // detector history forgotten, expand restores the world numbering —
+    // and a full-strength allreduce completes bit-exactly.
     c.reinstate_node(dead);
     let rejoined = survivors.expand(2, &[dead]).expect("node readmitted");
     assert_eq!(rejoined.members(), &[0, 1, 2]);
@@ -152,7 +197,7 @@ fn crash_restart_rejoin(transport: Transport, timeout_us: u64) -> AcclCluster {
         restarted.is_some() && rejoined_at > restarted,
         "{transport:?}: membership log must show restart then rejoin, got {log:?}"
     );
-    c
+    (c, down)
 }
 
 #[test]
@@ -170,11 +215,79 @@ fn crash_restart_rejoin_completes_on_rdma() {
     crash_restart_rejoin(Transport::Rdma, 30_000);
 }
 
+/// Fail-stop means stop: from its crash until `reinstate_node` reboots
+/// it, the crashed node executes nothing (no retransmission timer or
+/// watchdog of its own fires), while deliveries to it are dropped and
+/// counted. The reboot brings its NIC back as incarnation 1.
+fn crashed_node_executes_nothing_until_reinstated(transport: Transport, timeout_us: u64) {
+    let (c, down) = crash_restart_rejoin(transport, timeout_us);
+    assert_eq!(down.executed, Vec::<String>::new(), "{transport:?}");
+    assert!(down.dropped > 0, "{transport:?}: drops are counted");
+    let nic = c.sim.component::<NetPort>(c.network().port_id(2));
+    assert_eq!(nic.incarnation(), 1, "{transport:?}");
+}
+
+#[test]
+fn crashed_node_executes_nothing_until_reinstated_on_tcp() {
+    crashed_node_executes_nothing_until_reinstated(Transport::Tcp, 30_000);
+}
+
+#[test]
+fn crashed_node_executes_nothing_until_reinstated_on_udp() {
+    crashed_node_executes_nothing_until_reinstated(Transport::Udp, 2_000);
+}
+
+#[test]
+fn crashed_node_executes_nothing_until_reinstated_on_rdma() {
+    crashed_node_executes_nothing_until_reinstated(Transport::Rdma, 30_000);
+}
+
+/// A restart with no earlier crash is no restart: the fabric ignores it,
+/// and so does the cluster, through either entry point. The run is the
+/// run without it, event for event, and the membership log stays empty.
+fn lone_restart_changes_nothing(transport: Transport) {
+    let count = 64 * 1024u64; // 256 KiB per rank
+    let run = |restart: Option<bool>| {
+        let mut c = AcclCluster::build(cfg_for(transport, 3, 30_000));
+        let at = Time::from_us(40);
+        match restart {
+            Some(true) => c.restart_node(1, at),
+            Some(false) => c.set_fault_plan(
+                accl_net::FaultPlan::none().with_node_restart(accl_net::NodeAddr(1), at),
+            ),
+            None => {}
+        }
+        let (specs, dsts) = allreduce_setup(&mut c, &[0, 1, 2], count, 0);
+        let records = c.host_collective(specs);
+        for rank in 0..3 {
+            assert_eq!(records[rank].result(), Ok(()), "{transport:?}: rank {rank}");
+            assert_eq!(c.read(&dsts[rank]), summed(3, count), "rank {rank} data");
+        }
+        assert!(c.membership_log().is_empty(), "{transport:?}");
+        let finished: Vec<Time> = records.iter().map(|r| r.finished).collect();
+        (finished, c.sim.events_executed())
+    };
+    let plain = run(None);
+    assert_eq!(run(Some(true)), plain, "{transport:?}: restart_node");
+    assert_eq!(run(Some(false)), plain, "{transport:?}: fault plan");
+}
+
+#[test]
+fn lone_restart_changes_nothing_on_tcp() {
+    lone_restart_changes_nothing(Transport::Tcp);
+}
+
+#[test]
+fn lone_restart_changes_nothing_on_rdma() {
+    lone_restart_changes_nothing(Transport::Rdma);
+}
+
 /// Frames from the crashed node's old incarnation still in flight at its
 /// restart must be fenced at every survivor. A 200 µs crash lands mid-way
 /// through a large allreduce and the restart follows 0.5 µs later, so
 /// pre-crash frames are still queued in the fabric when the fence goes up.
-/// Returns `poe.mux.stale_epoch_drops` after the run.
+/// Every dropped frame left node 2's engine before its crash: a crashed
+/// node sends nothing. Returns `poe.mux.stale_epoch_drops` after the run.
 fn stale_epoch_drops_after_quick_restart(transport: Transport) -> u64 {
     let dead = 2usize;
     let mut c = AcclCluster::build(cfg_for(transport, 4, 2_000));
@@ -187,12 +300,12 @@ fn stale_epoch_drops_after_quick_restart(transport: Transport) -> u64 {
 
 #[test]
 fn restart_fences_the_old_incarnations_frames_on_tcp() {
-    assert_eq!(stale_epoch_drops_after_quick_restart(Transport::Tcp), 13);
+    assert_eq!(stale_epoch_drops_after_quick_restart(Transport::Tcp), 10);
 }
 
 #[test]
 fn restart_fences_the_old_incarnations_frames_on_udp() {
-    assert_eq!(stale_epoch_drops_after_quick_restart(Transport::Udp), 10);
+    assert_eq!(stale_epoch_drops_after_quick_restart(Transport::Udp), 8);
 }
 
 /// Shared shape of the degraded-link-only scenario: a throttle-only
@@ -486,15 +599,16 @@ impl Component for Halt {
 }
 
 /// A retransmission timer armed before `reinstate_node` never fires into
-/// the reinstated session or queue pair. Node 1 is cut off from the start,
-/// so the fragments between it and node 0 go unacknowledged, and a
+/// the reinstated session or queue pair. Node 1 crashes 8 µs in, just
+/// after node 0 sent it fragments: they go unacknowledged, and node 0's
 /// retransmission timer (first RTO 100 µs on both transports) is pending
-/// when the run halts at 60 µs. Reinstating node 1 cancels the timers of
-/// both directions of the pair: the pending deadline passes without a
-/// retransmission and is counted as superseded.
+/// when the run halts at 60 µs. The crash cancelled node 1's own timers;
+/// reinstating node 1 reboots it and cancels node 0's timer toward it:
+/// the pending deadline passes without a retransmission and is counted
+/// as superseded.
 fn reinstate_cancels_the_old_incarnations_timers(transport: Transport) {
     let mut c = AcclCluster::build(cfg_for(transport, 2, 30_000));
-    c.crash_node(1, Time::ZERO);
+    c.crash_node(1, Time::from_us(8));
     let halt = c.sim.add("halt", Halt);
     let (specs, _) = allreduce_setup(&mut c, &[0, 1], 4096, 0);
     let programs = specs.into_iter().map(|s| vec![HostOp::Coll(s)]).collect();

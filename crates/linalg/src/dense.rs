@@ -16,15 +16,6 @@ pub struct MatF32 {
 }
 
 impl MatF32 {
-    /// Creates a zero matrix.
-    pub fn zeros(rows: usize, cols: usize) -> Self {
-        MatF32 {
-            rows,
-            cols,
-            data: vec![0.0; rows * cols],
-        }
-    }
-
     /// Creates a matrix from a generator function of `(row, col)`.
     pub fn from_fn(rows: usize, cols: usize, mut f: impl FnMut(usize, usize) -> f32) -> Self {
         let mut data = Vec::with_capacity(rows * cols);

@@ -72,9 +72,8 @@ const CUSTODY: &[Custody] = &[
     Custody {
         file_suffix: "cclo/src/rbm.rs",
         counter: "free_bufs",
-        allowed_fns: &["new", "release_buf", "resync"],
-        why: "buffer releases must flow through `release_buf` (shrink debt is paid down first) \
-              or the restart-time `resync` wipe",
+        allowed_fns: &["new", "release_buf"],
+        why: "buffer releases must flow through `release_buf` (shrink debt is paid down first)",
     },
     Custody {
         file_suffix: "poe/src/iface.rs",

@@ -165,6 +165,9 @@ impl Rbm {
     fn release_buf(&mut self) {
         self.free_bufs += 1;
     }
+    fn resync(&mut self) {
+        self.free_bufs = 0;
+    }
 }
 ";
     let found = gating("crates/cclo/src/rbm.rs", src);
@@ -174,11 +177,12 @@ impl Rbm {
         .collect();
     assert_eq!(
         custody.len(),
-        1,
-        "only the out-of-custody `+=` (not the acquire-side `-=`, not the \
-         custodian) should be flagged: {found:?}"
+        2,
+        "only the out-of-custody `+=` and `=` (not the acquire-side `-=`, \
+         not the custodian) should be flagged: {found:?}"
     );
     assert_eq!(custody[0].1, 4, "{found:?}");
+    assert_eq!(custody[1].1, 13, "{found:?}");
 }
 
 // ---------------------------------------------------------------------------

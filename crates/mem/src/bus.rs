@@ -278,12 +278,6 @@ impl MemoryBus {
         }
     }
 
-    /// Cumulative busy time of the PCIe pipes (read + write), for link
-    /// utilization accounting.
-    pub fn pcie_busy_time(&self) -> Dur {
-        self.pcie_rd.busy_time() + self.pcie_wr.busy_time()
-    }
-
     /// Records the TLB counter deltas since `before` into the stats
     /// registry, so hit rates aggregate across requests and nodes.
     fn record_tlb_delta(&self, ctx: &mut Ctx<'_>, before: Option<(u64, u64, u64)>) {

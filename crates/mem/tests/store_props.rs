@@ -1,11 +1,12 @@
-//! Oracle property test for the shared-page `MemStore`.
+//! Oracle property test for the extent-map `MemStore`.
 //!
 //! The model is one flat `Vec<u8>`. Random `write`, `write_bytes`, `read`
-//! and `read_bytes` calls, at and around page edges, must read back what
-//! the model holds. Every `read_bytes` result and every buffer handed to
-//! `write_bytes` is kept for the rest of the case, and must never change:
-//! pages are shared with both, so a write that patched a shared page in
-//! place would show up here.
+//! and `read_bytes` calls, at and around TLB page edges, must read back
+//! what the model holds. Every `read_bytes` result and every buffer handed
+//! to `write_bytes` is kept for the rest of the case, and must never
+//! change: the store's extents are slices of the writers' buffers and
+//! readers get slices of the extents, so a write that patched an extent
+//! in place would show up here.
 
 use accl_mem::{MemStore, PAGE_SIZE};
 use bytes::Bytes;
@@ -46,7 +47,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
-    fn shared_page_store_matches_a_flat_model(
+    fn extent_store_matches_a_flat_model(
         ops in vec((0u8..4, 0u64..PAGES, 0u8..4, any::<u64>(), 0u8..7, any::<u64>()), 1..48),
     ) {
         let mut store = MemStore::new();

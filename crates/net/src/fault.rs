@@ -213,10 +213,11 @@ pub struct FaultPlan {
     /// blackholes every frame to or from the node (until a matching
     /// restart in `node_restarts`, if any).
     pub node_crashes: BTreeMap<NodeAddr, Time>,
-    /// Node restart times: a crashed node whose restart instant has passed
-    /// is live again (a fresh incarnation — the cluster re-announces it,
-    /// fences its old epoch and re-admits it via `Communicator::expand`).
-    /// A restart at or before the node's crash time is ignored.
+    /// Node restart times: the fabric carries a crashed node's traffic
+    /// again once its restart instant has passed, and the cluster fences
+    /// its old epoch at the peers. The node itself stays down until it is
+    /// readmitted, when it reboots as a fresh incarnation. A restart with
+    /// no earlier crash, or at or before it, is ignored.
     pub node_restarts: BTreeMap<NodeAddr, Time>,
     /// Fabric partition windows: while active, frames crossing the bitmap
     /// cut are lost in both directions. Kept sorted by `(from, until,
@@ -261,14 +262,6 @@ impl FaultPlan {
     pub fn random_corruption(p: f64) -> Self {
         FaultPlan {
             corrupt_probability: assert_probability(p),
-            ..Self::default()
-        }
-    }
-
-    /// A policy duplicating frames i.i.d. with probability `p`.
-    pub fn random_duplication(p: f64) -> Self {
-        FaultPlan {
-            duplicate_probability: assert_probability(p),
             ..Self::default()
         }
     }
@@ -722,9 +715,9 @@ pub enum FaultEvent {
         /// New pool capacity, in buffers.
         bufs: u32,
     },
-    /// Restart `node` at `at`: its crash window closes and a fresh
-    /// incarnation comes up (old-epoch frames are fenced at the peers'
-    /// POEs).
+    /// Restart `node` at `at`: its crash window closes and the peers'
+    /// POEs fence its old epoch (the node reboots as a fresh incarnation
+    /// when it is readmitted).
     Restart {
         /// Restarted node.
         node: NodeAddr,

@@ -86,7 +86,7 @@ pub struct Frame {
     /// frame is not credit-accounted. Excluded from the FCS, like `src`.
     pub credit_return: Option<Endpoint>,
     /// Sender incarnation number, stamped by the NIC alongside `src`: 0
-    /// for a node's first life, bumped each time the node restarts. The
+    /// for a node's first life, bumped each time the node reboots. The
     /// receiving POE fences frames whose epoch predates the sender's
     /// announced incarnation, so stale pre-crash traffic from an old
     /// incarnation can never leak into a rejoined session. Excluded from

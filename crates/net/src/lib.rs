@@ -22,7 +22,5 @@ pub use fault::{
     Partition,
 };
 pub use frame::{CreditReturn, Frame, NodeAddr, DEFAULT_MTU, WIRE_OVERHEAD_BYTES};
-pub use switch::{
-    NetPort, OverloadPolicy, PauseFrame, PortCounters, Reincarnate, RxSelector, Switch,
-};
+pub use switch::{NetPort, OverloadPolicy, PauseFrame, PortCounters, RxSelector, Switch};
 pub use topology::{NetConfig, Network};

@@ -176,11 +176,6 @@ impl Switch {
         &mut self.fault
     }
 
-    /// The installed fault plan.
-    pub fn fault_plan(&self) -> &FaultPlan {
-        &self.fault
-    }
-
     /// Counters for port `addr`.
     pub fn port_counters(&self, addr: NodeAddr) -> PortCounters {
         let p = &self.ports[addr.index()];
@@ -205,11 +200,6 @@ impl Switch {
         self.frames_duplicated
     }
 
-    /// Total frames that entered the switch.
-    pub fn frames_seen(&self) -> u64 {
-        self.frame_index
-    }
-
     /// Frames tail-dropped because an egress buffer was full (under
     /// [`OverloadPolicy::Drop`]); disjoint from fault-injected drops.
     pub fn frames_overflow_dropped(&self) -> u64 {
@@ -219,12 +209,6 @@ impl Switch {
     /// Pause frames sent to source NICs (under [`OverloadPolicy::Pause`]).
     pub fn pauses_sent(&self) -> u64 {
         self.pauses_sent
-    }
-
-    /// Cumulative time port `addr`'s egress link has spent serializing —
-    /// divide by elapsed simulated time for link utilization.
-    pub fn egress_busy_time(&self, addr: NodeAddr) -> Dur {
-        self.ports[addr.index()].egress.busy_time()
     }
 
     /// Queues `frame` on its destination port's egress and delivers it
@@ -420,21 +404,14 @@ pub struct NetPort {
     held: VecDeque<Frame>,
     pauses_received: u64,
     /// This node's incarnation number, stamped into every outgoing frame's
-    /// epoch field. 0 for the first life; a [`Reincarnate`] control event
-    /// (posted by the cluster when a node-restart fault fires) bumps it.
+    /// epoch field. 0 for the first life; a rebooted node's fresh port
+    /// takes the next one ([`NetPort::with_incarnation`]).
     incarnation: u32,
 }
 
 /// Self-scheduled resume tick for a paused [`NetPort`].
 #[derive(Debug, Clone, Copy)]
 struct Resume;
-
-/// Control event marking a node restart at its NIC: the port's incarnation
-/// is bumped (all subsequent frames carry the new epoch) and any traffic
-/// still held from the previous life is discarded — a rebooted NIC does not
-/// resume a dead incarnation's queue.
-#[derive(Debug, Clone, Copy)]
-pub struct Reincarnate;
 
 impl NetPort {
     /// Creates the port for `addr`, uplinked to `switch`.
@@ -453,6 +430,13 @@ impl NetPort {
         }
     }
 
+    /// Sets the incarnation number: a rebooted node's fresh port takes
+    /// the one after its previous port's.
+    pub fn with_incarnation(mut self, incarnation: u32) -> Self {
+        self.incarnation = incarnation;
+        self
+    }
+
     /// This port's fabric address.
     pub fn addr(&self) -> NodeAddr {
         self.addr
@@ -466,22 +450,6 @@ impl NetPort {
     /// Frames submitted by the local device so far.
     pub fn frames_sent(&self) -> u64 {
         self.frames_in
-    }
-
-    /// Wire bytes submitted by the local device so far.
-    pub fn bytes_sent(&self) -> u64 {
-        self.bytes_in
-    }
-
-    /// Earliest time the egress link is free (for backpressure estimates).
-    pub fn egress_free_at(&self) -> Time {
-        self.egress.next_free()
-    }
-
-    /// Cumulative time this NIC's egress link has spent serializing —
-    /// divide by elapsed simulated time for uplink utilization.
-    pub fn egress_busy_time(&self) -> Dur {
-        self.egress.busy_time()
     }
 
     /// Pause frames this NIC has honoured so far.
@@ -566,16 +534,6 @@ impl Component for NetPort {
                     // no-op against `paused_until`.
                     ctx.send_at(Endpoint::of(ctx.self_id()), pause.until, Resume);
                 }
-                return;
-            }
-            Err(other) => other,
-        };
-        let payload = match payload.try_downcast::<Reincarnate>() {
-            Ok(Reincarnate) => {
-                self.incarnation += 1;
-                self.held.clear();
-                self.paused_until = ctx.now();
-                ctx.stats().add("net.port.reincarnations", 1);
                 return;
             }
             Err(other) => other,

@@ -82,17 +82,7 @@ impl Network {
         switch.set_buffer_limit(cfg.switch_buffer_frames, cfg.overload_policy);
         sim.install(switch_id, switch);
         let ports: Vec<ComponentId> = (0..n_nodes)
-            .map(|i| {
-                sim.add(
-                    format!("n{i}.net.port"),
-                    NetPort::new(
-                        NodeAddr(i as u32),
-                        Endpoint::of(switch_id),
-                        cfg.link_gbps,
-                        cfg.propagation(),
-                    ),
-                )
-            })
+            .map(|i| sim.add(format!("n{i}.net.port"), Self::port(cfg, switch_id, i)))
             .collect();
         // Pause frames flow switch -> source NIC regardless of whether the
         // buffer limit is set now: `set_buffer_limit` can arrive later
@@ -106,6 +96,25 @@ impl Network {
             ports,
             cfg,
         }
+    }
+
+    /// Node `i`'s NIC, uplinked to `switch`.
+    fn port(cfg: NetConfig, switch: ComponentId, i: usize) -> NetPort {
+        NetPort::new(
+            NodeAddr(i as u32),
+            Endpoint::of(switch),
+            cfg.link_gbps,
+            cfg.propagation(),
+        )
+    }
+
+    /// Reboots node `i`'s suspended NIC: a fresh port takes its place
+    /// with the next incarnation number, so every frame it sends carries
+    /// an epoch the peers' restart fences admit.
+    pub fn reboot_port(&self, sim: &mut Simulator, i: usize) {
+        let incarnation = sim.component::<NetPort>(self.ports[i]).incarnation() + 1;
+        let port = Self::port(self.cfg, self.switch, i).with_incarnation(incarnation);
+        sim.install(self.ports[i], port);
     }
 
     /// Number of ports on the fabric.
@@ -162,14 +171,17 @@ impl Network {
     /// Schedules a restart of node `i` at simulated time `at`, composing
     /// with the installed fault plan: the node's crash window (see
     /// [`Network::crash_node`]) closes at `at` and the fabric carries its
-    /// traffic again. Fencing of the old incarnation's frames is the
-    /// cluster's job (a [`crate::switch::Reincarnate`] control event to the
-    /// node's port plus epoch fences at the peers' protocol engines).
-    pub fn restart_node(&self, sim: &mut Simulator, i: usize, at: Time) {
+    /// traffic again. Fencing the old incarnation's frames at the peers'
+    /// protocol engines, and rebooting the node, are the cluster's job.
+    /// Returns the instant the node's crash window closes, if a restart
+    /// strictly after its crash is scheduled ([`FaultPlan::restart_time`]).
+    pub fn restart_node(&self, sim: &mut Simulator, i: usize, at: Time) -> Option<Time> {
         let addr = self.addr(i);
         let sw = sim.component_mut::<Switch>(self.switch);
-        let plan = std::mem::take(sw.fault_plan_mut());
-        sw.set_fault_plan(plan.with_node_restart(addr, at));
+        let plan = std::mem::take(sw.fault_plan_mut()).with_node_restart(addr, at);
+        let closes = plan.restart_time(addr);
+        sw.set_fault_plan(plan);
+        closes
     }
 
     /// Schedules a `[from, until)` fabric partition along `mask`, composing
@@ -214,26 +226,6 @@ impl Network {
     /// injection and introspection).
     pub fn port_id(&self, i: usize) -> ComponentId {
         self.ports[i]
-    }
-
-    /// Records per-link utilization gauges into the simulator's stats:
-    /// `net.link.<i>.busy_ps` (switch egress toward node `i`) and
-    /// `net.link.<i>.nic_busy_ps` (node `i`'s NIC egress), in picoseconds
-    /// of cumulative serialization time. Divide by elapsed simulated time
-    /// for utilization. Intended after a run, not on the hot path.
-    pub fn record_link_stats(&self, sim: &mut Simulator) {
-        for i in 0..self.ports.len() {
-            let busy = sim
-                .component::<Switch>(self.switch)
-                .egress_busy_time(self.addr(i));
-            let nic_busy = sim.component::<NetPort>(self.ports[i]).egress_busy_time();
-            sim.stats_mut()
-                .set_gauge(&format!("net.link.{i}.busy_ps"), busy.as_ps() as i64);
-            sim.stats_mut().set_gauge(
-                &format!("net.link.{i}.nic_busy_ps"),
-                nic_busy.as_ps() as i64,
-            );
-        }
     }
 }
 

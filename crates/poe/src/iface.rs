@@ -410,6 +410,17 @@ pub struct EpochFence {
     pub min_epoch: u32,
 }
 
+/// What [`PoeIo::rx_admit`] made of one [`ports::NET_RX`] event.
+pub(crate) enum RxAdmit {
+    /// A frame for the engine, and whether it is corrupted.
+    Frame(accl_net::Frame, bool),
+    /// An [`EpochFence`] for this peer: a message its old incarnation
+    /// cut off mid-stream can never complete.
+    Fenced(accl_net::NodeAddr),
+    /// A dropped frame.
+    Dropped,
+}
+
 /// Counter of frames dropped at Rx for a stale sender epoch, shared by
 /// every engine. The name is kept from the Rx mux that once held the
 /// fence, so tests and tools that read the counter keep working.
@@ -615,42 +626,42 @@ impl PoeIo {
     }
 
     /// Admits one [`ports::NET_RX`] event. An [`EpochFence`] raises its
-    /// source's minimum epoch and yields `None`. A frame from a stale
-    /// incarnation is dropped (counted, and marked with a `poe.stale_drop`
-    /// instant), and so is a frame that failed its FCS (counted, and
-    /// marked with a `poe.fcs_drop` instant). A kept frame comes back with
-    /// whether it is corrupted: with `verify` off (the chaos harness's
-    /// self-test) corrupted frames are kept, with it on that flag is
-    /// always `false`.
+    /// source's minimum epoch and yields [`RxAdmit::Fenced`]. A frame from
+    /// a stale incarnation is dropped (counted, and marked with a
+    /// `poe.stale_drop` instant), and so is a frame that failed its FCS
+    /// (counted, and marked with a `poe.fcs_drop` instant). A kept frame
+    /// comes back with whether it is corrupted: with `verify` off (the
+    /// chaos harness's self-test) corrupted frames are kept, with it on
+    /// that flag is always `false`.
     pub(crate) fn rx_admit(
         &mut self,
         ctx: &mut Ctx<'_>,
         payload: Payload,
         verify: bool,
-    ) -> Option<(accl_net::Frame, bool)> {
+    ) -> RxAdmit {
         let frame = match payload.try_downcast::<accl_net::Frame>() {
             Ok(frame) => frame,
             Err(other) => {
                 let fence = other.downcast::<EpochFence>();
                 let min = self.fences.entry(fence.src.0).or_insert(0);
                 *min = (*min).max(fence.min_epoch);
-                return None;
+                return RxAdmit::Fenced(fence.src);
             }
         };
         if frame.epoch < self.min_epoch(frame.src) {
             self.stale_epoch_drops += 1;
             ctx.stats().add(STALE_EPOCH_DROPS, 1);
             accl_sim::trace_instant!(ctx, "poe.stale_drop", frame.span);
-            return None;
+            return RxAdmit::Dropped;
         }
         let corrupted = !frame.fcs_ok();
         if corrupted && verify {
             self.fcs_dropped += 1;
             ctx.stats().add(self.keys.fcs_dropped, 1);
             accl_sim::trace_instant!(ctx, "poe.fcs_drop", frame.span);
-            return None;
+            return RxAdmit::Dropped;
         }
-        Some((frame, corrupted))
+        RxAdmit::Frame(frame, corrupted)
     }
 
     /// Records the Rx `poe.rx` span of `frame` under the sender's wire
@@ -957,6 +968,13 @@ impl RxDemux {
                 span,
             },
         ))
+    }
+
+    /// Forgets every message of `session`, partial or delivered: its
+    /// peer rebooted, and the new incarnation numbers messages afresh.
+    pub fn forget(&mut self, session: SessionId) {
+        self.inflight.retain(|&(s, _), _| s != session);
+        self.completed.retain(|&(s, _)| s != session);
     }
 
     /// Messages currently partially received.

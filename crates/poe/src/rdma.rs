@@ -16,7 +16,7 @@ use accl_sim::prelude::*;
 use accl_sim::trace::SpanId;
 
 use crate::iface::{
-    ports, PoeIo, PoeStatKeys, PoeTxCmd, PoeUpward, RxDemux, SessionErrorKind, SessionId,
+    ports, PoeIo, PoeStatKeys, PoeTxCmd, PoeUpward, RxAdmit, RxDemux, SessionErrorKind, SessionId,
     SessionTable, StreamChunk, TxAssembler, TxKind, TxSegment,
 };
 
@@ -239,11 +239,12 @@ impl RdmaPoe {
 
     /// Re-establishes `qp` of the engine `poe` after a peer restart: drops
     /// the error state and every per-QP protocol variable (window
-    /// accounting, PSN cursors, stalled fragments, owed credits) and
-    /// cancels the QP's timers, so the next message starts a fresh
-    /// conversation with the peer's new incarnation and no deadline of the
-    /// old one fires into it. Both directions of a QP pair must be
-    /// reinstated together — the cluster's rejoin path does that.
+    /// accounting, PSN cursors, stalled fragments, owed credits, received
+    /// message ids) and cancels the QP's timers, so the next message
+    /// starts a fresh conversation with the peer's new incarnation and no
+    /// deadline of the old one fires into it. Both directions of a QP pair
+    /// start fresh together: the peer's side is reinstated too, or was
+    /// rebooted — the cluster's rejoin path does that.
     pub fn reinstate_qp(sim: &mut Simulator, poe: ComponentId, qp: SessionId) {
         let engine = sim.component_mut::<RdmaPoe>(poe);
         engine.qp_error.remove(&qp);
@@ -252,6 +253,7 @@ impl RdmaPoe {
         engine.expected_psn.remove(&qp);
         engine.last_nak.remove(&qp);
         engine.owed_credits.remove(&qp);
+        engine.demux.forget(qp);
         sim.cancel_timer(poe, ports::TIMER, rto_slot(qp));
         sim.cancel_timer(poe, ports::TIMER, starve_slot(qp));
     }
@@ -530,7 +532,7 @@ impl Component for RdmaPoe {
             ports::NET_RX => {
                 // A failed check taints every header field: drop the whole
                 // frame and let go-back-N close the PSN gap.
-                let Some((frame, _)) = self.io.rx_admit(ctx, payload, true) else {
+                let RxAdmit::Frame(frame, _) = self.io.rx_admit(ctx, payload, true) else {
                     return;
                 };
                 self.frames_received += 1;

@@ -17,7 +17,7 @@ use accl_sim::prelude::*;
 use accl_sim::trace::SpanId;
 
 use crate::iface::{
-    ports, PoeIo, PoeRxMeta, PoeStatKeys, PoeTxCmd, PoeUpward, RxChunk, SessionErrorKind,
+    ports, PoeIo, PoeRxMeta, PoeStatKeys, PoeTxCmd, PoeUpward, RxAdmit, RxChunk, SessionErrorKind,
     SessionId, SessionTable, StreamChunk, TxKind,
 };
 
@@ -285,9 +285,10 @@ impl TcpPoe {
     /// flag, retransmission ladder, sequence cursors, reassembly buffers)
     /// and cancels its retransmission timer, so the next message opens a
     /// fresh conversation with the peer's new incarnation and no deadline
-    /// of the old one fires into it. Both sides of a session pair must be
-    /// reinstated together, or sequence numbers desynchronize — the
-    /// cluster's rejoin path does that.
+    /// of the old one fires into it. Both sides of a session pair must
+    /// start fresh together, or sequence numbers desynchronize: the
+    /// peer's side is reinstated too, or was rebooted — the cluster's
+    /// rejoin path does that.
     pub fn reinstate_session(sim: &mut Simulator, poe: ComponentId, session: SessionId) {
         let engine = sim.component_mut::<TcpPoe>(poe);
         engine.tx.remove(&session);
@@ -619,10 +620,14 @@ impl Component for TcpPoe {
             }
             ports::NET_RX => {
                 // Bad CRC: drop at the MAC. The sender's RTO / fast
-                // retransmit recovers the lost bytes.
-                let Some((frame, corrupted)) = self.io.rx_admit(ctx, payload, self.cfg.verify_fcs)
-                else {
-                    return;
+                // retransmit recovers the lost bytes. A restarted peer's
+                // fence ends its old incarnation's half-received message.
+                let (frame, corrupted) = match self.io.rx_admit(ctx, payload, self.cfg.verify_fcs) {
+                    RxAdmit::Frame(frame, corrupted) => (frame, corrupted),
+                    RxAdmit::Fenced(peer) => {
+                        return self.rx.retain(|&s, _| self.io.peer(s).0 != peer)
+                    }
+                    RxAdmit::Dropped => return,
                 };
                 if !frame.body.is::<TcpSegment>() {
                     return self.on_ack(ctx, frame.body.downcast::<TcpAck>());

@@ -11,8 +11,8 @@ use bytes::Bytes;
 use accl_sim::prelude::*;
 
 use crate::iface::{
-    ports, PoeIo, PoeStatKeys, PoeTxCmd, PoeUpward, RxDemux, SessionTable, StreamChunk,
-    TxAssembler, TxKind, TxSegment,
+    ports, PoeIo, PoeStatKeys, PoeTxCmd, PoeUpward, RxAdmit, RxDemux, SessionId, SessionTable,
+    StreamChunk, TxAssembler, TxKind, TxSegment,
 };
 
 /// Per-datagram header modelled on the wire (message id, offset, total).
@@ -91,6 +91,13 @@ impl UdpPoe {
         &mut self.io
     }
 
+    /// Forgets the message ids received on `session` of the engine `poe`
+    /// after a peer restart: the peer's new incarnation numbers its
+    /// messages afresh, and must not be discarded as duplicates.
+    pub fn reinstate_session(sim: &mut Simulator, poe: ComponentId, session: SessionId) {
+        sim.component_mut::<UdpPoe>(poe).demux.forget(session);
+    }
+
     /// Datagrams sent so far.
     pub fn dgrams_sent(&self) -> u64 {
         self.dgrams_sent
@@ -151,7 +158,7 @@ impl Component for UdpPoe {
                 // Connectionless engine: a mangled datagram is
                 // indistinguishable from loss once dropped — UDP has no
                 // recovery, the bytes are simply gone.
-                let Some((frame, _)) = self.io.rx_admit(ctx, payload, true) else {
+                let RxAdmit::Frame(frame, _) = self.io.rx_admit(ctx, payload, true) else {
                     return;
                 };
                 self.dgrams_received += 1;

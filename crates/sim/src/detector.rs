@@ -116,11 +116,6 @@ impl GapHistory {
         self.len
     }
 
-    /// Instant of the most recent observation, if any.
-    pub fn last_seen(&self) -> Option<Time> {
-        self.last
-    }
-
     /// Integer mean of the held gaps ([`Dur::ZERO`] when empty).
     pub fn mean(&self) -> Dur {
         if self.len == 0 {

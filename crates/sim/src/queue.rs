@@ -36,6 +36,8 @@ pub(crate) enum Entry {
     Event(u32),
     /// The deadline of this kernel timer slot (see [`crate::timer`]).
     Timer(u32),
+    /// The component set `Simulator::suspend_at` scheduled at this index.
+    Suspend(u32),
 }
 
 /// Ordering key for one scheduled entry, ordered by `(time, seq)` alone:
@@ -145,6 +147,17 @@ impl EventQueue {
     #[inline]
     pub(crate) fn push_timer(&mut self, time: Time, seq: u64, dst: Endpoint, timer: u32) {
         self.push_key(time, seq, dst.comp.0, dst, Entry::Timer(timer));
+    }
+
+    /// Queues suspension `idx` at `(time, seq)`. Its order word carries no
+    /// channel rank, so a tie-order permutation keeps it ahead of the
+    /// same-`time` events scheduled after it.
+    pub(crate) fn push_suspend(&mut self, time: Time, seq: u64, idx: u32) {
+        self.heap.push(EvKey {
+            time: time.as_ps(),
+            seq,
+            entry: Entry::Suspend(idx),
+        });
     }
 
     /// # Panics

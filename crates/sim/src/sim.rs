@@ -11,8 +11,11 @@
 //! the kernel timer slots of [`crate::timer`]. [`Simulator::enable_digest`]
 //! folds every delivery into an order-sensitive hash so two runs can be
 //! compared without recording full traces.
+//! A suspended component ([`Simulator::suspend_at`]) leaves its slot, so
+//! only a delivery to it takes the drop path: the rest pay nothing.
 
 use core::any::Any;
+use std::collections::BTreeMap;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -415,6 +418,11 @@ pub struct Simulator {
     tie_rec: Option<crate::race::TieRecorder>,
     /// Kernel-owned timer slots.
     timers: TimerTable,
+    /// Component sets scheduled by [`Simulator::suspend_at`], by queue
+    /// entry.
+    suspensions: Vec<Vec<ComponentId>>,
+    /// Suspended components by id, with the instant each stopped.
+    suspended: BTreeMap<u32, (Time, Box<dyn Component>)>,
 }
 
 /// What [`Simulator::pop_next`] did with the head of the queue.
@@ -422,8 +430,9 @@ pub struct Simulator {
 enum Popped {
     /// The queue was empty.
     Empty,
-    /// A timer entry that delivered nothing: the clock advanced, nothing
-    /// ran.
+    /// An entry that delivered nothing (a superseded timer, a suspension,
+    /// or a delivery to a suspended component): the clock advanced,
+    /// nothing ran.
     Skipped,
     /// An event was delivered.
     Executed,
@@ -449,6 +458,8 @@ impl Simulator {
             last_run_summary: None,
             tie_rec: None,
             timers: TimerTable::default(),
+            suspensions: Vec::new(),
+            suspended: BTreeMap::new(),
         }
     }
 
@@ -504,11 +515,6 @@ impl Simulator {
     /// the watchdog only fires when the event queue drains.
     pub fn set_stall_deadline(&mut self, deadline: Time) {
         self.stall_deadline = Some(deadline);
-    }
-
-    /// Disarms the simulated-time stall deadline.
-    pub fn clear_stall_deadline(&mut self) {
-        self.stall_deadline = None;
     }
 
     /// The seed this simulator was created with.
@@ -690,19 +696,48 @@ impl Simulator {
         id
     }
 
-    /// Installs `comp` into a slot previously obtained from [`Simulator::reserve`].
+    /// Installs `comp` into a slot previously obtained from
+    /// [`Simulator::reserve`], or reboots a suspended component with it.
     ///
     /// # Panics
     ///
-    /// Panics if the slot is already occupied.
+    /// Panics if the slot holds a running component.
     pub fn install(&mut self, id: ComponentId, comp: impl Component) {
-        let slot = &mut self.components[id.index()];
         assert!(
-            slot.is_none(),
+            self.components[id.index()].is_none(),
             "component {} installed twice",
             self.name(id)
         );
-        *slot = Some(Box::new(comp));
+        self.suspended.remove(&id.0);
+        self.components[id.index()] = Some(Box::new(comp));
+    }
+
+    /// Schedules a fail-stop of `comps` at `at`: from then on their timer
+    /// slots are cancelled and every delivery to them (same-time ones
+    /// scheduled after this call included) is dropped and counted in
+    /// `sim.kernel.suspended_drops`. Their state stays readable.
+    pub fn suspend_at(&mut self, at: Time, comps: Vec<ComponentId>) {
+        assert!(at >= self.time, "cannot schedule into the past");
+        let seq = self.seq;
+        self.seq += 1;
+        let idx = u32::try_from(self.suspensions.len()).expect("too many suspensions");
+        self.suspensions.push(comps);
+        self.queue.push_suspend(at, seq, idx);
+    }
+
+    /// The instant `comp` was suspended, if it is suspended.
+    pub fn suspended_since(&self, comp: ComponentId) -> Option<Time> {
+        self.suspended.get(&comp.0).map(|&(at, _)| at)
+    }
+
+    /// Suspends the components of scheduled set `idx` that are running.
+    fn suspend_now(&mut self, idx: u32) {
+        for comp in core::mem::take(&mut self.suspensions[idx as usize]) {
+            if let Some(c) = self.components[comp.index()].take() {
+                self.timers.cancel_all(comp);
+                self.suspended.insert(comp.0, (self.time, c));
+            }
+        }
     }
 
     /// The registration name of `id`.
@@ -715,36 +750,37 @@ impl Simulator {
         self.components.len()
     }
 
-    /// Borrows an installed component, downcast to its concrete type.
+    /// Borrows an installed (or suspended) component, downcast to its concrete type.
     ///
     /// # Panics
     ///
     /// Panics if the component is missing or of a different type.
     pub fn component<T: Component>(&self, id: ComponentId) -> &T {
         let comp = self.components[id.index()]
-            .as_ref()
+            .as_deref()
+            .or_else(|| self.suspended.get(&id.0).map(|(_, comp)| comp.as_ref()))
             .unwrap_or_else(|| panic!("component {} not installed", self.name(id)));
-        (comp.as_ref() as &dyn Any)
-            .downcast_ref::<T>()
-            .unwrap_or_else(|| {
-                panic!(
-                    "component {} is not a {}",
-                    self.name(id),
-                    core::any::type_name::<T>()
-                )
-            })
+        (comp as &dyn Any).downcast_ref::<T>().unwrap_or_else(|| {
+            panic!(
+                "component {} is not a {}",
+                self.name(id),
+                core::any::type_name::<T>()
+            )
+        })
     }
 
-    /// Mutably borrows an installed component, downcast to its concrete type.
+    /// Mutably borrows an installed (or suspended) component, downcast to its concrete type.
     ///
     /// # Panics
     ///
     /// Panics if the component is missing or of a different type.
     pub fn component_mut<T: Component>(&mut self, id: ComponentId) -> &mut T {
         let name = self.names[id.index()].clone();
-        let comp = self.components[id.index()]
-            .as_mut()
-            .unwrap_or_else(|| panic!("component {name} not installed"));
+        let comp = match &mut self.components[id.index()] {
+            Some(comp) => Some(comp),
+            None => self.suspended.get_mut(&id.0).map(|(_, comp)| comp),
+        }
+        .unwrap_or_else(|| panic!("component {name} not installed"));
         (comp.as_mut() as &mut dyn Any)
             .downcast_mut::<T>()
             .unwrap_or_else(|| panic!("component {name} is not a {}", core::any::type_name::<T>()))
@@ -758,11 +794,6 @@ impl Simulator {
         self.seq += 1;
         self.queue
             .push(at, seq, SRC_EXTERNAL, dst, Payload::new(payload));
-    }
-
-    /// Schedules `payload` for delivery to `dst` after `delay` from now.
-    pub fn post_in<T: Any + Send>(&mut self, dst: Endpoint, delay: Dur, payload: T) {
-        self.post(dst, self.time + delay, payload);
     }
 
     /// Cancels timer slot `(port, key)` of component `comp` from outside
@@ -827,20 +858,26 @@ impl Simulator {
                 Some(ev) => ev,
                 None => return Popped::Skipped,
             },
+            Entry::Suspend(idx) => {
+                self.suspend_now(idx);
+                return Popped::Skipped;
+            }
+        };
+        // Take the component out of its slot so the handler can borrow the
+        // simulator internals mutably without aliasing itself.
+        let Some(mut comp) = self.components[dst.comp.index()].take() else {
+            assert!(
+                self.suspended.contains_key(&dst.comp.0),
+                "event {payload:?} addressed to uninstalled component {}",
+                self.names[dst.comp.index()]
+            );
+            self.stats.add("sim.kernel.suspended_drops", 1);
+            return Popped::Skipped;
         };
         if self.trace.is_some() || self.digest.is_some() || self.tie_rec.is_some() {
             self.note_delivery(time, seq, dst, payload.type_name());
         }
         self.executed += 1;
-        // Take the component out of its slot so the handler can borrow the
-        // simulator internals mutably without aliasing itself.
-        let mut comp = self.components[dst.comp.index()].take().unwrap_or_else(|| {
-            panic!(
-                "event {:?} addressed to uninstalled component {}",
-                payload,
-                self.names[dst.comp.index()]
-            )
-        });
         let mut ctx = Ctx {
             now: self.time,
             self_id: dst.comp,
@@ -1048,13 +1085,6 @@ impl Simulator {
                 Some((self.names[i].clone(), st))
             })
             .collect()
-    }
-
-    /// Runs the deadlock detector over the current resource states: the
-    /// diagnosed wait chain, if components are stuck on each other's (or
-    /// leaked) resources. See [`crate::deadlock`].
-    pub fn deadlock_report(&self) -> Option<DeadlockReport> {
-        deadlock::analyze(&self.resource_states())
     }
 }
 
@@ -1589,6 +1619,64 @@ mod tests {
         sim.run();
         let d2 = sim.timeline_digest().unwrap();
         assert_ne!(d1, d2);
+    }
+
+    /// Counts its deliveries; its first arms timer slot `(1, 1)` 100 ns
+    /// out and sends itself a message 30 ns out.
+    #[derive(Default)]
+    struct Ticker {
+        got: u32,
+    }
+
+    impl Component for Ticker {
+        fn on_event(&mut self, ctx: &mut Ctx<'_>, _port: PortId, _payload: Payload) {
+            self.got += 1;
+            if self.got == 1 {
+                ctx.arm_timer(PortId(1), 1, Dur::from_ns(100), ());
+                ctx.send_self(PortId::DEFAULT, Dur::from_ns(30), ());
+            }
+        }
+    }
+
+    #[test]
+    fn suspended_component_runs_nothing_until_reinstalled() {
+        let mut sim = Simulator::new(0);
+        sim.enable_trace(64);
+        let a = sim.add("a", Ticker::default());
+        let b = sim.add("b", Ticker::default());
+        for c in [a, b] {
+            sim.post(Endpoint::of(c), Time::ZERO, ());
+        }
+        sim.suspend_at(Time::from_ns(20), vec![a]);
+        sim.post(Endpoint::of(a), Time::from_ns(20), ());
+        sim.post(Endpoint::of(a), Time::from_ns(50), ());
+        assert_eq!(sim.run(), RunOutcome::Drained);
+
+        // `a` ran its first message only: the same-time post, the later
+        // post and its own self-send were dropped and counted, and its
+        // timer slot never fired. `b` ran all three of its deliveries.
+        assert_eq!(sim.component::<Ticker>(a).got, 1);
+        assert_eq!(sim.component::<Ticker>(b).got, 3);
+        assert_eq!(sim.suspended_since(a), Some(Time::from_ns(20)));
+        assert_eq!(sim.suspended_since(b), None);
+        assert!(!sim.timer_pending(a, PortId(1), 1));
+        assert_eq!(sim.stats().counter("sim.kernel.suspended_drops"), 3);
+        assert_eq!(sim.events_executed(), 4);
+        let ran_a: Vec<Time> = sim
+            .trace()
+            .iter()
+            .filter(|r| r.comp == a)
+            .map(|r| r.time)
+            .collect();
+        assert_eq!(ran_a, vec![Time::ZERO]);
+
+        // A fresh instance in the suspended slot runs again.
+        sim.install(a, Ticker::default());
+        assert_eq!(sim.suspended_since(a), None);
+        sim.post(Endpoint::of(a), sim.now(), ());
+        assert_eq!(sim.run(), RunOutcome::Drained);
+        assert_eq!(sim.component::<Ticker>(a).got, 3);
+        assert_eq!(sim.stats().counter("sim.kernel.suspended_drops"), 3);
     }
 
     #[test]

@@ -364,11 +364,6 @@ impl Stats {
         self.histograms.iter().map(|(k, v)| (k.as_str(), v))
     }
 
-    /// Iterates over all series names in key order.
-    pub fn series_keys(&self) -> impl Iterator<Item = &str> {
-        self.series.keys().map(String::as_str)
-    }
-
     /// Clears all counters, gauges, histograms and series (e.g. between
     /// sweep points).
     pub fn reset(&mut self) {

@@ -58,11 +58,6 @@ impl Time {
         self.0 as f64 / 1e6
     }
 
-    /// This instant expressed in (fractional) milliseconds.
-    pub fn as_ms_f64(self) -> f64 {
-        self.0 as f64 / 1e9
-    }
-
     /// This instant expressed in (fractional) seconds.
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e12

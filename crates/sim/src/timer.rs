@@ -93,6 +93,18 @@ impl TimerTable {
         }
     }
 
+    /// Leaves every slot of `comp` with no pending deadline.
+    pub(crate) fn cancel_all(&mut self, comp: ComponentId) {
+        let slots = self
+            .ids
+            .range((comp.0, 0, 0)..=(comp.0, u16::MAX, u64::MAX));
+        for (_, &id) in slots {
+            if self.slots[id as usize].live.take().is_some() {
+                self.superseded += 1;
+            }
+        }
+    }
+
     /// Whether slot `(comp, port, key)` has a deadline pending.
     pub(crate) fn pending(&self, comp: ComponentId, port: PortId, key: u64) -> bool {
         self.ids

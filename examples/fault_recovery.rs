@@ -72,9 +72,10 @@ fn main() {
     }
     failed.sort_unstable();
     failed.dedup();
-    // Trust the survivors' verdicts: the dead node's own session table
-    // accuses everyone it could not reach.
+    // The survivors name the dead rank; the dead rank ran nothing after
+    // its crash, so its own call ends `Crashed`.
     assert!(failed.contains(&dead), "survivors must name the dead rank");
+    assert_eq!(records[dead].result(), Err(CclError::Crashed));
 
     // --- Recovery: shrink the world, reissue on the survivor group. -----
     let world = cluster.communicator(0).unwrap().clone();
