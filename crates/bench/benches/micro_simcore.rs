@@ -250,6 +250,9 @@ fn run_chain(chain: impl Component) -> u64 {
     sim.events_executed()
 }
 
+static CHAIN_EVENTS: Metric = Metric::counter("bench.chain.events");
+static CHAIN_VALUE: Metric = Metric::histogram("bench.chain.value");
+
 /// A self-chain that exercises the metrics hot path on every event: one
 /// counter add plus one histogram observation, the instrumentation
 /// density of the real engine components (switch, POE, DMP).
@@ -259,8 +262,8 @@ struct MeteredChain {
 impl Component for MeteredChain {
     fn on_event(&mut self, ctx: &mut Ctx<'_>, port: PortId, payload: Payload) {
         let v = payload.downcast::<u64>();
-        ctx.stats().add("bench.chain.events", 1);
-        ctx.stats().observe("bench.chain.value", v);
+        ctx.stats().add(&CHAIN_EVENTS, 1);
+        ctx.stats().observe(&CHAIN_VALUE, v);
         if self.remaining > 0 {
             self.remaining -= 1;
             ctx.send_self(port, Dur::from_ns(1), v + 1);
@@ -268,10 +271,12 @@ impl Component for MeteredChain {
     }
 }
 
-/// The windowed-SLO overhead workload: the metered chain with fixed-width
-/// sim-time metric windows on or off. The window router runs on every
-/// stats write, so the `chain_metered` vs `chain_windowed` delta is the
-/// full per-write cost of the `accl-obs` time-series export.
+/// The metrics overhead workload: the metered chain with fixed-width
+/// sim-time metric windows on or off. Against an unmetered chain of the
+/// same length (`chain_100k_events`), `chain_100k_metered` is the cost of
+/// two handle writes per event; the window router runs on every write,
+/// so `chain_100k_windowed` adds the per-write cost of the `accl-obs`
+/// time-series export.
 fn metered_chain(n: u64, window: Option<Dur>) -> u64 {
     let mut sim = Simulator::new(0);
     if let Some(width) = window {
@@ -422,15 +427,22 @@ fn main() {
         measure("post_then_drain_100k", reps, move || {
             post_then_drain(drain_n)
         }),
-        // Windowed-metrics overhead pair: identical event population and
-        // per-event stats writes; only the sim-time window router differs.
-        measure("chain_100k_metered", reps, move || {
-            metered_chain(drain_n, None)
-        }),
-        measure("chain_100k_windowed", reps, move || {
-            metered_chain(drain_n, Some(Dur::from_us(1)))
-        }),
     ];
+    // Metrics overhead: identical event populations, timed interleaved;
+    // the rows differ only in per-event stats writes and the window router.
+    let metered = measure_interleaved(
+        reps,
+        [
+            ("chain_100k_events", &mut || {
+                run_chain(SelfChain { remaining: drain_n })
+            }),
+            ("chain_100k_metered", &mut || metered_chain(drain_n, None)),
+            ("chain_100k_windowed", &mut || {
+                metered_chain(drain_n, Some(Dur::from_us(1)))
+            }),
+        ],
+    );
+    let results: Vec<_> = results.into_iter().chain(metered).collect();
     for r in &results {
         println!(
             "workload {:<24} {:>12.0} events/s  {:>7.3} allocs/event",

@@ -22,6 +22,8 @@ use crate::plugins;
 use crate::rbm::{ports as rbm_ports, MatchKey, RbmQuery, RbmStream};
 use crate::txsys::{ports as tx_ports, TxData, TxJob, TxJobDone};
 
+static INSTRS: Metric = Metric::counter("dmp.instrs");
+
 /// A resolved operand source.
 #[derive(Debug, Clone, Copy)]
 pub enum RSrc {
@@ -202,7 +204,7 @@ impl Dmp {
     fn launch(&mut self, ctx: &mut Ctx<'_>, mc: Microcode) {
         let ticket = mc.ticket;
         let decode = self.cfg.cycles(self.cfg.dmp_instr_cycles);
-        ctx.stats().add("dmp.instrs", 1);
+        ctx.stats().add(&INSTRS, 1);
         let mut instr_span = SpanId::NONE;
         if ctx.spans_enabled() {
             instr_span = ctx.span_begin_attrs(

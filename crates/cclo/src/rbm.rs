@@ -24,6 +24,13 @@ use crate::dmp::take_bytes;
 use crate::msg::MsgSignature;
 use crate::rxsys::{RbmData, RbmMeta, RxMsgKey};
 
+static PURGED_BUFS: Metric = Metric::counter("rbm.purged_bufs");
+static PURGED_QUERIES: Metric = Metric::counter("rbm.purged_queries");
+static RX_BYTES: Metric = Metric::counter("rbm.rx_bytes");
+static META_WAIT_PS: Metric = Metric::histogram("rbm.meta_wait_ps");
+static EXHAUSTED: Metric = Metric::counter("rbm.exhausted");
+static BUFS_SHRUNK: Metric = Metric::counter("rbm.bufs_shrunk");
+
 /// Matching key for eager messages.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct MatchKey {
@@ -281,8 +288,8 @@ impl Rbm {
         for key in to_match {
             self.try_match(ctx, key);
         }
-        ctx.stats().add("rbm.purged_bufs", freed);
-        ctx.stats().add("rbm.purged_queries", dropped_queries);
+        ctx.stats().add(&PURGED_BUFS, freed);
+        ctx.stats().add(&PURGED_QUERIES, dropped_queries);
     }
 
     /// Folds one payload piece into its message's reassembly state.
@@ -295,7 +302,7 @@ impl Rbm {
         };
         let n = data.data.len() as u64;
         msg.received += n;
-        ctx.stats().add("rbm.rx_bytes", n);
+        ctx.stats().add(&RX_BYTES, n);
         debug_assert!(
             msg.received <= msg.sig.payload_len,
             "RBM overflow: {} > {}",
@@ -341,7 +348,7 @@ impl Rbm {
             // dominates small-message latency; exported as a histogram so
             // the windowed SLO series can track it over sim time.
             let waited = ctx.now().since(posted);
-            ctx.stats().observe("rbm.meta_wait_ps", waited.as_ps());
+            ctx.stats().observe(&META_WAIT_PS, waited.as_ps());
             self.queries.get_mut(&key).unwrap().pop_front();
             self.by_match.get_mut(&key).unwrap().pop_front();
             let mut msg = self.msgs.remove(&mkey).unwrap();
@@ -455,7 +462,7 @@ impl Component for Rbm {
                     true
                 } else {
                     self.exhaustion_events += 1;
-                    ctx.stats().add("rbm.exhausted", 1);
+                    ctx.stats().add(&EXHAUSTED, 1);
                     if let Some(uc) = self.notify {
                         ctx.send(uc, Dur::ZERO, crate::rxsys::UcNotif::RxExhausted);
                     }
@@ -508,7 +515,7 @@ impl Component for Rbm {
                 self.free_bufs -= from_free;
                 self.shrink_debt += s.bufs - from_free;
                 self.shrunk += s.bufs;
-                ctx.stats().add("rbm.bufs_shrunk", s.bufs as u64);
+                ctx.stats().add(&BUFS_SHRUNK, s.bufs as u64);
             }
             other => panic!("RBM has no port {other:?}"),
         }

@@ -16,6 +16,8 @@ use accl_sim::prelude::*;
 
 use crate::msg::{MsgSignature, MsgType, SIGNATURE_BYTES};
 
+static MESSAGES: Metric = Metric::counter("rxsys.messages");
+
 /// Unique handle for an in-flight received message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct RxMsgKey {
@@ -192,7 +194,7 @@ impl Component for RxSys {
                     return;
                 };
                 self.messages_parsed += 1;
-                ctx.stats().add("rxsys.messages", 1);
+                ctx.stats().add(&MESSAGES, 1);
                 let state = self.inflight.get_mut(&key).unwrap();
                 state.sig = Some(sig);
                 let stash = core::mem::take(&mut state.stash);

@@ -17,6 +17,12 @@ use accl_sim::trace::{Attr, AttrValue, SpanId};
 
 use crate::msg::{MsgSignature, SIGNATURE_BYTES};
 
+static FAILOVERS: Metric = Metric::counter("txsys.failovers");
+static JOBS_FLUSHED: Metric = Metric::counter("txsys.jobs_flushed");
+static BYTES: Metric = Metric::counter("txsys.bytes");
+static JOBS: Metric = Metric::counter("txsys.jobs");
+static SESSION_ERRORS: Metric = Metric::counter("txsys.session_errors");
+
 /// A transmission job.
 #[derive(Debug, Clone)]
 pub enum TxJob {
@@ -222,7 +228,7 @@ impl TxSys {
         self.poe_tx_cmd = fb.tx_cmd;
         self.poe_tx_data = fb.tx_data;
         self.failovers += 1;
-        ctx.stats().add("txsys.failovers", 1);
+        ctx.stats().add(&FAILOVERS, 1);
         // Queued rendezvous WRITEs cannot run on the (two-sided) fallback;
         // flush them, reporting their tickets done so the DMP unwinds. The
         // owning calls were already aborted by the watchdog when the
@@ -232,7 +238,7 @@ impl TxSys {
         for job in jobs {
             if let TxJob::RndzvData { ticket, .. } = &job {
                 self.bufs.remove(ticket);
-                ctx.stats().add("txsys.jobs_flushed", 1);
+                ctx.stats().add(&JOBS_FLUSHED, 1);
                 ctx.send(
                     self.dmp_done,
                     self.job_latency,
@@ -315,7 +321,7 @@ impl TxSys {
                 let mut sig = *sig;
                 sig.seq = self.next_seq(*session);
                 let total = SIGNATURE_BYTES as u64 + sig.payload_len;
-                ctx.stats().add("txsys.bytes", total);
+                ctx.stats().add(&BYTES, total);
                 ctx.send(
                     self.poe_tx_cmd,
                     self.job_latency,
@@ -342,7 +348,7 @@ impl TxSys {
                 len,
                 ..
             } => {
-                ctx.stats().add("txsys.bytes", *len);
+                ctx.stats().add(&BYTES, *len);
                 ctx.send(
                     self.poe_tx_cmd,
                     self.job_latency,
@@ -365,7 +371,7 @@ impl TxSys {
         self.head_sent = 0;
         self.head_started = false;
         self.jobs_completed += 1;
-        ctx.stats().add("txsys.jobs", 1);
+        ctx.stats().add(&JOBS, 1);
         ctx.span_end(self.head_span);
         self.head_span = SpanId::NONE;
         match job {
@@ -426,7 +432,7 @@ impl Component for TxSys {
                 // watchdog handles the actual abort.
                 if payload.try_downcast::<accl_poe::PoeSessionError>().is_ok() {
                     self.session_errors += 1;
-                    ctx.stats().add("txsys.session_errors", 1);
+                    ctx.stats().add(&SESSION_ERRORS, 1);
                     if !self.head_started {
                         self.maybe_failover(ctx);
                     }

@@ -28,6 +28,16 @@ use crate::rbm::{ports as rbm_ports, MatchKey, RbmPurge};
 use crate::rxsys::UcNotif;
 use crate::txsys::{ports as tx_ports, TxJob};
 
+static DECODE_CYCLES: Metric = Metric::counter("uc.decode_cycles");
+static COLLECTIVE_TIMEOUTS: Metric = Metric::counter("uc.collective_timeouts");
+static ISSUE_CYCLES: Metric = Metric::counter("uc.issue_cycles");
+static CALLS: Metric = Metric::counter("uc.calls");
+static BUSY_REJECTIONS: Metric = Metric::counter("uc.busy_rejections");
+static RX_EXHAUSTED_NOTIFS: Metric = Metric::counter("uc.rx_exhausted_notifs");
+static NOTIFS: Metric = Metric::counter("uc.notifs");
+static SUSPECTS: Metric = Metric::counter("uc.suspects");
+static TRANSPORT_FAILOVERS: Metric = Metric::counter("uc.transport_failovers");
+
 /// Ports of the [`Uc`] component.
 pub mod ports {
     use accl_sim::event::PortId;
@@ -383,7 +393,7 @@ impl Uc {
                 .legacy_uc
                 .map_or(0, |l| l.per_step_extra_cycles * schedule.ops.len() as u64);
         let planning = self.cfg.cycles(decode_cycles);
-        ctx.stats().add("uc.decode_cycles", decode_cycles);
+        ctx.stats().add(&DECODE_CYCLES, decode_cycles);
         let mut span = SpanId::NONE;
         if ctx.spans_enabled() {
             span = ctx.span_begin_attrs(
@@ -488,7 +498,7 @@ impl Uc {
             );
         }
         self.calls_aborted += 1;
-        ctx.stats().add("uc.collective_timeouts", 1);
+        ctx.stats().add(&COLLECTIVE_TIMEOUTS, 1);
         if ctx.spans_enabled() {
             ctx.span_instant("uc.abort", call.span);
         }
@@ -575,8 +585,7 @@ impl Uc {
         self.next_ticket += 1;
         call.outstanding += 1;
         call.issued.insert(ticket);
-        ctx.stats()
-            .add("uc.issue_cycles", self.cfg.uc_op_issue_cycles);
+        ctx.stats().add(&ISSUE_CYCLES, self.cfg.uc_op_issue_cycles);
         let mc = Microcode {
             ticket,
             op0: self.resolve_src(call, instr.op0),
@@ -653,7 +662,7 @@ impl Uc {
                 if call.outstanding == 0 && call.parked.is_empty() {
                     // Call complete.
                     self.calls_completed += 1;
-                    ctx.stats().add("uc.calls", 1);
+                    ctx.stats().add(&CALLS, 1);
                     ctx.span_end(call.span);
                     ctx.send(
                         call.cmd.reply_to,
@@ -724,8 +733,7 @@ impl Uc {
                     let sig = self.signature(&call, peer, MsgType::RndzvInit, 0, tag, vaddr);
                     let _ = len; // the sender's instruction carries the length
 
-                    ctx.stats()
-                        .add("uc.issue_cycles", self.cfg.uc_op_issue_cycles);
+                    ctx.stats().add(&ISSUE_CYCLES, self.cfg.uc_op_issue_cycles);
                     ctx.send(
                         Endpoint::new(self.txsys, tx_ports::JOB),
                         issue_cost,
@@ -798,7 +806,7 @@ impl Component for Uc {
                     // the command to turn it away). No call state is
                     // created, so the caller may retry freely.
                     self.calls_rejected += 1;
-                    ctx.stats().add("uc.busy_rejections", 1);
+                    ctx.stats().add(&BUSY_REJECTIONS, 1);
                     ctx.send(
                         cmd.reply_to,
                         self.cfg.cycles(self.cfg.uc_cmd_decode_cycles),
@@ -849,7 +857,7 @@ impl Component for Uc {
                     // cancel the watchdog. It only recolors a later abort
                     // as resource exhaustion.
                     self.rx_exhausted_events += 1;
-                    ctx.stats().add("uc.rx_exhausted_notifs", 1);
+                    ctx.stats().add(&RX_EXHAUSTED_NOTIFS, 1);
                     return;
                 }
                 ctx.cancel_timer(ports::TIMEOUT, WATCHDOG);
@@ -860,7 +868,7 @@ impl Component for Uc {
                     };
                     det.observe(src, ctx.now());
                 }
-                ctx.stats().add("uc.notifs", 1);
+                ctx.stats().add(&NOTIFS, 1);
                 if ctx.spans_enabled() {
                     if let Some(call) = &self.call {
                         ctx.span_instant("uc.notif", call.span);
@@ -895,7 +903,7 @@ impl Component for Uc {
                     // Confirm deadline — any progress before it fires
                     // still cancels it and clears the suspicion.
                     self.suspicions += 1;
-                    ctx.stats().add("uc.suspects", 1);
+                    ctx.stats().add(&SUSPECTS, 1);
                     if ctx.spans_enabled() {
                         if let Some(call) = &self.call {
                             ctx.span_instant("uc.suspect", call.span);
@@ -918,7 +926,7 @@ impl Component for Uc {
                 self.rendezvous_capable = fo.rendezvous_capable;
                 self.reliable = fo.reliable;
                 self.failovers_observed += 1;
-                ctx.stats().add("uc.transport_failovers", 1);
+                ctx.stats().add(&TRANSPORT_FAILOVERS, 1);
             }
             other => panic!("uC has no port {other:?}"),
         }

@@ -17,6 +17,14 @@ use accl_sim::trace::{Attr, AttrValue, SpanId};
 use crate::buffer::BufferHandle;
 use crate::error::{CclError, RetryPolicy};
 
+static CALLS_REJECTED: Metric = Metric::counter("driver.calls_rejected");
+static CALLS: Metric = Metric::counter("driver.calls");
+static TOTAL_PS: Metric = Metric::histogram("driver.total_ps");
+static RETRIES: Metric = Metric::counter("driver.retries");
+static BUSY_RETRIES: Metric = Metric::counter("driver.busy_retries");
+static CALLS_FAILED: Metric = Metric::counter("driver.calls_failed");
+static CALLS_SHED: Metric = Metric::counter("driver.calls_shed");
+
 /// A collective call specification, mirroring the MPI-like API of Listing 1.
 #[derive(Debug, Clone, Copy)]
 pub struct CollSpec {
@@ -398,7 +406,7 @@ impl HostDriver {
         let Some(rank) = self.comm_rank(call.spec.comm) else {
             self.calls_completed += 1;
             self.calls_failed += 1;
-            ctx.stats().add("driver.calls_rejected", 1);
+            ctx.stats().add(&CALLS_REJECTED, 1);
             let err = CclError::InvalidCommunicator(call.spec.comm);
             ctx.send(
                 call.reply_to,
@@ -570,9 +578,9 @@ impl HostDriver {
         let now = ctx.now();
         let active = self.active.take().expect("no active call");
         self.calls_completed += 1;
-        ctx.stats().add("driver.calls", 1);
+        ctx.stats().add(&CALLS, 1);
         let total = now.since(active.started);
-        ctx.stats().observe("driver.total_ps", total.as_ps());
+        ctx.stats().observe(&TOTAL_PS, total.as_ps());
         ctx.span_end(active.phase_span);
         ctx.span_end(active.span);
         let stage_out = now.since(active.phase_started);
@@ -613,7 +621,7 @@ impl HostDriver {
                 ctx.span_instant("driver.retry", active.span);
             }
             self.retries_attempted += 1;
-            ctx.stats().add("driver.retries", 1);
+            ctx.stats().add(&RETRIES, 1);
             ctx.send_self(ports::RETRY, backoff, ());
             return;
         }
@@ -652,7 +660,7 @@ impl HostDriver {
                 ctx.span_instant("driver.busy_retry", active.span);
             }
             self.busy_retries += 1;
-            ctx.stats().add("driver.busy_retries", 1);
+            ctx.stats().add(&BUSY_RETRIES, 1);
             ctx.send_self(ports::RETRY, backoff, ());
             return;
         }
@@ -666,8 +674,8 @@ impl HostDriver {
         let active = self.active.take().expect("no active call");
         self.calls_completed += 1;
         self.calls_failed += 1;
-        ctx.stats().add("driver.calls", 1);
-        ctx.stats().add("driver.calls_failed", 1);
+        ctx.stats().add(&CALLS, 1);
+        ctx.stats().add(&CALLS_FAILED, 1);
         ctx.span_end(active.phase_span);
         ctx.span_end(active.span);
         ctx.send(
@@ -702,7 +710,7 @@ impl Component for HostDriver {
                     self.calls_shed += 1;
                     self.calls_completed += 1;
                     self.calls_failed += 1;
-                    ctx.stats().add("driver.calls_shed", 1);
+                    ctx.stats().add(&CALLS_SHED, 1);
                     let done = DriverDone::rejected(call.ticket, CclError::Busy);
                     ctx.send(call.reply_to, Dur::ZERO, done);
                     return;

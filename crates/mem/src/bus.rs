@@ -21,6 +21,10 @@ use serde::{Deserialize, Serialize};
 use crate::store::MemStore;
 use crate::tlb::{MemTarget, Tlb, TlbConfig, PAGE_SIZE};
 
+static TLB_HITS: Metric = Metric::counter("mem.tlb.hits");
+static TLB_MISSES: Metric = Metric::counter("mem.tlb.misses");
+static TLB_FAULTS: Metric = Metric::counter("mem.tlb.faults");
+
 /// An address understood by the memory bus.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MemAddr {
@@ -282,20 +286,23 @@ impl MemoryBus {
     /// registry, so hit rates aggregate across requests and nodes.
     fn record_tlb_delta(&self, ctx: &mut Ctx<'_>, before: Option<(u64, u64, u64)>) {
         if let (Some((h0, m0, f0)), Some((h1, m1, f1))) = (before, self.tlb_counters()) {
-            ctx.stats().add("mem.tlb.hits", h1 - h0);
-            ctx.stats().add("mem.tlb.misses", m1 - m0);
-            ctx.stats().add("mem.tlb.faults", f1 - f0);
+            ctx.stats().add(&TLB_HITS, h1 - h0);
+            ctx.stats().add(&TLB_MISSES, m1 - m0);
+            ctx.stats().add(&TLB_FAULTS, f1 - f0);
         }
     }
 }
 
-/// Span/stat name for a bus leg: `(counter key, span name)`.
-fn leg_names(target: MemTarget, write: bool) -> (&'static str, &'static str) {
+static PCIE_BYTES: Metric = Metric::counter("mem.pcie.bytes");
+static HBM_BYTES: Metric = Metric::counter("mem.hbm.bytes");
+
+/// Stat and span name for a bus leg: `(byte counter, span name)`.
+fn leg_names(target: MemTarget, write: bool) -> (&'static Metric, &'static str) {
     match (target, write) {
-        (MemTarget::Host, false) => ("mem.pcie.bytes", "mem.pcie.read"),
-        (MemTarget::Host, true) => ("mem.pcie.bytes", "mem.pcie.write"),
-        (MemTarget::Device, false) => ("mem.hbm.bytes", "mem.hbm.read"),
-        (MemTarget::Device, true) => ("mem.hbm.bytes", "mem.hbm.write"),
+        (MemTarget::Host, false) => (&PCIE_BYTES, "mem.pcie.read"),
+        (MemTarget::Host, true) => (&PCIE_BYTES, "mem.pcie.write"),
+        (MemTarget::Device, false) => (&HBM_BYTES, "mem.hbm.read"),
+        (MemTarget::Device, true) => (&HBM_BYTES, "mem.hbm.write"),
     }
 }
 

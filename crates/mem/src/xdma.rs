@@ -15,6 +15,8 @@ use std::collections::BTreeMap;
 use crate::bus::{ports as bus_ports, MemAddr, MemChunk, MemDone, MemReadReq, MemWriteReq};
 use crate::tlb::MemTarget;
 
+static XDMA_BYTES: Metric = Metric::counter("mem.xdma.bytes");
+
 /// Direction of a staging copy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum XdmaDir {
@@ -194,7 +196,7 @@ impl Component for XdmaEngine {
                 if state.written == state.req.len {
                     let state = self.inflight.remove(&done.tag).unwrap();
                     self.bytes_copied += state.req.len;
-                    ctx.stats().add("mem.xdma.bytes", state.req.len);
+                    ctx.stats().add(&XDMA_BYTES, state.req.len);
                     ctx.span_end(state.span);
                     ctx.send(
                         state.req.done_to,

@@ -17,6 +17,19 @@ use rand::SeedableRng;
 use crate::fault::{FaultAction, FaultPlan};
 use crate::frame::{CreditReturn, Frame, NodeAddr};
 
+static OVERFLOW_DROPS: Metric = Metric::counter("net.switch.overflow_drops");
+static PAUSES: Metric = Metric::counter("net.switch.pauses");
+static FRAMES: Metric = Metric::counter("net.switch.frames");
+static BYTES: Metric = Metric::counter("net.switch.bytes");
+static QUEUE_WAIT_PS: Metric = Metric::histogram("net.switch.queue_wait_ps");
+static EGRESS_DEPTH: Metric = Metric::histogram("net.switch.egress_depth");
+static DROPS: Metric = Metric::counter("net.switch.drops");
+static CORRUPTED: Metric = Metric::counter("net.switch.corrupted");
+static DUPLICATED: Metric = Metric::counter("net.switch.duplicated");
+static PORT_BYTES: Metric = Metric::counter("net.port.bytes");
+static PORT_HELD_DEPTH: Metric = Metric::histogram("net.port.held_depth");
+static PORT_PAUSES: Metric = Metric::counter("net.port.pauses");
+
 /// What the switch does with a frame arriving at an egress port whose
 /// buffer is full (see [`Switch::set_buffer_limit`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
@@ -214,7 +227,7 @@ impl Switch {
     /// Queues `frame` on its destination port's egress and delivers it
     /// after forwarding latency, serialization, propagation and any
     /// fault-injected `extra` delay.
-    fn forward_frame(&mut self, ctx: &mut Ctx<'_>, frame: Frame, extra: Dur) {
+    fn forward_frame(&mut self, ctx: &mut Ctx<'_>, frame: Box<Frame>, extra: Dur) {
         let now = ctx.now();
         let dst = frame.dst;
         let port = &mut self.ports[dst.index()];
@@ -234,7 +247,7 @@ impl Switch {
             .is_some_and(|cap| port.pending_ends.len() >= cap as usize);
         if overflowing && self.overload_policy == OverloadPolicy::Drop {
             self.frames_overflow_dropped += 1;
-            ctx.stats().add("net.switch.overflow_drops", 1);
+            ctx.stats().add(&OVERFLOW_DROPS, 1);
             accl_sim::trace_instant!(ctx, "net.overflow_drop", frame.span);
             return;
         }
@@ -253,7 +266,7 @@ impl Switch {
             let depth = port.pending_ends.len();
             let resume_at = port.pending_ends[depth - cap];
             self.pauses_sent += 1;
-            ctx.stats().add("net.switch.pauses", 1);
+            ctx.stats().add(&PAUSES, 1);
             accl_sim::trace_instant!(ctx, "net.pause", frame.span);
             if let Some(pause) = self.pause_tx[frame.src.index()] {
                 // Pause frames travel the wire like any other control
@@ -262,12 +275,11 @@ impl Switch {
             }
         }
         let port = &mut self.ports[dst.index()];
-        ctx.stats().add("net.switch.frames", 1);
-        ctx.stats().add("net.switch.bytes", wire);
+        ctx.stats().add(&FRAMES, 1);
+        ctx.stats().add(&BYTES, wire);
+        ctx.stats().observe(&QUEUE_WAIT_PS, (start - ready).as_ps());
         ctx.stats()
-            .observe("net.switch.queue_wait_ps", (start - ready).as_ps());
-        ctx.stats()
-            .observe("net.switch.egress_depth", port.pending_ends.len() as u64);
+            .observe(&EGRESS_DEPTH, port.pending_ends.len() as u64);
         if ctx.spans_enabled() {
             if start > ready {
                 ctx.span_interval("net.queue", frame.span, ready, start);
@@ -292,13 +304,13 @@ impl Switch {
         // Fault-injected delay is applied on the wire, after serialization,
         // so a delayed frame can be overtaken (true reordering) instead of
         // head-of-line blocking the egress FIFO.
-        ctx.send_at(rx, end + self.propagation + extra, frame);
+        ctx.send_box_at(rx, end + self.propagation + extra, frame);
     }
 }
 
 impl Component for Switch {
     fn on_event(&mut self, ctx: &mut Ctx<'_>, _port: PortId, payload: Payload) {
-        let mut frame = payload.downcast::<Frame>();
+        let mut frame = payload.into_box::<Frame>();
         let index = self.frame_index;
         self.frame_index += 1;
         let now = ctx.now();
@@ -308,7 +320,7 @@ impl Component for Switch {
             FaultAction::Delay(d) => d,
             FaultAction::Drop => {
                 self.frames_dropped += 1;
-                ctx.stats().add("net.switch.drops", 1);
+                ctx.stats().add(&DROPS, 1);
                 accl_sim::trace_instant!(ctx, "net.drop", frame.span);
                 return;
             }
@@ -316,14 +328,14 @@ impl Component for Switch {
                 // Deterministic nonzero mask derived from the frame index:
                 // corruption replays bit-for-bit without an RNG draw.
                 self.frames_corrupted += 1;
-                ctx.stats().add("net.switch.corrupted", 1);
+                ctx.stats().add(&CORRUPTED, 1);
                 accl_sim::trace_instant!(ctx, "net.corrupt", frame.span);
                 frame.corrupt(((index as u32) << 1) | 1);
                 Dur::ZERO
             }
             FaultAction::Duplicate => {
                 self.frames_duplicated += 1;
-                ctx.stats().add("net.switch.duplicated", 1);
+                ctx.stats().add(&DUPLICATED, 1);
                 accl_sim::trace_instant!(ctx, "net.duplicate", frame.span);
                 duplicate = true;
                 Dur::ZERO
@@ -332,7 +344,7 @@ impl Component for Switch {
         if duplicate {
             // The copy is a real wire occupant: it serializes on the same
             // egress pipe right behind the original.
-            let copy = frame.clone_wire();
+            let copy = Box::new(frame.clone_wire());
             self.forward_frame(ctx, frame, extra);
             self.forward_frame(ctx, copy, extra);
         } else {
@@ -401,7 +413,7 @@ pub struct NetPort {
     /// PFC pause state: no frame enters the uplink before this instant.
     paused_until: Time,
     /// Frames held while paused, flushed in arrival order on resume.
-    held: VecDeque<Frame>,
+    held: VecDeque<Box<Frame>>,
     pauses_received: u64,
     /// This node's incarnation number, stamped into every outgoing frame's
     /// epoch field. 0 for the first life; a rebooted node's fresh port
@@ -464,7 +476,7 @@ impl NetPort {
 
     /// Serializes `frame` onto the uplink and schedules its arrival at the
     /// switch; returns any tx-window credit it carried at serialization end.
-    fn transmit(&mut self, ctx: &mut Ctx<'_>, mut frame: Frame) {
+    fn transmit(&mut self, ctx: &mut Ctx<'_>, mut frame: Box<Frame>) {
         // Stamp the source and epoch: devices don't need to know their own
         // address or which life they are on.
         frame.src = self.addr;
@@ -473,7 +485,7 @@ impl NetPort {
         self.frames_in += 1;
         self.bytes_in += wire;
         let (start, end) = self.egress.reserve(ctx.now(), wire);
-        ctx.stats().add("net.port.bytes", wire);
+        ctx.stats().add(&PORT_BYTES, wire);
         if ctx.spans_enabled() {
             if start > ctx.now() {
                 ctx.span_interval("net.queue", frame.span, ctx.now(), start);
@@ -498,18 +510,18 @@ impl NetPort {
         if let Some(ep) = frame.credit_return {
             ctx.send_at(ep, end, CreditReturn { credits: 1 });
         }
-        ctx.send_at(self.switch, end + self.propagation, frame);
+        ctx.send_box_at(self.switch, end + self.propagation, frame);
     }
 }
 
 impl Component for NetPort {
     fn on_event(&mut self, ctx: &mut Ctx<'_>, _port: PortId, payload: Payload) {
-        let payload = match payload.try_downcast::<Frame>() {
+        let payload = match payload.try_into_box::<Frame>() {
             Ok(frame) => {
                 if ctx.now() < self.paused_until {
                     self.held.push_back(frame);
                     ctx.stats()
-                        .observe("net.port.held_depth", self.held.len() as u64);
+                        .observe(&PORT_HELD_DEPTH, self.held.len() as u64);
                 } else {
                     self.transmit(ctx, frame);
                 }
@@ -520,7 +532,7 @@ impl Component for NetPort {
         let payload = match payload.try_downcast::<PauseFrame>() {
             Ok(pause) => {
                 self.pauses_received += 1;
-                ctx.stats().add("net.port.pauses", 1);
+                ctx.stats().add(&PORT_PAUSES, 1);
                 if pause.until <= ctx.now() {
                     // The pause expired while in flight on the wire —
                     // nothing to hold, and a resume tick at `until` would
@@ -855,6 +867,42 @@ mod tests {
         // propagation, switch or downlink latency on the credit path.
         assert_eq!(mb.items()[0].0, Time::ZERO + ser);
         assert_eq!(mb.items()[0].1.credits, 1);
+    }
+
+    #[test]
+    fn paused_port_flushes_held_frames_in_order_with_their_credits() {
+        let mut w = world(2);
+        let credits = w.sim.add("credits", Mailbox::<CreditReturn>::new());
+        let resume = Time::from_us(10);
+        w.sim.post(
+            Endpoint::of(w.ports[0]),
+            Time::ZERO,
+            PauseFrame { until: resume },
+        );
+        for i in 0..3u64 {
+            w.sim.post(
+                Endpoint::of(w.ports[0]),
+                Time::from_ns(1 + i),
+                Frame::new(NodeAddr(0), NodeAddr(1), 1000, i)
+                    .with_credit_return(Endpoint::of(credits)),
+            );
+        }
+        w.sim.run_until(Time::from_us(1));
+        assert_eq!(w.sim.component::<NetPort>(w.ports[0]).frames_held(), 3);
+        w.sim.run();
+        let frames = w.sim.component::<Mailbox<Frame>>(w.sinks[1]);
+        let order: Vec<u64> = frames
+            .values()
+            .map(|f| *f.body.peek::<u64>().unwrap())
+            .collect();
+        assert_eq!(order, [0, 1, 2], "held frames leave in arrival order");
+        // Each frame returns its credit when it clears the uplink: back to
+        // back from the resume, one serialization apart.
+        let ser = Dur::for_bytes_gbps(u64::from(1000 + WIRE_OVERHEAD_BYTES), 100.0);
+        let mb = w.sim.component::<Mailbox<CreditReturn>>(credits);
+        let at: Vec<Time> = mb.items().iter().map(|(t, _)| *t).collect();
+        assert_eq!(at, [resume + ser, resume + ser * 2, resume + ser * 3]);
+        assert!(mb.values().all(|c| c.credits == 1));
     }
 
     #[test]

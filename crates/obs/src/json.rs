@@ -6,7 +6,7 @@
 //! units — so a document round-trips bit-exactly:
 //! `parse(serialize(doc)) == doc` for every capturable trace, which the
 //! round-trip tests pin. The codec's layout puts each event without
-//! attributes, and each window's counters and gauges, on one line. An
+//! attributes, and each window's counters, on one line. An
 //! event's attributes ride in an optional `"a"` object, written only when
 //! there are some, so attribute-free documents keep their bytes.
 
@@ -61,7 +61,6 @@ pub fn serialize(doc: &TraceDoc) -> String {
     if let Some(w) = &doc.windows {
         let rows = w.rows.iter().map(|row| {
             let counters = row.counters.iter().map(|(k, v)| (k.clone(), Json::U64(*v)));
-            let gauges = row.gauges.iter().map(|(k, v)| (k.clone(), Json::int(*v)));
             let hists = row.hists.iter().map(|(k, h)| {
                 let summary = obj([
                     ("count", Json::U64(h.count)),
@@ -77,7 +76,6 @@ pub fn serialize(doc: &TraceDoc) -> String {
             obj([
                 ("idx", Json::U64(row.idx)),
                 ("counters", Json::Obj(counters.collect())),
-                ("gauges", Json::Obj(gauges.collect())),
                 ("hists", Json::Obj(hists.collect())),
             ])
         });
@@ -170,7 +168,6 @@ pub fn parse(text: &str) -> Result<TraceDoc, String> {
                 rows.push(WindowRow {
                     idx: r.field_as("idx", Json::as_u64)?,
                     counters: members(r, "counters", Json::as_u64)?,
-                    gauges: members(r, "gauges", Json::as_i64)?,
                     hists: members(r, "hists", hist)?,
                 });
             }
@@ -232,7 +229,6 @@ mod tests {
                 rows: vec![WindowRow {
                     idx: 3,
                     counters: vec![("net.frames".to_string(), 12)],
-                    gauges: vec![("poe.inflight".to_string(), -2)],
                     hists: vec![(
                         "rbm.meta_wait_ps".to_string(),
                         HistSummary {
@@ -278,6 +274,19 @@ mod tests {
         let seed = "\"seed\": 7,";
         assert!(text.contains(seed), "{text}");
         let older = text.replace(seed, &format!("{seed}\n  \"queue\": \"calendar\","));
+        assert_ne!(older, text);
+        assert_eq!(parse(&older).unwrap(), doc);
+    }
+
+    #[test]
+    fn reads_older_dumps_whose_windows_carry_gauges() {
+        // Window rows once carried a "gauges" object; the reader ignores it.
+        let doc = sample_doc();
+        let text = serialize(&doc);
+        let counters = "\"counters\": {\"net.frames\": 12},";
+        assert!(text.contains(counters), "{text}");
+        let gauges = "\"gauges\": {\"poe.inflight\": -2},";
+        let older = text.replace(counters, &format!("{counters}\n{gauges}"));
         assert_ne!(older, text);
         assert_eq!(parse(&older).unwrap(), doc);
     }

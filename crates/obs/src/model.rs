@@ -132,8 +132,6 @@ pub struct WindowRow {
     pub idx: u64,
     /// Counter deltas accumulated inside the window, sorted by key.
     pub counters: Vec<(String, u64)>,
-    /// Last gauge value written inside the window, sorted by key.
-    pub gauges: Vec<(String, i64)>,
     /// Histogram summaries of observations inside the window, sorted by key.
     pub hists: Vec<(String, HistSummary)>,
 }
@@ -157,7 +155,6 @@ impl WindowSeries {
             .map(|(idx, w)| WindowRow {
                 idx,
                 counters: w.counters().map(|(k, v)| (k.to_string(), v)).collect(),
-                gauges: w.gauges().map(|(k, v)| (k.to_string(), v)).collect(),
                 hists: w
                     .histograms()
                     .map(|(k, h)| (k.to_string(), HistSummary::of(h)))

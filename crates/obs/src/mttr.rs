@@ -339,7 +339,6 @@ mod tests {
                 ("driver.calls".to_string(), 4),
                 ("driver.calls_failed".to_string(), 1),
             ],
-            gauges: vec![],
             hists: vec![],
         };
         assert_eq!(window_availability_milli(&row), 750);
@@ -358,13 +357,11 @@ mod tests {
                         ("driver.calls".to_string(), 2),
                         ("driver.calls_failed".to_string(), 2),
                     ],
-                    gauges: vec![],
                     hists: vec![],
                 },
                 WindowRow {
                     idx: 5,
                     counters: vec![("driver.calls".to_string(), 2)],
-                    gauges: vec![],
                     hists: vec![],
                 },
             ],

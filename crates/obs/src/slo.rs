@@ -47,9 +47,6 @@ pub fn render_series(w: &WindowSeries) -> String {
         for (k, v) in &row.counters {
             out.push_str(&format!("  counter {k:<28} {v}\n"));
         }
-        for (k, v) in &row.gauges {
-            out.push_str(&format!("  gauge   {k:<28} {v}\n"));
-        }
         for (k, h) in &row.hists {
             out.push_str(&format!(
                 "  hist    {k:<28} n={} p50={} p99={} p999={} max={}\n",
@@ -97,7 +94,6 @@ mod tests {
                 WindowRow {
                     idx: 0,
                     counters: vec![("net.frames".to_string(), 4)],
-                    gauges: vec![],
                     hists: vec![(
                         "rbm.meta_wait_ps".to_string(),
                         HistSummary {
@@ -114,7 +110,6 @@ mod tests {
                 WindowRow {
                     idx: 2,
                     counters: vec![("net.frames".to_string(), 1)],
-                    gauges: vec![],
                     hists: vec![],
                 },
             ],

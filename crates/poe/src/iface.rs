@@ -424,7 +424,7 @@ pub(crate) enum RxAdmit {
 /// Counter of frames dropped at Rx for a stale sender epoch, shared by
 /// every engine. The name is kept from the Rx mux that once held the
 /// fence, so tests and tools that read the counter keep working.
-const STALE_EPOCH_DROPS: &str = "poe.mux.stale_epoch_drops";
+static STALE_EPOCH_DROPS: Metric = Metric::counter("poe.mux.stale_epoch_drops");
 
 /// The `poe.<engine>.*` stat keys [`PoeIo`] reports under: one table per
 /// engine, so each engine keeps its own counter names (perfbench sums
@@ -432,11 +432,11 @@ const STALE_EPOCH_DROPS: &str = "poe.mux.stale_epoch_drops";
 #[derive(Debug)]
 pub(crate) struct PoeStatKeys {
     /// Data frames queued behind a dry tx credit window.
-    pub(crate) tx_credit_blocked: &'static str,
+    pub(crate) tx_credit_blocked: Metric,
     /// Tx credits consumed by injected leaks.
-    pub(crate) credits_leaked: &'static str,
+    pub(crate) credits_leaked: Metric,
     /// Frames dropped at Rx for a bad frame check sequence.
-    pub(crate) fcs_dropped: &'static str,
+    pub(crate) fcs_dropped: Metric,
 }
 
 /// The I/O edge every POE shares (paper §4.3: the CCLO drives all engines
@@ -587,7 +587,7 @@ impl PoeIo {
         if let Some(frame) = self.gate.admit(frame, credit_ep) {
             ctx.send(self.net_tx, self.latency, frame);
         } else {
-            ctx.stats().add(self.keys.tx_credit_blocked, 1);
+            ctx.stats().add(&self.keys.tx_credit_blocked, 1);
         }
     }
 
@@ -619,7 +619,7 @@ impl PoeIo {
                 let leak = other.downcast::<TxCreditLeak>();
                 self.gate.leak(leak.credits);
                 ctx.stats()
-                    .add(self.keys.credits_leaked, u64::from(leak.credits));
+                    .add(&self.keys.credits_leaked, u64::from(leak.credits));
                 accl_sim::trace_instant!(ctx, "poe.credit_leak", SpanId::NONE);
             }
         }
@@ -650,14 +650,14 @@ impl PoeIo {
         };
         if frame.epoch < self.min_epoch(frame.src) {
             self.stale_epoch_drops += 1;
-            ctx.stats().add(STALE_EPOCH_DROPS, 1);
+            ctx.stats().add(&STALE_EPOCH_DROPS, 1);
             accl_sim::trace_instant!(ctx, "poe.stale_drop", frame.span);
             return RxAdmit::Dropped;
         }
         let corrupted = !frame.fcs_ok();
         if corrupted && verify {
             self.fcs_dropped += 1;
-            ctx.stats().add(self.keys.fcs_dropped, 1);
+            ctx.stats().add(&self.keys.fcs_dropped, 1);
             accl_sim::trace_instant!(ctx, "poe.fcs_drop", frame.span);
             return RxAdmit::Dropped;
         }
@@ -1244,7 +1244,7 @@ mod tests {
         assert_eq!(io.stale_epoch_drops(), 1);
         assert_eq!(io.min_epoch(NodeAddr(0)), 1);
         assert_eq!(io.min_epoch(NodeAddr(3)), 0);
-        assert_eq!(sim.stats().counter(STALE_EPOCH_DROPS), 1);
+        assert_eq!(sim.stats().counter("poe.mux.stale_epoch_drops"), 1);
     }
 
     #[test]

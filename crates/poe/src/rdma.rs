@@ -20,6 +20,12 @@ use crate::iface::{
     SessionTable, StreamChunk, TxAssembler, TxKind, TxSegment,
 };
 
+static RDMA_QP_ERRORS: Metric = Metric::counter("poe.rdma.qp_errors");
+static RDMA_RETRANSMISSIONS: Metric = Metric::counter("poe.rdma.retransmissions");
+static RDMA_RX_GAP_NAKS: Metric = Metric::counter("poe.rdma.rx_gap_naks");
+static RDMA_RX_DUPLICATES: Metric = Metric::counter("poe.rdma.rx_duplicates");
+static RDMA_RTO_FIRED: Metric = Metric::counter("poe.rdma.rto_fired");
+
 /// Token-starvation watchdog: the deadline of the QP's
 /// [`starve_slot`] kernel timer.
 #[derive(Debug, Clone, Copy)]
@@ -152,10 +158,10 @@ struct QpTx {
     retries: u32,
 }
 
-const STATS: PoeStatKeys = PoeStatKeys {
-    tx_credit_blocked: "poe.rdma.tx_credit_blocked",
-    credits_leaked: "poe.rdma.credits_leaked",
-    fcs_dropped: "poe.rdma.frames_corrupted_discarded",
+static STATS: PoeStatKeys = PoeStatKeys {
+    tx_credit_blocked: Metric::counter("poe.rdma.tx_credit_blocked"),
+    credits_leaked: Metric::counter("poe.rdma.credits_leaked"),
+    fcs_dropped: Metric::counter("poe.rdma.frames_corrupted_discarded"),
 };
 
 /// The RDMA protocol offload engine component.
@@ -312,7 +318,7 @@ impl RdmaPoe {
             // only never-transmitted (stalled) commands complete in error.
             st.unacked.clear();
         }
-        ctx.stats().add("poe.rdma.qp_errors", 1);
+        ctx.stats().add(&RDMA_QP_ERRORS, 1);
         self.io.tx_error(ctx, qp, kind, None);
         for seg in self.stalled.remove(&qp).unwrap_or_default() {
             if seg.last {
@@ -377,7 +383,7 @@ impl RdmaPoe {
             .unwrap_or_default();
         for (psn, seg) in &resend {
             self.retransmissions += 1;
-            ctx.stats().add("poe.rdma.retransmissions", 1);
+            ctx.stats().add(&RDMA_RETRANSMISSIONS, 1);
             self.send_on_wire(ctx, seg, *psn);
         }
     }
@@ -491,7 +497,7 @@ impl RdmaPoe {
         }
         let (peer, peer_qp) = self.io.peer(qp);
         if psn > expected {
-            ctx.stats().add("poe.rdma.rx_gap_naks", 1);
+            ctx.stats().add(&RDMA_RX_GAP_NAKS, 1);
             if self.last_nak.get(&qp) != Some(&expected) {
                 self.last_nak.insert(qp, expected);
                 let nak = RdmaPdu::Nak {
@@ -501,7 +507,7 @@ impl RdmaPoe {
                 self.io.send_control(ctx, peer, SpanId::NONE, nak);
             }
         } else {
-            ctx.stats().add("poe.rdma.rx_duplicates", 1);
+            ctx.stats().add(&RDMA_RX_DUPLICATES, 1);
             let ack = RdmaPdu::Credit {
                 dst_qp: peer_qp,
                 ack_psn: expected,
@@ -620,7 +626,7 @@ impl Component for RdmaPoe {
                         .tx
                         .get(&timer.qp)
                         .is_some_and(|st| !st.unacked.is_empty()));
-                    ctx.stats().add("poe.rdma.rto_fired", 1);
+                    ctx.stats().add(&RDMA_RTO_FIRED, 1);
                     self.retry_round(ctx, timer.qp);
                 }
             },

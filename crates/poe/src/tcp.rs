@@ -21,6 +21,9 @@ use crate::iface::{
     SessionId, SessionTable, StreamChunk, TxKind,
 };
 
+static TCP_SESSION_ERRORS: Metric = Metric::counter("poe.tcp.session_errors");
+static TCP_RETRANSMITS: Metric = Metric::counter("poe.tcp.retransmits");
+
 /// In-stream message header: 8-byte little-endian length prefix.
 pub const TCP_MSG_HEADER_BYTES: usize = 8;
 
@@ -219,10 +222,10 @@ struct OutMsg {
     header_sent: bool,
 }
 
-const STATS: PoeStatKeys = PoeStatKeys {
-    tx_credit_blocked: "poe.tcp.tx_credit_blocked",
-    credits_leaked: "poe.tcp.credits_leaked",
-    fcs_dropped: "poe.tcp.frames_corrupted_discarded",
+static STATS: PoeStatKeys = PoeStatKeys {
+    tx_credit_blocked: Metric::counter("poe.tcp.tx_credit_blocked"),
+    credits_leaked: Metric::counter("poe.tcp.credits_leaked"),
+    fcs_dropped: Metric::counter("poe.tcp.frames_corrupted_discarded"),
 };
 
 /// The TCP protocol offload engine component.
@@ -373,7 +376,7 @@ impl TcpPoe {
         st.pending_len = 0;
         st.rtt_probe = None;
         st.marks.clear();
-        ctx.stats().add("poe.tcp.session_errors", 1);
+        ctx.stats().add(&TCP_SESSION_ERRORS, 1);
         self.io.tx_error(ctx, session, kind, None);
     }
 
@@ -482,7 +485,7 @@ impl TcpPoe {
         // An RTT measured across a retransmission would be ambiguous (Karn).
         st.rtt_probe = None;
         let parent = Self::mark_span(st, seq);
-        ctx.stats().add("poe.tcp.retransmits", 1);
+        ctx.stats().add(&TCP_RETRANSMITS, 1);
         accl_sim::trace_instant!(ctx, "poe.retransmit", parent);
         self.segments_sent += 1;
         // The retransmission rides its message's span directly: no new

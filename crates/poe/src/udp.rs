@@ -15,6 +15,8 @@ use crate::iface::{
     StreamChunk, TxAssembler, TxKind, TxSegment,
 };
 
+static UDP_DGRAMS_DUPLICATES_DROPPED: Metric = Metric::counter("poe.udp.dgrams_duplicates_dropped");
+
 /// Per-datagram header modelled on the wire (message id, offset, total).
 pub const UDP_SEG_HEADER_BYTES: u32 = 16;
 
@@ -51,10 +53,10 @@ impl Default for UdpConfig {
     }
 }
 
-const STATS: PoeStatKeys = PoeStatKeys {
-    tx_credit_blocked: "poe.udp.tx_credit_blocked",
-    credits_leaked: "poe.udp.credits_leaked",
-    fcs_dropped: "poe.udp.dgrams_corrupted_dropped",
+static STATS: PoeStatKeys = PoeStatKeys {
+    tx_credit_blocked: Metric::counter("poe.udp.tx_credit_blocked"),
+    credits_leaked: Metric::counter("poe.udp.credits_leaked"),
+    fcs_dropped: Metric::counter("poe.udp.dgrams_corrupted_dropped"),
 };
 
 /// The UDP protocol offload engine component.
@@ -173,7 +175,7 @@ impl Component for UdpPoe {
                     rx_span,
                 );
                 let Some((meta, chunk)) = accepted else {
-                    ctx.stats().add("poe.udp.dgrams_duplicates_dropped", 1);
+                    ctx.stats().add(&UDP_DGRAMS_DUPLICATES_DROPPED, 1);
                     return;
                 };
                 self.io.deliver(ctx, meta, chunk);

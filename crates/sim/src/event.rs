@@ -8,10 +8,14 @@
 //!
 //! A payload is one boxed value plus its type name and an optional clone
 //! hook, whatever the value's size: each payload allocates once (a
-//! zero-sized value does not). There is no inline form for small values:
-//! on the perfbench workloads only 1.6–28.9% of deliveries carry a value
-//! of three words or less, too few to pay for the `unsafe` code such a
-//! form needs (DESIGN.md, "Simulator kernel performance model").
+//! zero-sized value does not). A component that forwards a value takes
+//! it out in its box ([`Payload::into_box`]) and sends that box on
+//! ([`crate::sim::Ctx::send_box_at`]), so a network frame keeps one box
+//! from the sending engine through the NIC and the switch to the
+//! receiver. There is no inline form for small values: on the perfbench
+//! workloads only 1.6–28.9% of deliveries carry a value of three words
+//! or less, too few to pay for the `unsafe` code such a form needs
+//! (DESIGN.md, "Simulator kernel performance model").
 
 use core::any::Any;
 use core::fmt;
@@ -137,6 +141,16 @@ impl Payload {
         }
     }
 
+    /// Wraps a value that is already boxed, keeping its box.
+    #[inline]
+    pub(crate) fn from_box<T: Any + Send>(value: Box<T>) -> Self {
+        Payload {
+            value,
+            type_name: core::any::type_name::<T>(),
+            clone_fn: None,
+        }
+    }
+
     /// Deep-clones the payload, if it was built via [`Payload::cloneable`].
     /// Returns `None` for payloads without a registered clone hook.
     pub fn try_clone(&self) -> Option<Payload> {
@@ -160,7 +174,19 @@ impl Payload {
     /// Panics if the payload is not a `T`, naming both types.
     #[inline]
     pub fn downcast<T: Any>(self) -> T {
-        match self.try_downcast::<T>() {
+        *self.into_box()
+    }
+
+    /// Recovers the concrete payload value in the box it travelled in,
+    /// so a component that forwards it ([`crate::sim::Ctx::send_box_at`])
+    /// allocates nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the payload is not a `T`, naming both types.
+    #[inline]
+    pub fn into_box<T: Any>(self) -> Box<T> {
+        match self.try_into_box::<T>() {
             Ok(v) => v,
             Err(p) => panic!(
                 "payload downcast failed: expected {}, got {}",
@@ -173,8 +199,14 @@ impl Payload {
     /// Attempts to recover the concrete payload value, returning `self` back on mismatch.
     #[inline]
     pub fn try_downcast<T: Any>(self) -> Result<T, Payload> {
+        self.try_into_box().map(|v| *v)
+    }
+
+    /// [`Payload::try_downcast`], keeping the value's box.
+    #[inline]
+    pub fn try_into_box<T: Any>(self) -> Result<Box<T>, Payload> {
         match self.value.downcast::<T>() {
-            Ok(v) => Ok(*v),
+            Ok(v) => Ok(v),
             Err(value) => Err(Payload { value, ..self }),
         }
     }

@@ -66,7 +66,7 @@ pub mod prelude {
     pub use crate::sim::{
         Component, Ctx, ParkedWork, RunOutcome, RunSummary, Simulator, StallReport,
     };
-    pub use crate::stats::{Histogram, Stats, WindowSnapshot};
+    pub use crate::stats::{Histogram, Metric, Stats, WindowSnapshot};
     pub use crate::time::{Dur, Time};
     pub use crate::trace::{Attr, AttrValue, FlowId, SpanEvent, SpanId};
 }

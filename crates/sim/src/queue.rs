@@ -59,6 +59,14 @@ struct EvKey {
     entry: Entry,
 }
 
+impl EvKey {
+    /// `(time, seq)` as one number, so a heap sift compares once.
+    #[inline]
+    fn rank(&self) -> u128 {
+        (u128::from(self.time) << 64) | u128::from(self.seq)
+    }
+}
+
 impl PartialOrd for EvKey {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
@@ -67,8 +75,9 @@ impl PartialOrd for EvKey {
 impl Ord for EvKey {
     /// Reversed, so the max-heap `BinaryHeap` pops the earliest key. A
     /// derived `Ord` on `Reverse<EvKey>` measured slower on deep queues.
+    #[inline]
     fn cmp(&self, other: &Self) -> Ordering {
-        (other.time, other.seq).cmp(&(self.time, self.seq))
+        other.rank().cmp(&self.rank())
     }
 }
 

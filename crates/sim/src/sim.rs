@@ -24,10 +24,14 @@ use crate::deadlock::{self, DeadlockReport, ResourceState};
 use crate::digest::{fnv1a, FNV_OFFSET};
 use crate::event::{ComponentId, Endpoint, Payload, PortId};
 use crate::queue::{Entry, EventQueue, SRC_EXTERNAL};
-use crate::stats::Stats;
+use crate::stats::{Metric, Stats};
 use crate::time::{Dur, Time};
 use crate::timer::TimerTable;
 use crate::trace::{Attr, FlowId, SpanEvent, SpanId, SpanRecorder};
+
+static SUSPENDED_DROPS: Metric = Metric::counter("sim.kernel.suspended_drops");
+static EVENTS_EXECUTED: Metric = Metric::counter("sim.kernel.events_executed");
+static TIMERS_SUPERSEDED: Metric = Metric::counter("sim.kernel.timers_superseded");
 
 /// A simulated hardware or software entity.
 ///
@@ -123,6 +127,18 @@ impl Ctx<'_> {
     ///
     /// Panics if `at` is in the simulated past.
     pub fn send_at<T: Any + Send>(&mut self, dst: Endpoint, at: Time, payload: T) {
+        self.send_payload_at(dst, at, Payload::new(payload));
+    }
+
+    /// [`Ctx::send_at`] for a value already in a `Box`, such as one taken
+    /// out of a payload with [`Payload::into_box`]: the box becomes the
+    /// new payload, so forwarding a value allocates nothing.
+    pub fn send_box_at<T: Any + Send>(&mut self, dst: Endpoint, at: Time, payload: Box<T>) {
+        self.send_payload_at(dst, at, Payload::from_box(payload));
+    }
+
+    #[inline]
+    fn send_payload_at(&mut self, dst: Endpoint, at: Time, payload: Payload) {
         assert!(
             at >= self.now,
             "cannot schedule into the past: now={}, at={}",
@@ -131,8 +147,7 @@ impl Ctx<'_> {
         );
         let seq = *self.seq;
         *self.seq += 1;
-        self.queue
-            .push(at, seq, self.self_id.0, dst, Payload::new(payload));
+        self.queue.push(at, seq, self.self_id.0, dst, payload);
     }
 
     /// Schedules `payload` back to `port` of the executing component after `delay`.
@@ -299,8 +314,8 @@ pub enum RunOutcome {
 
 /// Scheduler observability for one `run*` call: how many events executed
 /// and how deep the event queue got. Retrieved via
-/// [`Simulator::last_run_summary`]; the same gauges are recorded into
-/// [`Stats`] under `sim.kernel.*`.
+/// [`Simulator::last_run_summary`]; the event count is also added to
+/// the [`Stats`] counter `sim.kernel.events_executed`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RunSummary {
     /// Why the run returned.
@@ -814,11 +829,6 @@ impl Simulator {
         &self.stats
     }
 
-    /// Mutable statistics registry (e.g. to reset between sweep points).
-    pub fn stats_mut(&mut self) -> &mut Stats {
-        &mut self.stats
-    }
-
     /// Executes a single event, skipping any timer entries that deliver
     /// nothing ahead of it. Returns `false` if the queue drained.
     ///
@@ -871,7 +881,7 @@ impl Simulator {
                 "event {payload:?} addressed to uninstalled component {}",
                 self.names[dst.comp.index()]
             );
-            self.stats.add("sim.kernel.suspended_drops", 1);
+            self.stats.add(&SUSPENDED_DROPS, 1);
             return Popped::Skipped;
         };
         if self.trace.is_some() || self.digest.is_some() || self.tie_rec.is_some() {
@@ -945,14 +955,12 @@ impl Simulator {
         let mut gauges = DepthGauges::new();
         let outcome = self.run_loop(horizon, max_events, &mut gauges);
         let executed = self.executed - events_before;
-        self.stats.add("sim.kernel.events_executed", executed);
+        self.stats.add(&EVENTS_EXECUTED, executed);
         let superseded = self.timers.take_superseded();
         if superseded > 0 {
-            self.stats.add("sim.kernel.timers_superseded", superseded);
+            self.stats.add(&TIMERS_SUPERSEDED, superseded);
         }
         let summary = gauges.summarize(outcome.clone(), executed, self.queue.len());
-        self.stats
-            .record("sim.kernel.queue_depth.max", summary.max_queue_depth as f64);
         self.last_run_summary = Some(summary);
         outcome
     }
@@ -1197,6 +1205,31 @@ mod tests {
         assert_eq!(b_ref.received[0], (10_000, 1));
         assert_eq!(a_ref.received[1], (20_000, 2));
         assert_eq!(sim.events_executed(), 7);
+    }
+
+    /// Forwards every `[u64; 8]` it receives to `to`, in the box it came in.
+    struct BoxForwarder(Endpoint);
+
+    impl Component for BoxForwarder {
+        fn on_event(&mut self, ctx: &mut Ctx<'_>, _port: PortId, payload: Payload) {
+            let value = payload.into_box::<[u64; 8]>();
+            ctx.send_box_at(self.0, ctx.now() + Dur::from_ns(5), value);
+        }
+    }
+
+    #[test]
+    fn send_box_at_forwards_the_value_and_its_type_name() {
+        let mut sim = Simulator::new(0);
+        let sink = sim.add("sink", crate::mailbox::Mailbox::<[u64; 8]>::new());
+        let b = sim.add("b", BoxForwarder(Endpoint::of(sink)));
+        let a = sim.add("a", BoxForwarder(Endpoint::of(b)));
+        sim.enable_trace(8);
+        sim.post(Endpoint::of(a), Time::ZERO, [7u64; 8]);
+        assert_eq!(sim.run(), RunOutcome::Drained);
+        let mb = sim.component::<crate::mailbox::Mailbox<[u64; 8]>>(sink);
+        assert_eq!(mb.items(), [(Time::from_ns(10), [7u64; 8])]);
+        let types: Vec<_> = sim.trace().iter().map(|r| r.payload_type).collect();
+        assert_eq!(types, [core::any::type_name::<[u64; 8]>(); 3]);
     }
 
     #[test]
@@ -1702,9 +1735,5 @@ mod tests {
         assert!(summary.queue_depth_p50 <= summary.queue_depth_p99);
         assert!(summary.queue_depth_p99 <= summary.max_queue_depth);
         assert_eq!(sim.stats().counter("sim.kernel.events_executed"), 100);
-        assert_eq!(
-            sim.stats().max_sample("sim.kernel.queue_depth.max"),
-            Some(99.0)
-        );
     }
 }

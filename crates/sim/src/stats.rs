@@ -1,17 +1,21 @@
-//! Simulation-wide statistics: typed counters, gauges, log-bucketed
-//! histograms and sample series.
+//! Simulation-wide statistics: counters and log-bucketed histograms,
+//! written through interned metric handles.
 //!
-//! Components record measurements under string keys; benchmark harnesses
-//! read them back after a run to produce the paper's tables. Keys are
-//! free-form but the convention is `"<node>.<component>.<metric>"`.
+//! Each metric is a `static` [`Metric`] handle that names its key and
+//! kind, e.g. `static FRAMES: Metric = Metric::counter("net.switch.frames")`.
+//! The first write through a handle interns its name once per process to
+//! a dense id, so every later `ctx.stats().add(&FRAMES, 1)` is a `Vec`
+//! index. Names come back only at export ([`Stats::counter`],
+//! [`Stats::counters`] in name order, ...), so the interning order, which
+//! depends on which code ran first, never shows. Keys are free-form but
+//! the convention is `"<layer>.<component>.<metric>"`; two handles with
+//! one name share one cell.
 //!
-//! Integer instruments ([`Stats::add`], [`Stats::set_gauge`],
-//! [`Stats::observe`]) are float-free and safe to drive from sim-visible
-//! paths; the `f64` sample series ([`Stats::record`]) is reserved for
-//! harness-side post-processing where platform-dependent rounding cannot
-//! leak back into the timeline.
+//! Every instrument is integer-only, so writes from sim-visible paths
+//! cannot leak platform-dependent rounding back into the timeline.
 
-use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use crate::time::{Dur, Time};
 
@@ -140,73 +144,154 @@ impl Histogram {
     }
 }
 
-/// One fixed-width sim-time window's worth of metric activity: the
-/// counter *deltas*, last gauge writes, and histogram observations that
-/// landed while simulated time sat inside the window. Integer-only and
-/// deterministic; produced by [`Stats`] when windowing is enabled via
-/// [`Stats::enable_windows`].
+/// What a [`Metric`] measures; each kind has its own dense id space.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Kind {
+    Counter,
+    Histogram,
+}
+
+/// Sentinel id of a handle that has not been interned yet.
+const UNINTERNED: u32 = u32::MAX;
+
+/// A named metric handle. Declare it `static` so it interns once: a
+/// `const` would be a fresh, uninterned copy at every use.
+#[derive(Debug)]
+pub struct Metric {
+    name: &'static str,
+    kind: Kind,
+    /// Dense id among metrics of this kind, or [`UNINTERNED`]. It caches
+    /// what the registry's mutex publishes, so `Relaxed` suffices.
+    id: AtomicU32,
+}
+
+impl Metric {
+    /// A monotonic counter ([`Stats::add`]).
+    pub const fn counter(name: &'static str) -> Metric {
+        Metric::new(name, Kind::Counter)
+    }
+
+    /// A log2-bucketed histogram ([`Stats::observe`]).
+    pub const fn histogram(name: &'static str) -> Metric {
+        Metric::new(name, Kind::Histogram)
+    }
+
+    const fn new(name: &'static str, kind: Kind) -> Metric {
+        let id = AtomicU32::new(UNINTERNED);
+        Metric { name, kind, id }
+    }
+
+    /// The handle's dense id, interning its name on first use.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the handle is not a `kind`, or if its name is already
+    /// registered as another kind.
+    #[inline]
+    fn id(&self, kind: Kind) -> usize {
+        assert!(self.kind == kind, "metric {} used as a {kind:?}", self.name);
+        match self.id.load(Ordering::Relaxed) {
+            UNINTERNED => self.intern(),
+            id => id as usize,
+        }
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn intern(&self) -> usize {
+        let mut reg = registry();
+        match reg.iter().find(|e| e.0 == self.name) {
+            Some(&(_, kind)) => assert!(
+                kind == self.kind,
+                "metric {} registered as a {kind:?} and a {:?}",
+                self.name,
+                self.kind
+            ),
+            None => reg.push((self.name, self.kind)),
+        }
+        let id = id_in(&reg, self.name, self.kind).expect("name just interned");
+        self.id.store(id as u32, Ordering::Relaxed);
+        id
+    }
+}
+
+/// Every interned metric as `(name, kind)`, in interning order; a name's
+/// id is its rank among the entries of its kind.
+static REGISTRY: Mutex<Vec<(&'static str, Kind)>> = Mutex::new(Vec::new());
+
+/// Locks the registry. Its one update is a push, which leaves it valid at
+/// every step, so a guard poisoned by a kind-clash panic is taken over.
+fn registry() -> MutexGuard<'static, Vec<(&'static str, Kind)>> {
+    REGISTRY.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// The id of `name` as a `kind`, if it is registered as one.
+fn id_in(reg: &[(&'static str, Kind)], name: &str, kind: Kind) -> Option<usize> {
+    let mut of_kind = reg.iter().filter(|e| e.1 == kind);
+    of_kind.position(|e| e.0 == name)
+}
+
+/// The cell of `id` in a dense array, created at its default if absent.
+#[inline]
+fn cell<T: Clone + Default>(cells: &mut Vec<Option<T>>, id: usize) -> &mut T {
+    if id >= cells.len() {
+        cells.resize(id + 1, None);
+    }
+    cells[id].get_or_insert_with(T::default)
+}
+
+/// The cell of `key` as a `kind`, if it was ever written.
+fn lookup<'a, T>(cells: &'a [Option<T>], key: &str, kind: Kind) -> Option<&'a T> {
+    let id = id_in(&registry(), key, kind)?;
+    cells.get(id)?.as_ref()
+}
+
+/// The written cells of a `kind` as `(name, value)`, in name order.
+fn named<T>(cells: &[Option<T>], kind: Kind) -> std::vec::IntoIter<(&'static str, &T)> {
+    let reg = registry();
+    let names = reg.iter().filter(|e| e.1 == kind).map(|e| e.0);
+    let written = names.zip(cells).filter_map(|(n, c)| Some((n, c.as_ref()?)));
+    let mut out: Vec<_> = written.collect();
+    out.sort_by_key(|&(name, _)| name);
+    out.into_iter()
+}
+
+/// One set of metric values, dense by id: a run's totals inside
+/// [`Stats`], or the counter *deltas* and histogram observations that
+/// landed while simulated time sat inside one fixed-width window
+/// ([`Stats::enable_windows`]). A cell exists once written, even by a
+/// zero-delta add.
 #[derive(Default, Debug, Clone, PartialEq, Eq)]
 pub struct WindowSnapshot {
-    counters: BTreeMap<String, u64>,
-    gauges: BTreeMap<String, i64>,
-    histograms: BTreeMap<String, Histogram>,
+    counters: Vec<Option<u64>>,
+    histograms: Vec<Option<Histogram>>,
 }
 
 impl WindowSnapshot {
-    /// Counter delta accumulated in this window (zero if never touched).
-    pub fn counter(&self, key: &str) -> u64 {
-        self.counters.get(key).copied().unwrap_or(0)
+    /// Iterates over the written counters in key order.
+    pub fn counters(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
+        named(&self.counters, Kind::Counter).map(|(k, &v)| (k, v))
     }
 
-    /// Last gauge write that landed in this window, if any.
-    pub fn gauge(&self, key: &str) -> Option<i64> {
-        self.gauges.get(key).copied()
-    }
-
-    /// Histogram of the observations that landed in this window, if any.
-    pub fn histogram(&self, key: &str) -> Option<&Histogram> {
-        self.histograms.get(key)
-    }
-
-    /// Iterates over this window's counter deltas in key order.
-    pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.counters.iter().map(|(k, v)| (k.as_str(), *v))
-    }
-
-    /// Iterates over this window's gauge writes in key order.
-    pub fn gauges(&self) -> impl Iterator<Item = (&str, i64)> {
-        self.gauges.iter().map(|(k, v)| (k.as_str(), *v))
-    }
-
-    /// Iterates over this window's histograms in key order.
-    pub fn histograms(&self) -> impl Iterator<Item = (&str, &Histogram)> {
-        self.histograms.iter().map(|(k, v)| (k.as_str(), v))
+    /// Iterates over the written histograms in key order.
+    pub fn histograms(&self) -> impl Iterator<Item = (&'static str, &Histogram)> {
+        named(&self.histograms, Kind::Histogram)
     }
 }
 
-/// Applies `f` to the entry under `key`, created at its default if absent.
-/// The key is copied into an owned `String` only on that first write.
-fn update<V: Default>(map: &mut BTreeMap<String, V>, key: &str, f: impl FnOnce(&mut V)) {
-    match map.get_mut(key) {
-        Some(v) => f(v),
-        None => f(map.entry(key.to_owned()).or_default()),
-    }
-}
-
-/// A set of named counters, gauges, histograms and sample series.
+/// A run's metrics: the cumulative values plus, when windowing is on,
+/// one [`WindowSnapshot`] per non-empty sim-time window.
 #[derive(Default, Debug, Clone)]
 pub struct Stats {
-    counters: BTreeMap<String, u64>,
-    gauges: BTreeMap<String, i64>,
-    histograms: BTreeMap<String, Histogram>,
-    series: BTreeMap<String, Vec<f64>>,
+    total: WindowSnapshot,
     /// Fixed window width in picoseconds; zero means windowing is off.
     window_width_ps: u64,
     /// Last simulated time stamped by the scheduling context (raw ps;
     /// only ever consumed by integer division, never free arithmetic).
     now_ps: u64,
-    /// Per-window activity, keyed by window index `now / width`.
-    windows: BTreeMap<u64, WindowSnapshot>,
+    /// Non-empty windows in ascending index order. Stamps never go back
+    /// in time, so a write lands in the last window or opens a new one.
+    windows: Vec<(u64, WindowSnapshot)>,
 }
 
 impl Stats {
@@ -216,11 +301,11 @@ impl Stats {
     }
 
     /// Enables fixed-width sim-time windowing: every subsequent counter
-    /// add, gauge write, and histogram observation is *additionally*
-    /// routed into the [`WindowSnapshot`] of the window containing the
-    /// simulated time last stamped by the scheduling context. The
-    /// cumulative registry is unchanged. Call before the run starts so
-    /// the whole timeline is covered.
+    /// add and histogram observation is *additionally* routed into the
+    /// [`WindowSnapshot`] of the window containing the simulated time
+    /// last stamped by the scheduling context. The cumulative values are
+    /// unchanged. Call before the run starts so the whole timeline is
+    /// covered.
     pub fn enable_windows(&mut self, width: Dur) {
         assert!(width.as_ps() > 0, "zero-width metric window");
         self.window_width_ps = width.as_ps();
@@ -232,22 +317,10 @@ impl Stats {
     }
 
     /// Stamps the current simulated time so subsequent instrument writes
-    /// land in the right window. Called by `Ctx::stats()`; harness code
-    /// writing through `Simulator::stats_mut` after a run lands in the
-    /// last stamped window.
+    /// land in the right window. Called by `Ctx::stats()`; the kernel's
+    /// end-of-run writes land in the last stamped window.
     pub(crate) fn stamp_now(&mut self, now: Time) {
         self.now_ps = now.as_ps();
-    }
-
-    /// Index of the window the last stamped time falls in (`None` when
-    /// windowing is off).
-    pub fn current_window(&self) -> Option<u64> {
-        (self.window_width_ps > 0).then(|| self.now_ps / self.window_width_ps)
-    }
-
-    /// The recorded activity of window `idx`, if anything landed there.
-    pub fn window(&self, idx: u64) -> Option<&WindowSnapshot> {
-        self.windows.get(&idx)
     }
 
     /// Iterates over all non-empty windows in index order.
@@ -255,123 +328,49 @@ impl Stats {
         self.windows.iter().map(|(k, v)| (*k, v))
     }
 
-    /// Start time of window `idx` (meaningful only when windowing is on).
-    pub fn window_start(&self, idx: u64) -> Time {
-        Time::ZERO + Dur::from_ps(self.window_width_ps) * idx
-    }
-
-    fn live_window(&mut self) -> Option<&mut WindowSnapshot> {
+    /// Applies `write` to the totals and, when windowing is on, to the
+    /// window of the last stamped time.
+    #[inline]
+    fn write(&mut self, mut write: impl FnMut(&mut WindowSnapshot)) {
+        write(&mut self.total);
         if self.window_width_ps == 0 {
-            return None;
+            return;
         }
         let idx = self.now_ps / self.window_width_ps;
-        Some(self.windows.entry(idx).or_default())
-    }
-
-    /// Adds `delta` to counter `key`, creating it at zero if absent.
-    pub fn add(&mut self, key: &str, delta: u64) {
-        update(&mut self.counters, key, |c| *c += delta);
-        if let Some(w) = self.live_window() {
-            update(&mut w.counters, key, |c| *c += delta);
+        if self.windows.last().is_none_or(|w| w.0 != idx) {
+            self.windows.push((idx, WindowSnapshot::default()));
         }
+        let (_, live) = self.windows.last_mut().expect("window just ensured");
+        write(live);
     }
 
-    /// Current value of counter `key` (zero if never touched).
+    /// Adds `delta` to counter `m`, creating it at zero if absent.
+    #[inline]
+    pub fn add(&mut self, m: &Metric, delta: u64) {
+        let id = m.id(Kind::Counter);
+        self.write(|s| *cell(&mut s.counters, id) += delta);
+    }
+
+    /// Records `value` into the log2-bucketed histogram `m`.
+    #[inline]
+    pub fn observe(&mut self, m: &Metric, value: u64) {
+        let id = m.id(Kind::Histogram);
+        self.write(|s| cell(&mut s.histograms, id).observe(value));
+    }
+
+    /// Current value of counter `key` (zero if never written).
     pub fn counter(&self, key: &str) -> u64 {
-        self.counters.get(key).copied().unwrap_or(0)
-    }
-
-    /// Sets gauge `key` to `value` (last write wins).
-    pub fn set_gauge(&mut self, key: &str, value: i64) {
-        update(&mut self.gauges, key, |g| *g = value);
-        if let Some(w) = self.live_window() {
-            update(&mut w.gauges, key, |g| *g = value);
-        }
-    }
-
-    /// Current value of gauge `key`, if ever set.
-    pub fn gauge(&self, key: &str) -> Option<i64> {
-        self.gauges.get(key).copied()
-    }
-
-    /// Records `value` into the log2-bucketed histogram `key`.
-    pub fn observe(&mut self, key: &str, value: u64) {
-        update(&mut self.histograms, key, |h| h.observe(value));
-        if let Some(w) = self.live_window() {
-            update(&mut w.histograms, key, |h| h.observe(value));
-        }
+        lookup(&self.total.counters, key, Kind::Counter).map_or(0, |&v| v)
     }
 
     /// The histogram under `key`, if any observation was made.
     pub fn histogram(&self, key: &str) -> Option<&Histogram> {
-        self.histograms.get(key)
+        lookup(&self.total.histograms, key, Kind::Histogram)
     }
 
-    /// Appends a sample to series `key`.
-    pub fn record(&mut self, key: &str, value: f64) {
-        update(&mut self.series, key, |s| s.push(value));
-    }
-
-    /// All samples recorded under `key`.
-    pub fn samples(&self, key: &str) -> &[f64] {
-        self.series.get(key).map(Vec::as_slice).unwrap_or(&[])
-    }
-
-    /// Mean of the samples under `key`, or `None` if empty.
-    pub fn mean(&self, key: &str) -> Option<f64> {
-        let s = self.samples(key);
-        if s.is_empty() {
-            None
-        } else {
-            Some(s.iter().sum::<f64>() / s.len() as f64)
-        }
-    }
-
-    /// The `p` percentile (0.0..=100.0) of samples under `key`.
-    ///
-    /// Uses `total_cmp`, so NaN samples sort to the end (IEEE 754 total
-    /// order) instead of panicking mid-report.
-    pub fn percentile(&self, key: &str, p: f64) -> Option<f64> {
-        let mut s: Vec<f64> = self.samples(key).to_vec();
-        if s.is_empty() {
-            return None;
-        }
-        s.sort_by(|a, b| a.total_cmp(b));
-        let rank = (p / 100.0 * (s.len() - 1) as f64).round() as usize;
-        Some(s[rank.min(s.len() - 1)])
-    }
-
-    /// Maximum sample under `key`.
-    pub fn max_sample(&self, key: &str) -> Option<f64> {
-        self.samples(key)
-            .iter()
-            .copied()
-            .fold(None, |acc, v| Some(acc.map_or(v, |a: f64| a.max(v))))
-    }
-
-    /// Iterates over all counters in key order.
-    pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.counters.iter().map(|(k, v)| (k.as_str(), *v))
-    }
-
-    /// Iterates over all gauges in key order.
-    pub fn gauges(&self) -> impl Iterator<Item = (&str, i64)> {
-        self.gauges.iter().map(|(k, v)| (k.as_str(), *v))
-    }
-
-    /// Iterates over all histograms in key order.
-    pub fn histograms(&self) -> impl Iterator<Item = (&str, &Histogram)> {
-        self.histograms.iter().map(|(k, v)| (k.as_str(), v))
-    }
-
-    /// Clears all counters, gauges, histograms and series (e.g. between
-    /// sweep points).
-    pub fn reset(&mut self) {
-        self.counters.clear();
-        self.gauges.clear();
-        self.histograms.clear();
-        self.series.clear();
-        self.windows.clear();
+    /// Iterates over all written counters in key order.
+    pub fn counters(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
+        self.total.counters()
     }
 }
 
@@ -379,53 +378,74 @@ impl Stats {
 mod tests {
     use super::*;
 
+    // The registry is process-wide and tests run on parallel threads, so
+    // every test names its own metrics.
+
     #[test]
     fn counters_accumulate() {
+        static PKTS: Metric = Metric::counter("test.accumulate.pkts");
         let mut s = Stats::new();
-        s.add("pkts", 3);
-        s.add("pkts", 4);
-        assert_eq!(s.counter("pkts"), 7);
-        assert_eq!(s.counter("absent"), 0);
+        s.add(&PKTS, 3);
+        s.add(&PKTS, 4);
+        assert_eq!(s.counter("test.accumulate.pkts"), 7);
+        assert_eq!(s.counter("test.accumulate.absent"), 0);
     }
 
     #[test]
-    fn series_statistics() {
+    fn two_handles_with_one_name_share_one_cell() {
+        static A: Metric = Metric::counter("test.shared.bytes");
+        static B: Metric = Metric::counter("test.shared.bytes");
         let mut s = Stats::new();
-        for v in [4.0, 1.0, 3.0, 2.0] {
-            s.record("lat", v);
+        s.add(&A, 2);
+        s.add(&B, 5);
+        assert_eq!(s.counter("test.shared.bytes"), 7);
+        assert_eq!(A.id(Kind::Counter), B.id(Kind::Counter));
+        let shared = s.counters().filter(|(k, _)| *k == "test.shared.bytes");
+        assert_eq!(shared.count(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "registered as a Counter and a Histogram")]
+    fn one_name_cannot_be_a_counter_and_a_histogram() {
+        static C: Metric = Metric::counter("test.clash.lat");
+        static H: Metric = Metric::histogram("test.clash.lat");
+        let mut s = Stats::new();
+        s.add(&C, 1);
+        s.observe(&H, 1);
+    }
+
+    #[test]
+    fn a_zero_delta_write_makes_the_key_appear() {
+        static FAULTS: Metric = Metric::counter("test.zero.faults");
+        let mut s = Stats::new();
+        assert!(s.counters().all(|(k, _)| k != "test.zero.faults"));
+        s.add(&FAULTS, 0);
+        assert!(s.counters().any(|kv| kv == ("test.zero.faults", 0)));
+    }
+
+    #[test]
+    fn export_is_in_name_order_whatever_the_interning_order() {
+        static Z: Metric = Metric::counter("test.order.z");
+        static A: Metric = Metric::counter("test.order.a");
+        static M: Metric = Metric::counter("test.order.m");
+        let mut s = Stats::new();
+        for (m, v) in [(&Z, 1), (&A, 2), (&M, 3)] {
+            s.add(m, v);
         }
-        assert_eq!(s.samples("lat").len(), 4);
-        assert_eq!(s.mean("lat"), Some(2.5));
-        assert_eq!(s.percentile("lat", 0.0), Some(1.0));
-        assert_eq!(s.percentile("lat", 100.0), Some(4.0));
-        assert_eq!(s.max_sample("lat"), Some(4.0));
-        assert_eq!(s.mean("absent"), None);
-    }
-
-    #[test]
-    fn percentile_handles_negative_duplicate_and_nan_samples() {
-        let mut s = Stats::new();
-        for v in [-3.0, -3.0, 0.0, 2.0, 2.0, -7.5] {
-            s.record("lat", v);
-        }
-        assert_eq!(s.percentile("lat", 0.0), Some(-7.5));
-        // Six samples sorted: [-7.5, -3, -3, 0, 2, 2]; rank(50%) = 3.
-        assert_eq!(s.percentile("lat", 50.0), Some(0.0));
-        assert_eq!(s.percentile("lat", 100.0), Some(2.0));
-        // A NaN sample must not panic; total order sorts it last.
-        s.record("lat", f64::NAN);
-        assert_eq!(s.percentile("lat", 0.0), Some(-7.5));
-        assert!(s.percentile("lat", 100.0).unwrap().is_nan());
-    }
-
-    #[test]
-    fn gauges_last_write_wins() {
-        let mut s = Stats::new();
-        assert_eq!(s.gauge("depth"), None);
-        s.set_gauge("depth", 4);
-        s.set_gauge("depth", -1);
-        assert_eq!(s.gauge("depth"), Some(-1));
-        assert_eq!(s.gauges().collect::<Vec<_>>(), vec![("depth", -1)]);
+        let ours: Vec<_> = s
+            .counters()
+            .filter(|(k, _)| k.starts_with("test.order."))
+            .collect();
+        assert_eq!(
+            ours,
+            [
+                ("test.order.a", 2),
+                ("test.order.m", 3),
+                ("test.order.z", 1)
+            ]
+        );
+        let all: Vec<_> = s.counters().map(|(k, _)| k).collect();
+        assert!(all.is_sorted());
     }
 
     #[test]
@@ -454,57 +474,45 @@ mod tests {
 
     #[test]
     fn stats_histogram_registry() {
+        static DEPTH: Metric = Metric::histogram("test.hist.depth");
         let mut s = Stats::new();
-        s.observe("q.depth", 3);
-        s.observe("q.depth", 9);
-        let h = s.histogram("q.depth").unwrap();
+        s.observe(&DEPTH, 3);
+        s.observe(&DEPTH, 9);
+        let h = s.histogram("test.hist.depth").unwrap();
         assert_eq!(h.count(), 2);
         assert_eq!(h.max(), Some(9));
-        assert!(s.histogram("absent").is_none());
-        assert_eq!(s.histograms().count(), 1);
+        assert!(s.histogram("test.hist.absent").is_none());
+        assert_eq!(s.counter("test.hist.depth"), 0, "not a counter");
     }
 
     #[test]
     fn windows_route_by_stamped_time() {
+        static PKTS: Metric = Metric::counter("test.window.pkts");
+        static LAT: Metric = Metric::histogram("test.window.lat");
         let mut s = Stats::new();
         s.enable_windows(Dur::from_ps(100));
         s.stamp_now(Time::from_ps(10));
-        s.add("pkts", 2);
-        s.observe("lat", 8);
-        s.set_gauge("depth", 1);
+        s.add(&PKTS, 2);
+        s.observe(&LAT, 8);
         s.stamp_now(Time::from_ps(250));
-        s.add("pkts", 5);
-        s.observe("lat", 32);
-        s.set_gauge("depth", 7);
+        s.add(&PKTS, 5);
+        s.observe(&LAT, 32);
         // Cumulative view is unchanged by windowing.
-        assert_eq!(s.counter("pkts"), 7);
-        assert_eq!(s.histogram("lat").unwrap().count(), 2);
+        assert_eq!(s.counter("test.window.pkts"), 7);
+        assert_eq!(s.histogram("test.window.lat").unwrap().count(), 2);
         // Window 0 holds the first batch, window 2 the second, window 1
         // never materializes.
-        let w0 = s.window(0).unwrap();
-        assert_eq!(w0.counter("pkts"), 2);
-        assert_eq!(w0.gauge("depth"), Some(1));
-        assert_eq!(w0.histogram("lat").unwrap().max(), Some(8));
-        assert!(s.window(1).is_none());
-        let w2 = s.window(2).unwrap();
-        assert_eq!(w2.counter("pkts"), 5);
-        assert_eq!(w2.gauge("depth"), Some(7));
-        assert_eq!(s.windows().count(), 2);
-        assert_eq!(s.window_start(2), Time::from_ps(200));
-        assert_eq!(s.current_window(), Some(2));
-    }
-
-    #[test]
-    fn reset_clears_everything() {
-        let mut s = Stats::new();
-        s.add("a", 1);
-        s.record("b", 1.0);
-        s.set_gauge("c", 2);
-        s.observe("d", 3);
-        s.reset();
-        assert_eq!(s.counter("a"), 0);
-        assert!(s.samples("b").is_empty());
-        assert_eq!(s.gauge("c"), None);
-        assert!(s.histogram("d").is_none());
+        let w: Vec<_> = s.windows().collect();
+        assert_eq!(w.iter().map(|(i, _)| *i).collect::<Vec<_>>(), [0, 2]);
+        assert_eq!(
+            w[0].1.counters().collect::<Vec<_>>(),
+            [("test.window.pkts", 2)]
+        );
+        assert_eq!(
+            w[1].1.counters().collect::<Vec<_>>(),
+            [("test.window.pkts", 5)]
+        );
+        let (name, h) = w[0].1.histograms().next().unwrap();
+        assert_eq!((name, h.max()), ("test.window.lat", Some(8)));
     }
 }

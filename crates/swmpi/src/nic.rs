@@ -16,6 +16,9 @@ use accl_net::{Frame, NodeAddr};
 use accl_sim::prelude::*;
 use accl_sim::trace::{Attr, AttrValue, SpanId};
 
+static NIC_MSGS: Metric = Metric::counter("mpi.nic.msgs");
+static NIC_BYTES: Metric = Metric::counter("mpi.nic.bytes");
+
 /// MPI wire messages carried by the NIC.
 #[derive(Debug, Clone)]
 pub enum MpiWire {
@@ -155,8 +158,8 @@ impl SwNic {
             MpiWire::RndzvData { tag, data } => (3, tag, 0, data),
         };
         let total = data.len() as u64;
-        ctx.stats().add("mpi.nic.msgs", 1);
-        ctx.stats().add("mpi.nic.bytes", total);
+        ctx.stats().add(&NIC_MSGS, 1);
+        ctx.stats().add(&NIC_BYTES, total);
         let mut tx_span = SpanId::NONE;
         if ctx.spans_enabled() {
             tx_span = ctx.span_begin_attrs(

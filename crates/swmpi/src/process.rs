@@ -21,6 +21,9 @@ use accl_sim::trace::{Attr, AttrValue, SpanId};
 use crate::nic::{MpiWire, NicDeliver, NicSend};
 use crate::tuning::MpiConfig;
 
+static CPU_PS: Metric = Metric::counter("mpi.cpu_ps");
+static COLLS: Metric = Metric::counter("mpi.colls");
+
 /// One collective invocation.
 #[derive(Debug, Clone)]
 pub struct MpiCall {
@@ -202,7 +205,7 @@ impl MpiProcess {
         let end = start + cost;
         self.cpu_free = end;
         self.outstanding_cpu += 1;
-        ctx.stats().add("mpi.cpu_ps", cost.as_ps());
+        ctx.stats().add(&CPU_PS, cost.as_ps());
         if ctx.spans_enabled() {
             let kind = match &work {
                 CpuWork::Exec(_) => "exec",
@@ -243,7 +246,7 @@ impl MpiProcess {
 
     fn begin_collective(&mut self, ctx: &mut Ctx<'_>, call: MpiCall) {
         let bytes = call.count * call.dtype.size() as u64;
-        ctx.stats().add("mpi.colls", 1);
+        ctx.stats().add(&COLLS, 1);
         if ctx.spans_enabled() {
             self.coll_span = ctx.span_begin_attrs(
                 "mpi.coll",
