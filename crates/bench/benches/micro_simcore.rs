@@ -9,7 +9,7 @@
 //! baseline so the perf trajectory is tracked in-repo.
 //!
 //! Set `ACCL_BENCH_QUICK=1` for a CI-friendly smoke run (fewer samples,
-//! shorter workloads apart from the two 1M-event chains, same JSON
+//! shorter workloads apart from the 1M- and 100k-event chains, same JSON
 //! schema).
 
 use criterion::{criterion_group, Criterion, Throughput};
@@ -399,10 +399,12 @@ fn main() {
     } else {
         (262_144, 100_000, 5)
     };
-    // The two "1m" chains run at full length in quick mode too: CI gates
-    // their ratio within 2%, and a shorter chain (a few ms) is noisier
-    // than that.
+    // The "1m" and "100k" chains run at full length in quick mode too: CI
+    // gates the two 1m rows' ratio within 2%, the metered 100k rows must
+    // stay within 10% of the plain one, and a shorter chain (a fraction of
+    // a ms) is noisier than either.
     let chain_n = 1_000_000u64;
+    let metered_n = 100_000u64;
     // CI gates `chain_1m_spans_off` within 2% of `chain_1m_events` of the
     // same run, so the two rows are measured interleaved.
     let chain_10k = measure("chain_10k_events", reps, || {
@@ -434,11 +436,13 @@ fn main() {
         reps,
         [
             ("chain_100k_events", &mut || {
-                run_chain(SelfChain { remaining: drain_n })
+                run_chain(SelfChain {
+                    remaining: metered_n,
+                })
             }),
-            ("chain_100k_metered", &mut || metered_chain(drain_n, None)),
+            ("chain_100k_metered", &mut || metered_chain(metered_n, None)),
             ("chain_100k_windowed", &mut || {
-                metered_chain(drain_n, Some(Dur::from_us(1)))
+                metered_chain(metered_n, Some(Dur::from_us(1)))
             }),
         ],
     );

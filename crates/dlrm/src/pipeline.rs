@@ -253,34 +253,30 @@ pub fn run_pipeline_observed(
 
     // Verify every transported message against the reference trace.
     let mut verified = 0usize;
+    let mut verify = |node: usize, expect: Vec<&[i32]>| {
+        let got = cluster.kernel(kernels[node]).received_msgs();
+        assert_eq!(got.len(), expect.len(), "node {node} message count");
+        for (g, e) in got.iter().zip(expect) {
+            assert!(carries(g, e), "node {node} payload mismatch");
+            verified += 1;
+        }
+    };
     for c in 0..cols {
-        let got = cluster.kernel(kernels[cols + c]).received_msgs();
-        let mut expect: Vec<Vec<u8>> = Vec::new();
+        let mut expect: Vec<&[i32]> = Vec::new();
         for tr in &traces {
-            expect.push(fx::to_bytes(&tr.embed_slices[c]));
-            expect.push(fx::to_bytes(&tr.fc1_partials[0][c]));
+            expect.push(&tr.embed_slices[c]);
+            expect.push(&tr.fc1_partials[0][c]);
             if c > 0 {
-                expect.push(fx::to_bytes(&tr.chain[c - 1]));
+                expect.push(&tr.chain[c - 1]);
             }
         }
-        assert_eq!(got.len(), expect.len(), "combine node {c} message count");
-        for (g, e) in got.iter().zip(&expect) {
-            assert_eq!(*g, e.as_slice(), "combine node {c} payload mismatch");
-            verified += 1;
-        }
+        verify(cols + c, expect);
     }
-    {
-        let got = cluster.kernel(kernels[fc2_node]).received_msgs();
-        for (g, tr) in got.iter().zip(&traces) {
-            assert_eq!(*g, fx::to_bytes(tr.chain.last().unwrap()).as_slice());
-            verified += 1;
-        }
-        let got = cluster.kernel(kernels[fc3_node]).received_msgs();
-        for (g, tr) in got.iter().zip(&traces) {
-            assert_eq!(*g, fx::to_bytes(&tr.fc2_out).as_slice());
-            verified += 1;
-        }
-    }
+    verify(
+        fc2_node,
+        traces.iter().map(|tr| &tr.chain[cols - 1][..]).collect(),
+    );
+    verify(fc3_node, traces.iter().map(|tr| &tr.fc2_out[..]).collect());
 
     // Each inference completes at the FC3 node's Compute expiry: every
     // third op of its program (recv, finalize, compute).
@@ -299,6 +295,16 @@ pub fn run_pipeline_observed(
         },
         cluster,
     )
+}
+
+/// Whether `msg` is `v` serialized as [`fx::to_bytes`] would, compared in
+/// place.
+fn carries(msg: &[u8], v: &[i32]) -> bool {
+    msg.len() == 4 * v.len()
+        && msg
+            .chunks_exact(4)
+            .zip(v)
+            .all(|(b, x)| *b == x.to_le_bytes())
 }
 
 #[cfg(test)]
@@ -343,6 +349,19 @@ mod tests {
             inter_completion < latency * 0.8,
             "II={inter_completion}us latency={latency}us"
         );
+    }
+
+    #[test]
+    fn carries_matches_only_the_serialized_values() {
+        let v = [0, -1, 1 << 16, i32::MIN];
+        let bytes = fx::to_bytes(&v);
+        assert!(carries(&bytes, &v));
+        let mut flipped = bytes.clone();
+        flipped[9] ^= 1;
+        assert!(!carries(&flipped, &v));
+        assert!(!carries(&bytes[..12], &v));
+        assert!(!carries(&bytes, &v[..3]));
+        assert!(carries(&[], &[]));
     }
 
     #[test]

@@ -2,12 +2,15 @@
 //!
 //! On x86_64 `gemv_block` sums 16-bit split products in i32 SIMD lanes
 //! whenever a guard on the weight and input magnitudes proves the lanes
-//! cannot wrap, and falls back to `gemv`'s scalar loop otherwise. These
-//! properties draw blocks and batches on both sides of that guard: DLRM-sized
+//! cannot wrap, and falls back to `gemv`'s scalar loop otherwise. Vectors
+//! whose high halves are all 0 sum their low products in i16 lanes first,
+//! for as many chunks as a per-(row, group) budget allows. These properties
+//! draw blocks and batches on both sides of the guard: DLRM-sized
 //! magnitudes (fast path), weights at `|a| = 2^15 - 1` (fast) and `2^15`
 //! (fallback), inputs at `i32::MIN` and `i32::MAX`, low halves with the sign
 //! bit set, widths with every `n % 8`, empty ranges, batch sizes 0, 1, 16 and
-//! 17, and widths on either side of the guard's overflow edge.
+//! 17, widths on either side of the guard's overflow edge, batches mixing
+//! zero-high and nonzero-high vectors, and widths at the i16 budget's edge.
 
 use accl_linalg::fx::MatFx;
 use proptest::prelude::*;
@@ -176,5 +179,86 @@ fn i32_extremes_in_every_lane() {
     for x in [i32::MIN, i32::MAX, i32::MIN + 0x8000, 0x7fff_7fff, -0x8000] {
         let xs: Vec<Vec<i32>> = (0..5).map(|b| vec![x.wrapping_add(b); 16]).collect();
         check(&a, 0..3, 0..16, &xs);
+    }
+}
+
+/// A vector of `n` values of one kind: 0 has every high half 0 (`|x| <=
+/// 2^15`, both ends included), 1 has some nonzero high half, and 2 has one
+/// high half of `2^15`, which no i16 holds (the scalar fallback).
+fn vector_of_kind(rng: &mut StdRng, kind: usize, n: usize) -> Vec<i32> {
+    let mut x: Vec<i32> = (0..n).map(|_| rng.random_range(-32_768..32_768)).collect();
+    if n > 0 {
+        x[0] = [-32_768, 32_767][rng.random_range(0..2)];
+        let k = rng.random_range(0..n);
+        match kind {
+            0 => {}
+            1 => x[k] = rng.random_range(1..8) << 16,
+            _ => x[k] = i32::MAX,
+        }
+    }
+    x
+}
+
+/// Zero-high vectors (kind 0) take the i16 path and the others the i32 one,
+/// so batches that interleave them, inside one group of four and across
+/// groups, must give every vector its own `gemv` result.
+#[test]
+fn zero_high_and_nonzero_high_vectors_in_one_batch() {
+    let mut rng = StdRng::seed_from_u64(30);
+    let kinds: &[&[usize]] = &[
+        &[0, 1, 0, 0],
+        &[1, 0, 0, 0, 0, 1, 1, 0, 0, 1, 0],
+        &[0, 0, 2, 0, 1, 0, 0, 0, 2, 1, 1, 0, 1],
+        &[1, 1, 1, 1, 0, 0, 0, 0, 0],
+    ];
+    for n in [7, 8, 37, 200] {
+        let a = MatFx {
+            rows: 6,
+            cols: n + 2,
+            data: (0..6 * (n + 2)).map(|_| weight(&mut rng, 0)).collect(),
+        };
+        for batch in kinds {
+            let xs: Vec<Vec<i32>> = batch
+                .iter()
+                .map(|&kind| vector_of_kind(&mut rng, kind, n))
+                .collect();
+            check(&a, 0..6, 1..1 + n, &xs);
+        }
+    }
+}
+
+/// Zero-high vectors sum `floor(a·ls / 2^16)` in i16 lanes for up to `K =
+/// 32767 / ((A·L >> 16) + 1)` chunks of eight columns before widening, where
+/// `A` is the row's largest `|a|` and `L` the group's largest `|ls|`. Here
+/// every product of the first row sits at the negative extreme `-((A·L >>
+/// 16) + 1)` (`A·L` is not a multiple of 2^16), so a lane that summed more
+/// chunks than the budget, or a budget without the `+ 1`, could wrap. The
+/// largest `|ls|` belongs to the fourth vector of a group of four, and
+/// widths run at `K - 1`, `K` and `K + 1` chunks and past `2K` (not under
+/// Miri).
+#[test]
+fn widths_at_the_lane_budget_edge() {
+    // (A, L, K): FC1's magnitudes, a middling pair, and K = 1.
+    for (max_a, l, k) in [
+        (3_277, 3_277, 199),
+        (1_000, 20_000, 107),
+        (32_767, -32_768, 1),
+    ] {
+        let per = ((i64::from(max_a) * i64::from(l).abs()) >> 16) + 1;
+        assert_ne!(i64::from(max_a) * i64::from(l) % (1 << 16), 0);
+        assert_eq!(32_767 / per, k);
+        // `a·ls < 0` for every product of row 0, `> 0` for row 1.
+        let a = if l > 0 { -max_a } else { max_a };
+        let past = if cfg!(miri) { k + 1 } else { 2 * k + 1 };
+        for chunks in [k - 1, k, k + 1, past] {
+            let n = 8 * chunks as usize;
+            let m = MatFx {
+                rows: 2,
+                cols: n,
+                data: [vec![a; n], vec![-a; n]].concat(),
+            };
+            let xs = [vec![1; n], vec![-1; n], vec![7; n], vec![l; n], vec![l; n]];
+            check(&m, 0..2, 0..n, &xs);
+        }
     }
 }
