@@ -8,7 +8,9 @@
 //! dimensions are used exactly; embedding-table *contents* are scaled.
 
 use accl_bench::print_table;
-use accl_dlrm::{run_pipeline, CpuDlrmModel, DlrmConfig, DlrmModel, DlrmTiming};
+use accl_dlrm::{
+    run_pipeline_observed, CpuDlrmModel, DlrmConfig, DlrmModel, DlrmTiming, PipelineObserve,
+};
 
 fn main() {
     let cfg = DlrmConfig {
@@ -25,7 +27,11 @@ fn main() {
         DlrmConfig::full_scale_embed_bytes(3_900_000) as f64 / 1e9,
     );
     let model = DlrmModel::generate(cfg, 5);
-    let result = run_pipeline(&model, DlrmTiming::default(), 25);
+    let observe = PipelineObserve {
+        span_capacity: 1 << 20,
+        ..PipelineObserve::default()
+    };
+    let (result, _) = run_pipeline_observed(&model, DlrmTiming::default(), 25, 1, &observe);
     let fpga_latency_ms = result.latency_us() / 1e3;
     let fpga_tput = result.throughput();
 
@@ -35,12 +41,11 @@ fn main() {
         format!("{:.3}", fpga_latency_ms),
         format!("{:.0}", fpga_tput),
     ]];
-    let mut best_cpu_tput = 0f64;
+    let best_cpu_tput = cpu.best_throughput(&cfg);
     let mut min_cpu_latency = f64::MAX;
-    for batch in [1u64, 4, 16, 64, 256] {
+    for batch in CpuDlrmModel::BATCHES {
         let lat = cpu.batch_latency_s(&cfg, batch) * 1e3;
         let tput = cpu.throughput(&cfg, batch);
-        best_cpu_tput = best_cpu_tput.max(tput);
         min_cpu_latency = min_cpu_latency.min(lat);
         rows.push(vec![
             format!("CPU batch={batch}"),
@@ -60,13 +65,41 @@ fn main() {
         min_cpu_latency / fpga_latency_ms,
         fpga_tput / best_cpu_tput,
     );
+    // Where each node's time goes in steady state (inferences 6-18).
+    let roles = |n: usize| match n {
+        0..=3 => "embedding",
+        4..=7 => "combine",
+        8 => "FC2",
+        _ => "FC3",
+    };
+    let split: Vec<Vec<String>> = result
+        .split
+        .iter()
+        .enumerate()
+        .map(|(n, s)| {
+            let uc = s.uc.expect("the run recorded spans");
+            vec![
+                format!("{n} ({})", roles(n)),
+                format!("{:.2}", s.compute_us),
+                format!("{:.2}", s.wait_us),
+                format!("{:.2}", uc.calls_us),
+                format!("{:.2}", uc.rx_wait_us),
+            ]
+        })
+        .collect();
+    print_table(
+        "Per-node split, us per inference",
+        &["node", "compute", "kernel wait", "uC calls", "uC Rx wait"],
+        &split,
+    );
+
     // Shape assertions.
     assert!(
         min_cpu_latency / fpga_latency_ms > 30.0,
         "hardware latency advantage must be large"
     );
     assert!(
-        fpga_tput / best_cpu_tput > 5.0,
-        "hardware throughput advantage must be large"
+        fpga_tput / best_cpu_tput > 10.0,
+        "hardware throughput advantage must exceed an order of magnitude"
     );
 }

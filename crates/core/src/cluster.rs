@@ -717,7 +717,26 @@ impl AcclCluster {
     /// Each call rebinds every engine's kernel-out endpoint to the new
     /// kernels; do not interleave host streaming collectives that expect a
     /// previous phase's kernels to keep receiving.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the simulation stalls or a kernel program never
+    /// finishes; [`AcclCluster::try_run_kernel_programs`] reports both.
     pub fn run_kernel_programs(&mut self, programs: Vec<Vec<KernelOp>>) -> Vec<ComponentId> {
+        match self.try_run_kernel_programs(programs) {
+            Ok(kernels) => kernels,
+            Err(why) => panic!("{why}"),
+        }
+    }
+
+    /// Non-panicking [`AcclCluster::run_kernel_programs`]: a stalled
+    /// simulation (the report names each parked component, e.g. a uC
+    /// waiting on a `Recv` no peer sends) or an unfinished kernel program
+    /// is returned as `Err`, leaving the cluster inspectable.
+    pub fn try_run_kernel_programs(
+        &mut self,
+        programs: Vec<Vec<KernelOp>>,
+    ) -> Result<Vec<ComponentId>, String> {
         assert_eq!(programs.len(), self.nodes.len(), "one program per node");
         let start = self.sim.now();
         let kernels: Vec<ComponentId> = programs
@@ -735,15 +754,15 @@ impl AcclCluster {
                 id
             })
             .collect();
-        self.run_to_drain().unwrap_or_else(|why| panic!("{why}"));
+        self.run_to_drain()?;
         for &id in &kernels {
-            assert!(
-                self.sim.component::<KernelProc>(id).finished_at().is_some()
-                    || self.sim.suspended_since(id).is_some(),
-                "a kernel program did not finish (deadlock?)"
-            );
+            if self.sim.component::<KernelProc>(id).finished_at().is_none()
+                && self.sim.suspended_since(id).is_none()
+            {
+                return Err("a kernel program did not finish (deadlock?)".to_string());
+            }
         }
-        kernels
+        Ok(kernels)
     }
 
     /// Kernel inspection helper.

@@ -279,3 +279,116 @@ impl Component for KernelProc {
         Some(h)
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use accl_cclo::command::CmdStatus;
+
+    use crate::{CollOp, DType};
+
+    /// Stands in for the engine's command and stream-in ports: logs each
+    /// command's ticket and arrival time.
+    #[derive(Default)]
+    struct CmdLog(Vec<(u64, Time)>);
+
+    impl Component for CmdLog {
+        fn on_event(&mut self, ctx: &mut Ctx<'_>, _port: PortId, payload: Payload) {
+            self.0
+                .push((payload.downcast::<CcloCommand>().ticket, ctx.now()));
+        }
+    }
+
+    #[test]
+    fn streamed_receives_resume_each_expect_when_its_bytes_arrive() {
+        let mut sim = Simulator::new(1);
+        let cclo = sim.add("cclo", CmdLog::default());
+        let recv = |bytes: u64| {
+            KernelOp::Issue(CollSpec::new(CollOp::Recv, bytes / 4, DType::I32).root(1))
+        };
+        // Three receives issued back to back, then one cumulative Expect
+        // per message and a single Finalize at the end.
+        let ops = vec![
+            recv(100),
+            recv(200),
+            recv(300),
+            KernelOp::Expect(100),
+            KernelOp::Expect(300),
+            KernelOp::Expect(600),
+            KernelOp::Finalize,
+        ];
+        let kernel = sim.add(
+            "kernel",
+            KernelProc::new(
+                Endpoint::new(cclo, PortId(0)),
+                Endpoint::new(cclo, PortId(1)),
+                250.0,
+                ops,
+            ),
+        );
+        sim.post(Endpoint::new(kernel, ports::START), Time::ZERO, ());
+        let msgs: Vec<Vec<u8>> = [100usize, 200, 300]
+            .iter()
+            .enumerate()
+            .map(|(t, &len)| (0..len).map(|i| (i * 7 + t) as u8).collect())
+            .collect();
+        // (ticket, offset, length, arrival µs): message 2 arrives in two
+        // chunks, so its Expect must wait for the second.
+        let chunks = [
+            (0, 0, 64, 1),
+            (0, 64, 36, 2),
+            (1, 0, 200, 5),
+            (2, 0, 150, 7),
+            (2, 150, 150, 9),
+        ];
+        for (ticket, offset, len, at) in chunks {
+            let chunk = RbmStream {
+                ticket,
+                offset: offset as u64,
+                data: Bytes::copy_from_slice(&msgs[ticket as usize][offset..offset + len]),
+                last: offset + len == msgs[ticket as usize].len(),
+            };
+            sim.post(
+                Endpoint::new(kernel, ports::STREAM_RX),
+                Time::from_us(at),
+                chunk,
+            );
+        }
+        for ticket in 0..3 {
+            let done = CcloDone {
+                ticket,
+                op: CollOp::Recv,
+                bytes: msgs[ticket as usize].len() as u64,
+                status: CmdStatus::Ok,
+            };
+            sim.post(
+                Endpoint::new(kernel, ports::CCLO_DONE),
+                Time::from_us(10),
+                done,
+            );
+        }
+        sim.run();
+
+        // Every receive reached the engine before any data arrived.
+        let issued = &sim.component::<CmdLog>(cclo).0;
+        assert_eq!(issued, &[0, 1, 2].map(|t| (t, Time::from_ns(8))));
+        let k = sim.component::<KernelProc>(kernel);
+        let at = |us| Time::from_us(us);
+        assert_eq!(
+            k.op_times(),
+            &[
+                (0, Time::ZERO),
+                (1, Time::ZERO),
+                (2, Time::ZERO),
+                (3, at(2)),
+                (4, at(5)),
+                (5, at(9)),
+                (6, at(10)),
+            ]
+        );
+        assert_eq!(k.finished_at(), Some(at(10)));
+        let got = k.received_msgs();
+        let want: Vec<&[u8]> = msgs.iter().map(Vec::as_slice).collect();
+        assert_eq!(got, want, "messages in command order");
+    }
+}

@@ -257,6 +257,22 @@ fn kernel_streaming_pipeline_f2f() {
 }
 
 #[test]
+fn kernel_stall_is_an_error_naming_the_parked_uc() {
+    // Node 1's kernel receives from node 0, whose kernel never sends.
+    let mut c = AcclCluster::build(ClusterConfig::coyote_rdma(2));
+    let k1 = vec![
+        KernelOp::Issue(CollSpec::new(CollOp::Recv, 64, DType::I32).root(0)),
+        KernelOp::Expect(64 * 4),
+        KernelOp::Finalize,
+    ];
+    let err = c
+        .try_run_kernel_programs(vec![Vec::new(), k1])
+        .expect_err("a receive no peer sends must stall");
+    assert!(err.contains("simulation stalled"), "{err}");
+    assert!(err.contains("n1.cclo.uc (rank 1) parked on Recv"), "{err}");
+}
+
+#[test]
 fn f2f_latency_beats_h2h_invocation_overhead() {
     // Fig. 8's point: kernels invoke the CCLO directly, skipping the
     // host's PCIe round trips.

@@ -34,6 +34,9 @@ impl Default for CpuDlrmModel {
 }
 
 impl CpuDlrmModel {
+    /// Batch sizes Fig. 17 measures the CPU baseline at.
+    pub const BATCHES: [u64; 5] = [1, 4, 16, 64, 256];
+
     /// FLOPs of one inference.
     pub fn flops_per_inference(cfg: &DlrmConfig) -> f64 {
         let d0 = cfg.concat_len() as f64;
@@ -52,6 +55,15 @@ impl CpuDlrmModel {
     /// Throughput at a given batch size, inferences/second.
     pub fn throughput(&self, cfg: &DlrmConfig, batch: u64) -> f64 {
         batch as f64 / self.batch_latency_s(cfg, batch)
+    }
+
+    /// The best throughput over the Fig. 17 batch sizes
+    /// ([`CpuDlrmModel::BATCHES`]), inferences/second.
+    pub fn best_throughput(&self, cfg: &DlrmConfig) -> f64 {
+        Self::BATCHES
+            .iter()
+            .map(|&b| self.throughput(cfg, b))
+            .fold(0.0, f64::max)
     }
 }
 

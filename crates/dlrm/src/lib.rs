@@ -18,5 +18,6 @@ pub mod pipeline;
 pub use cpu::CpuDlrmModel;
 pub use model::{DlrmConfig, DlrmModel, PipelineTrace};
 pub use pipeline::{
-    run_pipeline, run_pipeline_observed, DlrmTiming, PipelineObserve, PipelineResult,
+    run_pipeline, run_pipeline_observed, DlrmTiming, NodeSplit, PipelineObserve, PipelineResult,
+    UcSplit,
 };

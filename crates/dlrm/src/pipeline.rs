@@ -24,9 +24,11 @@ use accl_core::kernel::KernelOp;
 use accl_core::{AcclCluster, CcloConfig, ClusterConfig, CollOp, DType};
 use accl_linalg::dense::fx;
 use accl_sim::prelude::*;
+use accl_sim::trace::{SpanEventKind, SpanId};
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeMap;
 
-use crate::model::DlrmModel;
+use crate::model::{DlrmConfig, DlrmModel, PipelineTrace};
 
 /// Tags for the pipeline's message classes.
 mod tag {
@@ -90,6 +92,35 @@ pub struct PipelineResult {
     /// Number of verified hops (messages whose contents matched the
     /// reference trace).
     pub verified_messages: usize,
+    /// Per-node time per inference over the run's steady-state middle
+    /// half, indexed by node id.
+    pub split: Vec<NodeSplit>,
+}
+
+/// Where one node's time goes per inference, µs. A kernel program runs one
+/// op at a time, so `compute_us + wait_us` is the node's initiation
+/// interval.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct NodeSplit {
+    /// Kernel `Compute` time.
+    pub compute_us: f64,
+    /// Kernel time blocked in `Expect` or `Finalize`.
+    pub wait_us: f64,
+    /// The node's engine uC; `None` unless the run recorded spans.
+    pub uc: Option<UcSplit>,
+}
+
+/// A node's uC calls per inference, µs. The uC runs one call at a time,
+/// so `calls_us` is its occupancy; `rx_wait_us` is the part of it spent
+/// on messages an upstream node had not delivered yet, and the rest is
+/// the engine's own work.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct UcSplit {
+    /// Summed `uc.call` durations.
+    pub calls_us: f64,
+    /// The part of `calls_us` receives spent waiting for a message that
+    /// had not arrived yet.
+    pub rx_wait_us: f64,
 }
 
 impl PipelineResult {
@@ -152,24 +183,21 @@ pub fn run_pipeline_observed(
     let nodes = 2 * cols + 2;
     let fc2_node = 2 * cols; // node 8
     let fc3_node = 2 * cols + 1; // node 9
-    let slice_elems = cfg.concat_len() / cols;
-    let part_elems = cfg.fc_dims[0] / 2;
-    let full_elems = cfg.fc_dims[0];
-    let fc2_elems = cfg.fc_dims[1];
 
     let traces = model.pipeline_traces(inferences);
 
+    let cclo_cfg = CcloConfig {
+        clock_mhz: timing.clock_mhz,
+        // The host driver sizes the eager Rx pool for the workload:
+        // the pipeline's producers run ahead of consumers, so each
+        // engine needs enough (small) buffers for the in-flight window
+        // — 3 messages per in-flight inference, 8 KB max each.
+        rx_buf_count: (3 * inferences as u32 + 8).max(16),
+        rx_buf_bytes: 32 << 10,
+        ..CcloConfig::default()
+    };
     let mut cluster = AcclCluster::build(ClusterConfig {
-        cclo: CcloConfig {
-            clock_mhz: timing.clock_mhz,
-            // The host driver sizes the eager Rx pool for the workload:
-            // the pipeline's producers run ahead of consumers, so each
-            // engine needs enough (small) buffers for the in-flight window
-            // — 3 messages per in-flight inference, 8 KB max each.
-            rx_buf_count: (3 * inferences as u32 + 8).max(16),
-            rx_buf_bytes: 32 << 10,
-            ..CcloConfig::default()
-        },
+        cclo: cclo_cfg,
         ..ClusterConfig::xrt_tcp(nodes)
     });
     if observe.span_capacity > 0 {
@@ -179,77 +207,14 @@ pub fn run_pipeline_observed(
         cluster.enable_metric_windows(width);
     }
 
-    let send = |to: usize, elems: usize, t: u64| {
-        KernelOp::Issue(
-            CollSpec::new(CollOp::Send, elems as u64, DType::Fx32)
-                .root(to as u32)
-                .tag(t),
-        )
-    };
-    let recv = |from: usize, elems: usize, t: u64| {
-        KernelOp::Issue(
-            CollSpec::new(CollOp::Recv, elems as u64, DType::Fx32)
-                .root(from as u32)
-                .tag(t),
-        )
-    };
-    let push = |v: &[i32]| KernelOp::Push(Bytes::from(fx::to_bytes(v)));
+    let Programs {
+        ops,
+        shapes,
+        fc3_computes,
+    } = node_programs(&cfg, timing, &traces);
 
-    let mut programs: Vec<Vec<KernelOp>> = vec![Vec::new(); nodes];
-    for tr in &traces {
-        // Embedding nodes 0..cols.
-        for c in 0..cols {
-            let p = &mut programs[c];
-            let partner = cols + c;
-            p.push(KernelOp::Compute(timing.lookups(cfg.tables / cols)));
-            p.push(send(partner, slice_elems, tag::X));
-            p.push(push(&tr.embed_slices[c]));
-            p.push(KernelOp::Compute(timing.gemv(part_elems, slice_elems)));
-            p.push(send(partner, part_elems, tag::PA));
-            p.push(push(&tr.fc1_partials[0][c]));
-        }
-        // Combine nodes cols..2*cols.
-        for c in 0..cols {
-            let p = &mut programs[cols + c];
-            p.push(recv(c, slice_elems, tag::X));
-            p.push(KernelOp::Finalize);
-            p.push(KernelOp::Compute(timing.gemv(part_elems, slice_elems)));
-            p.push(recv(c, part_elems, tag::PA));
-            p.push(KernelOp::Finalize);
-            let next = if c + 1 < cols { cols + c + 1 } else { fc2_node };
-            if c == 0 {
-                p.push(send(next, full_elems, tag::CHAIN));
-                p.push(push(&tr.chain[0]));
-            } else {
-                p.push(recv(cols + c - 1, full_elems, tag::CHAIN));
-                p.push(KernelOp::Finalize);
-                p.push(KernelOp::Compute(timing.vec_add(full_elems)));
-                p.push(send(next, full_elems, tag::CHAIN));
-                p.push(push(&tr.chain[c]));
-            }
-        }
-        // FC2 node.
-        {
-            let p = &mut programs[fc2_node];
-            p.push(recv(2 * cols - 1, full_elems, tag::CHAIN));
-            p.push(KernelOp::Finalize);
-            p.push(KernelOp::Compute(timing.gemv(fc2_elems, full_elems)));
-            p.push(send(fc3_node, fc2_elems, tag::FC2));
-            p.push(push(&tr.fc2_out));
-        }
-        // FC3 node.
-        {
-            let p = &mut programs[fc3_node];
-            p.push(recv(fc2_node, fc2_elems, tag::FC2));
-            p.push(KernelOp::Finalize);
-            p.push(KernelOp::Compute(timing.gemv(cfg.fc_dims[2], fc2_elems)));
-        }
-    }
-    for p in &mut programs {
-        p.push(KernelOp::Finalize);
-    }
-
-    let kernels = cluster.run_kernel_programs(programs);
+    let t0 = cluster.sim.now();
+    let kernels = cluster.run_kernel_programs(ops);
 
     // Verify every transported message against the reference trace.
     let mut verified = 0usize;
@@ -278,23 +243,298 @@ pub fn run_pipeline_observed(
     );
     verify(fc3_node, traces.iter().map(|tr| &tr.fc2_out[..]).collect());
 
-    // Each inference completes at the FC3 node's Compute expiry: every
-    // third op of its program (recv, finalize, compute).
-    let done_at: Vec<Time> = cluster
-        .kernel(kernels[fc3_node])
-        .op_times()
+    // Each inference completes at its FC3 `Compute`'s expiry.
+    let fc3_times = cluster.kernel(kernels[fc3_node]).op_times();
+    let done_at: Vec<Time> = fc3_computes
         .iter()
-        .filter(|(idx, _)| idx % 3 == 2 && *idx < inferences * 3)
-        .map(|&(_, t)| t)
+        .map(|&i| op_time(fc3_times, t0, i + 1))
         .collect();
-    assert_eq!(done_at.len(), inferences, "missing inference completions");
+    assert!(
+        done_at.windows(2).all(|w| w[0] < w[1]),
+        "inference completions out of order"
+    );
+
+    // Each node's split over the steady-state middle half of the run.
+    let window = inferences / 4..inferences - inferences / 4;
+    let uc_calls = uc_calls(&cluster, nodes, &cclo_cfg);
+    let split = (0..nodes)
+        .map(|node| {
+            node_split(
+                cluster.kernel(kernels[node]).op_times(),
+                t0,
+                &shapes[node],
+                window.clone(),
+                uc_calls.as_ref().map(|calls| &calls[node][..]),
+            )
+        })
+        .collect();
     (
         PipelineResult {
             done_at,
             verified_messages: verified,
+            split,
         },
         cluster,
     )
+}
+
+/// The node programs of one run, with the op indices its results are
+/// read from.
+struct Programs {
+    /// One kernel program per node.
+    ops: Vec<Vec<KernelOp>>,
+    /// The kinds of one inference's ops, per node: every inference's ops
+    /// have the same shape, so inference k's op `j` is op
+    /// `k * shape.len() + j` of the program.
+    shapes: Vec<Vec<OpKind>>,
+    /// Op index of each inference's FC3 `Compute`: its expiry completes
+    /// the inference.
+    fc3_computes: Vec<usize>,
+}
+
+/// Builds the Fig. 15 mapping's kernel programs for `traces`, one
+/// inference after another.
+#[allow(clippy::needless_range_loop)] // node indices address several parallel arrays
+fn node_programs(cfg: &DlrmConfig, timing: DlrmTiming, traces: &[PipelineTrace]) -> Programs {
+    let cols = cfg.fc1_col_groups;
+    let nodes = 2 * cols + 2;
+    let fc2_node = 2 * cols; // node 8
+    let fc3_node = 2 * cols + 1; // node 9
+    let slice_elems = cfg.concat_len() / cols;
+    let part_elems = cfg.fc_dims[0] / 2;
+    let full_elems = cfg.fc_dims[0];
+    let fc2_elems = cfg.fc_dims[1];
+    let inferences = traces.len();
+
+    let send = |to: usize, elems: usize, t: u64| {
+        KernelOp::Issue(
+            CollSpec::new(CollOp::Send, elems as u64, DType::Fx32)
+                .root(to as u32)
+                .tag(t),
+        )
+    };
+    let recv = |from: usize, elems: usize, t: u64| {
+        KernelOp::Issue(
+            CollSpec::new(CollOp::Recv, elems as u64, DType::Fx32)
+                .root(from as u32)
+                .tag(t),
+        )
+    };
+    let push = |v: &[i32]| KernelOp::Push(Bytes::from(fx::to_bytes(v)));
+
+    // Every receiving node is a streaming kernel: it issues all of one
+    // inference's receives up front and consumes each operand with a
+    // cumulative `Expect` as it streams in, so the engine queues the next
+    // receive while the kernel computes. Programs finalize only at the end.
+    let mut programs: Vec<Vec<KernelOp>> = vec![Vec::new(); nodes];
+    let mut fc3_computes = Vec::with_capacity(inferences);
+    // Stream-out bytes each node has consumed so far.
+    let mut consumed = vec![0u64; nodes];
+    for tr in traces {
+        // Embedding nodes 0..cols.
+        for c in 0..cols {
+            let p = &mut programs[c];
+            let partner = cols + c;
+            p.push(KernelOp::Compute(timing.lookups(cfg.tables / cols)));
+            p.push(send(partner, slice_elems, tag::X));
+            p.push(push(&tr.embed_slices[c]));
+            p.push(KernelOp::Compute(timing.gemv(part_elems, slice_elems)));
+            p.push(send(partner, part_elems, tag::PA));
+            p.push(push(&tr.fc1_partials[0][c]));
+        }
+        // Combine nodes cols..2*cols.
+        for c in 0..cols {
+            let node = cols + c;
+            let p = &mut programs[node];
+            let mut expect = |elems: usize| {
+                consumed[node] += 4 * elems as u64;
+                KernelOp::Expect(consumed[node])
+            };
+            p.push(recv(c, slice_elems, tag::X));
+            p.push(recv(c, part_elems, tag::PA));
+            if c > 0 {
+                p.push(recv(node - 1, full_elems, tag::CHAIN));
+            }
+            p.push(expect(slice_elems));
+            p.push(KernelOp::Compute(timing.gemv(part_elems, slice_elems)));
+            p.push(expect(part_elems));
+            if c > 0 {
+                p.push(expect(full_elems));
+                p.push(KernelOp::Compute(timing.vec_add(full_elems)));
+            }
+            let next = if c + 1 < cols { node + 1 } else { fc2_node };
+            p.push(send(next, full_elems, tag::CHAIN));
+            p.push(push(&tr.chain[c]));
+        }
+        // FC2 node.
+        {
+            let p = &mut programs[fc2_node];
+            consumed[fc2_node] += 4 * full_elems as u64;
+            p.push(recv(2 * cols - 1, full_elems, tag::CHAIN));
+            p.push(KernelOp::Expect(consumed[fc2_node]));
+            p.push(KernelOp::Compute(timing.gemv(fc2_elems, full_elems)));
+            p.push(send(fc3_node, fc2_elems, tag::FC2));
+            p.push(push(&tr.fc2_out));
+        }
+        // FC3 node.
+        {
+            let p = &mut programs[fc3_node];
+            consumed[fc3_node] += 4 * fc2_elems as u64;
+            p.push(recv(fc2_node, fc2_elems, tag::FC2));
+            p.push(KernelOp::Expect(consumed[fc3_node]));
+            fc3_computes.push(p.len());
+            p.push(KernelOp::Compute(timing.gemv(cfg.fc_dims[2], fc2_elems)));
+        }
+    }
+    let shapes: Vec<Vec<OpKind>> = programs
+        .iter()
+        .map(|p| {
+            let per = p.len() / inferences.max(1);
+            assert_eq!(per * inferences, p.len(), "inferences differ in shape");
+            p[..per].iter().map(OpKind::of).collect()
+        })
+        .collect();
+    for p in &mut programs {
+        p.push(KernelOp::Finalize);
+    }
+    Programs {
+        ops: programs,
+        shapes,
+        fc3_computes,
+    }
+}
+
+/// When op `i` of a kernel program starts: the completion of op `i - 1`,
+/// or the program start `t0` for the first op. `times` are the kernel's
+/// `(op index, completion)` pairs.
+fn op_time(times: &[(usize, Time)], t0: Time, i: usize) -> Time {
+    match i.checked_sub(1) {
+        None => t0,
+        Some(prev) => {
+            let at = times
+                .binary_search_by_key(&prev, |&(idx, _)| idx)
+                .unwrap_or_else(|_| panic!("kernel op {prev} never completed"));
+            times[at].1
+        }
+    }
+}
+
+/// What a kernel op does with the kernel's time.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum OpKind {
+    /// `Compute`: busy.
+    Compute,
+    /// `Issue`: no kernel time, one engine call.
+    Issue,
+    /// `Expect` or `Finalize` wait; `Push` takes no kernel time.
+    Wait,
+}
+
+impl OpKind {
+    fn of(op: &KernelOp) -> OpKind {
+        match op {
+            KernelOp::Compute(_) => OpKind::Compute,
+            KernelOp::Issue(_) => OpKind::Issue,
+            KernelOp::Push(_) | KernelOp::Expect(_) | KernelOp::Finalize => OpKind::Wait,
+        }
+    }
+}
+
+/// One node's [`NodeSplit`] over the inferences `window`, from its kernel's
+/// op timeline and the `shape` of one inference's ops. A kernel runs one
+/// op at a time, so each op's time since the previous op's completion is
+/// either compute or a wait. The node's uC ran the calls those ops
+/// issued, in issue order.
+fn node_split(
+    times: &[(usize, Time)],
+    t0: Time,
+    shape: &[OpKind],
+    window: std::ops::Range<usize>,
+    uc_calls: Option<&[UcCall]>,
+) -> NodeSplit {
+    let n = shape.len();
+    let (mut compute, mut wait) = (Dur::ZERO, Dur::ZERO);
+    for i in window.start * n..window.end * n {
+        let spent = op_time(times, t0, i + 1).since(op_time(times, t0, i));
+        if shape[i % n] == OpKind::Compute {
+            compute += spent;
+        } else {
+            wait += spent;
+        }
+    }
+    let per = |d: Dur| d.as_us_f64() / window.len().max(1) as f64;
+    let issues = shape.iter().filter(|&&k| k == OpKind::Issue).count();
+    NodeSplit {
+        compute_us: per(compute),
+        wait_us: per(wait),
+        uc: uc_calls.map(|calls| {
+            let calls = &calls[window.start * issues..window.end * issues];
+            let sum = |f: fn(&UcCall) -> Dur| per(calls.iter().fold(Dur::ZERO, |s, c| s + f(c)));
+            UcSplit {
+                calls_us: sum(|c| c.end.since(c.begin)),
+                rx_wait_us: sum(|c| c.rx_wait),
+            }
+        }),
+    }
+}
+
+/// One `uc.call` span.
+struct UcCall {
+    begin: Time,
+    end: Time,
+    /// Time the call's receives spent waiting for their messages to
+    /// arrive.
+    rx_wait: Dur,
+}
+
+/// Each node's `uc.call` spans in call order, when the run recorded
+/// spans. A receive's `dmp.instr` queries the RBM one decode after it
+/// starts, and the RBM begins its `rbm.msg` readout one poll quantum
+/// after the later of the query and the message's arrival, so any excess
+/// of the readout's start over that is the wait for the message.
+fn uc_calls(cluster: &AcclCluster, nodes: usize, cfg: &CcloConfig) -> Option<Vec<Vec<UcCall>>> {
+    if !cluster.sim.spans_enabled() {
+        return None;
+    }
+    assert_eq!(cluster.sim.spans_dropped(), 0, "span ring overflowed");
+    let engine_latency = cfg.cycles(cfg.dmp_instr_cycles) + cfg.cycles(cfg.rbm_poll_cycles);
+    let node_of: BTreeMap<ComponentId, usize> =
+        (0..nodes).map(|i| (cluster.node(i).cclo.uc, i)).collect();
+    // Open calls by span id, and each `dmp.instr`'s start and call.
+    let mut open: BTreeMap<SpanId, (usize, UcCall)> = BTreeMap::new();
+    let mut instrs: BTreeMap<SpanId, (Time, SpanId)> = BTreeMap::new();
+    let mut calls: Vec<Vec<UcCall>> = (0..nodes).map(|_| Vec::new()).collect();
+    for e in cluster.sim.span_events() {
+        match (e.kind, e.name) {
+            (SpanEventKind::Begin, "uc.call") => {
+                let node = node_of[&e.comp];
+                let call = UcCall {
+                    begin: e.time,
+                    end: e.time,
+                    rx_wait: Dur::ZERO,
+                };
+                open.insert(e.id, (node, call));
+            }
+            (SpanEventKind::Begin, "dmp.instr") => {
+                instrs.insert(e.id, (e.time, e.parent));
+            }
+            (SpanEventKind::Begin, "rbm.msg") => {
+                if let Some(&(start, call)) = instrs.get(&e.parent) {
+                    if let Some((_, c)) = open.get_mut(&call) {
+                        c.rx_wait += e.time.since(start + engine_latency);
+                    }
+                }
+            }
+            (SpanEventKind::End, _) => {
+                if let Some((node, mut call)) = open.remove(&e.id) {
+                    call.end = e.time;
+                    calls[node].push(call);
+                }
+            }
+            _ => {}
+        }
+    }
+    Some(calls)
 }
 
 /// Whether `msg` is `v` serialized as [`fx::to_bytes`] would, compared in
@@ -335,6 +575,31 @@ mod tests {
         assert!(r.done_at.windows(2).all(|w| w[0] < w[1]));
         // x, pa per inference on 4 nodes + chain on 3 + fc1/fc2 hops.
         assert!(r.verified_messages >= 3 * (2 * 4 + 3 + 2));
+    }
+
+    #[test]
+    fn completions_are_the_fc3_compute_expiries() {
+        let m = small_model();
+        let n = 5;
+        let (r, cluster) =
+            run_pipeline_observed(&m, DlrmTiming::default(), n, 1, &PipelineObserve::default());
+        assert_eq!(r.done_at.len(), n, "one completion per inference");
+        assert!(r.done_at.windows(2).all(|w| w[0] < w[1]), "monotone");
+        // The FC3 node's program, rebuilt, and its kernel's op timeline.
+        let fc3 = 2 * m.cfg.fc1_col_groups + 1;
+        let programs = node_programs(&m.cfg, DlrmTiming::default(), &m.pipeline_traces(n));
+        let kernel = (0..cluster.sim.component_count())
+            .map(ComponentId::from_index)
+            .find(|&id| cluster.sim.name(id).starts_with(&format!("n{fc3}.kernel.")))
+            .expect("the FC3 node runs a kernel");
+        let compute_ends: Vec<Time> = cluster
+            .kernel(kernel)
+            .op_times()
+            .iter()
+            .filter(|&&(i, _)| matches!(programs.ops[fc3][i], KernelOp::Compute(_)))
+            .map(|&(_, t)| t)
+            .collect();
+        assert_eq!(r.done_at, compute_ends);
     }
 
     #[test]

@@ -282,13 +282,20 @@ impl MemoryBus {
         }
     }
 
-    /// Records the TLB counter deltas since `before` into the stats
-    /// registry, so hit rates aggregate across requests and nodes.
+    /// Records the nonzero TLB counter deltas since `before` into the
+    /// stats registry, so hit rates aggregate across requests and nodes.
+    /// A counter no request moved stays unwritten (it reads as zero).
     fn record_tlb_delta(&self, ctx: &mut Ctx<'_>, before: Option<(u64, u64, u64)>) {
         if let (Some((h0, m0, f0)), Some((h1, m1, f1))) = (before, self.tlb_counters()) {
-            ctx.stats().add(&TLB_HITS, h1 - h0);
-            ctx.stats().add(&TLB_MISSES, m1 - m0);
-            ctx.stats().add(&TLB_FAULTS, f1 - f0);
+            for (m, delta) in [
+                (&TLB_HITS, h1 - h0),
+                (&TLB_MISSES, m1 - m0),
+                (&TLB_FAULTS, f1 - f0),
+            ] {
+                if delta > 0 {
+                    ctx.stats().add(m, delta);
+                }
+            }
         }
     }
 }

@@ -63,10 +63,14 @@ fn main() {
             cpu.throughput(&cfg, batch)
         );
     }
-    let best_cpu = cpu.throughput(&cfg, 256);
+    let tput_ratio = result.throughput() / cpu.best_throughput(&cfg);
     println!(
         "\nhardware advantage: {:.0}x lower latency (vs batch=1), {:.1}x higher throughput",
         cpu.batch_latency_s(&cfg, 1) * 1e6 / result.latency_us(),
-        result.throughput() / best_cpu
+        tput_ratio
+    );
+    assert!(
+        tput_ratio > 10.0,
+        "the streaming pipeline must out-run the best CPU batch by an order of magnitude"
     );
 }
