@@ -111,6 +111,9 @@ pub fn vec_add(acc: &mut [f32], v: &[f32]) {
 pub mod fx {
     use std::ops::Range;
 
+    #[cfg(target_arch = "x86_64")]
+    pub use crate::split16::Simd;
+
     /// A row-major Q16.16 matrix.
     #[derive(Debug, Clone, PartialEq, Eq)]
     pub struct MatFx {
@@ -176,11 +179,12 @@ pub mod fx {
         ///
         /// On x86_64 the per-element arithmetic is not `gemv`'s: each input
         /// is split into 16-bit halves and the products are summed in i32
-        /// SSE2 lanes. The split makes every truncated product exact, and a
-        /// per-(row, vector) guard on the weight and input magnitudes
-        /// proves that no lane can wrap, so the sum is the same integer
-        /// `gemv` computes in i64 (see `split16.rs`). Pairs outside the
-        /// guard, and other targets, run `gemv`'s scalar loop.
+        /// SIMD lanes, on the widest `Simd` set the CPU has. The split
+        /// makes every truncated product exact, and a per-(row, vector)
+        /// guard on the weight and input magnitudes proves that no lane can
+        /// wrap, so the sum is the same integer `gemv` computes in i64 (see
+        /// `split16.rs`). Pairs outside the guard, and other targets, run
+        /// `gemv`'s scalar loop.
         ///
         /// # Panics
         ///
@@ -190,6 +194,49 @@ pub mod fx {
             &self,
             rows: Range<usize>,
             cols: Range<usize>,
+            xs: &[X],
+        ) -> Vec<Vec<i32>> {
+            #[cfg(target_arch = "x86_64")]
+            let ys = self.gemv_block_on(Simd::detect(), rows, cols, xs);
+            #[cfg(not(target_arch = "x86_64"))]
+            let ys = {
+                let mut ys = self.block_outputs(&rows, &cols, xs);
+                for (r, row) in self.block_rows(rows, cols).enumerate() {
+                    for (y, x) in ys.iter_mut().zip(xs) {
+                        y[r] = dot(row, x.as_ref());
+                    }
+                }
+                ys
+            };
+            ys
+        }
+
+        /// [`MatFx::gemv_block`] on the instruction set `simd` rather than
+        /// the widest one the CPU has; the result is the same.
+        ///
+        /// # Panics
+        ///
+        /// As `gemv_block`, and if the CPU lacks `simd`.
+        #[cfg(target_arch = "x86_64")]
+        pub fn gemv_block_on<X: AsRef<[i32]>>(
+            &self,
+            simd: Simd,
+            rows: Range<usize>,
+            cols: Range<usize>,
+            xs: &[X],
+        ) -> Vec<Vec<i32>> {
+            let mut ys = self.block_outputs(&rows, &cols, xs);
+            let n = cols.len();
+            crate::split16::gemv_rows(simd, self.block_rows(rows, cols), n, xs, &mut ys);
+            ys
+        }
+
+        /// Zeroed outputs for the block `[rows, cols]` and the batch `xs`,
+        /// after checking both.
+        fn block_outputs<X: AsRef<[i32]>>(
+            &self,
+            rows: &Range<usize>,
+            cols: &Range<usize>,
             xs: &[X],
         ) -> Vec<Vec<i32>> {
             assert!(
@@ -203,22 +250,16 @@ pub mod fx {
             for x in xs {
                 assert_eq!(x.as_ref().len(), cols.len(), "gemv dimension mismatch");
             }
-            let mut ys = vec![Vec::with_capacity(rows.len()); xs.len()];
-            let block =
-                rows.map(|r| &self.data[r * self.cols + cols.start..r * self.cols + cols.end]);
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: SSE2 is part of the x86_64 baseline, so every x86_64
-            // CPU has the target feature the kernel is compiled for.
-            unsafe {
-                crate::split16::gemv_rows(block, cols.len(), xs, &mut ys);
-            }
-            #[cfg(not(target_arch = "x86_64"))]
-            for row in block {
-                for (y, x) in ys.iter_mut().zip(xs) {
-                    y.push(dot(row, x.as_ref()));
-                }
-            }
-            ys
+            vec![vec![0; rows.len()]; xs.len()]
+        }
+
+        /// The weights of each row of the block `[rows, cols]`.
+        fn block_rows(
+            &self,
+            rows: Range<usize>,
+            cols: Range<usize>,
+        ) -> impl Iterator<Item = &[i32]> {
+            rows.map(move |r| &self.data[r * self.cols + cols.start..r * self.cols + cols.end])
         }
     }
 

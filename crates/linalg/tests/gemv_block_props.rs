@@ -4,15 +4,22 @@
 //! whenever a guard on the weight and input magnitudes proves the lanes
 //! cannot wrap, and falls back to `gemv`'s scalar loop otherwise. Vectors
 //! whose high halves are all 0 sum their low products in i16 lanes first,
-//! for as many chunks as a per-(row, group) budget allows. These properties
-//! draw blocks and batches on both sides of the guard: DLRM-sized
-//! magnitudes (fast path), weights at `|a| = 2^15 - 1` (fast) and `2^15`
-//! (fallback), inputs at `i32::MIN` and `i32::MAX`, low halves with the sign
-//! bit set, widths with every `n % 8`, empty ranges, batch sizes 0, 1, 16 and
-//! 17, widths on either side of the guard's overflow edge, batches mixing
-//! zero-high and nonzero-high vectors, and widths at the i16 budget's edge.
+//! for as many chunks as a per-tile budget allows. The kernel runs in tiles
+//! of two weight rows by four vectors over panels of 16 KiB of narrowed
+//! weights (32 rows of 256 columns), on AVX2 when the CPU has it and on
+//! SSE2 otherwise; [`check`] runs the SSE2 body too on a CPU with AVX2. These properties draw blocks and batches on both
+//! sides of the guard: DLRM-sized magnitudes (fast path), weights at
+//! `|a| = 2^15 - 1` (fast) and `2^15` (fallback), inputs at `i32::MIN` and
+//! `i32::MAX`, low halves with the sign bit set, widths with every `n % 8`
+//! and `n % 16`, empty ranges, batch sizes 0 to 7, 16 and 17, widths on
+//! either side of the guard's overflow edge, batches mixing zero-high and
+//! nonzero-high vectors, widths at the i16 budget's edge, row counts on
+//! both sides of a panel edge, fallback rows inside a panel, and tiles
+//! whose two rows have different budgets.
 
 use accl_linalg::fx::MatFx;
+#[cfg(target_arch = "x86_64")]
+use accl_linalg::fx::Simd;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -28,18 +35,29 @@ fn copy_block(a: &MatFx, rows: std::ops::Range<usize>, cols: std::ops::Range<usi
     }
 }
 
-/// Asserts `gemv_block` equals `gemv` on the copied block for every vector.
+/// Asserts `gemv_block` equals `gemv` on the copied block for every vector;
+/// on x86_64 with AVX2, so does `gemv_block_on` SSE2.
 fn check(a: &MatFx, rows: std::ops::Range<usize>, cols: std::ops::Range<usize>, xs: &[Vec<i32>]) {
     let copy = copy_block(a, rows.clone(), cols.clone());
-    let ys = a.gemv_block(rows.clone(), cols.clone(), xs);
-    assert_eq!(ys.len(), xs.len());
-    for (b, (y, x)) in ys.iter().zip(xs).enumerate() {
-        assert_eq!(
-            *y,
-            copy.gemv(x),
-            "vector {b} of {}, rows {rows:?}, cols {cols:?}",
-            xs.len()
-        );
+    #[allow(unused_mut)] // only x86_64 adds a second run
+    let mut runs = vec![("detected", a.gemv_block(rows.clone(), cols.clone(), xs))];
+    #[cfg(target_arch = "x86_64")]
+    if Simd::detect() != Simd::Sse2 {
+        runs.push((
+            "SSE2",
+            a.gemv_block_on(Simd::Sse2, rows.clone(), cols.clone(), xs),
+        ));
+    }
+    for (set, ys) in runs {
+        assert_eq!(ys.len(), xs.len());
+        for (b, (y, x)) in ys.iter().zip(xs).enumerate() {
+            assert_eq!(
+                *y,
+                copy.gemv(x),
+                "{set}: vector {b} of {}, rows {rows:?}, cols {cols:?}",
+                xs.len()
+            );
+        }
     }
 }
 
@@ -228,16 +246,18 @@ fn zero_high_and_nonzero_high_vectors_in_one_batch() {
 }
 
 /// Zero-high vectors sum `floor(a·ls / 2^16)` in i16 lanes for up to `K =
-/// 32767 / ((A·L >> 16) + 1)` chunks of eight columns before widening, where
-/// `A` is the row's largest `|a|` and `L` the group's largest `|ls|`. Here
+/// 32767 / ((A·L >> 16) + 1)` chunks (registers of 8 columns on SSE2, 16 on
+/// AVX2) before widening, where `A` is the tile's largest `|a|` and `L` the
+/// group's largest `|ls|`. Here
 /// every product of the first row sits at the negative extreme `-((A·L >>
 /// 16) + 1)` (`A·L` is not a multiple of 2^16), so a lane that summed more
 /// chunks than the budget, or a budget without the `+ 1`, could wrap. The
 /// largest `|ls|` belongs to the fourth vector of a group of four, and
 /// widths run at `K - 1`, `K` and `K + 1` chunks and past `2K` (not under
-/// Miri).
+/// Miri), for chunks of both widths (only 8 under Miri, which has no AVX2).
 #[test]
 fn widths_at_the_lane_budget_edge() {
+    let widths: &[usize] = if cfg!(miri) { &[8] } else { &[8, 16] };
     // (A, L, K): FC1's magnitudes, a middling pair, and K = 1.
     for (max_a, l, k) in [
         (3_277, 3_277, 199),
@@ -250,8 +270,11 @@ fn widths_at_the_lane_budget_edge() {
         // `a·ls < 0` for every product of row 0, `> 0` for row 1.
         let a = if l > 0 { -max_a } else { max_a };
         let past = if cfg!(miri) { k + 1 } else { 2 * k + 1 };
-        for chunks in [k - 1, k, k + 1, past] {
-            let n = 8 * chunks as usize;
+        for (chunks, &lanes) in [k - 1, k, k + 1, past]
+            .into_iter()
+            .flat_map(|c| widths.iter().map(move |w| (c, w)))
+        {
+            let n = lanes * chunks as usize;
             let m = MatFx {
                 rows: 2,
                 cols: n,
@@ -260,5 +283,159 @@ fn widths_at_the_lane_budget_edge() {
             let xs = [vec![1; n], vec![-1; n], vec![7; n], vec![l; n], vec![l; n]];
             check(&m, 0..2, 0..n, &xs);
         }
+    }
+}
+
+/// `rows × cols` weights at DLRM's magnitudes.
+fn dlrm_weights(rng: &mut StdRng, rows: usize, cols: usize) -> MatFx {
+    MatFx {
+        rows,
+        cols,
+        data: (0..rows * cols).map(|_| weight(rng, 0)).collect(),
+    }
+}
+
+/// Odd row counts end in a one-row tile, and at 256 columns (a 32-row
+/// panel) 31 to 33 and 63 to 65 rows sit on both sides of a panel edge. Batches of 1 to 7 vectors give
+/// every partial group of four, once with only zero-high vectors and once
+/// with zero-high, nonzero-high and scalar (`hr = 2^15`) ones mixed.
+#[test]
+fn row_counts_around_the_panel_edge_and_partial_groups() {
+    let mut rng = StdRng::seed_from_u64(32);
+    let row_counts: &[usize] = if cfg!(miri) {
+        &[1, 3, 33]
+    } else {
+        &[1, 2, 3, 5, 31, 32, 33, 63, 64, 65]
+    };
+    for &rows in row_counts {
+        let n = 256;
+        let a = dlrm_weights(&mut rng, rows + 1, n + 2);
+        for mixed in [false, true] {
+            for batch in 1..=7 {
+                let xs: Vec<Vec<i32>> = (0..batch)
+                    .map(|b| {
+                        let kind = if mixed { [0, 1, 0, 0, 1, 2, 0][b] } else { 0 };
+                        vector_of_kind(&mut rng, kind, n)
+                    })
+                    .collect();
+                check(&a, 1..1 + rows, 2..2 + n, &xs);
+            }
+        }
+    }
+}
+
+/// Rows with some `|a| >= 2^15` take the scalar loop for every vector, and
+/// the narrowed rows around them still pair into tiles: fallback rows at
+/// odd and even positions, in both panels of a 40-row block of 256
+/// columns (32-row panels), and the same block shifted by one row.
+#[test]
+fn fallback_rows_inside_a_panel() {
+    let mut rng = StdRng::seed_from_u64(15);
+    let (rows, n) = (40, 256);
+    let mut a = dlrm_weights(&mut rng, rows, n);
+    for (r, c) in [(0, 3), (5, 0), (6, 255), (17, 11), (33, 7)] {
+        a.data[r * n + c] = [32_768, -32_768, i32::MAX][r % 3];
+    }
+    let xs: Vec<Vec<i32>> = (0..6).map(|b| vector_of_kind(&mut rng, b % 2, n)).collect();
+    check(&a, 0..rows, 0..n, &xs);
+    check(&a, 1..rows, 0..n, &xs);
+}
+
+/// A tile widens both of its rows every `min(K_row0, K_row1)` chunks. One
+/// row here has `A = 1` (a budget of 32767 chunks), the other `A = 2^15 - 1`
+/// against `ls = -2^15`, where every product is `-2^14` and `K = 1`: a tile
+/// on the first row's budget would wrap the second row's i16 lanes from
+/// the third chunk on. Both row orders, 1 to 5 chunks of either width.
+#[test]
+fn tile_rows_with_different_lane_budgets() {
+    let widths: &[usize] = if cfg!(miri) { &[8] } else { &[8, 16] };
+    for &lanes in widths {
+        for chunks in 1..=5 {
+            let n = lanes * chunks;
+            let (small, large) = (vec![1; n], vec![32_767; n]);
+            for data in [
+                [small.clone(), large.clone()].concat(),
+                [large, small].concat(),
+            ] {
+                let m = MatFx {
+                    rows: 2,
+                    cols: n,
+                    data,
+                };
+                check(&m, 0..2, 0..n, &vec![vec![-32_768; n]; 4]);
+            }
+        }
+    }
+}
+
+/// The guard checks a tile's vectors against its larger `|a|`. The row
+/// with `|a| = 1` would admit these vectors at every width here; the row
+/// with `|a| = 2^15 - 1` admits them only up to the guard's edge, past
+/// which both rows take the scalar loop and the second row's sum
+/// saturates.
+#[test]
+fn tile_guard_uses_the_larger_weight() {
+    let h = 64;
+    let edge = ((1i64 << 31) - 1) / (32_767 * h + (1 << 14));
+    for n in [edge, edge + 1, edge + 9] {
+        let n = n as usize;
+        let (small, large) = (vec![1; n], vec![32_767; n]);
+        let x = ((h as i32) << 16) | 0x7fff;
+        for data in [
+            [small.clone(), large.clone()].concat(),
+            [large, small].concat(),
+        ] {
+            let m = MatFx {
+                rows: 2,
+                cols: n,
+                data,
+            };
+            check(&m, 0..2, 0..n, &[vec![x; n], vec![-x; n]]);
+        }
+    }
+}
+
+/// Widths of whole 8-column chunks, odd and even in number (an odd count
+/// leaves the last 256-bit register half padding), one column either side,
+/// and `n = 0`, over 33 rows (an odd count, so the last tile has one row).
+#[test]
+fn odd_and_even_chunk_counts() {
+    let mut rng = StdRng::seed_from_u64(16);
+    let max_chunks: usize = if cfg!(miri) { 3 } else { 7 };
+    for chunks in 0..=max_chunks {
+        for n in [8 * chunks, 8 * chunks + 1, (8 * chunks).saturating_sub(1)] {
+            let a = dlrm_weights(&mut rng, 33, n);
+            for kind in [0, 1] {
+                let xs: Vec<Vec<i32>> = (0..5).map(|_| vector_of_kind(&mut rng, kind, n)).collect();
+                check(&a, 0..33, 0..n, &xs);
+            }
+        }
+    }
+    let zero = MatFx {
+        rows: 33,
+        cols: 0,
+        data: Vec::new(),
+    };
+    let xs = vec![Vec::new(); 5];
+    assert_eq!(zero.gemv_block(0..33, 0..0, &xs), vec![vec![0; 33]; 5]);
+}
+
+/// The AVX2 body called directly, on a CPU that has it: DLRM-sized blocks
+/// with zero-high and nonzero-high vectors, across a panel edge.
+#[cfg(target_arch = "x86_64")]
+#[test]
+fn avx2_body_equals_gemv() {
+    if !Simd::Avx2.available() {
+        return;
+    }
+    let mut rng = StdRng::seed_from_u64(256);
+    let a = dlrm_weights(&mut rng, 37, 203);
+    let xs: Vec<Vec<i32>> = (0..11)
+        .map(|b| vector_of_kind(&mut rng, b % 3, 200))
+        .collect();
+    let copy = copy_block(&a, 1..36, 3..203);
+    let ys = a.gemv_block_on(Simd::Avx2, 1..36, 3..203, &xs);
+    for (y, x) in ys.iter().zip(&xs) {
+        assert_eq!(*y, copy.gemv(x));
     }
 }
