@@ -175,7 +175,16 @@ impl Uc {
         reliable: bool,
         scratch_mem: MemAddr,
     ) -> Self {
-        let detector = Self::build_detector(&cfg);
+        let detector = cfg.adaptive_watchdog.map(|a| {
+            FailureDetector::new(DetectorCfg {
+                min_samples: a.min_samples as usize,
+                suspect_phi_milli: a.suspect_phi_milli,
+                confirm_phi_milli: a.confirm_phi_milli,
+                jitter_floor: Dur::from_us(a.jitter_floor_us),
+                floor: Dur::from_us(a.floor_us),
+                cap: Dur::from_us(a.cap_us),
+            })
+        });
         Uc {
             cfg,
             firmware,
@@ -272,26 +281,6 @@ impl Uc {
         if let Some(det) = &mut self.detector {
             det.reset_peer(peer);
         }
-    }
-
-    /// Forgets ALL inter-arrival history. Called when a node that stayed
-    /// up (a partition's minority side) rejoins: every cadence it learned
-    /// spans the cut.
-    pub fn reset_all_history(&mut self) {
-        self.detector = Self::build_detector(&self.cfg);
-    }
-
-    fn build_detector(cfg: &CcloConfig) -> Option<FailureDetector> {
-        cfg.adaptive_watchdog.map(|a| {
-            FailureDetector::new(DetectorCfg {
-                min_samples: a.min_samples as usize,
-                suspect_phi_milli: a.suspect_phi_milli,
-                confirm_phi_milli: a.confirm_phi_milli,
-                jitter_floor: Dur::from_us(a.jitter_floor_us),
-                floor: Dur::from_us(a.floor_us),
-                cap: Dur::from_us(a.cap_us),
-            })
-        })
     }
 
     fn comm(&self, id: u32) -> &CommunicatorCfg {

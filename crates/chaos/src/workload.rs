@@ -26,6 +26,7 @@ use accl_core::{
     HostOp, RetryPolicy, Transport,
 };
 use accl_net::{FaultEvent, FaultPlan};
+use accl_sim::time::Time;
 
 /// Watchdog window for chaos runs, µs. Comfortably above the worst
 /// transient-recovery latency at the default profile (flaps ≤ 120 µs,
@@ -166,7 +167,7 @@ pub struct RunReport {
     pub frames_dropped: u64,
     /// Corrupted frames discarded at POE RX, summed over nodes.
     pub corrupted_drops: u64,
-    /// Driver retries, summed over ranks.
+    /// Driver retries in the faulted run, summed over ranks.
     pub retries: u64,
 }
 
@@ -306,8 +307,16 @@ pub fn run(spec: &WorkloadSpec, plan: FaultPlan) -> RunReport {
             "{corrupted_drops} corrupted-frame discards under a corruption-free plan"
         )));
     }
+    // Read before recovery: readmission reboots a node's driver.
+    let retries = (0..spec.nodes)
+        .map(|i| {
+            c.sim
+                .component::<HostDriver>(c.node(i).driver)
+                .retries_attempted()
+        })
+        .sum();
     if spec.membership && violation.is_none() {
-        violation = run_recovery(&mut c, spec, &event_list, &expected);
+        violation = run_recovery(&mut c, spec, &expected);
     }
 
     RunReport {
@@ -316,13 +325,7 @@ pub fn run(spec: &WorkloadSpec, plan: FaultPlan) -> RunReport {
         events_executed: c.sim.events_executed(),
         frames_dropped: c.network().frames_dropped(&c.sim),
         corrupted_drops,
-        retries: (0..spec.nodes)
-            .map(|i| {
-                c.sim
-                    .component::<HostDriver>(c.node(i).driver)
-                    .retries_attempted()
-            })
-            .sum(),
+        retries,
     }
 }
 
@@ -333,48 +336,29 @@ pub fn run(spec: &WorkloadSpec, plan: FaultPlan) -> RunReport {
 /// `Communicator::expand` with their original numbering — must complete
 /// with golden data on every rank. Anything less is a violation: the
 /// cluster did not heal itself.
-fn run_recovery(
-    c: &mut AcclCluster,
-    spec: &WorkloadSpec,
-    events: &[FaultEvent],
-    expected: &[u8],
-) -> Option<Violation> {
-    use std::collections::{BTreeMap, BTreeSet};
-    let mut crashes: BTreeMap<u32, accl_sim::time::Time> = BTreeMap::new();
-    let mut restarts: BTreeMap<u32, accl_sim::time::Time> = BTreeMap::new();
-    let mut masks: Vec<u64> = Vec::new();
-    for ev in events {
-        match *ev {
-            FaultEvent::Crash { node, at } => {
-                crashes.insert(node.0, at);
-            }
-            FaultEvent::Restart { node, at } => {
-                restarts.insert(node.0, at);
-            }
-            FaultEvent::Partition { mask, .. } => masks.push(mask),
-            _ => {}
-        }
-    }
-    if crashes.is_empty() && masks.is_empty() {
+fn run_recovery(c: &mut AcclCluster, spec: &WorkloadSpec, expected: &[u8]) -> Option<Violation> {
+    let plan = c.network().fault_plan(&c.sim);
+    let crashed: Vec<usize> = plan.node_down.keys().map(|a| a.index()).collect();
+    let masks: Vec<u64> = plan.partitions.iter().map(|p| p.mask).collect();
+    if crashed.is_empty() && masks.is_empty() {
         // Nothing severed membership: the normal invariants already ruled.
         return None;
     }
-    // Heal gate: a crash with no (valid) restart can never rejoin.
-    for (&node, &at) in &crashes {
-        match restarts.get(&node) {
-            Some(&r) if r > at => {}
-            _ => {
-                return Some(Violation::MembershipUnhealed(format!(
-                    "node {node} crashed at {}ps and never restarts — rejoin impossible",
-                    at.as_ps()
-                )))
-            }
+    // Heal gate: a crash with no restart can never rejoin.
+    for (&node, sched) in &plan.node_down {
+        // Only the last window can be open: it runs to `Time::MAX`.
+        if let Some(&(at, _)) = sched.windows().last().filter(|w| w.1 == Time::MAX) {
+            return Some(Violation::MembershipUnhealed(format!(
+                "node {} crashed at {}ps and never restarts — rejoin impossible",
+                node.0,
+                at.as_ps()
+            )));
         }
     }
     let world = accl_core::Communicator::world(spec.nodes);
     // Who needs transport reinstatement: every restarted node, plus every
     // partition-minority member (its sessions across the cut died too).
-    let mut reinstate: BTreeSet<usize> = crashes.keys().map(|&n| n as usize).collect();
+    let mut reinstate: std::collections::BTreeSet<usize> = crashed.iter().copied().collect();
     for &mask in &masks {
         for n in 0..spec.nodes {
             if accl_core::resolve_partition(&world, n, mask) == Err(CclError::Partitioned) {
@@ -388,7 +372,6 @@ fn run_recovery(
     // Readmit at the communicator layer: shrink past the crashed nodes,
     // expand them back in — deterministic renumbering restores the world
     // order exactly, so the golden result is unchanged.
-    let crashed: Vec<usize> = crashes.keys().map(|&n| n as usize).collect();
     let survivors = match world.shrink(1, &crashed) {
         Ok(s) => s,
         Err(e) => return Some(Violation::MembershipUnhealed(format!("shrink failed: {e}"))),

@@ -230,12 +230,8 @@ pub struct AcclCluster {
     nodes: Vec<NodeHandles>,
     spaces: Vec<NodeSpaces>,
     comms: BTreeMap<u32, Communicator>,
-    /// Partition windows scheduled on the fabric (for post-run verdicts).
-    partitions_seen: Vec<accl_net::Partition>,
     /// Membership transitions observed by the harness, in schedule order.
     membership_log: Vec<(Time, MembershipEvent)>,
-    /// Per node: when its current life ends, once a crash is scheduled.
-    crashes: Vec<Option<Time>>,
     /// Settings applied to every node, replayed on a node that reboots.
     settings: Vec<Box<Setting>>,
 }
@@ -261,12 +257,10 @@ impl AcclCluster {
         AcclCluster {
             sim,
             spaces: (0..cfg.nodes).map(|_| NodeSpaces::new()).collect(),
-            crashes: vec![None; cfg.nodes],
             cfg,
             net,
             nodes,
             comms,
-            partitions_seen: Vec::new(),
             membership_log: Vec::new(),
             settings: Vec::new(),
         }
@@ -297,13 +291,16 @@ impl AcclCluster {
         &self.nodes[i]
     }
 
-    /// Schedules a fail-stop crash of node `i` at simulated time `at`:
-    /// from then on the fabric blackholes every frame to or from it, and
-    /// the node runs nothing until [`AcclCluster::reinstate_node`]
-    /// reboots it. Composes with any faults already scheduled.
+    /// Schedules a fail-stop crash of node `i` at simulated time `at`: it
+    /// opens a down window in which the fabric blackholes every frame to or
+    /// from the node, and the node runs nothing until
+    /// [`AcclCluster::reinstate_node`] reboots it. A crash while the node is
+    /// down changes nothing. Composes with any faults already scheduled.
     pub fn crash_node(&mut self, i: usize, at: Time) {
         self.net.crash_node(&mut self.sim, i, at);
-        self.schedule_crash(i, at);
+        if self.down_windows(i).iter().any(|&(from, _)| from == at) {
+            self.stop_node(i, at);
+        }
     }
 
     /// Schedules a `[from, until)` outage of node `i`'s link, composing
@@ -313,14 +310,23 @@ impl AcclCluster {
     }
 
     /// Schedules a *restart* of crashed node `i` at `at`: the fabric
-    /// closes its crash window and every survivor's POE fences the old
-    /// incarnation's in-flight frames. The node stays down until
+    /// closes its open down window and every survivor's POE fences the
+    /// old incarnation's in-flight frames. The node stays down until
     /// [`AcclCluster::reinstate_node`] reboots it. Like the fabric,
-    /// ignores a restart with no earlier crash, or at or before it.
+    /// ignores a restart while the node is up, or at its crash instant.
     pub fn restart_node(&mut self, i: usize, at: Time) {
-        if self.net.restart_node(&mut self.sim, i, at) == Some(at) {
-            self.schedule_restart_effects(i, at);
+        self.net.restart_node(&mut self.sim, i, at);
+        if self.down_windows(i).iter().any(|&(_, until)| until == at) {
+            self.fence_node(i, at);
         }
+    }
+
+    /// Node `i`'s `[crash, restart)` down windows, in time order
+    /// (`Time::MAX` ends a crash with no restart).
+    fn down_windows(&self, i: usize) -> &[(Time, Time)] {
+        self.net
+            .fault_plan(&self.sim)
+            .node_windows(self.net.addr(i))
     }
 
     /// Schedules a `[from, until)` fabric partition along `mask` (bit
@@ -331,24 +337,24 @@ impl AcclCluster {
         self.record_partition(accl_net::Partition { mask, from, until });
     }
 
-    /// Suspends node `i`'s whole domain at `at`, unless an earlier crash
-    /// is already scheduled: every component `build` made for it and its
-    /// NIC. The procs of its runs join when they are spawned.
-    fn schedule_crash(&mut self, i: usize, at: Time) {
-        if i >= self.nodes.len() || self.crashes[i].is_some_and(|t| t <= at) {
-            return;
-        }
-        self.crashes[i] = Some(at);
+    /// Every component `build` made for node `i`, and its NIC.
+    fn domain(&self, i: usize) -> Vec<ComponentId> {
         let (n, c) = (&self.nodes[i], &self.nodes[i].cclo);
         let mut domain = vec![n.bus, n.poe, c.uc, c.dmp, c.rbm, c.txsys, c.rxsys, n.driver];
         domain.extend(n.fallback_poe.into_iter().chain(n.xdma));
         domain.push(self.net.port_id(i));
-        self.sim.suspend_at(at.max(self.sim.now()), domain);
+        domain
+    }
+
+    /// Suspends node `i`'s whole domain at `at`, the start of a down
+    /// window. The procs of its runs join when they are spawned.
+    fn stop_node(&mut self, i: usize, at: Time) {
+        self.sim.suspend_at(at.max(self.sim.now()), self.domain(i));
     }
 
     /// Adds `proc` as node `i`'s program for this run and starts it on
-    /// `start` now. It stops with the node's scheduled crash, at once if
-    /// the node is down.
+    /// `start` now. It stops with the node: at once if the node is down,
+    /// else at the next down window's start.
     fn spawn(
         &mut self,
         i: usize,
@@ -358,43 +364,48 @@ impl AcclCluster {
     ) -> ComponentId {
         let id = self.sim.add(name, proc);
         let now = self.sim.now();
-        if let Some(at) = self.crashes[i] {
-            self.sim.suspend_at(at.max(now), vec![id]);
+        let down = self.sim.suspended_since(self.nodes[i].driver).map(|_| now);
+        if let Some(at) =
+            down.or_else(|| self.down_windows(i).iter().map(|w| w.0).find(|&t| t >= now))
+        {
+            self.sim.suspend_at(at, vec![id]);
         }
         self.sim.post(Endpoint::new(id, start), now, ());
         id
     }
 
-    /// Runs the simulation until its queue drains.
-    fn run_to_drain(&mut self) -> Result<(), String> {
-        match self.sim.run() {
+    /// Whether a run drained cleanly.
+    fn drained(outcome: RunOutcome) -> Result<(), String> {
+        match outcome {
             RunOutcome::Drained => Ok(()),
             RunOutcome::Stalled(report) => Err(format!("simulation stalled: {report}")),
             other => Err(format!("simulation ended abnormally: {other:?}")),
         }
     }
 
-    /// Posts the non-fabric side of node `i` restarting at `at`: every
+    /// Node `i` restarts at `at`, the end of a down window: every
     /// survivor's POEs fence frames from its current incarnation.
-    fn schedule_restart_effects(&mut self, i: usize, at: Time) {
-        if i >= self.nodes.len() {
-            return;
-        }
-        let nic = self.sim.component::<NetPort>(self.net.port_id(i));
-        let fence = accl_poe::EpochFence {
-            src: self.net.addr(i),
-            min_epoch: nic.incarnation() + 1,
-        };
-        for (j, node) in self.nodes.iter().enumerate() {
-            if j != i {
-                for poe in std::iter::once(node.poe).chain(node.fallback_poe) {
-                    let rx = Endpoint::new(poe, poe_ports::NET_RX);
-                    self.sim.post(rx, at, fence);
-                }
-            }
+    fn fence_node(&mut self, i: usize, at: Time) {
+        for j in (0..self.nodes.len()).filter(|&j| j != i) {
+            self.post_fence(j, i, at);
         }
         self.membership_log
             .push((at, MembershipEvent::Restarted { node: i }));
+    }
+
+    /// Fences `peer`'s current incarnation at node `at_node`'s POEs at
+    /// `at`: they drop its frames from then on, and its partial messages.
+    fn post_fence(&mut self, at_node: usize, peer: usize, at: Time) {
+        let nic = self.sim.component::<NetPort>(self.net.port_id(peer));
+        let fence = accl_poe::EpochFence {
+            src: self.net.addr(peer),
+            min_epoch: nic.incarnation() + 1,
+        };
+        let node = &self.nodes[at_node];
+        for poe in std::iter::once(node.poe).chain(node.fallback_poe) {
+            self.sim
+                .post(Endpoint::new(poe, poe_ports::NET_RX), at, fence);
+        }
     }
 
     fn record_partition(&mut self, p: accl_net::Partition) {
@@ -402,7 +413,6 @@ impl AcclCluster {
             .push((p.from, MembershipEvent::Partitioned { mask: p.mask }));
         self.membership_log
             .push((p.until, MembershipEvent::Healed { mask: p.mask }));
-        self.partitions_seen.push(p);
     }
 
     /// Membership transitions observed so far, in schedule order:
@@ -412,59 +422,46 @@ impl AcclCluster {
         &self.membership_log
     }
 
-    /// Readmits a node at the transport layer. A crashed node reboots
-    /// first: `build`'s per-node code installs fresh components under the
-    /// same ids, its NIC takes the next incarnation, and the cluster's
-    /// settings are re-applied. Every peer's session (or queue pair) to
-    /// the node is reinstated, standby path included, and the peers'
-    /// adaptive detectors forget the node's cadence. A node that never
-    /// crashed (a partition's minority side) also reinstates its own
-    /// sessions and forgets all its history. Call between runs, after
-    /// the restart instant; then readmit the node at the communicator
-    /// layer with [`Communicator::expand`](crate::comm::Communicator::expand)
-    /// + [`AcclCluster::install_communicator`].
+    /// Readmits a node at the transport layer, always by rebooting it:
+    /// `build`'s per-node code installs fresh components under the same
+    /// ids, its NIC takes the next incarnation, and the cluster's
+    /// settings are re-applied. A node still up (a partition's minority
+    /// side) first leaves as a crashed node does: it stops now, and its
+    /// peers fence its incarnation. Every peer's session (or queue pair)
+    /// to the node is reinstated, standby path included, and the peers'
+    /// adaptive detectors forget the node's cadence. Call between runs,
+    /// after the restart instant; then readmit the node at the
+    /// communicator layer with
+    /// [`Communicator::expand`](crate::comm::Communicator::expand) +
+    /// [`AcclCluster::install_communicator`].
     pub fn reinstate_node(&mut self, node: usize) {
         assert!(node < self.nodes.len(), "node {node} out of range");
-        let rebooted = self.sim.suspended_since(self.nodes[node].driver).is_some();
-        if rebooted {
-            self.net.reboot_port(&mut self.sim, node);
-            self.nodes[node].install(&mut self.sim, &self.cfg, &self.net, node);
-            self.crashes[node] = None;
-            for setting in &self.settings {
-                setting(&mut self.sim, &self.nodes[node]);
-            }
-        }
-        for j in (0..self.nodes.len()).filter(|&j| j != node) {
-            self.reinstate_session(j, node);
-            if !rebooted {
-                self.reinstate_session(node, j);
-            }
-            self.uc_mut(j).reset_peer_history(node as u32);
-        }
-        if !rebooted {
-            self.uc_mut(node).reset_all_history();
-        }
         let now = self.sim.now();
+        if self.sim.suspended_since(self.nodes[node].driver).is_none() {
+            self.sim.suspend(&self.domain(node));
+            self.fence_node(node, now);
+        }
+        self.net.reboot_port(&mut self.sim, node);
+        self.nodes[node].install(&mut self.sim, &self.cfg, &self.net, node);
+        for setting in &self.settings {
+            setting(&mut self.sim, &self.nodes[node]);
+        }
+        let session = SessionId(node as u32);
+        for j in (0..self.nodes.len()).filter(|&j| j != node) {
+            let (poe, sim) = (self.nodes[j].poe, &mut self.sim);
+            match self.cfg.transport {
+                Transport::Udp => UdpPoe::reinstate_session(sim, poe, session),
+                Transport::Tcp => TcpPoe::reinstate_session(sim, poe, session),
+                Transport::Rdma => RdmaPoe::reinstate_qp(sim, poe, session),
+            }
+            if let Some(fb) = self.nodes[j].fallback_poe {
+                TcpPoe::reinstate_session(sim, fb, session);
+            }
+            sim.component_mut::<Uc>(self.nodes[j].cclo.uc)
+                .reset_peer_history(node as u32);
+        }
         self.membership_log
             .push((now, MembershipEvent::Rejoined { node }));
-    }
-
-    /// Reinstates node `a`'s transport session (or queue pair) to node
-    /// `b`, standby path included.
-    fn reinstate_session(&mut self, a: usize, b: usize) {
-        let (poe, peer) = (self.nodes[a].poe, SessionId(b as u32));
-        match self.cfg.transport {
-            Transport::Udp => UdpPoe::reinstate_session(&mut self.sim, poe, peer),
-            Transport::Tcp => TcpPoe::reinstate_session(&mut self.sim, poe, peer),
-            Transport::Rdma => RdmaPoe::reinstate_qp(&mut self.sim, poe, peer),
-        }
-        if let Some(fb) = self.nodes[a].fallback_poe {
-            TcpPoe::reinstate_session(&mut self.sim, fb, peer);
-        }
-    }
-
-    fn uc_mut(&mut self, i: usize) -> &mut Uc {
-        self.sim.component_mut::<Uc>(self.nodes[i].cclo.uc)
     }
 
     /// Replaces the fabric's fault plan wholesale (loss, delay, outages).
@@ -476,49 +473,31 @@ impl AcclCluster {
     /// the Rx buffer manager's shrink port) at their scheduled instants.
     /// The remainder of the plan is handed to the switch as before.
     pub fn set_fault_plan(&mut self, plan: accl_net::FaultPlan) {
-        for &(node, at, credits) in &plan.credit_leaks {
-            let n = node.index();
-            if n >= self.nodes.len() {
-                continue;
-            }
-            self.sim.post(
-                Endpoint::new(self.nodes[n].poe, poe_ports::CREDIT),
-                at,
-                accl_poe::iface::TxCreditLeak { credits },
-            );
+        let nodes = self.len();
+        for &(node, at, credits) in plan.credit_leaks.iter().filter(|f| f.0.index() < nodes) {
+            let credit = Endpoint::new(self.nodes[node.index()].poe, poe_ports::CREDIT);
+            self.sim
+                .post(credit, at, accl_poe::iface::TxCreditLeak { credits });
         }
-        for &(node, at, hold) in &plan.pause_storms {
-            let n = node.index();
-            if n >= self.nodes.len() {
-                continue;
-            }
-            self.sim.post(
-                Endpoint::of(self.net.port_id(n)),
-                at,
-                accl_net::PauseFrame { until: at + hold },
-            );
+        for &(node, at, hold) in plan.pause_storms.iter().filter(|f| f.0.index() < nodes) {
+            let nic = Endpoint::of(self.net.port_id(node.index()));
+            self.sim
+                .post(nic, at, accl_net::PauseFrame { until: at + hold });
         }
-        for &(node, at, bufs) in &plan.buf_shrinks {
-            let n = node.index();
-            if n >= self.nodes.len() {
-                continue;
-            }
-            self.sim.post(
-                Endpoint::new(self.nodes[n].cclo.rbm, accl_cclo::rbm::ports::SHRINK),
-                at,
-                accl_cclo::rbm::RbmShrink { bufs },
-            );
+        for &(node, at, bufs) in plan.buf_shrinks.iter().filter(|f| f.0.index() < nodes) {
+            let rbm = self.nodes[node.index()].cclo.rbm;
+            let shrink = Endpoint::new(rbm, accl_cclo::rbm::ports::SHRINK);
+            self.sim
+                .post(shrink, at, accl_cclo::rbm::RbmShrink { bufs });
         }
-        // Crashes stop the node, as `crash_node` does; restarts fence its
-        // old epoch at the survivors. Only restarts that actually close a
-        // crash window count (the plan ignores a restart with no matching
-        // earlier crash).
-        for (&addr, &at) in &plan.node_crashes {
-            self.schedule_crash(addr.index(), at);
-        }
-        for &addr in plan.node_restarts.keys() {
-            if let Some(at) = plan.restart_time(addr) {
-                self.schedule_restart_effects(addr.index(), at);
+        // Each down window stops the node at its crash, as `crash_node`
+        // does, and fences its old epoch at the survivors at its restart.
+        for (&addr, sched) in plan.node_down.iter().filter(|(a, _)| a.index() < nodes) {
+            for &(crash, restart) in sched.windows() {
+                self.stop_node(addr.index(), crash);
+                if restart < Time::MAX {
+                    self.fence_node(addr.index(), restart);
+                }
             }
         }
         for &p in &plan.partitions {
@@ -583,7 +562,8 @@ impl AcclCluster {
     /// real driver reads the POE's error registers when a call fails.
     /// Nodes with no local diagnosis additionally accept accusations
     /// gossiped from non-suspect nodes, so every survivor of a fail-stop
-    /// crash observes `PeerFailed` rather than a bare `Timeout`.
+    /// crash observes `PeerFailed` rather than a bare `Timeout`. Each
+    /// node then fences the peers it knows failed, as a restart would.
     ///
     /// # Panics
     ///
@@ -617,18 +597,7 @@ impl AcclCluster {
                 self.spawn(i, name, HostProc::new(driver, ops), host_ports::START)
             })
             .collect();
-        self.run_to_drain()?;
-        let mut results: Vec<Vec<OpRecord>> = Vec::with_capacity(procs.len());
-        for &id in &procs {
-            let proc = self.sim.component::<HostProc>(id);
-            results.push(match self.sim.suspended_since(id) {
-                Some(crash) => proc.crashed_records(crash),
-                None if proc.finished_at().is_none() => {
-                    return Err("a host program did not finish (deadlock?)".to_string())
-                }
-                None => proc.records().to_vec(),
-            });
-        }
+        let outcome = self.sim.run();
         // Failure-detector readout. A node trusts its own POE's dead-session
         // diagnosis first. Nodes without one (e.g. a ring rank that never
         // sends toward the dead peer) accept accusations gossiped from
@@ -644,6 +613,34 @@ impl AcclCluster {
             .filter(|(n, _)| !suspects.contains(&(*n as u32)))
             .flat_map(|(_, peers)| peers.iter().copied())
             .collect();
+        // Each node drops what it holds of the peers it knows failed: its
+        // POEs fence their incarnations, as at a restart, so a message a
+        // dead peer cut off mid-stream is not left as parked work.
+        let confirmed_at = self.sim.now();
+        let mut fenced = false;
+        for (node, peers) in own.iter().enumerate() {
+            let learned: std::collections::BTreeSet<u32> =
+                peers.iter().chain(&gossiped).copied().collect();
+            for peer in learned.into_iter().filter(|&p| p != node as u32) {
+                self.post_fence(node, peer as usize, confirmed_at);
+                fenced = true;
+            }
+        }
+        Self::drained(match outcome {
+            RunOutcome::Drained | RunOutcome::Stalled(_) if fenced => self.sim.run(),
+            other => other,
+        })?;
+        let mut results: Vec<Vec<OpRecord>> = Vec::with_capacity(procs.len());
+        for &id in &procs {
+            let proc = self.sim.component::<HostProc>(id);
+            results.push(match self.sim.suspended_since(id) {
+                Some(crash) => proc.crashed_records(crash),
+                None if proc.finished_at().is_none() => {
+                    return Err("a host program did not finish (deadlock?)".to_string())
+                }
+                None => proc.records().to_vec(),
+            });
+        }
         for (node, records) in results.iter_mut().enumerate() {
             let verdict = own[node]
                 .first()
@@ -653,7 +650,6 @@ impl AcclCluster {
                 recolor(records, timed_out, CclError::PeerFailed(peer));
             }
         }
-        let confirmed_at = self.sim.now();
         for &peer in &gossiped {
             self.membership_log.push((
                 confirmed_at,
@@ -684,7 +680,7 @@ impl AcclCluster {
         // the application fails fast and waits for the heal.
         let end = self.sim.now();
         if let Some(world) = self.comms.get(&0).cloned() {
-            for p in self.partitions_seen.clone() {
+            for p in self.net.fault_plan(&self.sim).partitions.clone() {
                 if p.until <= start || p.from >= end {
                     continue;
                 }
@@ -754,7 +750,7 @@ impl AcclCluster {
                 id
             })
             .collect();
-        self.run_to_drain()?;
+        Self::drained(self.sim.run())?;
         for &id in &kernels {
             if self.sim.component::<KernelProc>(id).finished_at().is_none()
                 && self.sim.suspended_since(id).is_none()

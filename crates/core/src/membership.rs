@@ -34,14 +34,17 @@ pub enum MembershipEvent {
         node: usize,
     },
     /// The confirm deadline passed (or the transport declared the session
-    /// dead): the peer is treated as failed and excluded by shrink.
+    /// dead): the peer is treated as failed, its incarnation is fenced at
+    /// the nodes that know it, and shrink excludes it.
     Confirmed {
         /// The failed node's index.
         node: usize,
     },
     /// A crashed node's restart instant passed: the fabric carries its
     /// traffic again and survivors fence its old epoch. It stays down,
-    /// and out of every communicator, until readmitted (rebooted).
+    /// and out of every communicator, until readmitted (rebooted). A
+    /// partition's minority side logs it when it is readmitted, since it
+    /// too leaves by that fence and returns rebooted.
     Restarted {
         /// The restarted node's index.
         node: usize,

@@ -215,6 +215,130 @@ fn crash_restart_rejoin_completes_on_rdma() {
     crash_restart_rejoin(Transport::Rdma, 30_000);
 }
 
+/// A node fails any number of times: crash → restart → rejoin, then the
+/// same again, each crash blackholing, suspending and fencing the
+/// incarnation it stops. After the second rejoin a full-world allreduce
+/// completes with golden data, and the log holds both cycles.
+fn fails_twice_and_rejoins_twice(transport: Transport, timeout_us: u64) {
+    let dead = 2usize;
+    let count = 1024u64;
+    let mut c = AcclCluster::build(cfg_for(transport, 3, timeout_us));
+    c.set_algo_config(AlgoConfig {
+        allreduce_ring_min_bytes: 1,
+        ..AlgoConfig::default()
+    });
+    let mut comm = 0u32;
+    for cycle in 0..2u32 {
+        let crash = c.sim.now() + Dur::from_us(1);
+        c.crash_node(dead, crash);
+        c.restart_node(dead, crash + Dur::from_ms(60));
+        let (specs, _) = allreduce_setup(&mut c, &[0, 1, 2], count, comm);
+        let records = c.host_collective(specs);
+        assert_eq!(
+            records[dead].result(),
+            Err(CclError::Crashed),
+            "{transport:?} cycle {cycle}: the crashed rank's call"
+        );
+        for rank in [0usize, 1] {
+            assert!(
+                records[rank].result().is_err(),
+                "{transport:?} cycle {cycle}: survivor {rank} must fail"
+            );
+        }
+        let world = c.communicator(comm).unwrap().clone();
+        let survivors = world.shrink(comm + 1, &[dead]).expect("survivors remain");
+        c.install_communicator(&survivors);
+        run_subset_allreduce(&mut c, &[0, 1], count, comm + 1, "survivor reissue");
+        assert!(
+            c.sim.now() > crash + Dur::from_ms(60),
+            "restart instant passed"
+        );
+        c.reinstate_node(dead);
+        let rejoined = survivors
+            .expand(comm + 2, &[dead])
+            .expect("node readmitted");
+        c.install_communicator(&rejoined);
+        comm += 2;
+    }
+    run_subset_allreduce(&mut c, &[0, 1, 2], count, comm, "twice-rejoined world");
+    let count_of = |want: MembershipEvent| {
+        c.membership_log()
+            .iter()
+            .filter(|(_, e)| *e == want)
+            .count()
+    };
+    assert_eq!(
+        count_of(MembershipEvent::Restarted { node: dead }),
+        2,
+        "{transport:?}"
+    );
+    assert_eq!(
+        count_of(MembershipEvent::Rejoined { node: dead }),
+        2,
+        "{transport:?}"
+    );
+    let nic = c.sim.component::<NetPort>(c.network().port_id(dead));
+    assert_eq!(nic.incarnation(), 2, "{transport:?}");
+}
+
+#[test]
+fn node_fails_twice_and_rejoins_twice_on_tcp() {
+    fails_twice_and_rejoins_twice(Transport::Tcp, 30_000);
+}
+
+#[test]
+fn node_fails_twice_and_rejoins_twice_on_udp() {
+    fails_twice_and_rejoins_twice(Transport::Udp, 2_000);
+}
+
+#[test]
+fn node_fails_twice_and_rejoins_twice_on_rdma() {
+    fails_twice_and_rejoins_twice(Transport::Rdma, 30_000);
+}
+
+/// A crash with no restart ends typed on every transport: a 4-node
+/// 256 KiB ring allreduce with a 2 ms watchdog loses node 2 at `crash`
+/// and never gets it back. Every survivor ends `Ok` (the collective beat
+/// the crash) or with a typed error, and the run always drains: no
+/// survivor keeps the dead peer's half-received message as parked work.
+fn crash_without_restart_ends_typed(transport: Transport, crash_us: &[u64]) {
+    for &at in crash_us {
+        let mut c = AcclCluster::build(cfg_for(transport, 4, 2_000));
+        c.set_algo_config(AlgoConfig {
+            allreduce_ring_min_bytes: 1,
+            ..AlgoConfig::default()
+        });
+        c.crash_node(2, Time::from_us(at));
+        let (specs, _) = allreduce_setup(&mut c, &[0, 1, 2, 3], 64 * 1024, 0);
+        let programs = specs.into_iter().map(|s| vec![HostOp::Coll(s)]).collect();
+        let records = c
+            .try_run_host_programs(programs)
+            .unwrap_or_else(|why| panic!("{transport:?} crash at {at} us: {why}"));
+        for rank in [0usize, 1, 3] {
+            let result = records[rank][0].result();
+            assert!(
+                result.is_ok() || result.is_err_and(|e| e != CclError::Crashed),
+                "{transport:?} crash at {at} us: survivor {rank} got {result:?}"
+            );
+        }
+    }
+}
+
+#[test]
+fn crash_without_restart_ends_typed_on_tcp() {
+    crash_without_restart_ends_typed(Transport::Tcp, &[1, 20, 50, 100]);
+}
+
+#[test]
+fn crash_without_restart_ends_typed_on_udp() {
+    crash_without_restart_ends_typed(Transport::Udp, &[1, 20, 50, 100]);
+}
+
+#[test]
+fn crash_without_restart_ends_typed_on_rdma() {
+    crash_without_restart_ends_typed(Transport::Rdma, &[1, 20, 50, 100]);
+}
+
 /// Fail-stop means stop: from its crash until `reinstate_node` reboots
 /// it, the crashed node executes nothing (no retransmission timer or
 /// watchdog of its own fires), while deliveries to it are dropped and
@@ -536,7 +660,7 @@ fn degraded_observables(tie_salt: Option<u64>) -> Observables {
 /// suspect/confirm decision folded into the uC digests — replays
 /// bit-identically when the cluster is rebuilt.
 #[test]
-fn rejoin_timeline_digest_stable_across_queues() {
+fn rejoin_timeline_replays_run_to_run() {
     let golden = rejoin_observables(None);
     assert!(!golden.state_digests.is_empty());
     assert!(
@@ -555,7 +679,7 @@ fn rejoin_timeline_digest_stable_across_queues() {
 /// integer arithmetic on observed gaps, so the no-false-positive outcome
 /// is equally replayable.
 #[test]
-fn degraded_timeline_digest_stable_across_queues() {
+fn degraded_timeline_replays_run_to_run() {
     let golden = degraded_observables(None);
     assert!(!golden.state_digests.is_empty());
     assert_eq!(

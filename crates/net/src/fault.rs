@@ -1,5 +1,5 @@
 //! Fault injection: frame drops, reordering, link-state schedules and
-//! whole-node crashes.
+//! whole-node down windows (`[crash, restart)`, any number per node).
 //!
 //! The paper's UDP path is unreliable and its TCP POE must survive loss and
 //! out-of-order delivery; these policies let tests and benchmarks inject
@@ -39,11 +39,13 @@ pub enum FaultAction {
     Duplicate,
 }
 
-/// A time-scheduled link-state model: a list of `[down, up)` windows
-/// during which the link is dark and every frame traversing it is lost.
+/// A list of `[down, up)` windows: the outages of a link, or the downtime
+/// of a node (from a crash to its restart, `Time::MAX` if it never
+/// restarts). While a window is open every frame through the link or
+/// node is lost.
 ///
-/// Windows are kept sorted by start time, so membership is a binary
-/// search regardless of how many flaps a schedule describes.
+/// Windows are kept sorted by start time and disjoint, so membership is a
+/// binary search regardless of how many windows a schedule describes.
 #[derive(Debug, Default, Clone)]
 pub struct LinkSchedule {
     /// Sorted, non-overlapping `[down, up)` windows.
@@ -72,6 +74,28 @@ impl LinkSchedule {
         }
         self.windows = merged;
         self
+    }
+
+    /// Goes down at `at` until a later [`LinkSchedule::up_at`]: opens
+    /// `[at, Time::MAX)`. Inside a window it changes nothing; before one it
+    /// moves that window's start to `at`.
+    pub(crate) fn down_from(&mut self, at: Time) {
+        let i = self.windows.partition_point(|&(lo, _)| lo <= at);
+        if i == 0 || self.windows[i - 1].1 <= at {
+            match self.windows.get_mut(i) {
+                Some(next) => next.0 = at,
+                None => self.windows.push((at, Time::MAX)),
+            }
+        }
+    }
+
+    /// Comes back up at `at`: ends there the window `at` falls strictly
+    /// inside, if any.
+    pub(crate) fn up_at(&mut self, at: Time) {
+        let i = self.windows.partition_point(|&(lo, _)| lo < at);
+        if let Some(window) = i.checked_sub(1).map(|i| &mut self.windows[i]) {
+            window.1 = window.1.min(at);
+        }
     }
 
     /// Whether the link is dark at time `t`.
@@ -173,7 +197,7 @@ impl Degradation {
 /// draw happens only when the corresponding probability is nonzero (and
 /// no earlier rule already decided the frame's fate). Installing a plan
 /// whose probabilistic knobs are all zero therefore never perturbs the
-/// RNG stream — explicit indices, windows and crashes replay bit-for-bit
+/// RNG stream — explicit indices, windows and down nodes replay bit-for-bit
 /// regardless of what other plans did to unrelated streams.
 ///
 /// Probabilities assigned directly to the public fields are clamped into
@@ -209,16 +233,11 @@ pub struct FaultPlan {
     /// kept sorted by window start. The first active window wins when
     /// windows overlap.
     pub degradations: BTreeMap<NodeAddr, Vec<Degradation>>,
-    /// Whole-node crash times; from the crash instant on, the switch
-    /// blackholes every frame to or from the node (until a matching
-    /// restart in `node_restarts`, if any).
-    pub node_crashes: BTreeMap<NodeAddr, Time>,
-    /// Node restart times: the fabric carries a crashed node's traffic
-    /// again once its restart instant has passed, and the cluster fences
-    /// its old epoch at the peers. The node itself stays down until it is
-    /// readmitted, when it reboots as a fresh incarnation. A restart with
-    /// no earlier crash, or at or before it, is ignored.
-    pub node_restarts: BTreeMap<NodeAddr, Time>,
+    /// Per-node `[crash, restart)` down windows (`Time::MAX` if the node
+    /// never restarts): while one is open the switch blackholes every
+    /// frame to or from the node. At a restart the cluster fences the old
+    /// epoch at the peers; the node reboots when it is readmitted.
+    pub node_down: BTreeMap<NodeAddr, LinkSchedule>,
     /// Fabric partition windows: while active, frames crossing the bitmap
     /// cut are lost in both directions. Kept sorted by `(from, until,
     /// mask)` for canonical event order.
@@ -316,22 +335,27 @@ impl FaultPlan {
         self
     }
 
-    /// Adds a fail-stop crash of `addr` at time `at` to this plan.
-    /// If the node already has a crash time, the earlier one wins.
+    /// Adds a fail-stop crash of `addr` at time `at` to this plan: it
+    /// opens a down window `[at, Time::MAX)`. A crash while the node is
+    /// down changes nothing; one before a later window moves its start.
     pub fn with_node_crash(mut self, addr: NodeAddr, at: Time) -> Self {
-        let at = self.node_crashes.get(&addr).map_or(at, |&t| t.min(at));
-        self.node_crashes.insert(addr, at);
+        self.node_down.entry(addr).or_default().down_from(at);
         self
     }
 
-    /// Adds a node restart at time `at` to this plan: the node's crash
-    /// window becomes `[crash, at)` instead of `[crash, ∞)`. If the node
-    /// already has a restart time, the earlier one wins (mirroring
-    /// [`FaultPlan::with_node_crash`]).
+    /// Adds a node restart at time `at` to this plan: it closes the down
+    /// window open at `at`, so `[crash, Time::MAX)` becomes `[crash, at)`.
+    /// A restart while the node is up, or at its crash instant, is ignored.
     pub fn with_node_restart(mut self, addr: NodeAddr, at: Time) -> Self {
-        let at = self.node_restarts.get(&addr).map_or(at, |&t| t.min(at));
-        self.node_restarts.insert(addr, at);
+        if let Some(sched) = self.node_down.get_mut(&addr) {
+            sched.up_at(at);
+        }
         self
+    }
+
+    /// The down windows of `addr`, in time order.
+    pub fn node_windows(&self, addr: NodeAddr) -> &[(Time, Time)] {
+        self.node_down.get(&addr).map_or(&[], LinkSchedule::windows)
     }
 
     /// Adds a fabric partition window to this plan.
@@ -390,32 +414,6 @@ impl FaultPlan {
             .and_then(|ws| ws.iter().find(|w| w.active(now)))
     }
 
-    /// The crash time of `addr`, if one is scheduled.
-    pub fn crash_time(&self, addr: NodeAddr) -> Option<Time> {
-        self.node_crashes.get(&addr).copied()
-    }
-
-    /// The restart time of `addr`, if one is scheduled *and* it lands
-    /// strictly after the node's crash (a restart without a preceding
-    /// crash, or at/before it, is meaningless and ignored).
-    pub fn restart_time(&self, addr: NodeAddr) -> Option<Time> {
-        let crash = self.crash_time(addr)?;
-        self.node_restarts
-            .get(&addr)
-            .copied()
-            .filter(|&r| r > crash)
-    }
-
-    /// Whether `addr` is down at time `now`: crashed, and not yet past its
-    /// restart instant (if one is scheduled).
-    pub fn is_crashed(&self, addr: NodeAddr, now: Time) -> bool {
-        match (self.crash_time(addr), self.restart_time(addr)) {
-            (Some(crash), Some(restart)) => now >= crash && now < restart,
-            (Some(crash), None) => now >= crash,
-            (None, _) => false,
-        }
-    }
-
     /// The first partition window severing `src` from `dst` at `now`.
     pub fn severing_partition(
         &self,
@@ -441,7 +439,7 @@ impl FaultPlan {
             && self.drop_if.is_none()
             && self.link_schedules.values().all(LinkSchedule::is_empty)
             && self.degradations.values().all(Vec::is_empty)
-            && self.node_crashes.is_empty()
+            && self.node_down.values().all(LinkSchedule::is_empty)
             && self.partitions.is_empty()
             && !self.has_overload_faults()
     }
@@ -449,24 +447,23 @@ impl FaultPlan {
     /// Decides the fate of the `index`-th frame traversing the switch at
     /// simulated time `now`.
     ///
-    /// Rules are checked in a fixed order (crashes, outages, degradation
-    /// loss, explicit indices, predicate, degradation throttle,
-    /// probabilistic knobs) and the first matching rule wins. RNG draws
-    /// happen lazily: only for a nonzero probability whose turn is
-    /// reached, so purely explicit plans never consume entropy.
+    /// Rules are checked in a fixed order (down nodes and links,
+    /// partitions, degradation loss, explicit indices, predicate,
+    /// degradation throttle, probabilistic knobs) and the first matching
+    /// rule wins. RNG draws happen lazily: only for a nonzero probability
+    /// whose turn is reached, so purely explicit plans never consume
+    /// entropy.
     pub fn decide(&self, index: u64, now: Time, frame: &Frame, rng: &mut StdRng) -> FaultAction {
-        if self.is_crashed(frame.src, now) || self.is_crashed(frame.dst, now) {
+        let dark = |schedules: &BTreeMap<NodeAddr, LinkSchedule>| {
+            [frame.src, frame.dst]
+                .iter()
+                .any(|a| schedules.get(a).is_some_and(|s| s.is_down(now)))
+        };
+        if dark(&self.node_down)
+            || dark(&self.link_schedules)
+            || self.severing_partition(frame.src, frame.dst, now).is_some()
+        {
             return FaultAction::Drop;
-        }
-        if self.severing_partition(frame.src, frame.dst, now).is_some() {
-            return FaultAction::Drop;
-        }
-        for addr in [frame.src, frame.dst] {
-            if let Some(sched) = self.link_schedules.get(&addr) {
-                if sched.is_down(now) {
-                    return FaultAction::Drop;
-                }
-            }
         }
         // Degradation loss: the worse of the two attached links applies.
         let degradation = [frame.src, frame.dst]
@@ -558,8 +555,10 @@ impl FaultPlan {
                 events.push(FaultEvent::Degrade { node, window });
             }
         }
-        for (&node, &at) in &self.node_crashes {
-            events.push(FaultEvent::Crash { node, at });
+        for (&node, sched) in &self.node_down {
+            for &(at, _) in sched.windows() {
+                events.push(FaultEvent::Crash { node, at });
+            }
         }
         for &(node, at, credits) in &self.credit_leaks {
             events.push(FaultEvent::CreditLeak { node, at, credits });
@@ -572,8 +571,10 @@ impl FaultPlan {
         }
         // Membership kinds serialize after every pre-existing kind so old
         // repro event lists keep their exact positions.
-        for (&node, &at) in &self.node_restarts {
-            events.push(FaultEvent::Restart { node, at });
+        for (&node, sched) in &self.node_down {
+            for &(_, at) in sched.windows().iter().filter(|w| w.1 < Time::MAX) {
+                events.push(FaultEvent::Restart { node, at });
+            }
         }
         for &p in &self.partitions {
             events.push(FaultEvent::Partition {
@@ -586,10 +587,18 @@ impl FaultPlan {
     }
 
     /// Rebuilds a plan from an explicit event list (inverse of
-    /// [`FaultPlan::to_events`] for explicit plans).
+    /// [`FaultPlan::to_events`] for explicit plans). Crashes and restarts
+    /// apply in time order whatever their list order, a crash before a
+    /// restart at the same instant; every other kind is order-free.
     pub fn from_events(events: &[FaultEvent]) -> Self {
+        let mut events = events.to_vec();
+        events.sort_by_key(|ev| match *ev {
+            FaultEvent::Crash { at, .. } => (at, 0),
+            FaultEvent::Restart { at, .. } => (at, 1),
+            _ => (Time::ZERO, 0),
+        });
         let mut plan = FaultPlan::none();
-        for &ev in events {
+        for ev in events {
             match ev {
                 FaultEvent::Drop { index } => {
                     plan.drop_indices.insert(index);
@@ -1187,9 +1196,10 @@ mod tests {
             plan.decide(4, Time::from_us(6), &other, &mut rng),
             FaultAction::Forward
         );
-        assert!(plan.is_crashed(NodeAddr(0), Time::from_us(5)));
-        assert!(!plan.is_crashed(NodeAddr(0), Time::from_us(4)));
-        assert_eq!(plan.crash_time(NodeAddr(0)), Some(Time::from_us(5)));
+        assert_eq!(
+            plan.node_windows(NodeAddr(0)),
+            [(Time::from_us(5), Time::MAX)]
+        );
     }
 
     #[test]
@@ -1210,22 +1220,36 @@ mod tests {
             plan.decide(2, Time::from_us(9), &frame(), &mut rng),
             FaultAction::Forward
         );
-        assert!(plan.is_crashed(NodeAddr(0), Time::from_us(8)));
-        assert!(!plan.is_crashed(NodeAddr(0), Time::from_us(9)));
-        assert_eq!(plan.restart_time(NodeAddr(0)), Some(Time::from_us(9)));
+        assert_eq!(
+            plan.node_windows(NodeAddr(0)),
+            [(Time::from_us(5), Time::from_us(9))]
+        );
     }
 
     #[test]
     fn restart_without_or_before_crash_is_ignored() {
         // No crash at all: restart is meaningless.
         let plan = FaultPlan::none().with_node_restart(NodeAddr(1), Time::from_us(3));
-        assert_eq!(plan.restart_time(NodeAddr(1)), None);
-        assert!(!plan.is_crashed(NodeAddr(1), Time::from_us(10)));
+        assert!(plan.is_transparent());
+        assert!(plan.to_events().is_empty());
         // Restart at/before the crash: the crash stays permanent.
-        let plan = FaultPlan::node_crash(NodeAddr(0), Time::from_us(5))
-            .with_node_restart(NodeAddr(0), Time::from_us(5));
-        assert_eq!(plan.restart_time(NodeAddr(0)), None);
-        assert!(plan.is_crashed(NodeAddr(0), Time::from_us(500)));
+        for restart in [3, 5] {
+            let plan = FaultPlan::from_events(&[
+                FaultEvent::Restart {
+                    node: NodeAddr(0),
+                    at: Time::from_us(restart),
+                },
+                FaultEvent::Crash {
+                    node: NodeAddr(0),
+                    at: Time::from_us(5),
+                },
+            ]);
+            assert_eq!(
+                plan.node_windows(NodeAddr(0)),
+                [(Time::from_us(5), Time::MAX)],
+                "restart at {restart} us"
+            );
+        }
     }
 
     #[test]
@@ -1269,7 +1293,41 @@ mod tests {
         assert_eq!(events.len(), 3);
         let rebuilt = FaultPlan::from_events(&events);
         assert_eq!(rebuilt.to_events(), events);
-        assert_eq!(rebuilt.restart_time(NodeAddr(2)), Some(Time::from_us(90)));
+        assert_eq!(
+            rebuilt.node_windows(NodeAddr(2)),
+            [(Time::from_us(50), Time::from_us(90))]
+        );
+    }
+
+    /// A node fails any number of times: each crash opens a window, each
+    /// restart closes the open one, and the events of several windows
+    /// (all crashes, then all restarts) rebuild the same windows.
+    #[test]
+    fn a_node_fails_twice_in_two_windows() {
+        let us = Time::from_us;
+        let plan = FaultPlan::node_crash(NodeAddr(1), us(10))
+            .with_node_restart(NodeAddr(1), us(20))
+            .with_node_crash(NodeAddr(1), us(30))
+            .with_node_restart(NodeAddr(1), us(40))
+            .with_node_crash(NodeAddr(1), us(50));
+        let windows = [(us(10), us(20)), (us(30), us(40)), (us(50), Time::MAX)];
+        assert_eq!(plan.node_windows(NodeAddr(1)), windows);
+        let mut rng = StdRng::seed_from_u64(0);
+        let fate = |t: u64, rng: &mut StdRng| plan.decide(t, us(t), &frame(), rng);
+        for (t, want) in [
+            (15, true),
+            (25, false),
+            (35, true),
+            (45, false),
+            (999, true),
+        ] {
+            assert_eq!(fate(t, &mut rng) == FaultAction::Drop, want, "at {t} us");
+        }
+        let events = plan.to_events();
+        assert_eq!(events.len(), 5);
+        let rebuilt = FaultPlan::from_events(&events);
+        assert_eq!(rebuilt.node_windows(NodeAddr(1)), windows);
+        assert_eq!(rebuilt.to_events(), events);
     }
 
     #[test]
@@ -1277,14 +1335,12 @@ mod tests {
         let profile = ChaosProfile::membership_profile(4);
         let plan = FaultPlanGen::generate(&profile, 11);
         assert!(plan.is_explicit());
-        assert_eq!(plan.node_crashes.len(), 1);
-        assert_eq!(plan.node_restarts.len(), 1);
-        let (&node, &crash) = plan.node_crashes.iter().next().unwrap();
-        assert_eq!(
-            plan.restart_time(node),
-            plan.node_restarts.get(&node).copied()
-        );
-        assert!(plan.restart_time(node).unwrap() > crash);
+        assert_eq!(plan.node_down.len(), 1);
+        let (&node, _) = plan.node_down.iter().next().unwrap();
+        let &[(crash, restart)] = plan.node_windows(node) else {
+            panic!("one window: {:?}", plan.node_windows(node));
+        };
+        assert!(crash < restart && restart < Time::MAX);
         assert_eq!(plan.partitions.len(), 1);
         // Replays bit-identically.
         let again = FaultPlanGen::generate(&profile, 11);
@@ -1295,7 +1351,17 @@ mod tests {
     fn earlier_crash_time_wins() {
         let plan = FaultPlan::node_crash(NodeAddr(0), Time::from_us(5))
             .with_node_crash(NodeAddr(0), Time::from_us(9));
-        assert_eq!(plan.crash_time(NodeAddr(0)), Some(Time::from_us(5)));
+        assert_eq!(
+            plan.node_windows(NodeAddr(0)),
+            [(Time::from_us(5), Time::MAX)]
+        );
+        // Either order: the later crash lands while the node is down.
+        let plan = FaultPlan::node_crash(NodeAddr(0), Time::from_us(9))
+            .with_node_crash(NodeAddr(0), Time::from_us(5));
+        assert_eq!(
+            plan.node_windows(NodeAddr(0)),
+            [(Time::from_us(5), Time::MAX)]
+        );
     }
 
     #[test]

@@ -183,6 +183,11 @@ impl Switch {
         self.fault = plan;
     }
 
+    /// The installed fault plan.
+    pub(crate) fn fault_plan(&self) -> &FaultPlan {
+        &self.fault
+    }
+
     /// Mutable access to the installed fault plan, for composing link
     /// outages / node crashes onto an existing policy.
     pub fn fault_plan_mut(&mut self) -> &mut FaultPlan {

@@ -158,47 +158,47 @@ impl Network {
             .set_fault_plan(plan);
     }
 
-    /// Schedules a fail-stop crash of node `i` at simulated time `at`,
-    /// composing with whatever fault plan is already installed. From `at`
-    /// on, the switch blackholes all frames to or from the node.
-    pub fn crash_node(&self, sim: &mut Simulator, i: usize, at: Time) {
-        let addr = self.addr(i);
-        let sw = sim.component_mut::<Switch>(self.switch);
-        let plan = std::mem::take(sw.fault_plan_mut());
-        sw.set_fault_plan(plan.with_node_crash(addr, at));
+    /// The switch's fault-injection policy.
+    pub fn fault_plan<'a>(&self, sim: &'a Simulator) -> &'a FaultPlan {
+        sim.component::<Switch>(self.switch).fault_plan()
     }
 
-    /// Schedules a restart of node `i` at simulated time `at`, composing
-    /// with the installed fault plan: the node's crash window (see
-    /// [`Network::crash_node`]) closes at `at` and the fabric carries its
-    /// traffic again. Fencing the old incarnation's frames at the peers'
-    /// protocol engines, and rebooting the node, are the cluster's job.
-    /// Returns the instant the node's crash window closes, if a restart
-    /// strictly after its crash is scheduled ([`FaultPlan::restart_time`]).
-    pub fn restart_node(&self, sim: &mut Simulator, i: usize, at: Time) -> Option<Time> {
+    /// Rebuilds the switch's plan with `amend`, composing with whatever
+    /// faults are already installed.
+    fn amend_plan(&self, sim: &mut Simulator, amend: impl FnOnce(FaultPlan) -> FaultPlan) {
+        let plan = sim.component_mut::<Switch>(self.switch).fault_plan_mut();
+        *plan = amend(std::mem::take(plan));
+    }
+
+    /// Schedules a fail-stop crash of node `i` at simulated time `at`: it
+    /// opens a down window in the fault plan, and while the window is open
+    /// the switch blackholes all frames to or from the node.
+    pub fn crash_node(&self, sim: &mut Simulator, i: usize, at: Time) {
         let addr = self.addr(i);
-        let sw = sim.component_mut::<Switch>(self.switch);
-        let plan = std::mem::take(sw.fault_plan_mut()).with_node_restart(addr, at);
-        let closes = plan.restart_time(addr);
-        sw.set_fault_plan(plan);
-        closes
+        self.amend_plan(sim, |plan| plan.with_node_crash(addr, at));
+    }
+
+    /// Schedules a restart of node `i` at simulated time `at`: the node's
+    /// open down window (see [`Network::crash_node`]) closes at `at` and
+    /// the fabric carries its traffic again. Fencing the old incarnation's
+    /// frames at the peers' protocol engines, and rebooting the node, are
+    /// the cluster's job.
+    pub fn restart_node(&self, sim: &mut Simulator, i: usize, at: Time) {
+        let addr = self.addr(i);
+        self.amend_plan(sim, |plan| plan.with_node_restart(addr, at));
     }
 
     /// Schedules a `[from, until)` fabric partition along `mask`, composing
     /// with the installed fault plan.
     pub fn partition(&self, sim: &mut Simulator, mask: u64, from: Time, until: Time) {
-        let sw = sim.component_mut::<Switch>(self.switch);
-        let plan = std::mem::take(sw.fault_plan_mut());
-        sw.set_fault_plan(plan.with_partition(mask, from, until));
+        self.amend_plan(sim, |plan| plan.with_partition(mask, from, until));
     }
 
     /// Schedules a `[from, until)` outage of node `i`'s link, composing
     /// with the installed fault plan.
     pub fn link_down(&self, sim: &mut Simulator, i: usize, from: Time, until: Time) {
         let addr = self.addr(i);
-        let sw = sim.component_mut::<Switch>(self.switch);
-        let plan = std::mem::take(sw.fault_plan_mut());
-        sw.set_fault_plan(plan.with_link_down(addr, from, until));
+        self.amend_plan(sim, |plan| plan.with_link_down(addr, from, until));
     }
 
     /// Egress counters of switch port `i`.

@@ -3,9 +3,12 @@
 //! `LinkSchedule::down` keeps outage windows sorted and disjoint so
 //! membership stays a binary search. The properties below feed it random
 //! overlapping windows in random insertion order and check the merged
-//! representation against the naive any-window-contains-t oracle.
+//! representation against the naive any-window-contains-t oracle. The
+//! last one checks a node's down windows, built from crash and restart
+//! events in any list order, against a scan of the events in time order.
 
 use accl_net::fault::LinkSchedule;
+use accl_net::{FaultEvent, FaultPlan, NodeAddr};
 use accl_sim::time::Time;
 use proptest::collection::vec as pvec;
 use proptest::prelude::*;
@@ -76,5 +79,43 @@ proptest! {
             schedule(&fwd).windows().to_vec(),
             schedule(&rev).windows().to_vec()
         );
+    }
+
+    #[test]
+    fn node_windows_follow_the_time_ordered_events(
+        raw in pvec((0u64..60, any::<bool>()), 0..16),
+    ) {
+        let node = NodeAddr(0);
+        let events: Vec<FaultEvent> = raw
+            .iter()
+            .map(|&(t, crash)| {
+                let at = Time::from_ps(t);
+                if crash {
+                    FaultEvent::Crash { node, at }
+                } else {
+                    FaultEvent::Restart { node, at }
+                }
+            })
+            .collect();
+        // The oracle: a crash while up opens a window, a restart after
+        // the open window's crash closes it, anything else is ignored.
+        let mut sorted = raw.clone();
+        sorted.sort_by_key(|&(t, crash)| (t, !crash));
+        let mut want: Vec<(Time, Time)> = Vec::new();
+        for (t, crash) in sorted {
+            let open = want.last().is_some_and(|w| w.1 == Time::MAX);
+            match (crash, open) {
+                (true, false) => want.push((Time::from_ps(t), Time::MAX)),
+                (false, true) if want.last().unwrap().0 < Time::from_ps(t) => {
+                    want.last_mut().unwrap().1 = Time::from_ps(t);
+                }
+                _ => {}
+            }
+        }
+        let plan = FaultPlan::from_events(&events);
+        prop_assert_eq!(plan.node_windows(node), &want[..]);
+        // The canonical event list rebuilds the same windows.
+        let rebuilt = FaultPlan::from_events(&plan.to_events());
+        prop_assert_eq!(rebuilt.node_windows(node), &want[..]);
     }
 }

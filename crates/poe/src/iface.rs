@@ -400,8 +400,9 @@ impl TxCreditGate {
 
 /// Control event raising the minimum acceptable epoch for frames from
 /// `src`, delivered on [`ports::NET_RX`]: posted to every survivor's POE
-/// when `src` restarts, so the old incarnation's in-flight frames are
-/// fenced out (see [`PoeIo`]).
+/// when `src` restarts, and to a node that learns `src` failed, so the
+/// old incarnation's in-flight frames are fenced out (see [`PoeIo`]) and
+/// the engine drops what it holds of them half-received.
 #[derive(Debug, Clone, Copy)]
 pub struct EpochFence {
     /// The peer whose old incarnation is being fenced.
@@ -459,9 +460,12 @@ pub(crate) struct PoeStatKeys {
 /// cluster posts an [`EpochFence`] to every survivor's POE. Frames from
 /// the old incarnation that were still buffered in the fabric at crash
 /// time arrive with an old epoch and are dropped before they can confuse
-/// the rejoined session's matching logic. The fence is checked when a
-/// frame arrives, not when it was scheduled: a frame sent before the
-/// restart that lands after it must still be dropped.
+/// the rejoined session's matching logic. The same fence goes to a node
+/// that learns a peer failed (its own dead session, or the cluster's
+/// verdict): the peer's incarnation is excluded, and it can only return
+/// rebooted. The fence is checked when a frame arrives, not when it was
+/// scheduled: a frame sent before the restart that lands after it must
+/// still be dropped.
 #[derive(Debug)]
 pub struct PoeIo {
     net_tx: Endpoint,

@@ -249,8 +249,8 @@ impl RdmaPoe {
     /// message ids) and cancels the QP's timers, so the next message
     /// starts a fresh conversation with the peer's new incarnation and no
     /// deadline of the old one fires into it. Both directions of a QP pair
-    /// start fresh together: the peer's side is reinstated too, or was
-    /// rebooted — the cluster's rejoin path does that.
+    /// start fresh together: the peer's side was rebooted — the cluster's
+    /// rejoin path does that.
     pub fn reinstate_qp(sim: &mut Simulator, poe: ComponentId, qp: SessionId) {
         let engine = sim.component_mut::<RdmaPoe>(poe);
         engine.qp_error.remove(&qp);

@@ -290,8 +290,7 @@ impl TcpPoe {
     /// fresh conversation with the peer's new incarnation and no deadline
     /// of the old one fires into it. Both sides of a session pair must
     /// start fresh together, or sequence numbers desynchronize: the
-    /// peer's side is reinstated too, or was rebooted — the cluster's
-    /// rejoin path does that.
+    /// peer's side was rebooted — the cluster's rejoin path does that.
     pub fn reinstate_session(sim: &mut Simulator, poe: ComponentId, session: SessionId) {
         let engine = sim.component_mut::<TcpPoe>(poe);
         engine.tx.remove(&session);
@@ -623,8 +622,9 @@ impl Component for TcpPoe {
             }
             ports::NET_RX => {
                 // Bad CRC: drop at the MAC. The sender's RTO / fast
-                // retransmit recovers the lost bytes. A restarted peer's
-                // fence ends its old incarnation's half-received message.
+                // retransmit recovers the lost bytes. A fence (the peer
+                // restarted, or was found failed) ends the half-received
+                // messages of its fenced incarnation.
                 let (frame, corrupted) = match self.io.rx_admit(ctx, payload, self.cfg.verify_fcs) {
                     RxAdmit::Frame(frame, corrupted) => (frame, corrupted),
                     RxAdmit::Fenced(peer) => {

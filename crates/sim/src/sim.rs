@@ -747,7 +747,15 @@ impl Simulator {
 
     /// Suspends the components of scheduled set `idx` that are running.
     fn suspend_now(&mut self, idx: u32) {
-        for comp in core::mem::take(&mut self.suspensions[idx as usize]) {
+        let comps = core::mem::take(&mut self.suspensions[idx as usize]);
+        self.suspend(&comps);
+    }
+
+    /// Fail-stops those of `comps` that are running, now: what
+    /// [`Simulator::suspend_at`] does at its instant, so that
+    /// [`Simulator::install`] can reboot them.
+    pub fn suspend(&mut self, comps: &[ComponentId]) {
+        for &comp in comps {
             if let Some(c) = self.components[comp.index()].take() {
                 self.timers.cancel_all(comp);
                 self.suspended.insert(comp.0, (self.time, c));
